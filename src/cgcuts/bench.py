@@ -89,7 +89,7 @@ def generate_cliques(n_b: int, num_cliques: int, p: float, seed: int):
     return cliques, dropped
 
 
-def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits, mode: str):
+def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits):
     out = {}
     times = {}
     t0 = time.perf_counter()
@@ -100,17 +100,16 @@ def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits, mode: str)
         seed,
         max_clique_sample=limits.max_clique_sample,
         max_pairs=limits.max_graph_nnz,
-        mode=mode,
     )
     times["graph_build"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     longs, others = extend_parallel(
         cliques, g, k, seed,
-        per_worker_budget=limits.per_thread_ext_nnz, mode=mode,
+        per_worker_budget=limits.per_thread_ext_nnz,
     )
     times["extension"] = time.perf_counter() - t1
     t2 = time.perf_counter()
-    merged = merge_parallel(sorted(longs) + sorted(others), k, mode=mode)
+    merged = merge_parallel(sorted(longs) + sorted(others), k)
     times["merge"] = time.perf_counter() - t2
     times["total"] = time.perf_counter() - t0
     out["graph"] = g
@@ -120,8 +119,7 @@ def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits, mode: str)
     return times, out
 
 
-def run_bench(cfg: BenchConfig, limits: Limits | None = None,
-              mode: str = "process") -> BenchReport:
+def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
     """Time the clique stages at each thread count; assert that every k
     produces the same outputs; report shifted-geomean times and speedups
     versus k=1."""
@@ -160,7 +158,7 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None,
     for k in threads:
         stage_times: dict[str, list[float]] = {s: [] for s in STAGES}
         for rep in range(cfg.repetitions):
-            times, out = _run_stages(cliques, cfg.n_b, k, cfg.seed, limits, mode)
+            times, out = _run_stages(cliques, cfg.n_b, k, cfg.seed, limits)
             for s in STAGES:
                 stage_times[s].append(times[s])
             if baseline_out is None:

@@ -16,8 +16,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--limits", help="JSON file overriding the default limits")
     p.add_argument("--time-limit", type=float, default=None,
                    help="seconds before the pipeline degrades to pass-through")
-    p.add_argument("--exec-mode", choices=("serial", "thread", "process"),
-                   default="process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +61,6 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 out_model=out_model,
                 out_cuts=out_cuts,
-                mode=args.exec_mode,
             )
         except InfeasibleError as exc:
             print(f"model proven infeasible: {exc}", file=sys.stderr)
@@ -82,7 +79,7 @@ def main(argv=None) -> int:
         repetitions=args.reps,
         seed=args.seed,
     )
-    report = run_bench(cfg, limits=_limits(args), mode=args.exec_mode)
+    report = run_bench(cfg, limits=_limits(args))
     csv_text = report.to_csv()
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -127,7 +127,6 @@ def detect_cliques_parallel(
     varmap: VarMap,
     k: int,
     seed: int,
-    mode: str = "thread",
 ) -> CliqueHarvest:
     """Shuffle-partition the knapsack list and run detection per block.
 
@@ -137,7 +136,7 @@ def detect_cliques_parallel(
     flat = [(*_pbc_nodes(p, varmap), p.rhs) for p in s_ck]
     part = shuffle_partition(len(flat), k, seed)
     blocks = [[flat[i] for i in idx] for idx in part.blocks]
-    results = map_blocks(_detect_block, blocks, k, mode=mode)
+    results = map_blocks(_detect_block, blocks, k)
     harvest = CliqueHarvest(c_org=[], c_other_blocks=[])
     for block_result in results:
         for nodes, phi, entries in block_result:

@@ -9,8 +9,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cliques import Clique
 from .graph import ConflictGraph, _bits
 from .parallel import map_blocks, shuffle_partition
@@ -154,24 +152,23 @@ def extend_parallel(
     *,
     per_worker_budget: int | None = None,
     deadline: float | None = None,
-    mode: str = "thread",
     stats: dict | None = None,
 ):
     """Shuffle-partition the cliques and extend each on its own worker.
 
     Each worker stops once it has touched `per_worker_budget` adjacency
-    entries (or the monotonic `deadline` passes) and returns what it has.
-    Returns (longest list, others list).
+    entries (or the monotonic `deadline` passes) and returns what it has;
+    the budget is granted once per worker for the whole call. Every result
+    keeps its base clique's `source`. Returns (longest list, others list).
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
-    items = [(cliques[i].nodes, cliques[i].source) for i in part.order]
-    idx_blocks = np.array_split(np.arange(len(items)), k)
     block_args = [
-        ([items[i] for i in idx], g.bitrows, g.n_b, per_worker_budget, deadline)
-        for idx in idx_blocks
+        ([(cliques[i].nodes, cliques[i].source) for i in idx], g.bitrows,
+         g.n_b, per_worker_budget, deadline)
+        for idx in part.blocks
     ]
-    results = map_blocks(_extend_block, block_args, k, mode=mode)
+    results = map_blocks(_extend_block, block_args, k)
     longs: list[Clique] = []
     others: list[Clique] = []
     budget_hit = False

@@ -167,6 +167,42 @@ def _clique_nodes(clique: Clique, n_b: int) -> np.ndarray:
     return nodes
 
 
+def _build_block(args):
+    node_arrays, n_b = args
+    return _expand_pairs(node_arrays, n_b)
+
+
+def _build(cliques, n_b: int, order, blocks, rng, max_clique_sample,
+           max_pairs, stats: dict | None) -> ConflictGraph:
+    """Down-sample the cliques in `order` and keep them until the cumulative
+    pair cap would be passed, then expand each block of clique indices on
+    its own worker and OR-reduce the partial graphs."""
+    chosen = [None] * len(cliques)
+    total_pairs = 0
+    downsampled = 0
+    capped = False
+    for i in order:
+        nodes = _clique_nodes(cliques[i], n_b)
+        sampled = _sample_clique(nodes, max_clique_sample, rng)
+        downsampled += len(sampled) < len(nodes)
+        t = len(sampled)
+        pairs = t * (t - 1) // 2
+        capped = capped or (max_pairs is not None and total_pairs + pairs > max_pairs)
+        if not capped:
+            total_pairs += pairs
+            chosen[i] = sampled
+    block_args = [
+        ([chosen[i] for i in idx if chosen[i] is not None], n_b) for idx in blocks
+    ]
+    results = map_blocks(_build_block, block_args, len(blocks))
+    partials = [ConflictGraph(n_b, codes) for codes, _ in results]
+    if stats is not None:
+        stats["pairs_expanded"] = sum(p for _, p in results)
+        stats["pair_cap_hit"] = capped
+        stats["downsampled"] = downsampled
+    return reduce_pairwise(partials, or_merge)
+
+
 def build_graph(
     cliques,
     n_b: int,
@@ -178,32 +214,17 @@ def build_graph(
 ) -> ConflictGraph:
     """Union of pair expansions of all cliques (trivial edges NOT added).
 
-    Cliques longer than `max_clique_sample` are uniformly down-sampled
-    before expansion; expansion stops contributing once `max_pairs`
-    cumulative pairs were expanded.
+    The k = 1 case of `build_graph_parallel`, in input order: cliques
+    longer than `max_clique_sample` are uniformly down-sampled before
+    expansion; expansion stops contributing once `max_pairs` cumulative
+    pairs were expanded.
     """
+    cliques = list(cliques)
+    order = range(len(cliques))
     if rng is None:
         rng = np.random.default_rng(0)
-    arrays = []
-    total_pairs = 0
-    for q in cliques:
-        nodes = _clique_nodes(q, n_b)
-        nodes = _sample_clique(nodes, max_clique_sample, rng)
-        if max_clique_sample is not None and len(nodes) < len(q.nodes):
-            if counters is not None:
-                counters["downsampled"] = counters.get("downsampled", 0) + 1
-        t = len(nodes)
-        pairs = t * (t - 1) // 2
-        if max_pairs is not None and total_pairs + pairs > max_pairs:
-            if counters is not None:
-                counters["pair_cap_hit"] = True
-            break
-        total_pairs += pairs
-        arrays.append(nodes)
-    codes, pair_count = _expand_pairs(arrays, n_b)
-    if counters is not None:
-        counters["pairs_expanded"] = counters.get("pairs_expanded", 0) + pair_count
-    return ConflictGraph(n_b, codes)
+    return _build(cliques, n_b, order, [order], rng, max_clique_sample,
+                  max_pairs, counters)
 
 
 def or_merge(a: ConflictGraph, b: ConflictGraph) -> ConflictGraph:
@@ -217,12 +238,6 @@ def or_merge(a: ConflictGraph, b: ConflictGraph) -> ConflictGraph:
     return ConflictGraph(a.n_b, np.unique(np.concatenate([a.codes, b.codes])))
 
 
-def _build_block(args):
-    node_arrays, n_b = args
-    codes, pairs = _expand_pairs(node_arrays, n_b)
-    return codes, pairs
-
-
 def build_graph_parallel(
     cliques,
     n_b: int,
@@ -231,7 +246,6 @@ def build_graph_parallel(
     *,
     max_clique_sample: int | None = None,
     max_pairs: int | None = None,
-    mode: str = "thread",
     stats: dict | None = None,
 ) -> ConflictGraph:
     """Shuffle-partition cliques, build per-worker partial graphs and combine
@@ -243,31 +257,7 @@ def build_graph_parallel(
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
-    rng = np.random.default_rng(seed)
-    arrays = []
-    total_pairs = 0
-    capped = False
-    downsampled = 0
-    for i in part.order:
-        nodes = _clique_nodes(cliques[i], n_b)
-        sampled = _sample_clique(nodes, max_clique_sample, rng)
-        if len(sampled) < len(nodes):
-            downsampled += 1
-        t = len(sampled)
-        pairs = t * (t - 1) // 2
-        if capped or (max_pairs is not None and total_pairs + pairs > max_pairs):
-            capped = True
-            arrays.append(sampled[:0])
-            continue
-        total_pairs += pairs
-        arrays.append(sampled)
-    blocks = np.array_split(np.arange(len(arrays)), k)
-    block_args = [([arrays[i] for i in idx], n_b) for idx in blocks]
-    results = map_blocks(_build_block, block_args, k, mode=mode)
-    partials = [ConflictGraph(n_b, codes) for codes, _ in results]
-    merged = reduce_pairwise(partials, or_merge)
-    if stats is not None:
-        stats["pairs_expanded"] = sum(p for _, p in results)
-        stats["pair_cap_hit"] = capped
-        stats["downsampled"] = downsampled
+    merged = _build(cliques, n_b, part.order, part.blocks,
+                    np.random.default_rng(seed), max_clique_sample, max_pairs,
+                    stats)
     return or_merge(trivial_graph(n_b), merged)

@@ -64,7 +64,6 @@ def _merge_block(args):
 def removal_flags(
     cliques,
     k: int,
-    mode: str = "thread",
     counters: dict | None = None,
     deadline: float | None = None,
 ) -> np.ndarray:
@@ -86,7 +85,7 @@ def removal_flags(
         for t in range(k)
         if bounds[t] < bounds[t + 1]
     ]
-    results = map_blocks(_merge_block, block_args, k, mode=mode)
+    results = map_blocks(_merge_block, block_args, k)
     flags = np.concatenate([r for r, _, _ in results]) if results else np.zeros(m, bool)
     if counters is not None:
         counters["subset_work"] = sum(w for _, w, _ in results)
@@ -97,13 +96,11 @@ def removal_flags(
 def merge_parallel(
     cliques,
     k: int,
-    mode: str = "thread",
     counters: dict | None = None,
     deadline: float | None = None,
 ) -> MergeOutcome:
     """Remove every clique whose literal set is contained in another's."""
     cliques = list(cliques)
-    flags = removal_flags(cliques, k, mode=mode, counters=counters,
-                          deadline=deadline)
+    flags = removal_flags(cliques, k, counters=counters, deadline=deadline)
     kept = [q for q, dead in zip(cliques, flags) if not dead]
     return MergeOutcome(kept=kept, removed_count=int(flags.sum()))

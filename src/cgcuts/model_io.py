@@ -76,10 +76,6 @@ class MipModel:
         return sum(len(cols) for cols, _ in self.rows)
 
     @property
-    def integer_set(self) -> set[int]:
-        return set(self.integers)
-
-    @property
     def binaries(self) -> set[int]:
         """Columns j with j integer, l_j = 0 and u_j = 1."""
         return {j for j in self.integers if self.lb[j] == 0.0 and self.ub[j] == 1.0}
@@ -500,11 +496,10 @@ def _clique_row(record: CutRecord, varmap: VarMap, model: MipModel):
     """Turn a clique into (cols, coeffs, rhs): sum x+ - sum x- <= 1 - q."""
     pairs = []
     q = 0
-    eligible = model.integer_set
     for node in record.nodes:
         lit = varmap.literal(node)
         j = lit.col
-        if j not in eligible or model.lb[j] < 0.0 or model.ub[j] > 1.0:
+        if j not in model.integers or model.lb[j] < 0.0 or model.ub[j] > 1.0:
             raise MpsError(
                 f"clique references non-binary column {model.col_names[j]!r}"
             )
@@ -528,6 +523,7 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         pool.by_disposition(DISP_CONSTRAINT),
         key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
     )
+    rhs = []
     for i, rec in enumerate(constraints):
         cols, vals, b = _clique_row(rec, pool.varmap, model)
         rname = f"CLQ{i + 1:06d}"
@@ -537,7 +533,8 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         aug.rows.append((cols, vals))
         aug.senses.append(SENSE_LE)
         aug.row_names.append(rname)
-        aug.rhs = np.append(aug.rhs, b)
+        rhs.append(b)
+    aug.rhs = np.concatenate([aug.rhs, np.array(rhs, dtype=np.float64)])
     return write_mps(aug)
 
 

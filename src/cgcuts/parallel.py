@@ -3,19 +3,17 @@ and pairwise reduction.
 
 All shuffles use NumPy's PCG64 generator so a given (count, k, seed) always
 yields the same permutation. Workers receive immutable inputs and hand back
-single-owner partial results; merging happens on the caller's thread.
+single-owner partial results; merging happens in the calling process.
 """
 from __future__ import annotations
 
 import atexit
 import multiprocessing
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-MODES = ("serial", "thread", "process")
 
 
 @dataclass
@@ -54,7 +52,9 @@ def reduce_pairwise(items, combine):
     return level[0]
 
 
-_POOLS: dict[tuple[str, int], Executor] = {}
+# Persistent pools by worker count; they outlive a run so that callers can
+# still inspect the workers (e.g. their peak RSS) after it returns.
+_POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
 def _shutdown_pools():
@@ -66,32 +66,26 @@ def _shutdown_pools():
 atexit.register(_shutdown_pools)
 
 
-def _get_pool(mode: str, workers: int) -> Executor:
-    key = (mode, workers)
-    pool = _POOLS.get(key)
+def _get_pool(workers: int) -> ProcessPoolExecutor:
+    pool = _POOLS.get(workers)
     if pool is None:
-        if mode == "process":
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-        _POOLS[key] = pool
+        ctx = multiprocessing.get_context("fork")
+        pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=ctx)
     return pool
 
 
-def map_blocks(fn, block_args, k: int, mode: str = "thread") -> list:
+def map_blocks(fn, block_args, k: int) -> list:
     """Apply `fn` to each block argument, on up to k workers.
 
-    `fn` must be a picklable top-level function when mode="process". Results
-    come back in block order regardless of completion order.
+    Runs in this process when k = 1 or there is at most one block; otherwise
+    on a `fork` process pool of min(k, blocks) workers, so `fn` must be a
+    picklable top-level function. Results come back in block order.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown execution mode {mode!r}")
     block_args = list(block_args)
     workers = min(k, len(block_args))
-    if mode == "serial" or workers <= 1:
+    if workers <= 1:
         return [fn(a) for a in block_args]
-    return list(_get_pool(mode, workers).map(fn, block_args))
+    return list(_get_pool(workers).map(fn, block_args))
 
 
 def available_cores() -> int:

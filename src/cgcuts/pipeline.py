@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 from . import model_io
 from .cliques import (
     SRC_ISP,
+    SRC_KNAPSACK_ORG,
     SRC_OSP,
     Clique,
     CliqueHarvest,
@@ -31,13 +32,20 @@ from .model_io import (
 from .presolve import InfeasibleError, detect
 from .triage import TriagePlan, triage
 
+# Pool prefix of each extension base source.
+_BASE_PREFIX = {SRC_OSP: "osp", SRC_ISP: "isp", SRC_KNAPSACK_ORG: "org"}
 _EXTENDED_TAGS = ("osp_long", "osp_other", "isp_long", "isp_other",
                   "org_long", "org_other")
 
 
 @dataclass
 class Limits:
-    """Stage limits; all strictly positive."""
+    """Stage limits; all strictly positive.
+
+    `per_thread_ext_nnz` is the adjacency-touch budget of each extension
+    worker for the whole extension stage, shared by the osp, isp and org
+    bases.
+    """
 
     max_knapsack_vars: int = 5000
     max_clique_sample: int = 1000
@@ -105,7 +113,6 @@ def run_pipeline_model(
     limits: Limits | None = None,
     k: int = 1,
     seed: int = 0,
-    mode: str = "thread",
 ):
     """Run the whole pipeline on a parsed model.
 
@@ -152,7 +159,7 @@ def run_pipeline_model(
 
     harvest = timed(
         "clique_detect",
-        lambda: detect_cliques_parallel(s_ck, varmap, k, seed, mode=mode),
+        lambda: detect_cliques_parallel(s_ck, varmap, k, seed),
     )
     osp_cliques = sorted(
         _pbc_clique(p, varmap, SRC_OSP) for p in detection.s_osp
@@ -191,7 +198,6 @@ def run_pipeline_model(
             seed,
             max_clique_sample=limits.max_clique_sample,
             max_pairs=limits.max_graph_nnz,
-            mode=mode,
             stats=gstats,
         ),
     )
@@ -202,26 +208,21 @@ def run_pipeline_model(
         return passthrough()
 
     def run_extension():
-        for base, prefix in (
-            (osp_cliques, "osp"),
-            (isp_cliques, "isp"),
-            (org_cliques, "org"),
-        ):
-            estats: dict = {}
-            longs, others = extend_parallel(
-                base,
-                graph,
-                k,
-                seed,
-                per_worker_budget=limits.per_thread_ext_nnz,
-                deadline=deadline.expires,
-                mode=mode,
-                stats=estats,
-            )
-            pools[f"{prefix}_long"] = sorted(longs)
-            pools[f"{prefix}_other"] = sorted(others)
-            if estats.get("ext_budget_hit"):
-                stats.flags["extension_budget_hit"] = True
+        estats: dict = {}
+        longs, others = extend_parallel(
+            osp_cliques + isp_cliques + org_cliques,
+            graph,
+            k,
+            seed,
+            per_worker_budget=limits.per_thread_ext_nnz,
+            deadline=deadline.expires,
+            stats=estats,
+        )
+        for extended, suffix in ((longs, "long"), (others, "other")):
+            for q in sorted(extended):
+                pools[f"{_BASE_PREFIX[q.source]}_{suffix}"].append(q)
+        if estats.get("ext_budget_hit"):
+            stats.flags["extension_budget_hit"] = True
 
     timed("extension", run_extension)
     if deadline.expired():
@@ -236,7 +237,7 @@ def run_pipeline_model(
             return
         counters: dict = {}
         flags = removal_flags(
-            [q for q, _ in tagged], k, mode=mode,
+            [q for q, _ in tagged], k,
             counters=counters, deadline=deadline.expires,
         )
         if counters.get("deadline_hit"):
@@ -288,7 +289,6 @@ def run_pipeline(
     seed: int = 0,
     out_model=None,
     out_cuts=None,
-    mode: str = "process",
 ):
     """File-level wrapper: parse, run, write augmented model and cut pool.
 
@@ -297,7 +297,7 @@ def run_pipeline(
     """
     model = model_io.parse_mps_file(model_path)
     base_model, pool, plan, stats = run_pipeline_model(
-        model, limits=limits, k=k, seed=seed, mode=mode
+        model, limits=limits, k=k, seed=seed
     )
     if out_model is not None:
         with open(out_model, "w") as fh:

@@ -50,9 +50,6 @@ class PureBinaryConstraint:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def support_size(self) -> int:
-        return len(self.terms)
-
 
 class Classification(enum.Enum):
     SINGLETON = "singleton"

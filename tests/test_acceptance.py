@@ -109,7 +109,7 @@ def test_criterion_02_graph_build_equivalence():
             cliques.append(Clique(tuple(sorted(int(v) for v in nodes))))
         oracle = _dense(cliques, n_b, trivial=True)
         for k in (1, 2, 3, 4, 8):
-            g = build_graph_parallel(cliques, n_b, k, seed=trial, mode="thread")
+            g = build_graph_parallel(cliques, n_b, k, seed=trial)
             assert np.array_equal(_graph_dense(g), oracle), (trial, k)
     report(2, f"{sets} clique sets equal the dense union oracle at "
               "k in {1,2,3,4,8}")
@@ -190,7 +190,7 @@ def test_criterion_04_merge_oracle_equivalence():
             pool.append(Clique(tuple(sorted(int(v) for v in nodes))))
         expect = _domination_oracle(pool)
         for k in (1, 4, 8):
-            out = merge_parallel(pool, k=k, mode="thread")
+            out = merge_parallel(pool, k=k)
             assert [q.nodes for q in out.kept] == expect, (trial, k)
     report(4, f"{pools} pools (largest 2000 cliques) match the naive "
               "domination oracle at k in {1,4,8}")
@@ -214,7 +214,7 @@ def test_criterion_05_no_feasible_point_violates_emitted_cuts():
         model = random_binary_model(rng, max_binaries=15, max_rows=7)
         feasible = feasible_binary_points(model)
         try:
-            base, pool, plan, stats = run_pipeline_model(model, mode="serial")
+            base, pool, plan, stats = run_pipeline_model(model)
         except InfeasibleError:
             assert len(feasible) == 0
             continue
@@ -244,8 +244,7 @@ def test_criterion_06_byte_identical_outputs(tmp_path):
     def run(tag, k):
         out_model = tmp_path / f"{tag}.mps"
         out_cuts = tmp_path / f"{tag}.cuts"
-        run_pipeline(src, k=k, seed=7, out_model=out_model, out_cuts=out_cuts,
-                     mode="thread")
+        run_pipeline(src, k=k, seed=7, out_model=out_model, out_cuts=out_cuts)
         return out_model.read_bytes(), out_cuts.read_bytes()
 
     first = run("a", 2)
@@ -329,7 +328,7 @@ def test_criterion_08_shifted_geomean_identity():
 def test_criterion_09_scaled_parallel_benchmark():
     cfg = BenchConfig(n_b=2000, num_cliques=5000, membership_prob=0.01,
                       threads=(1, 2, 4, 8), repetitions=3, seed=0)
-    result = run_bench(cfg, mode="thread")
+    result = run_bench(cfg)
     speedup = result.speedup(4)
     cores = available_cores()
     if cores >= 4 and speedup is not None:
@@ -365,7 +364,7 @@ def test_criterion_10_limit_flags_and_valid_outputs(tmp_path):
     src.write_text(write_mps(knap))
 
     _, pool, _, stats = run_pipeline_model(
-        knap, limits=Limits(max_knapsack_vars=3), mode="serial"
+        knap, limits=Limits(max_knapsack_vars=3)
     )
     assert stats.flags["knapsack_size_skipped"]
     assert pool.records == []
@@ -382,13 +381,17 @@ def test_criterion_10_limit_flags_and_valid_outputs(tmp_path):
     _, _, _, stats2 = run_pipeline_model(
         wide,
         limits=Limits(max_clique_sample=2, max_graph_nnz=2,
-                      per_thread_ext_nnz=1, max_merge_cliques=1),
-        mode="serial",
+                      per_thread_ext_nnz=1),
     )
     assert stats2.flags["clique_downsampled"]
     assert stats2.flags["graph_nnz_capped"]
     assert stats2.flags["extension_budget_hit"]
-    assert stats2.flags["merge_skipped"]
+    # A one-touch extension budget covers the whole stage, so at k = 1 it
+    # leaves a single clique for merge: the merge cap is tried on its own.
+    _, _, _, stats_merge = run_pipeline_model(
+        wide, limits=Limits(max_merge_cliques=1)
+    )
+    assert stats_merge.flags["merge_skipped"]
 
     out_model = tmp_path / "tiny.mps"
     out_cuts = tmp_path / "tiny.cuts"
@@ -397,7 +400,6 @@ def test_criterion_10_limit_flags_and_valid_outputs(tmp_path):
         limits=Limits(time_limit_s=1e-9),
         out_model=out_model,
         out_cuts=out_cuts,
-        mode="serial",
     )
     assert stats3.flags["time_limit_hit"]
     reparsed = parse_mps_file(out_model)

@@ -71,7 +71,7 @@ def test_generate_cliques_uses_positive_literals_only():
 def test_run_bench_small_sweep():
     cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
                       threads=(1, 2), repetitions=2, seed=0)
-    report = run_bench(cfg, mode="serial")
+    report = run_bench(cfg)
     stages = {(r["k"], r["stage"]) for r in report.rows}
     ks = sorted({k for k, _ in stages})
     assert 1 in ks
@@ -85,7 +85,7 @@ def test_run_bench_caps_threads_to_host():
     cores = available_cores()
     cfg = BenchConfig(n_b=30, num_cliques=30, membership_prob=0.1,
                       threads=(cores + 5,), repetitions=1, seed=0)
-    report = run_bench(cfg, mode="serial")
+    report = run_bench(cfg)
     assert report.capped_threads
     assert any("capped" in note for note in report.notes)
     assert max(r["k"] for r in report.rows) <= cores
@@ -94,7 +94,7 @@ def test_run_bench_caps_threads_to_host():
 def test_run_bench_notes_dropped_cliques():
     cfg = BenchConfig(n_b=20, num_cliques=50, membership_prob=0.02,
                       threads=(1,), repetitions=1, seed=0)
-    report = run_bench(cfg, mode="serial")
+    report = run_bench(cfg)
     assert report.dropped_cliques > 0
     assert any("dropped" in note for note in report.notes)
 

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cgcuts.cliques import Clique
+from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique
 from cgcuts.extend import common_neighbors, extend_clique, extend_parallel
 from cgcuts.graph import build_graph, or_merge, trivial_graph
 
@@ -82,15 +82,20 @@ def random_graph_and_clique(rng, n_b):
         u, v = rng.choice(dim, size=2, replace=False)
         edges.add((min(u, v), max(u, v)))
     g = or_merge(graph_from_edges(edges, n_b), trivial_graph(n_b))
-    # grow a random clique of the graph to use as the base
+    return g, random_clique_of(rng, g)
+
+
+def random_clique_of(rng, g, source="", max_len=3):
+    """Grow a random clique of `g` with at most `max_len` members."""
+    dim = g.num_nodes
     base = [int(rng.integers(0, dim))]
     for v in rng.permutation(dim):
         v = int(v)
         if v not in base and all(g.has_edge(v, u) for u in base):
             base.append(v)
-            if len(base) >= 3:
+            if len(base) >= max_len:
                 break
-    return g, Clique(tuple(sorted(base)))
+    return Clique(tuple(sorted(base)), source=source)
 
 
 def test_extension_outputs_are_valid_cliques():
@@ -126,7 +131,7 @@ def test_parallel_equals_sequential_mapping():
         expect_longs.append(res.longest.nodes)
         expect_others.extend(q.nodes for q in res.others)
     for k in (1, 4, 8):
-        longs, others = extend_parallel(bases, g, k, seed=3, mode="thread")
+        longs, others = extend_parallel(bases, g, k, seed=3)
         assert sorted(q.nodes for q in longs) == sorted(expect_longs)
         assert sorted(q.nodes for q in others) == sorted(expect_others)
 
@@ -141,7 +146,7 @@ def test_worker_budget_stops_early_and_flags():
     bases = [Clique((0,))] * 50
     stats = {}
     longs, others = extend_parallel(
-        bases, g, 1, seed=0, per_worker_budget=5, mode="serial", stats=stats
+        bases, g, 1, seed=0, per_worker_budget=5, stats=stats
     )
     assert stats["ext_budget_hit"]
     assert len(longs) < len(bases)
@@ -151,7 +156,41 @@ def test_worker_budget_stops_early_and_flags():
 
 def test_touch_counter_accumulates():
     stats = {}
-    extend_parallel([Clique((0,))], TRIANGLE, 1, seed=0, mode="serial",
-                    stats=stats)
+    extend_parallel([Clique((0,))], TRIANGLE, 1, seed=0, stats=stats)
     assert stats["ext_touches"] > 0
     assert not stats["deadline_hit"]
+
+
+BASE_SOURCES = (SRC_OSP, SRC_ISP, SRC_KNAPSACK_ORG)
+
+
+def mixed_source_bases(seed, n_b=12, count=60):
+    rng = np.random.default_rng(seed)
+    g, _ = random_graph_and_clique(rng, n_b)
+    bases = [random_clique_of(rng, g, BASE_SOURCES[i % 3], max_len=2)
+             for i in range(count)]
+    return g, bases
+
+
+def test_one_call_keeps_each_base_source():
+    g, bases = mixed_source_bases(53)
+    for k in (1, 2):
+        longs, others = extend_parallel(bases, g, k, seed=5)
+        assert sorted(q.source for q in longs) == sorted(b.source for b in bases)
+        for q in longs + others:
+            assert any(b.source == q.source and set(b.nodes) <= set(q.nodes)
+                       for b in bases)
+
+
+def test_one_call_equals_one_call_per_source():
+    g, bases = mixed_source_bases(59)
+    for k in (1, 2):
+        stats = {}
+        longs, others = extend_parallel(bases, g, k, seed=5, stats=stats)
+        assert not stats["ext_budget_hit"]
+        assert others
+        for src in BASE_SOURCES:
+            own = [b for b in bases if b.source == src]
+            src_longs, src_others = extend_parallel(own, g, k, seed=5)
+            assert sorted(q for q in longs if q.source == src) == sorted(src_longs)
+            assert sorted(q for q in others if q.source == src) == sorted(src_others)

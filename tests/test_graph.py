@@ -93,7 +93,7 @@ def test_or_merge_dimension_mismatch():
 
 
 def test_parallel_build_adds_trivial_edges():
-    g = build_graph_parallel([], 3, k=1, seed=0, mode="serial")
+    g = build_graph_parallel([], 3, k=1, seed=0)
     assert g == trivial_graph(3)
 
 
@@ -108,24 +108,23 @@ def test_parallel_build_equals_serial_for_any_k_and_seed(k, seed, data):
     m = data.draw(st.integers(min_value=0, max_value=25))
     rng = np.random.default_rng(seed + 1000)
     cliques = random_cliques(rng, n_b, m, max_len=5)
-    g = build_graph_parallel(cliques, n_b, k, seed, mode="serial")
+    g = build_graph_parallel(cliques, n_b, k, seed)
     assert np.array_equal(
         as_dense(g), dense_oracle(cliques, n_b, include_trivial=True)
     )
 
 
-def test_parallel_build_thread_mode_agrees():
+def test_parallel_build_k1_equals_k4():
     rng = np.random.default_rng(9)
     cliques = random_cliques(rng, 15, 60)
-    serial = build_graph_parallel(cliques, 15, 1, seed=4, mode="serial")
-    threaded = build_graph_parallel(cliques, 15, 4, seed=4, mode="thread")
-    assert serial == threaded
+    single = build_graph_parallel(cliques, 15, 1, seed=4)
+    assert build_graph_parallel(cliques, 15, 4, seed=4) == single
 
 
 def test_pair_expansion_counter():
     cliques = [Clique((0, 1, 2)), Clique((3, 4))]
     stats = {}
-    build_graph_parallel(cliques, 3, 2, seed=0, mode="serial", stats=stats)
+    build_graph_parallel(cliques, 3, 2, seed=0, stats=stats)
     assert stats["pairs_expanded"] == 3 + 1
     assert not stats["pair_cap_hit"]
     assert stats["downsampled"] == 0
@@ -135,7 +134,7 @@ def test_downsampling_flag_and_edge_subset():
     big = Clique(tuple(range(10)))
     stats = {}
     g = build_graph_parallel(
-        [big], 5, 1, seed=0, max_clique_sample=4, mode="serial", stats=stats
+        [big], 5, 1, seed=0, max_clique_sample=4, stats=stats
     )
     assert stats["downsampled"] == 1
     assert stats["pairs_expanded"] == 6  # C(4, 2)
@@ -151,7 +150,7 @@ def test_pair_cap_stops_later_cliques_and_stays_thread_invariant():
     for k in (1, 2, 4, 8):
         stats = {}
         g = build_graph_parallel(
-            cliques, 10, k, seed=7, max_pairs=20, mode="serial", stats=stats
+            cliques, 10, k, seed=7, max_pairs=20, stats=stats
         )
         assert stats["pair_cap_hit"]
         assert stats["pairs_expanded"] <= 20

@@ -24,19 +24,19 @@ def test_dominates_equal_sets_both_ways():
 
 
 def test_merge_removes_dominated_clique():
-    out = merge_parallel([cl(0, 1), cl(0, 1, 2)], k=1, mode="serial")
+    out = merge_parallel([cl(0, 1), cl(0, 1, 2)], k=1)
     assert [q.nodes for q in out.kept] == [(0, 1, 2)]
     assert out.removed_count == 1
 
 
 def test_merge_equal_sets_keep_first():
-    out = merge_parallel([cl(0, 1), cl(0, 1)], k=1, mode="serial")
+    out = merge_parallel([cl(0, 1), cl(0, 1)], k=1)
     assert len(out.kept) == 1
     assert out.removed_count == 1
 
 
 def test_merge_empty_pool():
-    out = merge_parallel([], k=4, mode="serial")
+    out = merge_parallel([], k=4)
     assert out.kept == [] and out.removed_count == 0
 
 
@@ -67,7 +67,7 @@ def test_merge_matches_naive_oracle():
     rng = np.random.default_rng(13)
     pool = random_pool(rng)
     expect = naive_kept(pool)
-    out = merge_parallel(pool, k=1, mode="serial")
+    out = merge_parallel(pool, k=1)
     assert [q.nodes for q in out.kept] == [pool[j].nodes for j in expect]
     assert out.removed_count == len(pool) - len(expect)
 
@@ -76,7 +76,7 @@ def test_merge_result_is_an_antichain_with_coverage():
     rng = np.random.default_rng(19)
     for _ in range(20):
         pool = random_pool(rng, literals=14, count=80)
-        out = merge_parallel(pool, k=2, mode="serial")
+        out = merge_parallel(pool, k=2)
         kept_sets = [frozenset(q.nodes) for q in out.kept]
         for i, a in enumerate(kept_sets):
             for j, b in enumerate(kept_sets):
@@ -90,9 +90,9 @@ def test_merge_result_is_an_antichain_with_coverage():
 def test_merge_is_thread_invariant():
     rng = np.random.default_rng(29)
     pool = random_pool(rng, literals=20, count=300)
-    baseline = merge_parallel(pool, k=1, mode="serial")
+    baseline = merge_parallel(pool, k=1)
     for k in (2, 4, 8):
-        out = merge_parallel(pool, k=k, mode="thread")
+        out = merge_parallel(pool, k=k)
         assert [q.nodes for q in out.kept] == [q.nodes for q in baseline.kept]
         assert out.removed_count == baseline.removed_count
 
@@ -101,7 +101,7 @@ def test_removal_flags_report_work():
     rng = np.random.default_rng(37)
     pool = random_pool(rng, literals=15, count=50)
     counters = {}
-    flags = removal_flags(pool, k=2, mode="serial", counters=counters)
+    flags = removal_flags(pool, k=2, counters=counters)
     assert len(flags) == len(pool)
     assert counters["subset_work"] > 0
     assert not counters["deadline_hit"]
@@ -111,7 +111,7 @@ def test_removal_flags_respect_deadline():
     rng = np.random.default_rng(43)
     pool = random_pool(rng, literals=20, count=400)
     counters = {}
-    flags = removal_flags(pool, k=1, mode="serial", counters=counters,
+    flags = removal_flags(pool, k=1, counters=counters,
                           deadline=0.0)
     assert counters["deadline_hit"]
     assert not flags.any()  # nothing marked once the scan was abandoned

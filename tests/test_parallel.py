@@ -103,15 +103,9 @@ def _square_all(block):
     return [x * x for x in block]
 
 
-def test_map_blocks_modes_agree():
+def test_map_blocks_k1_equals_pool():
     blocks = [[1, 2], [3], [4, 5, 6], []]
-    serial = map_blocks(_square_all, blocks, k=4, mode="serial")
-    threaded = map_blocks(_square_all, blocks, k=4, mode="thread")
-    forked = map_blocks(_square_all, blocks, k=2, mode="process")
-    assert serial == threaded == forked
-    assert serial == [[1, 4], [9], [16, 25, 36], []]
-
-
-def test_map_blocks_unknown_mode():
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        map_blocks(_square_all, [[1]], k=1, mode="gpu")
+    in_process = map_blocks(_square_all, blocks, k=1)
+    assert in_process == [[1, 4], [9], [16, 25, 36], []]
+    assert map_blocks(_square_all, blocks, k=2) == in_process
+    assert map_blocks(_square_all, blocks, k=4) == in_process

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cgcuts.cli import main
+from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP
 from cgcuts.model_io import parse_mps, parse_mps_file, write_mps
 from cgcuts.pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
 from conftest import make_model, random_binary_model
@@ -42,7 +43,7 @@ def test_limits_from_json(tmp_path):
 
 
 def test_packing_instance_restores_strengthened_row():
-    base, pool, plan, stats = run_pipeline_model(PACKING, mode="serial")
+    base, pool, plan, stats = run_pipeline_model(PACKING)
     assert base.num_rows == 0  # the packing row was pulled out
     assert len(plan.replacements) == 1
     assert plan.replacements[0].nodes == (0, 1)
@@ -52,7 +53,7 @@ def test_packing_instance_restores_strengthened_row():
 
 
 def test_knapsack_instance_routes_cliques():
-    base, pool, plan, stats = run_pipeline_model(KNAPSACK6, mode="serial")
+    base, pool, plan, stats = run_pipeline_model(KNAPSACK6)
     assert base.num_rows == 1  # knapsack row is retained
     constraints = pool.by_disposition("model_constraint")
     users = pool.by_disposition("user_cut")
@@ -70,8 +71,7 @@ def test_file_outputs_and_stats(tmp_path):
     src.write_text(write_mps(KNAPSACK6))
     out_model = tmp_path / "aug.mps"
     out_cuts = tmp_path / "pool.cuts"
-    stats = run_pipeline(src, out_model=out_model, out_cuts=out_cuts,
-                         mode="serial")
+    stats = run_pipeline(src, out_model=out_model, out_cuts=out_cuts)
     aug = parse_mps_file(out_model)
     assert aug.num_rows == 2
     cols, vals = aug.rows[1]
@@ -92,14 +92,14 @@ def test_outputs_identical_across_runs_and_thread_counts(tmp_path):
         out_model = tmp_path / f"m{attempt}.mps"
         out_cuts = tmp_path / f"c{attempt}.cuts"
         run_pipeline(src, k=k, seed=42, out_model=out_model,
-                     out_cuts=out_cuts, mode="serial")
+                     out_cuts=out_cuts)
         outputs.append((out_model.read_text(), out_cuts.read_text()))
     assert all(o == outputs[0] for o in outputs[1:])
 
 
 def test_knapsack_size_limit_flag():
     _, pool, _, stats = run_pipeline_model(
-        KNAPSACK6, limits=Limits(max_knapsack_vars=3), mode="serial"
+        KNAPSACK6, limits=Limits(max_knapsack_vars=3)
     )
     assert stats.flags["knapsack_size_skipped"]
     assert pool.records == []
@@ -119,7 +119,6 @@ def test_graph_cap_and_sampling_flags():
     _, _, _, stats = run_pipeline_model(
         model,
         limits=Limits(max_clique_sample=2, max_graph_nnz=2),
-        mode="serial",
     )
     assert stats.flags["clique_downsampled"]
     assert stats.flags["graph_nnz_capped"]
@@ -135,11 +134,38 @@ def test_extension_budget_flag():
         binary=range(8),
     )
     _, pool, _, stats = run_pipeline_model(
-        model, limits=Limits(per_thread_ext_nnz=1), mode="serial"
+        model, limits=Limits(per_thread_ext_nnz=1)
     )
     assert stats.flags["extension_budget_hit"]
     # outputs remain structurally valid
     assert all(len(r.nodes) >= 2 for r in pool.records)
+
+
+def test_extended_cliques_go_to_their_base_source_pools():
+    model = make_model(
+        9,
+        [
+            {0: 1.0, 1: 1.0},  # original set packing
+            {2: 1.0, 3: -1.0},  # inferred set packing: x2 + (1 - x3) <= 1
+            {4: 2.0, 5: 3.0, 6: 4.0},  # conflicting knapsack
+            {0: 2.0, 1: 2.0, 7: 3.0},  # x7 conflicts with x0 and x1
+            {0: 2.0, 1: 2.0, 8: 3.0},  # x8 conflicts with x0 and x1
+        ],
+        ["L"] * 5,
+        [1.0, 0.0, 5.0, 4.0, 4.0],
+        binary=range(9),
+    )
+    prefix = {SRC_OSP: "osp", SRC_ISP: "isp", SRC_KNAPSACK_ORG: "org"}
+    for k in (1, 2):
+        _, _, plan, stats = run_pipeline_model(model, k=k)
+        routed = [(q, "osp_long") for q in plan.replacements]
+        routed += plan.as_constraints + plan.as_user_cuts
+        extended = [(q, tag) for q, tag in routed if q.source in prefix]
+        assert {tag for _, tag in extended} >= {"osp_long", "osp_other",
+                                                "isp_long", "org_long"}
+        for q, tag in extended:
+            assert tag.startswith(prefix[q.source] + "_"), (q, tag)
+        assert not stats.flags["extension_budget_hit"]
 
 
 def test_merge_skip_flag():
@@ -151,14 +177,14 @@ def test_merge_skip_flag():
         binary=range(6),
     )
     _, _, _, stats = run_pipeline_model(
-        model, limits=Limits(max_merge_cliques=1), mode="serial"
+        model, limits=Limits(max_merge_cliques=1)
     )
     assert stats.flags["merge_skipped"]
 
 
 def test_time_limit_degrades_to_passthrough(tmp_path):
     base, pool, plan, stats = run_pipeline_model(
-        KNAPSACK6, limits=Limits(time_limit_s=1e-9), mode="serial"
+        KNAPSACK6, limits=Limits(time_limit_s=1e-9)
     )
     assert stats.flags["time_limit_hit"]
     assert plan is None
@@ -182,7 +208,6 @@ def test_cli_presolve_round_trip(tmp_path):
         "--out-model", str(out_model),
         "--out-cuts", str(out_cuts),
         "--stats-json", str(stats_json),
-        "--exec-mode", "serial",
     ])
     assert rc == 0
     assert parse_mps_file(out_model).num_rows == 2
@@ -195,7 +220,7 @@ def test_cli_reports_infeasibility(tmp_path):
     bad = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [-1.0], binary=[0, 1])
     src = tmp_path / "bad.mps"
     src.write_text(write_mps(bad))
-    rc = main(["presolve", str(src), "--exec-mode", "serial",
+    rc = main(["presolve", str(src),
                "--out-model", str(tmp_path / "o.mps"),
                "--out-cuts", str(tmp_path / "o.cuts")])
     assert rc == 2
@@ -211,7 +236,6 @@ def test_cli_time_limit_flag_reaches_limits(tmp_path):
         "--out-cuts", str(tmp_path / "o.cuts"),
         "--stats-json", str(stats_json),
         "--time-limit", "1e-9",
-        "--exec-mode", "serial",
     ])
     assert rc == 0
     assert json.loads(stats_json.read_text())["flags"]["time_limit_hit"]
@@ -222,7 +246,7 @@ def test_cli_bench_writes_csv(tmp_path):
     rc = main([
         "bench", "--n-b", "40", "--cliques", "30", "--prob", "0.1",
         "--thread-counts", "1", "--reps", "1",
-        "--csv", str(csv_path), "--exec-mode", "serial",
+        "--csv", str(csv_path),
     ])
     assert rc == 0
     lines = csv_path.read_text().splitlines()
