@@ -2,13 +2,7 @@
 
 from .cliques import Clique, CliqueHarvest, detect_cliques, detect_cliques_parallel
 from .extend import ExtensionResult, common_neighbors, extend_clique, extend_parallel
-from .graph import (
-    ConflictGraph,
-    build_graph,
-    build_graph_parallel,
-    or_merge,
-    trivial_conflicts,
-)
+from .graph import ConflictGraph, build_graph, build_graph_parallel, or_merge
 from .literals import Literal, VarMap
 from .merge import MergeOutcome, dominates, merge_parallel
 from .model_io import (

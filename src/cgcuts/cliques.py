@@ -18,7 +18,6 @@ SRC_OSP = "osp"
 SRC_ISP = "isp"
 SRC_KNAPSACK_ORG = "knapsack_org"
 SRC_KNAPSACK_OTHER = "knapsack_other"
-SRC_TRIVIAL = "trivial_pair"
 
 
 @dataclass(frozen=True, order=True)

@@ -9,8 +9,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cliques import Clique
-from .graph import ConflictGraph, _bits
+from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_partition
 
 
@@ -20,42 +22,32 @@ class ExtensionResult:
     others: list[Clique]
 
 
-def common_neighbors(clq: Clique, g: ConflictGraph) -> list[int]:
-    """Nodes adjacent to every member of `clq`, excluding the clique itself.
+def _row_reader(g: ConflictGraph):
+    """`g.row` with the row starts as a Python list, which is faster when
+    one worker scans many cliques of the graph."""
+    starts, indices = g.indptr.tolist(), g.indices
+    return lambda v: indices[starts[v]:starts[v + 1]]
 
-    Neighbor rows are intersected smallest-degree first.
+
+def _scan(nodes, row):
+    """(whether `nodes` form a clique, their common neighbours as a sorted
+    array), from one sort of the members' rows.
+
+    No row holds its own node, so in the sorted rows a member occurs at most
+    t - 1 times, exactly t - 1 times if the members form a clique, and a node
+    adjacent to all t members occurs t times.
     """
-    rows = g.bitrows
-    members = sorted(clq.nodes, key=lambda v: rows[v].bit_count())
-    inter = -1
-    for v in members:
-        inter &= rows[v]
-        if not inter:
-            break
-    mask = 0
-    for v in clq.nodes:
-        mask |= 1 << v
-    inter &= ~mask
-    # mask out anything beyond the node range (from the -1 seed)
-    inter &= (1 << g.num_nodes) - 1
-    return _bits(inter)
+    t = len(nodes)
+    flat = np.sort(np.concatenate([row(v) for v in nodes]))
+    q = np.asarray(nodes, dtype=flat.dtype)
+    hits = np.searchsorted(flat, q, "right") - np.searchsorted(flat, q, "left")
+    head = flat[:max(len(flat) - t + 1, 0)]
+    return int(hits.sum()) == t * (t - 1), head[head == flat[t - 1:]]
 
 
-def _is_clique_of(clq: Clique, g: ConflictGraph) -> bool:
-    rows = g.bitrows
-    mask = 0
-    for v in clq.nodes:
-        mask |= 1 << v
-    for v in clq.nodes:
-        need = mask ^ (1 << v)
-        if rows[v] & need != need:
-            return False
-    return True
-
-
-def _check_is_clique(clq: Clique, g: ConflictGraph):
-    if not _is_clique_of(clq, g):
-        raise ValueError(f"input {clq.nodes} is not a clique of the graph")
+def common_neighbors(clq: Clique, g: ConflictGraph) -> list[int]:
+    """Nodes adjacent to every member of `clq`, excluding the clique itself."""
+    return _scan(clq.nodes, g.row)[1].tolist()
 
 
 def extend_clique(
@@ -67,52 +59,54 @@ def extend_clique(
     every bucket it is fully adjacent to, or opens a new one. Ties for the
     longest bucket go to the earliest-created bucket.
     """
-    _check_is_clique(clq, g)
-    rows = g.bitrows
-    cands = common_neighbors(clq, g)
-    touched = len(clq.nodes) + len(cands)
-    if not cands:
-        if counters is not None:
-            counters["touches"] = counters.get("touches", 0) + touched
-        return ExtensionResult(longest=clq, others=[])
-    buckets: list[tuple[int, list[int]]] = []  # (mask, members), creation order
-    for u in cands:
-        row_u = rows[u]
-        bit_u = 1 << u
-        joined = False
-        for t in range(len(buckets)):
-            mask, members = buckets[t]
-            touched += len(members)
-            if row_u & mask == mask:
-                members.append(u)
-                buckets[t] = (mask | bit_u, members)
-                joined = True
-        if not joined:
-            buckets.append((bit_u, [u]))
-    best = 0
-    for t in range(1, len(buckets)):
-        if len(buckets[t][1]) > len(buckets[best][1]):
-            best = t
-    base = clq.nodes
-    longest = Clique(tuple(sorted(base + tuple(buckets[best][1]))), source=clq.source)
-    others = [
-        Clique(tuple(sorted(base + tuple(members))), source=clq.source)
-        for t, (_, members) in enumerate(buckets)
-        if t != best
-    ]
+    is_clique, cands = _scan(clq.nodes, g.row)
+    if not is_clique:
+        raise ValueError(f"input {clq.nodes} is not a clique of the graph")
+    res, touched = _grow(clq, cands.tolist(), g)
     if counters is not None:
         counters["touches"] = counters.get("touches", 0) + touched
-    return ExtensionResult(longest=longest, others=others)
+    return res
+
+
+def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
+    """Bucket the common neighbours `cands` of `clq`; returns the
+    ExtensionResult and the number of adjacency entries touched."""
+    touched = len(clq.nodes) + len(cands)
+    if not cands:
+        return ExtensionResult(longest=clq, others=[]), touched
+    buckets: list[list[int]] = []  # creation order
+    for u in cands:
+        adjacent = set(g.neighbors(u))
+        joined = False
+        for members in buckets:
+            touched += len(members)
+            if adjacent.issuperset(members):
+                members.append(u)
+                joined = True
+        if not joined:
+            buckets.append([u])
+    best = 0
+    for t in range(1, len(buckets)):
+        if len(buckets[t]) > len(buckets[best]):
+            best = t
+    base = clq.nodes
+    longest = Clique(tuple(sorted(base + tuple(buckets[best]))), source=clq.source)
+    others = [
+        Clique(tuple(sorted(base + tuple(members))), source=clq.source)
+        for t, members in enumerate(buckets)
+        if t != best
+    ]
+    return ExtensionResult(longest=longest, others=others), touched
 
 
 def _extend_block(args):
-    clique_items, bitrows, n_b, budget, deadline = args
-    g = _GraphView(bitrows, n_b)
+    clique_items, n_b, indptr, indices, budget, deadline = args
+    g = ConflictGraph(n_b, indptr, indices)
+    row = _row_reader(g)
     longs, others = [], []
     touches = 0
     budget_hit = False
     deadline_hit = False
-    counters: dict = {}
     for step, (nodes, source) in enumerate(clique_items):
         if budget is not None and touches >= budget:
             budget_hit = True
@@ -121,27 +115,18 @@ def _extend_block(args):
             deadline_hit = True
             break
         clq = Clique(nodes, source=source)
-        if not _is_clique_of(clq, g):
+        is_clique, cands = _scan(nodes, row)
+        if not is_clique:
             # capped/down-sampled graphs can miss base edges; pass the
             # base through unchanged rather than extending blind
             touches += len(nodes)
             longs.append(clq)
             continue
-        counters["touches"] = 0
-        res = extend_clique(clq, g, counters=counters)
-        touches += counters["touches"]
+        res, touched = _grow(clq, cands.tolist(), g)
+        touches += touched
         longs.append(res.longest)
         others.extend(res.others)
     return longs, others, budget_hit, touches, deadline_hit
-
-
-class _GraphView:
-    """Bitrow-only stand-in for ConflictGraph inside workers."""
-
-    def __init__(self, bitrows, n_b):
-        self.bitrows = bitrows
-        self.n_b = n_b
-        self.num_nodes = 2 * n_b
 
 
 def extend_parallel(
@@ -164,8 +149,8 @@ def extend_parallel(
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
     block_args = [
-        ([(cliques[i].nodes, cliques[i].source) for i in idx], g.bitrows,
-         g.n_b, per_worker_budget, deadline)
+        ([(cliques[i].nodes, cliques[i].source) for i in idx], g.n_b,
+         g.indptr, g.indices, per_worker_budget, deadline)
         for idx in part.blocks
     ]
     results = map_blocks(_extend_block, block_args, k)

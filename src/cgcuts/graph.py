@@ -1,40 +1,33 @@
 """Conflict graph construction, serial and parallel.
 
 The graph is a symmetric boolean adjacency over 2*n_b literal nodes, stored
-as a sorted array of encoded upper-triangle edges. Partial graphs built per
-worker are combined with a pairwise OR-reduction tree.
+once, in compressed sparse row (CSR) form: the neighbours of node u are
+`indices[indptr[u]:indptr[u + 1]]`, sorted ascending, and every edge appears
+in the rows of both its ends. Memory is O(n_b + edges).
+
+Each worker expands its cliques into upper-triangle edge codes
+u*(2*n_b)+v (u < v), deduplicated by sorting and masking equal neighbours.
+The partial code arrays are combined with a pairwise OR-reduction tree, the
+n_b variable/complement edges are added, and the result is converted to CSR
+once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cliques import SRC_TRIVIAL, Clique
+from .cliques import Clique
 from .parallel import map_blocks, reduce_pairwise, shuffle_partition
-
-# Dense bitrow construction is only used below this many matrix cells.
-_DENSE_BITROW_CELLS = 200_000_000
 
 
 class ConflictGraph:
-    """Symmetric sparse boolean adjacency over 2*n_b literal nodes."""
+    """Symmetric sparse boolean adjacency over 2*n_b literal nodes (CSR)."""
 
-    def __init__(self, n_b: int, codes: np.ndarray):
+    def __init__(self, n_b: int, indptr: np.ndarray, indices: np.ndarray):
         self.n_b = int(n_b)
-        self.codes = codes  # sorted unique u*(2*n_b)+v with u < v
-        self._bitrows = None
-
-    @classmethod
-    def from_edges(cls, n_b: int, us, vs) -> "ConflictGraph":
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keep = lo != hi
-        codes = _encode(lo[keep], hi[keep], n_b)
-        return cls(n_b, np.unique(codes))
+        self.indptr = indptr  # row u spans indices[indptr[u]:indptr[u + 1]]
+        self.indices = indices  # neighbours, sorted within each row
 
     @property
     def num_nodes(self) -> int:
@@ -42,57 +35,40 @@ class ConflictGraph:
 
     @property
     def stored_nnz(self) -> int:
-        return 2 * len(self.codes)  # both symmetric entries count
+        return len(self.indices)  # both symmetric entries count
 
     def edges(self):
-        dim = self.num_nodes
-        return self.codes // dim, self.codes % dim
+        """(us, vs) of every edge with u < v, sorted by (u, v)."""
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
+                         np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper]
+
+    def row(self, u: int) -> np.ndarray:
+        """Sorted neighbours of `u` (a view into `indices`)."""
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        lo, hi = (u, v) if u < v else (v, u)
-        code = lo * self.num_nodes + hi
-        i = np.searchsorted(self.codes, code)
-        return i < len(self.codes) and self.codes[i] == code
-
-    @property
-    def bitrows(self) -> list[int]:
-        """Adjacency rows as Python bitmask ints (bit v of row u = edge uv)."""
-        if self._bitrows is None:
-            self._bitrows = self._build_bitrows()
-        return self._bitrows
-
-    def _build_bitrows(self) -> list[int]:
-        dim = self.num_nodes
-        us, vs = self.edges()
-        if dim * dim <= _DENSE_BITROW_CELLS:
-            mat = np.zeros((dim, dim), dtype=bool)
-            mat[us, vs] = True
-            mat[vs, us] = True
-            packed = np.packbits(mat, axis=1, bitorder="little")
-            return [int.from_bytes(packed[i].tobytes(), "little") for i in range(dim)]
-        rows = [0] * dim
-        for u, v in zip(us.tolist(), vs.tolist()):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return rows
+        row = self.row(u)
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
 
     def neighbors(self, u: int) -> list[int]:
-        return _bits(self.bitrows[u])
+        return self.row(u).tolist()
 
     def degree(self, u: int) -> int:
-        return self.bitrows[u].bit_count()
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ConflictGraph)
             and self.n_b == other.n_b
-            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.n_b, self.codes.tobytes()))
+        return hash((self.n_b, self.indices.tobytes()))
 
     def dump_edges(self) -> str:
         """Sorted `u v` text lines, one edge per line (for oracle diffing)."""
@@ -103,32 +79,51 @@ class ConflictGraph:
 
 
 def _encode(lo, hi, n_b: int) -> np.ndarray:
-    return lo.astype(np.int64) * (2 * n_b) + hi.astype(np.int64)
+    lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+    return lo * (2 * n_b) + hi
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
+def _dedup(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `codes`: sort, then drop equal neighbours."""
+    codes = np.sort(codes)
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _dedup(np.concatenate([a, b]))
+
+
+def _codes(g: ConflictGraph) -> np.ndarray:
+    us, vs = g.edges()
+    return _encode(us, vs, g.n_b)
+
+
+def _trivial_codes(n_b: int) -> np.ndarray:
+    j = np.arange(n_b, dtype=np.int64)
+    return _encode(j, j + n_b, n_b)
+
+
+def _from_codes(n_b: int, codes: np.ndarray) -> ConflictGraph:
+    """CSR graph from sorted distinct upper-triangle codes."""
+    dim = 2 * n_b
+    lo, hi = np.divmod(codes, dim)
+    # Both directions as row*dim + col keys; sorting them orders each row.
+    rows, cols = np.divmod(np.sort(np.concatenate([codes, hi * dim + lo])), dim)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    index_type = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    return ConflictGraph(n_b, indptr, cols.astype(index_type))
 
 
 def empty_graph(n_b: int) -> ConflictGraph:
-    return ConflictGraph(n_b, np.empty(0, dtype=np.int64))
+    return _from_codes(n_b, np.empty(0, dtype=np.int64))
 
 
 def trivial_graph(n_b: int) -> ConflictGraph:
-    j = np.arange(n_b, dtype=np.int64)
-    return ConflictGraph(n_b, np.sort(_encode(j, j + n_b, n_b)))
-
-
-def trivial_conflicts(n_b: int) -> list[Clique]:
-    """The n_b two-literal cliques pairing each variable with its complement."""
-    if n_b < 0:
-        raise ValueError("n_b must be >= 0")
-    return [Clique((j, j + n_b), source=SRC_TRIVIAL) for j in range(n_b)]
+    return _from_codes(n_b, _trivial_codes(n_b))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +139,7 @@ def _sample_clique(nodes: np.ndarray, limit: int, rng) -> np.ndarray:
 
 
 def _expand_pairs(node_arrays, n_b: int):
-    chunks = []
+    chunks = [np.empty(0, dtype=np.int64)]
     pair_count = 0
     for nodes in node_arrays:
         t = len(nodes)
@@ -153,11 +148,7 @@ def _expand_pairs(node_arrays, n_b: int):
         ii, jj = _pair_index(t)
         chunks.append(_encode(nodes[ii], nodes[jj], n_b))
         pair_count += t * (t - 1) // 2
-    if chunks:
-        codes = np.unique(np.concatenate(chunks))
-    else:
-        codes = np.empty(0, dtype=np.int64)
-    return codes, pair_count
+    return _dedup(np.concatenate(chunks)), pair_count
 
 
 def _clique_nodes(clique: Clique, n_b: int) -> np.ndarray:
@@ -173,10 +164,10 @@ def _build_block(args):
 
 
 def _build(cliques, n_b: int, order, blocks, rng, max_clique_sample,
-           max_pairs, stats: dict | None) -> ConflictGraph:
+           max_pairs, stats: dict | None) -> np.ndarray:
     """Down-sample the cliques in `order` and keep them until the cumulative
     pair cap would be passed, then expand each block of clique indices on
-    its own worker and OR-reduce the partial graphs."""
+    its own worker and OR-reduce the partial edge codes."""
     chosen = [None] * len(cliques)
     total_pairs = 0
     downsampled = 0
@@ -195,12 +186,11 @@ def _build(cliques, n_b: int, order, blocks, rng, max_clique_sample,
         ([chosen[i] for i in idx if chosen[i] is not None], n_b) for idx in blocks
     ]
     results = map_blocks(_build_block, block_args, len(blocks))
-    partials = [ConflictGraph(n_b, codes) for codes, _ in results]
     if stats is not None:
         stats["pairs_expanded"] = sum(p for _, p in results)
         stats["pair_cap_hit"] = capped
         stats["downsampled"] = downsampled
-    return reduce_pairwise(partials, or_merge)
+    return reduce_pairwise([codes for codes, _ in results], _union)
 
 
 def build_graph(
@@ -223,19 +213,15 @@ def build_graph(
     order = range(len(cliques))
     if rng is None:
         rng = np.random.default_rng(0)
-    return _build(cliques, n_b, order, [order], rng, max_clique_sample,
-                  max_pairs, counters)
+    return _from_codes(n_b, _build(cliques, n_b, order, [order], rng,
+                                   max_clique_sample, max_pairs, counters))
 
 
 def or_merge(a: ConflictGraph, b: ConflictGraph) -> ConflictGraph:
     """Elementwise boolean union of two graphs of equal dimension."""
     if a.n_b != b.n_b:
         raise ValueError("graph dimensions differ")
-    if not len(a.codes):
-        return b
-    if not len(b.codes):
-        return a
-    return ConflictGraph(a.n_b, np.unique(np.concatenate([a.codes, b.codes])))
+    return _from_codes(a.n_b, _union(_codes(a), _codes(b)))
 
 
 def build_graph_parallel(
@@ -248,16 +234,18 @@ def build_graph_parallel(
     max_pairs: int | None = None,
     stats: dict | None = None,
 ) -> ConflictGraph:
-    """Shuffle-partition cliques, build per-worker partial graphs and combine
-    them with the pairwise OR-reduction tree, then add the trivial
-    variable/complement edges.
+    """Shuffle-partition cliques, expand per-worker partial edge sets and
+    combine them with the pairwise OR-reduction tree, then add the n_b
+    trivial variable/complement edges and build the CSR graph.
 
     Down-sampling and the cumulative pair cap are applied in the shuffled
-    order before dispatch so the result is identical for every k.
+    order before dispatch so the result is identical for every k. The
+    trivial edges are not cliques of the input, so they neither count
+    toward `max_pairs` nor appear in `pairs_expanded`.
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
     merged = _build(cliques, n_b, part.order, part.blocks,
                     np.random.default_rng(seed), max_clique_sample, max_pairs,
                     stats)
-    return or_merge(trivial_graph(n_b), merged)
+    return _from_codes(n_b, _union(_trivial_codes(n_b), merged))

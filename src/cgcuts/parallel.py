@@ -52,14 +52,17 @@ def reduce_pairwise(items, combine):
     return level[0]
 
 
-# Persistent pools by worker count; they outlive a run so that callers can
-# still inspect the workers (e.g. their peak RSS) after it returns.
+# The persistent pool, by its worker count. It outlives a run so that callers
+# can still inspect the workers (e.g. their peak RSS) after it returns. A
+# request for more workers shuts it down before a larger pool is forked, so
+# at most one pool is alive; a request for fewer reuses it, because each
+# block is one task and at most that many run at once.
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
-def _shutdown_pools():
+def _shutdown_pools(wait: bool = False):
     for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=wait, cancel_futures=True)
     _POOLS.clear()
 
 
@@ -67,10 +70,12 @@ atexit.register(_shutdown_pools)
 
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        ctx = multiprocessing.get_context("fork")
-        pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=ctx)
+    for size, pool in _POOLS.items():
+        if size >= workers:
+            return pool
+    _shutdown_pools(wait=True)
+    ctx = multiprocessing.get_context("fork")
+    pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=ctx)
     return pool
 
 
@@ -78,8 +83,9 @@ def map_blocks(fn, block_args, k: int) -> list:
     """Apply `fn` to each block argument, on up to k workers.
 
     Runs in this process when k = 1 or there is at most one block; otherwise
-    on a `fork` process pool of min(k, blocks) workers, so `fn` must be a
-    picklable top-level function. Results come back in block order.
+    on the persistent `fork` process pool, which has at least min(k, blocks)
+    workers, so `fn` must be a picklable top-level function. Callers pass at
+    most k blocks. Results come back in block order.
     """
     block_args = list(block_args)
     workers = min(k, len(block_args))

@@ -18,7 +18,7 @@ from .cliques import (
     detect_cliques_parallel,
 )
 from .extend import extend_parallel
-from .graph import build_graph_parallel, trivial_conflicts
+from .graph import build_graph_parallel
 from .literals import VarMap
 from .merge import removal_flags
 from .model_io import (
@@ -184,10 +184,8 @@ def run_pipeline_model(
     if deadline.expired():
         return passthrough()
 
-    graph_input = (
-        osp_cliques + isp_cliques + org_cliques + other_long + other_other
-        + trivial_conflicts(varmap.n_b)
-    )
+    graph_input = (osp_cliques + isp_cliques + org_cliques + other_long
+                   + other_other)
     gstats: dict = {}
     graph = timed(
         "graph_build",
@@ -292,17 +290,23 @@ def run_pipeline(
 ):
     """File-level wrapper: parse, run, write augmented model and cut pool.
 
-    Returns RunStats. Raises InfeasibleError when detection proves the
-    model infeasible.
+    Returns RunStats, whose `stage_seconds` also times `parse` and `emit`
+    (writing both output files). Raises InfeasibleError when detection
+    proves the model infeasible.
     """
+    t0 = time.perf_counter()
     model = model_io.parse_mps_file(model_path)
+    parse_s = time.perf_counter() - t0
     base_model, pool, plan, stats = run_pipeline_model(
         model, limits=limits, k=k, seed=seed
     )
+    t0 = time.perf_counter()
     if out_model is not None:
         with open(out_model, "w") as fh:
             fh.write(model_io.write_augmented_mps(base_model, pool))
     if out_cuts is not None:
         with open(out_cuts, "w") as fh:
             fh.write(model_io.export_cut_pool(pool))
+    stats.stage_seconds["parse"] = parse_s
+    stats.stage_seconds["emit"] = time.perf_counter() - t0
     return stats

@@ -6,7 +6,7 @@ import pytest
 
 from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique
 from cgcuts.extend import common_neighbors, extend_clique, extend_parallel
-from cgcuts.graph import build_graph, or_merge, trivial_graph
+from cgcuts.graph import build_graph, build_graph_parallel, or_merge, trivial_graph
 
 
 def graph_from_edges(edges, n_b):
@@ -194,3 +194,15 @@ def test_one_call_equals_one_call_per_source():
             src_longs, src_others = extend_parallel(own, g, k, seed=5)
             assert sorted(q for q in longs if q.source == src) == sorted(src_longs)
             assert sorted(q for q in others if q.source == src) == sorted(src_others)
+
+
+def test_graph_memory_is_linear_in_binaries_and_edges():
+    n_b = 200_000
+    bases = [Clique((0, 1, 2)), Clique((1, 2, 3)), Clique((5, 7, n_b + 9))]
+    g = build_graph_parallel(bases, n_b, 1, seed=0)
+    # CSR: 8 bytes per node pointer and 4 per stored entry, about 4.8 MB
+    assert g.indptr.nbytes + g.indices.nbytes < 16_000_000
+    assert g.stored_nnz == 2 * (n_b + 3 + 3 + 3 - 1)
+    longs, others = extend_parallel([Clique((1, 2))], g, 1, seed=0)
+    assert [q.nodes for q in longs] == [(0, 1, 2)]
+    assert [q.nodes for q in others] == [(1, 2, 3)]

@@ -10,7 +10,6 @@ from cgcuts.graph import (
     build_graph_parallel,
     empty_graph,
     or_merge,
-    trivial_conflicts,
     trivial_graph,
 )
 
@@ -45,12 +44,6 @@ def random_cliques(rng, n_b, count, max_len=6):
         nodes = rng.choice(2 * n_b, size=t, replace=False)
         out.append(Clique(tuple(sorted(int(v) for v in nodes))))
     return out
-
-
-def test_trivial_conflicts_shapes():
-    assert trivial_conflicts(0) == []
-    assert [q.nodes for q in trivial_conflicts(1)] == [(0, 1)]
-    assert [q.nodes for q in trivial_conflicts(3)] == [(0, 3), (1, 4), (2, 5)]
 
 
 def test_build_graph_single_pair():

@@ -1,4 +1,5 @@
 """Shared fork-join substrate: shuffles, partitions and reductions."""
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgcuts import parallel
 from cgcuts.parallel import (
     map_blocks,
     reduce_pairwise,
@@ -109,3 +111,16 @@ def test_map_blocks_k1_equals_pool():
     assert in_process == [[1, 4], [9], [16, 25, 36], []]
     assert map_blocks(_square_all, blocks, k=2) == in_process
     assert map_blocks(_square_all, blocks, k=4) == in_process
+
+
+def test_map_blocks_keeps_one_pool_alive():
+    parallel._shutdown_pools(wait=True)  # start without a pool
+    blocks = [[1], [2], [3]]
+    map_blocks(_square_all, blocks[:2], k=2)
+    assert len(multiprocessing.active_children()) == 2
+    assert map_blocks(_square_all, blocks, k=3) == [[1], [4], [9]]
+    # the k = 2 workers are gone, the k = 3 workers stay for inspection
+    assert len(multiprocessing.active_children()) == 3
+    # a smaller count reuses the live pool
+    assert map_blocks(_square_all, blocks[:2], k=2) == [[1], [4]]
+    assert len(multiprocessing.active_children()) == 3

@@ -118,11 +118,21 @@ def test_graph_cap_and_sampling_flags():
     )
     _, _, _, stats = run_pipeline_model(
         model,
-        limits=Limits(max_clique_sample=2, max_graph_nnz=2),
+        limits=Limits(max_clique_sample=2, max_graph_nnz=1),
     )
     assert stats.flags["clique_downsampled"]
     assert stats.flags["graph_nnz_capped"]
-    assert stats.pairs_expanded <= 2
+    assert stats.pairs_expanded <= 1
+
+
+def test_pairs_expanded_leaves_out_trivial_edges():
+    # one packing clique over 3 of 6 binaries: C(3, 2) pairs, and none for
+    # the 6 variable/complement edges the graph gets anyway
+    model = make_model(6, [{0: 1.0, 2: 1.0, 4: 1.0}], ["L"], [1.0],
+                       binary=range(6))
+    _, _, _, stats = run_pipeline_model(model, limits=Limits(max_graph_nnz=3))
+    assert stats.pairs_expanded == 3
+    assert not stats.flags["graph_nnz_capped"]
 
 
 def test_extension_budget_flag():
@@ -213,7 +223,7 @@ def test_cli_presolve_round_trip(tmp_path):
     assert parse_mps_file(out_model).num_rows == 2
     stats = json.loads(stats_json.read_text())
     assert stats["threads"] == 1
-    assert "detect" in stats["stage_seconds"]
+    assert {"parse", "detect", "emit"} <= set(stats["stage_seconds"])
 
 
 def test_cli_reports_infeasibility(tmp_path):
