@@ -1,10 +1,10 @@
 """Parallel conflict-graph cut generation for mixed-integer programs."""
 
-from .cliques import Clique, CliqueHarvest, detect_cliques, detect_cliques_parallel
-from .extend import ExtensionResult, common_neighbors, extend_clique, extend_parallel
-from .graph import ConflictGraph, build_graph, build_graph_parallel, or_merge
+from .cliques import Clique, CliqueHarvest, detect_cliques_parallel
+from .extend import extend_parallel
+from .graph import ConflictGraph, build_graph_parallel
 from .literals import Literal, VarMap
-from .merge import MergeOutcome, dominates, merge_parallel
+from .merge import removal_flags
 from .model_io import (
     CutPool,
     CutRecord,

@@ -19,7 +19,7 @@ import numpy as np
 from .cliques import Clique
 from .extend import extend_parallel
 from .graph import build_graph_parallel
-from .merge import merge_parallel
+from .merge import removal_flags
 from .parallel import available_cores
 from .pipeline import Limits
 
@@ -109,13 +109,14 @@ def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits):
     )
     times["extension"] = time.perf_counter() - t1
     t2 = time.perf_counter()
-    merged = merge_parallel(sorted(longs) + sorted(others), k)
+    pool = sorted(longs) + sorted(others)
+    flags = removal_flags(pool, k)
     times["merge"] = time.perf_counter() - t2
     times["total"] = time.perf_counter() - t0
     out["graph"] = g
     out["longs"] = sorted(q.nodes for q in longs)
     out["others"] = sorted(q.nodes for q in others)
-    out["kept"] = sorted(q.nodes for q in merged.kept)
+    out["kept"] = sorted(q.nodes for q, dead in zip(pool, flags) if not dead)
     return times, out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import BenchConfig, run_bench, warn_if_slow
@@ -41,22 +42,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limits(args) -> Limits:
-    limits = Limits.from_json(args.limits) if args.limits else Limits()
-    if args.time_limit is not None:
-        limits.time_limit_s = args.time_limit
+def _limits(parser: argparse.ArgumentParser, args) -> Limits:
+    """The run's limits, checked by `Limits` before any model is read."""
+    try:
+        limits = Limits.from_json(args.limits) if args.limits else Limits()
+        if args.time_limit is not None:
+            limits = dataclasses.replace(limits, time_limit_s=args.time_limit)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"invalid limits: {exc}")
     return limits
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    limits = _limits(parser, args)
     if args.command == "presolve":
         out_model = args.out_model or args.model + ".aug.mps"
         out_cuts = args.out_cuts or args.model + ".cuts"
         try:
             stats = run_pipeline(
                 args.model,
-                limits=_limits(args),
+                limits=limits,
                 k=args.threads,
                 seed=args.seed,
                 out_model=out_model,
@@ -79,7 +88,7 @@ def main(argv=None) -> int:
         repetitions=args.reps,
         seed=args.seed,
     )
-    report = run_bench(cfg, limits=_limits(args))
+    report = run_bench(cfg, limits=limits)
     csv_text = report.to_csv()
     if args.csv:
         with open(args.csv, "w") as fh:

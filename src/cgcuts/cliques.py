@@ -1,14 +1,15 @@
 """Maximal clique detection from conflicting knapsack constraints.
 
-The serial routine works on one coefficient-sorted knapsack; the parallel
-driver shuffle-partitions the knapsack list over k workers. Cliques other
-than the first (original) one are kept in a compact suffix form because
-materializing all of them can take quadratic memory.
+`detect_cliques_parallel` shuffle-partitions the knapsack list over k
+workers (k = 1 runs in this process); each worker binary-searches every
+coefficient-sorted knapsack for its original clique and the further maximal
+cliques. Cliques other than the original one are kept in a compact suffix
+form because materializing all of them can take quadratic memory.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .literals import VarMap
 from .parallel import map_blocks, shuffle_partition
@@ -47,20 +48,11 @@ class OtherCliqueBlock:
             members = (self.nodes[i],) + self.nodes[sigma:]
             yield Clique(tuple(sorted(members)), source=SRC_KNAPSACK_OTHER)
 
-    def count(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class CliqueHarvest:
     c_org: list[Clique]
     c_other_blocks: list[OtherCliqueBlock]
-
-    def materialize_others(self) -> list[Clique]:
-        out = []
-        for block in self.c_other_blocks:
-            out.extend(block.materialize())
-        return out
 
 
 def _detect_indices(coeffs, rhs: float):
@@ -98,18 +90,6 @@ def _pbc_nodes(pbc: PureBinaryConstraint, varmap: VarMap):
     nodes = tuple(varmap.node(lit) for lit, _ in pbc.terms)
     coeffs = tuple(a for _, a in pbc.terms)
     return nodes, coeffs
-
-
-def detect_cliques(pbc: PureBinaryConstraint, varmap: VarMap):
-    """Cliques of one conflicting knapsack: (original clique or None,
-    list of other maximal cliques)."""
-    nodes, coeffs = _pbc_nodes(pbc, varmap)
-    phi, entries = _detect_indices(coeffs, pbc.rhs)
-    if phi is None:
-        return None, []
-    org = Clique(tuple(sorted(nodes[phi:])), source=SRC_KNAPSACK_ORG)
-    block = OtherCliqueBlock(nodes=nodes, entries=entries)
-    return org, list(block.materialize())
 
 
 def _detect_block(args):

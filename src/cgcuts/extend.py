@@ -7,19 +7,12 @@ cliques, of which the longest is singled out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cliques import Clique
 from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_partition
-
-
-@dataclass
-class ExtensionResult:
-    longest: Clique
-    others: list[Clique]
 
 
 def _row_reader(g: ConflictGraph):
@@ -45,35 +38,18 @@ def _scan(nodes, row):
     return int(hits.sum()) == t * (t - 1), head[head == flat[t - 1:]]
 
 
-def common_neighbors(clq: Clique, g: ConflictGraph) -> list[int]:
-    """Nodes adjacent to every member of `clq`, excluding the clique itself."""
-    return _scan(clq.nodes, g.row)[1].tolist()
-
-
-def extend_clique(
-    clq: Clique, g: ConflictGraph, counters: dict | None = None
-) -> ExtensionResult:
-    """Grow `clq` greedily; returns the longest extension and all others.
+def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
+    """Grow `clq` greedily by its common neighbours `cands`.
 
     Candidates are processed in ascending node order; a candidate joins
     every bucket it is fully adjacent to, or opens a new one. Ties for the
-    longest bucket go to the earliest-created bucket.
+    longest bucket go to the earliest-created bucket. Returns the longest
+    extension, all other extensions and the number of adjacency entries
+    touched.
     """
-    is_clique, cands = _scan(clq.nodes, g.row)
-    if not is_clique:
-        raise ValueError(f"input {clq.nodes} is not a clique of the graph")
-    res, touched = _grow(clq, cands.tolist(), g)
-    if counters is not None:
-        counters["touches"] = counters.get("touches", 0) + touched
-    return res
-
-
-def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
-    """Bucket the common neighbours `cands` of `clq`; returns the
-    ExtensionResult and the number of adjacency entries touched."""
     touched = len(clq.nodes) + len(cands)
     if not cands:
-        return ExtensionResult(longest=clq, others=[]), touched
+        return clq, [], touched
     buckets: list[list[int]] = []  # creation order
     for u in cands:
         adjacent = set(g.neighbors(u))
@@ -96,7 +72,7 @@ def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
         for t, members in enumerate(buckets)
         if t != best
     ]
-    return ExtensionResult(longest=longest, others=others), touched
+    return longest, others, touched
 
 
 def _extend_block(args):
@@ -122,10 +98,10 @@ def _extend_block(args):
             touches += len(nodes)
             longs.append(clq)
             continue
-        res, touched = _grow(clq, cands.tolist(), g)
+        longest, grown, touched = _grow(clq, cands.tolist(), g)
         touches += touched
-        longs.append(res.longest)
-        others.extend(res.others)
+        longs.append(longest)
+        others.extend(grown)
     return longs, others, budget_hit, touches, deadline_hit
 
 

@@ -1,15 +1,15 @@
-"""Conflict graph construction, serial and parallel.
+"""Conflict graph construction.
 
 The graph is a symmetric boolean adjacency over 2*n_b literal nodes, stored
 once, in compressed sparse row (CSR) form: the neighbours of node u are
 `indices[indptr[u]:indptr[u + 1]]`, sorted ascending, and every edge appears
 in the rows of both its ends. Memory is O(n_b + edges).
 
-Each worker expands its cliques into upper-triangle edge codes
-u*(2*n_b)+v (u < v), deduplicated by sorting and masking equal neighbours.
-The partial code arrays are combined with a pairwise OR-reduction tree, the
-n_b variable/complement edges are added, and the result is converted to CSR
-once.
+`build_graph_parallel` expands each worker's cliques into upper-triangle
+edge codes u*(2*n_b)+v (u < v), deduplicated by sorting and masking equal
+neighbours (k = 1 runs in this process). The partial code arrays and the
+n_b variable/complement edges are concatenated, deduplicated once more and
+converted to CSR once.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cliques import Clique
-from .parallel import map_blocks, reduce_pairwise, shuffle_partition
+from .parallel import map_blocks, shuffle_partition
 
 
 class ConflictGraph:
@@ -56,25 +56,12 @@ class ConflictGraph:
     def neighbors(self, u: int) -> list[int]:
         return self.row(u).tolist()
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ConflictGraph)
             and self.n_b == other.n_b
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
-        )
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.n_b, self.indices.tobytes()))
-
-    def dump_edges(self) -> str:
-        """Sorted `u v` text lines, one edge per line (for oracle diffing)."""
-        us, vs = self.edges()
-        return "\n".join(f"{u} {v}" for u, v in zip(us, vs)) + (
-            "\n" if len(us) else ""
         )
 
 
@@ -90,15 +77,6 @@ def _dedup(codes: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
-
-
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _dedup(np.concatenate([a, b]))
-
-
-def _codes(g: ConflictGraph) -> np.ndarray:
-    us, vs = g.edges()
-    return _encode(us, vs, g.n_b)
 
 
 def _trivial_codes(n_b: int) -> np.ndarray:
@@ -118,14 +96,6 @@ def _from_codes(n_b: int, codes: np.ndarray) -> ConflictGraph:
     return ConflictGraph(n_b, indptr, cols.astype(index_type))
 
 
-def empty_graph(n_b: int) -> ConflictGraph:
-    return _from_codes(n_b, np.empty(0, dtype=np.int64))
-
-
-def trivial_graph(n_b: int) -> ConflictGraph:
-    return _from_codes(n_b, _trivial_codes(n_b))
-
-
 @lru_cache(maxsize=None)
 def _pair_index(length: int):
     return np.triu_indices(length, k=1)
@@ -138,7 +108,10 @@ def _sample_clique(nodes: np.ndarray, limit: int, rng) -> np.ndarray:
     return nodes[np.sort(pick)]
 
 
-def _expand_pairs(node_arrays, n_b: int):
+def _build_block(args):
+    """Distinct upper-triangle codes of one block's cliques, and the number
+    of pairs expanded."""
+    node_arrays, n_b = args
     chunks = [np.empty(0, dtype=np.int64)]
     pair_count = 0
     for nodes in node_arrays:
@@ -158,72 +131,6 @@ def _clique_nodes(clique: Clique, n_b: int) -> np.ndarray:
     return nodes
 
 
-def _build_block(args):
-    node_arrays, n_b = args
-    return _expand_pairs(node_arrays, n_b)
-
-
-def _build(cliques, n_b: int, order, blocks, rng, max_clique_sample,
-           max_pairs, stats: dict | None) -> np.ndarray:
-    """Down-sample the cliques in `order` and keep them until the cumulative
-    pair cap would be passed, then expand each block of clique indices on
-    its own worker and OR-reduce the partial edge codes."""
-    chosen = [None] * len(cliques)
-    total_pairs = 0
-    downsampled = 0
-    capped = False
-    for i in order:
-        nodes = _clique_nodes(cliques[i], n_b)
-        sampled = _sample_clique(nodes, max_clique_sample, rng)
-        downsampled += len(sampled) < len(nodes)
-        t = len(sampled)
-        pairs = t * (t - 1) // 2
-        capped = capped or (max_pairs is not None and total_pairs + pairs > max_pairs)
-        if not capped:
-            total_pairs += pairs
-            chosen[i] = sampled
-    block_args = [
-        ([chosen[i] for i in idx if chosen[i] is not None], n_b) for idx in blocks
-    ]
-    results = map_blocks(_build_block, block_args, len(blocks))
-    if stats is not None:
-        stats["pairs_expanded"] = sum(p for _, p in results)
-        stats["pair_cap_hit"] = capped
-        stats["downsampled"] = downsampled
-    return reduce_pairwise([codes for codes, _ in results], _union)
-
-
-def build_graph(
-    cliques,
-    n_b: int,
-    *,
-    max_clique_sample: int | None = None,
-    max_pairs: int | None = None,
-    rng=None,
-    counters: dict | None = None,
-) -> ConflictGraph:
-    """Union of pair expansions of all cliques (trivial edges NOT added).
-
-    The k = 1 case of `build_graph_parallel`, in input order: cliques
-    longer than `max_clique_sample` are uniformly down-sampled before
-    expansion; expansion stops contributing once `max_pairs` cumulative
-    pairs were expanded.
-    """
-    cliques = list(cliques)
-    order = range(len(cliques))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return _from_codes(n_b, _build(cliques, n_b, order, [order], rng,
-                                   max_clique_sample, max_pairs, counters))
-
-
-def or_merge(a: ConflictGraph, b: ConflictGraph) -> ConflictGraph:
-    """Elementwise boolean union of two graphs of equal dimension."""
-    if a.n_b != b.n_b:
-        raise ValueError("graph dimensions differ")
-    return _from_codes(a.n_b, _union(_codes(a), _codes(b)))
-
-
 def build_graph_parallel(
     cliques,
     n_b: int,
@@ -234,18 +141,41 @@ def build_graph_parallel(
     max_pairs: int | None = None,
     stats: dict | None = None,
 ) -> ConflictGraph:
-    """Shuffle-partition cliques, expand per-worker partial edge sets and
-    combine them with the pairwise OR-reduction tree, then add the n_b
-    trivial variable/complement edges and build the CSR graph.
+    """Union of the pair expansions of all cliques plus the n_b trivial
+    variable/complement edges.
 
-    Down-sampling and the cumulative pair cap are applied in the shuffled
-    order before dispatch so the result is identical for every k. The
-    trivial edges are not cliques of the input, so they neither count
-    toward `max_pairs` nor appear in `pairs_expanded`.
+    The cliques are shuffle-partitioned and each block is expanded on its
+    own worker. Down-sampling (cliques longer than `max_clique_sample`) and
+    the cumulative pair cap (`max_pairs`) are applied in the shuffled order
+    before dispatch, so the result is identical for every k. The trivial
+    edges are not cliques of the input, so they neither count toward
+    `max_pairs` nor appear in `pairs_expanded`.
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
-    merged = _build(cliques, n_b, part.order, part.blocks,
-                    np.random.default_rng(seed), max_clique_sample, max_pairs,
-                    stats)
-    return _from_codes(n_b, _union(_trivial_codes(n_b), merged))
+    rng = np.random.default_rng(seed)
+    chosen = [None] * len(cliques)
+    total_pairs = 0
+    downsampled = 0
+    capped = False
+    for i in part.order:
+        nodes = _clique_nodes(cliques[i], n_b)
+        sampled = _sample_clique(nodes, max_clique_sample, rng)
+        downsampled += len(sampled) < len(nodes)
+        t = len(sampled)
+        pairs = t * (t - 1) // 2
+        capped = capped or (max_pairs is not None and total_pairs + pairs > max_pairs)
+        if not capped:
+            total_pairs += pairs
+            chosen[i] = sampled
+    block_args = [
+        ([chosen[i] for i in idx if chosen[i] is not None], n_b)
+        for idx in part.blocks
+    ]
+    results = map_blocks(_build_block, block_args, k)
+    if stats is not None:
+        stats["pairs_expanded"] = sum(p for _, p in results)
+        stats["pair_cap_hit"] = capped
+        stats["downsampled"] = downsampled
+    codes = np.concatenate([_trivial_codes(n_b)] + [c for c, _ in results])
+    return _from_codes(n_b, _dedup(codes))

@@ -1,9 +1,10 @@
-"""Shared fork-join substrate: seeded shuffle, even partitioning, block map
-and pairwise reduction.
+"""Shared fork-join substrate: seeded shuffle, even partitioning and the
+block map.
 
 All shuffles use NumPy's PCG64 generator so a given (count, k, seed) always
 yields the same permutation. Workers receive immutable inputs and hand back
-single-owner partial results; merging happens in the calling process.
+single-owner partial results; each stage combines them in the calling
+process.
 """
 from __future__ import annotations
 
@@ -32,24 +33,6 @@ def shuffle_partition(count: int, k: int, seed: int) -> Partition:
     order = rng.permutation(count)
     blocks = np.array_split(order, k)
     return Partition(order=order, blocks=blocks, k=k, seed=seed)
-
-
-def reduce_pairwise(items, combine):
-    """ceil(log2 k) rounds of pairwise merges; the higher-indexed partner of
-    each pair survives, odd tails are carried to the next round.
-
-    Requires an associative-commutative `combine`; then the result equals a
-    flat fold in any order.
-    """
-    level = list(items)
-    if not level:
-        raise ValueError("reduce_pairwise needs at least one item")
-    while len(level) > 1:
-        nxt = [combine(level[j - 1], level[j]) for j in range(1, len(level), 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
 
 
 # The persistent pool, by its worker count. It outlives a run so that callers

@@ -14,7 +14,7 @@ from .cliques import (
     SRC_KNAPSACK_ORG,
     SRC_OSP,
     Clique,
-    CliqueHarvest,
+    _pbc_nodes,
     detect_cliques_parallel,
 )
 from .extend import extend_parallel
@@ -100,8 +100,8 @@ class _Deadline:
 
 
 def _pbc_clique(pbc, varmap: VarMap, source: str) -> Clique:
-    nodes = tuple(sorted(varmap.node(lit) for lit, _ in pbc.terms))
-    return Clique(nodes, source=source)
+    nodes, _ = _pbc_nodes(pbc, varmap)
+    return Clique(tuple(sorted(nodes)), source=source)
 
 
 def _empty_pools() -> dict[str, list[Clique]]:

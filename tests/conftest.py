@@ -5,7 +5,20 @@ import itertools
 
 import numpy as np
 
+from cgcuts.graph import ConflictGraph
 from cgcuts.model_io import MipModel
+
+
+def graph_from_edges(edges, n_b):
+    """CSR graph over 2*n_b nodes holding exactly `edges`: unlike
+    `build_graph_parallel`, it adds no variable/complement edges."""
+    rows = [set() for _ in range(2 * n_b)]
+    for u, v in edges:
+        rows[u].add(int(v))
+        rows[v].add(int(u))
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.array([v for r in rows for v in sorted(r)], dtype=np.int32)
+    return ConflictGraph(n_b, indptr, indices)
 
 
 def make_model(n_cols, rows, senses, rhs, integers=None, lb=None, ub=None,

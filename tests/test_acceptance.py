@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from cgcuts.bench import BenchConfig, run_bench, shifted_geomean, warn_if_slow
-from cgcuts.cliques import Clique, detect_cliques
-from cgcuts.extend import extend_clique
-from cgcuts.graph import build_graph, build_graph_parallel, or_merge, trivial_graph
+from cgcuts.cliques import Clique, detect_cliques_parallel
+from cgcuts.extend import extend_parallel
+from cgcuts.graph import build_graph_parallel
 from cgcuts.literals import Literal, VarMap
-from cgcuts.merge import merge_parallel
+from cgcuts.merge import removal_flags
 from cgcuts.model_io import TAGS, write_mps
 from cgcuts.parallel import available_cores
 from cgcuts.pipeline import Limits, run_pipeline, run_pipeline_model
@@ -42,7 +42,9 @@ def test_criterion_01_knapsack_oracle_equivalence():
         rhs = int(rng.integers(coeffs[-1], coeffs[-1] + coeffs[-2] + 2))
         terms = [(Literal(j), float(a)) for j, a in enumerate(coeffs)]
         pbc = PureBinaryConstraint(terms=terms, rhs=float(rhs))
-        org, others = detect_cliques(pbc, VarMap(range(n)))
+        harvest = detect_cliques_parallel([pbc], VarMap(range(n)), 1, 0)
+        org = harvest.c_org[0] if harvest.c_org else None
+        others = [q for b in harvest.c_other_blocks for q in b.materialize()]
 
         conflict = [
             [coeffs[i] + coeffs[j] > rhs for j in range(n)] for i in range(n)
@@ -124,7 +126,7 @@ def _random_graph_and_base(rng, n_b):
     for _ in range(int(rng.integers(dim, 3 * dim))):
         u, v = rng.choice(dim, size=2, replace=False)
         edges.append(Clique((min(u, v), max(u, v))))
-    g = or_merge(build_graph(edges, n_b), trivial_graph(n_b))
+    g = build_graph_parallel(edges, n_b, 1, seed=0)
     base = [int(rng.integers(0, dim))]
     for v in rng.permutation(dim):
         v = int(v)
@@ -141,12 +143,12 @@ def test_criterion_03_extension_validity():
     for _ in range(pairs):
         n_b = int(rng.integers(2, 12))
         g, base = _random_graph_and_base(rng, n_b)
-        res = extend_clique(base, g)
-        for q in [res.longest] + res.others:
+        (longest,), others = extend_parallel([base], g, 1, seed=0)
+        for q in [longest] + others:
             assert set(base.nodes) <= set(q.nodes)
             for u, v in itertools.combinations(q.nodes, 2):
                 assert g.has_edge(u, v), (base.nodes, q.nodes)
-            assert len(res.longest) >= len(q)
+            assert len(longest) >= len(q)
     report(3, f"{pairs} extensions produce valid cliques containing their "
               "base, longest has maximum cardinality")
 
@@ -190,8 +192,9 @@ def test_criterion_04_merge_oracle_equivalence():
             pool.append(Clique(tuple(sorted(int(v) for v in nodes))))
         expect = _domination_oracle(pool)
         for k in (1, 4, 8):
-            out = merge_parallel(pool, k=k)
-            assert [q.nodes for q in out.kept] == expect, (trial, k)
+            flags = removal_flags(pool, k=k)
+            kept = [q.nodes for q, dead in zip(pool, flags) if not dead]
+            assert kept == expect, (trial, k)
     report(4, f"{pools} pools (largest 2000 cliques) match the naive "
               "domination oracle at k in {1,4,8}")
 

@@ -7,7 +7,6 @@ import pytest
 from cgcuts.cliques import (
     OtherCliqueBlock,
     _detect_indices,
-    detect_cliques,
     detect_cliques_parallel,
 )
 from cgcuts.literals import Literal, VarMap
@@ -23,20 +22,32 @@ def identity_map(n):
     return VarMap(range(n))
 
 
+def others_of(harvest):
+    return [q for block in harvest.c_other_blocks for q in block.materialize()]
+
+
+def detect_one(pbc, n):
+    """(original clique or None, other cliques) of one knapsack over n
+    binaries."""
+    harvest = detect_cliques_parallel([pbc], identity_map(n), 1, 0)
+    org = harvest.c_org[0] if harvest.c_org else None
+    return org, others_of(harvest)
+
+
 def test_worked_example_with_one_other_clique():
-    org, others = detect_cliques(knapsack([1, 2, 3, 4], 5), identity_map(4))
+    org, others = detect_one(knapsack([1, 2, 3, 4], 5), 4)
     assert org.nodes == (2, 3)
     assert [q.nodes for q in others] == [(1, 3)]
 
 
 def test_all_pairs_conflicting_gives_full_clique():
-    org, others = detect_cliques(knapsack([3, 3, 3], 5), identity_map(3))
+    org, others = detect_one(knapsack([3, 3, 3], 5), 3)
     assert org.nodes == (0, 1, 2)
     assert others == []
 
 
 def test_no_conflicts_gives_nothing():
-    org, others = detect_cliques(knapsack([1, 2], 4), identity_map(2))
+    org, others = detect_one(knapsack([1, 2], 4), 2)
     assert org is None and others == []
 
 
@@ -48,7 +59,6 @@ def test_unsorted_coefficients_rejected():
 def test_compact_block_materializes_suffix_cliques():
     block = OtherCliqueBlock(nodes=(10, 11, 12, 13), entries=[(1, 3), (0, 3)])
     assert [q.nodes for q in block.materialize()] == [(11, 13), (10, 13)]
-    assert block.count() == 2
 
 
 def brute_force_cliques(coeffs, rhs):
@@ -77,7 +87,7 @@ def test_detected_cliques_are_sound_and_maximal():
         coeffs = sorted(int(a) for a in rng.integers(1, 12, size=n))
         top_two = coeffs[-1] + coeffs[-2]
         rhs = int(rng.integers(coeffs[-1], top_two + 2))
-        org, others = detect_cliques(knapsack(coeffs, rhs), identity_map(n))
+        org, others = detect_one(knapsack(coeffs, rhs), n)
         oracle = brute_force_cliques(coeffs, rhs)
         if org is None:
             assert not oracle or top_two <= rhs
@@ -89,9 +99,7 @@ def test_detected_cliques_are_sound_and_maximal():
 
 
 def test_other_cliques_have_unique_minimum_member():
-    org, others = detect_cliques(
-        knapsack([1, 2, 3, 5, 6], 7), identity_map(5)
-    )
+    org, others = detect_one(knapsack([1, 2, 3, 5, 6], 7), 5)
     assert org.nodes == (2, 3, 4)
     for q in others:
         low = min(q.nodes)
@@ -110,7 +118,7 @@ def test_parallel_harvest_matches_serial_union():
         for seed in (0, 1, 99):
             harvest = detect_cliques_parallel(knapsacks, varmap, k, seed)
             orgs = {q.nodes for q in harvest.c_org}
-            others = {q.nodes for q in harvest.materialize_others()}
+            others = {q.nodes for q in others_of(harvest)}
             assert orgs == {(2, 3), (0, 1, 2)}
             assert others == {(1, 3)}
 
@@ -129,7 +137,7 @@ def test_parallel_output_is_thread_invariant_on_random_input():
         harvest = detect_cliques_parallel(knapsacks, varmap, k, seed=5)
         got = (
             sorted(q.nodes for q in harvest.c_org),
-            sorted(q.nodes for q in harvest.materialize_others()),
+            sorted(q.nodes for q in others_of(harvest)),
         )
         if baseline is None:
             baseline = got

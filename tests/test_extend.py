@@ -2,19 +2,28 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique
-from cgcuts.extend import common_neighbors, extend_clique, extend_parallel
-from cgcuts.graph import build_graph, build_graph_parallel, or_merge, trivial_graph
-
-
-def graph_from_edges(edges, n_b):
-    return build_graph([Clique(tuple(sorted(e))) for e in edges], n_b)
+from cgcuts.extend import extend_parallel
+from cgcuts.graph import build_graph_parallel
+from conftest import graph_from_edges
 
 
 def is_clique(nodes, g):
     return all(g.has_edge(u, v) for u, v in itertools.combinations(nodes, 2))
+
+
+def extend_one(base, g):
+    """(longest extension, other extensions) of one base clique."""
+    longs, others = extend_parallel([base], g, 1, seed=0)
+    return longs[0], others
+
+
+def added_nodes(base, g):
+    """Nodes the extensions of `base` add to it: its common neighbours."""
+    longest, others = extend_one(base, g)
+    return sorted(set().union(*(q.nodes for q in [longest] + others))
+                  - set(base.nodes))
 
 
 TRIANGLE = graph_from_edges([(0, 1), (0, 2), (1, 2)], 3)
@@ -22,57 +31,67 @@ PATH = graph_from_edges([(0, 1), (0, 2)], 3)  # 1 - 0 - 2, no 1-2 edge
 
 
 def test_common_neighbors_on_pure_triangle():
-    assert common_neighbors(Clique((0,)), TRIANGLE) == [1, 2]
+    assert added_nodes(Clique((0,)), TRIANGLE) == [1, 2]
 
 
 def test_common_neighbors_of_maximal_clique_is_empty():
-    assert common_neighbors(Clique((0, 1, 2)), TRIANGLE) == []
+    assert added_nodes(Clique((0, 1, 2)), TRIANGLE) == []
 
 
 def test_common_neighbors_is_list_intersection():
     # only 2 is adjacent to both members of {0, 1}
     g = graph_from_edges([(0, 1), (0, 2), (1, 2), (0, 3)], 4)
-    assert common_neighbors(Clique((0, 1)), g) == [2]
+    assert added_nodes(Clique((0, 1)), g) == [2]
 
 
 def test_extend_triangle_base_singleton():
-    res = extend_clique(Clique((0,)), TRIANGLE)
-    assert res.longest.nodes == (0, 1, 2)
-    assert res.others == []
+    longest, others = extend_one(Clique((0,)), TRIANGLE)
+    assert longest.nodes == (0, 1, 2)
+    assert others == []
 
 
 def test_extend_path_tie_breaks_to_first_bucket():
-    res = extend_clique(Clique((0,)), PATH)
-    assert res.longest.nodes == (0, 1)
-    assert [q.nodes for q in res.others] == [(0, 2)]
+    longest, others = extend_one(Clique((0,)), PATH)
+    assert longest.nodes == (0, 1)
+    assert [q.nodes for q in others] == [(0, 2)]
 
 
 def test_extend_with_no_candidates_returns_base():
-    res = extend_clique(Clique((0, 1, 2)), TRIANGLE)
-    assert res.longest.nodes == (0, 1, 2)
-    assert res.others == []
+    longest, others = extend_one(Clique((0, 1, 2)), TRIANGLE)
+    assert longest.nodes == (0, 1, 2)
+    assert others == []
 
 
-def test_extend_rejects_non_clique_input():
-    with pytest.raises(ValueError, match="not a clique"):
-        extend_clique(Clique((1, 2)), PATH)
+def test_non_clique_base_passes_through_unchanged():
+    # a capped or down-sampled graph can miss an edge of a base: {1, 2} is
+    # not a clique of PATH, so it is kept as it is and not extended
+    bases = [Clique((1, 2), source=SRC_OSP), Clique((1, 2), source=SRC_ISP)]
+    for k in (1, 2):
+        stats = {}
+        longs, others = extend_parallel(bases, PATH, k, seed=0, stats=stats)
+        assert sorted(longs) == sorted(bases)
+        assert others == []
+        assert stats["ext_touches"] == 2 + 2  # len(nodes) per base
+    longs, others = extend_parallel(bases + [Clique((0,))], PATH, 2, seed=0)
+    assert sorted(q.nodes for q in longs) == [(0, 1), (1, 2), (1, 2)]
+    assert [q.nodes for q in others] == [(0, 2)]
 
 
 def test_candidate_can_join_several_buckets():
     # 0 is adjacent to 1, 2, 3; 3 is adjacent to both 1 and 2, but 1-2 is
     # not an edge, so 3 lands in both buckets.
     g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)], 4)
-    res = extend_clique(Clique((0,)), g)
-    assert res.longest.nodes == (0, 1, 3)
-    assert [q.nodes for q in res.others] == [(0, 2, 3)]
+    longest, others = extend_one(Clique((0,)), g)
+    assert longest.nodes == (0, 1, 3)
+    assert [q.nodes for q in others] == [(0, 2, 3)]
 
 
 def test_trivial_edges_support_complement_extension():
-    g = or_merge(graph_from_edges([(0, 1)], 2), trivial_graph(2))
-    res = extend_clique(Clique((0,)), g)
+    g = build_graph_parallel([Clique((0, 1))], 2, 1, seed=0)
+    longest, others = extend_one(Clique((0,)), g)
     # candidates 1 and 2 (= complement of 0) are not adjacent to each other
-    assert res.longest.nodes == (0, 1)
-    assert [q.nodes for q in res.others] == [(0, 2)]
+    assert longest.nodes == (0, 1)
+    assert [q.nodes for q in others] == [(0, 2)]
 
 
 def random_graph_and_clique(rng, n_b):
@@ -81,7 +100,7 @@ def random_graph_and_clique(rng, n_b):
     for _ in range(int(rng.integers(dim, 3 * dim))):
         u, v = rng.choice(dim, size=2, replace=False)
         edges.add((min(u, v), max(u, v)))
-    g = or_merge(graph_from_edges(edges, n_b), trivial_graph(n_b))
+    g = build_graph_parallel([Clique(e) for e in sorted(edges)], n_b, 1, seed=0)
     return g, random_clique_of(rng, g)
 
 
@@ -103,13 +122,14 @@ def test_extension_outputs_are_valid_cliques():
     for _ in range(150):
         n_b = int(rng.integers(2, 10))
         g, base = random_graph_and_clique(rng, n_b)
-        res = extend_clique(base, g)
-        for q in [res.longest] + res.others:
+        longest, others = extend_one(base, g)
+        for q in [longest] + others:
             assert set(base.nodes) <= set(q.nodes)
             assert is_clique(q.nodes, g)
-            assert len(res.longest) >= len(q)
-        if common_neighbors(base, g):
-            assert len(res.longest) > len(base)
+            assert len(longest) >= len(q)
+        if any(is_clique(base.nodes + (v,), g)
+               for v in range(g.num_nodes) if v not in base.nodes):
+            assert len(longest) > len(base)
 
 
 def test_parallel_equals_sequential_mapping():
@@ -127,9 +147,9 @@ def test_parallel_equals_sequential_mapping():
     assert bases
     expect_longs, expect_others = [], []
     for b in bases:
-        res = extend_clique(b, g)
-        expect_longs.append(res.longest.nodes)
-        expect_others.extend(q.nodes for q in res.others)
+        longest, others = extend_one(b, g)
+        expect_longs.append(longest.nodes)
+        expect_others.extend(q.nodes for q in others)
     for k in (1, 4, 8):
         longs, others = extend_parallel(bases, g, k, seed=3)
         assert sorted(q.nodes for q in longs) == sorted(expect_longs)
@@ -137,7 +157,7 @@ def test_parallel_equals_sequential_mapping():
 
 
 def test_parallel_empty_input():
-    g = trivial_graph(2)
+    g = build_graph_parallel([], 2, 1, seed=0)
     assert extend_parallel([], g, 4, seed=0) == ([], [])
 
 

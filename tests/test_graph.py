@@ -1,17 +1,11 @@
-"""Conflict graph construction, serial and parallel."""
+"""Conflict graph construction."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgcuts.cliques import Clique
-from cgcuts.graph import (
-    build_graph,
-    build_graph_parallel,
-    empty_graph,
-    or_merge,
-    trivial_graph,
-)
+from cgcuts.graph import build_graph_parallel
 
 
 def dense_oracle(cliques, n_b, include_trivial=False):
@@ -47,47 +41,36 @@ def random_cliques(rng, n_b, count, max_len=6):
 
 
 def test_build_graph_single_pair():
-    g = build_graph([Clique((0, 1))], 2)
+    g = build_graph_parallel([Clique((0, 1))], 2, 1, seed=0)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    assert g.stored_nnz == 2
+    assert not g.has_edge(0, 3)
+    assert g.stored_nnz == 2 * (1 + 2)  # the pair and the 2 trivial edges
 
 
 def test_build_graph_triangle():
-    g = build_graph([Clique((0, 1, 2))], 3)
+    g = build_graph_parallel([Clique((0, 1, 2))], 3, 1, seed=0)
     edges = set(zip(*g.edges()))
-    assert edges == {(0, 1), (0, 2), (1, 2)}
+    assert edges == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}
 
 
 def test_build_graph_matches_dense_oracle():
     rng = np.random.default_rng(1)
     cliques = random_cliques(rng, 20, 50)
-    g = build_graph(cliques, 20)
-    assert np.array_equal(as_dense(g), dense_oracle(cliques, 20))
+    g = build_graph_parallel(cliques, 20, 1, seed=0)
+    assert np.array_equal(
+        as_dense(g), dense_oracle(cliques, 20, include_trivial=True)
+    )
 
 
 def test_build_graph_rejects_out_of_range_nodes():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph([Clique((0, 5))], 2)
-
-
-def test_or_merge_identity_idempotence_union():
-    g = build_graph([Clique((0, 1))], 3)
-    h = build_graph([Clique((1, 2))], 3)
-    assert or_merge(g, empty_graph(3)) == g
-    assert or_merge(g, g) == g
-    merged = or_merge(g, h)
-    assert set(zip(*merged.edges())) == {(0, 1), (1, 2)}
-
-
-def test_or_merge_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimensions"):
-        or_merge(empty_graph(2), empty_graph(3))
+        build_graph_parallel([Clique((0, 5))], 2, 1, seed=0)
 
 
 def test_parallel_build_adds_trivial_edges():
     g = build_graph_parallel([], 3, k=1, seed=0)
-    assert g == trivial_graph(3)
+    assert set(zip(*g.edges())) == {(0, 3), (1, 4), (2, 5)}
+    assert g.stored_nnz == 6
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,14 +135,8 @@ def test_pair_cap_stops_later_cliques_and_stays_thread_invariant():
         assert g == baseline
 
 
-def test_dump_edges_text():
-    g = build_graph([Clique((0, 2))], 2)
-    assert g.dump_edges() == "0 2\n"
-    assert empty_graph(2).dump_edges() == ""
-
-
 def test_neighbors_and_degree():
-    g = or_merge(build_graph([Clique((0, 1, 2))], 3), trivial_graph(3))
+    g = build_graph_parallel([Clique((0, 1, 2))], 3, 1, seed=0)
     assert g.neighbors(0) == [1, 2, 3]
-    assert g.degree(0) == 3
+    assert len(g.row(0)) == 3
     assert g.neighbors(4) == [1]

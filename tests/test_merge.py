@@ -1,43 +1,47 @@
 """Domination filtering of clique pools."""
+import itertools
+
 import numpy as np
 
 from cgcuts.cliques import Clique
-from cgcuts.merge import dominates, merge_parallel, removal_flags
+from cgcuts.merge import removal_flags
 
 
 def cl(*nodes):
     return Clique(tuple(sorted(nodes)))
 
 
+def kept(pool, k):
+    return [q for q, dead in zip(pool, removal_flags(pool, k)) if not dead]
+
+
 def test_dominates_superset():
-    assert dominates(cl(0, 1, 2), cl(0, 1))
+    assert removal_flags([cl(0, 1, 2), cl(0, 1)], k=1).tolist() == [False, True]
 
 
 def test_dominates_incomparable():
-    assert not dominates(cl(0, 1), cl(0, 2))
-    assert not dominates(cl(0, 1), cl(0, 1, 2))
+    assert not removal_flags([cl(0, 1), cl(0, 2)], k=1).any()
+    assert removal_flags([cl(0, 1), cl(0, 1, 2)], k=1).tolist() == [True, False]
 
 
 def test_dominates_equal_sets_both_ways():
+    # either copy dominates the other; the lower index survives
     a, b = cl(0, 3), cl(0, 3)
-    assert dominates(a, b) and dominates(b, a)
+    assert removal_flags([a, b], k=1).tolist() == [False, True]
+    assert removal_flags([a, b], k=2).tolist() == [False, True]
 
 
 def test_merge_removes_dominated_clique():
-    out = merge_parallel([cl(0, 1), cl(0, 1, 2)], k=1)
-    assert [q.nodes for q in out.kept] == [(0, 1, 2)]
-    assert out.removed_count == 1
+    pool = [cl(0, 1), cl(0, 1, 2)]
+    assert [q.nodes for q in kept(pool, 1)] == [(0, 1, 2)]
 
 
 def test_merge_equal_sets_keep_first():
-    out = merge_parallel([cl(0, 1), cl(0, 1)], k=1)
-    assert len(out.kept) == 1
-    assert out.removed_count == 1
+    assert removal_flags([cl(0, 1), cl(0, 1)], k=1).tolist() == [False, True]
 
 
 def test_merge_empty_pool():
-    out = merge_parallel([], k=4)
-    assert out.kept == [] and out.removed_count == 0
+    assert len(removal_flags([], k=4)) == 0
 
 
 def naive_kept(cliques):
@@ -67,17 +71,14 @@ def test_merge_matches_naive_oracle():
     rng = np.random.default_rng(13)
     pool = random_pool(rng)
     expect = naive_kept(pool)
-    out = merge_parallel(pool, k=1)
-    assert [q.nodes for q in out.kept] == [pool[j].nodes for j in expect]
-    assert out.removed_count == len(pool) - len(expect)
+    assert [q.nodes for q in kept(pool, 1)] == [pool[j].nodes for j in expect]
 
 
 def test_merge_result_is_an_antichain_with_coverage():
     rng = np.random.default_rng(19)
     for _ in range(20):
         pool = random_pool(rng, literals=14, count=80)
-        out = merge_parallel(pool, k=2)
-        kept_sets = [frozenset(q.nodes) for q in out.kept]
+        kept_sets = [frozenset(q.nodes) for q in kept(pool, 2)]
         for i, a in enumerate(kept_sets):
             for j, b in enumerate(kept_sets):
                 if i != j:
@@ -90,11 +91,41 @@ def test_merge_result_is_an_antichain_with_coverage():
 def test_merge_is_thread_invariant():
     rng = np.random.default_rng(29)
     pool = random_pool(rng, literals=20, count=300)
-    baseline = merge_parallel(pool, k=1)
+    baseline = removal_flags(pool, k=1)
     for k in (2, 4, 8):
-        out = merge_parallel(pool, k=k)
-        assert [q.nodes for q in out.kept] == [q.nodes for q in baseline.kept]
-        assert out.removed_count == baseline.removed_count
+        assert np.array_equal(removal_flags(pool, k=k), baseline)
+
+
+def test_merge_work_is_thread_invariant_under_ties():
+    # every literal lies in the same number of cliques, so each clique's
+    # rarest member is a tie among all its members; the node values all
+    # collide in a small hash table, so frozenset order depends on how a
+    # set was built and is not a valid tie-break
+    lits = [8 * v for v in range(8)]
+    pool = [cl(*c) for t in (2, 3, 4) for c in itertools.combinations(lits, t)]
+    pool = [pool[i] for i in np.random.default_rng(61).permutation(len(pool))]
+    pool = pool + pool[::-1]
+    baseline = None
+    for k in (1, 2, 4):
+        counters = {}
+        flags = removal_flags(pool, k, counters=counters)
+        if baseline is None:
+            baseline = (flags, counters["subset_work"])
+        assert np.array_equal(flags, baseline[0])
+        assert counters["subset_work"] == baseline[1]
+    expect = naive_kept(pool)
+    assert [q.nodes for q in kept(pool, 1)] == [pool[j].nodes for j in expect]
+
+
+def test_merge_work_is_sub_quadratic():
+    # 2,000 cliques with one shared min and max and equal lengths, none
+    # contained in another
+    m = 2000
+    pool = [cl(0, i, m + 1) for i in range(1, m + 1)]
+    counters = {}
+    flags = removal_flags(pool, k=1, counters=counters)
+    assert not flags.any()
+    assert counters["subset_work"] < 10 * sum(len(q) for q in pool)
 
 
 def test_removal_flags_report_work():

@@ -1,18 +1,11 @@
-"""Shared fork-join substrate: shuffles, partitions and reductions."""
+"""Shared fork-join substrate: shuffles, partitions and the block map."""
 import multiprocessing
-from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cgcuts import parallel
-from cgcuts.parallel import (
-    map_blocks,
-    reduce_pairwise,
-    shuffle_partition,
-)
+from cgcuts.parallel import map_blocks, shuffle_partition
 
 
 def test_partition_sizes_within_one():
@@ -49,56 +42,6 @@ def test_partition_covers_all_items_disjointly():
 def test_partition_rejects_bad_k():
     with pytest.raises(ValueError):
         shuffle_partition(3, 0, seed=0)
-
-
-def test_reduce_single_item():
-    assert reduce_pairwise([{1, 2}], set.union) == {1, 2}
-
-
-def test_reduce_empty_rejected():
-    with pytest.raises(ValueError):
-        reduce_pairwise([], set.union)
-
-
-def test_reduce_eight_items_equals_flat_union():
-    items = [{i} for i in range(8)]
-    assert reduce_pairwise(items, lambda a, b: a | b) == set(range(8))
-
-
-def test_reduce_merge_schedule_matches_halving_tree():
-    # track which partners each merge combines
-    log = []
-
-    def combine(a, b):
-        log.append((a, b))
-        return f"({a}|{b})"
-
-    reduce_pairwise(list("12345678"), combine)
-    assert log[:4] == [("1", "2"), ("3", "4"), ("5", "6"), ("7", "8")]
-    assert log[4:6] == [("(1|2)", "(3|4)"), ("(5|6)", "(7|8)")]
-    assert len(log) == 7
-
-
-def test_reduce_ragged_count_equals_flat_union():
-    items = [{i} for i in range(5)]
-    assert reduce_pairwise(items, lambda a, b: a | b) == set(range(5))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 20)), min_size=1, max_size=17))
-def test_reduce_equals_fold_for_multisets(chunks):
-    counters = [Counter(c) for c in chunks]
-    flat = Counter()
-    for c in counters:
-        flat += c
-    assert reduce_pairwise(counters, lambda a, b: a + b) == flat
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 30)), min_size=1, max_size=12))
-def test_reduce_equals_fold_for_sets(chunks):
-    flat = set().union(*chunks)
-    assert reduce_pairwise(chunks, lambda a, b: a | b) == flat
 
 
 def _square_all(block):

@@ -251,6 +251,32 @@ def test_cli_time_limit_flag_reaches_limits(tmp_path):
     assert json.loads(stats_json.read_text())["flags"]["time_limit_hit"]
 
 
+def assert_cli_rejects(tmp_path, capsys, extra, message):
+    """`presolve` with `extra` exits with a usage error before it reads the
+    model: the model path does not exist, so reading it would raise."""
+    with pytest.raises(SystemExit) as exc:
+        main(["presolve", str(tmp_path / "missing.mps"), *extra])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_threads(tmp_path, capsys):
+    assert_cli_rejects(tmp_path, capsys, ["--threads", "0"],
+                       "--threads must be at least 1")
+
+
+def test_cli_rejects_negative_time_limit(tmp_path, capsys):
+    assert_cli_rejects(tmp_path, capsys, ["--time-limit", "-1"],
+                       "time_limit_s must be strictly positive")
+
+
+def test_cli_rejects_unknown_limits_key(tmp_path, capsys):
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps({"max_knapsack_vars": 7, "no_such_limit": 1}))
+    assert_cli_rejects(tmp_path, capsys, ["--limits", str(path)],
+                       "no_such_limit")
+
+
 def test_cli_bench_writes_csv(tmp_path):
     csv_path = tmp_path / "bench.csv"
     rc = main([
