@@ -7,12 +7,12 @@ import dataclasses
 import sys
 
 from .bench import BenchConfig, run_bench, warn_if_slow
+from .model_io import MpsError
 from .pipeline import Limits, run_pipeline
 from .presolve import InfeasibleError
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limits", help="JSON file overriding the default limits")
     p.add_argument("--time-limit", type=float, default=None,
@@ -28,6 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--out-model", default=None, help="augmented MPS output")
     pre.add_argument("--out-cuts", default=None, help="user-cut pool output")
     pre.add_argument("--stats-json", default=None, help="write run stats JSON")
+    pre.add_argument("--threads", type=int, default=1)
     _add_common(pre)
 
     bench = sub.add_parser("bench", help="synthetic parallel benchmark")
@@ -53,10 +54,20 @@ def _limits(parser: argparse.ArgumentParser, args) -> Limits:
     return limits
 
 
+def _thread_counts(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
+    try:
+        counts = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        counts = ()
+    if not counts or min(counts) < 1:
+        parser.error(f"--thread-counts must be positive integers, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if args.command == "presolve" and args.threads < 1:
         parser.error("--threads must be at least 1")
     limits = _limits(parser, args)
     if args.command == "presolve":
@@ -74,6 +85,9 @@ def main(argv=None) -> int:
         except InfeasibleError as exc:
             print(f"model proven infeasible: {exc}", file=sys.stderr)
             return 2
+        except MpsError as exc:
+            print(f"{args.model}: {exc}", file=sys.stderr)
+            return 2
         if args.stats_json:
             with open(args.stats_json, "w") as fh:
                 fh.write(stats.to_json())
@@ -84,7 +98,7 @@ def main(argv=None) -> int:
         n_b=args.n_b,
         num_cliques=args.cliques,
         membership_prob=args.prob,
-        threads=tuple(int(t) for t in args.thread_counts.split(",")),
+        threads=_thread_counts(parser, args.thread_counts),
         repetitions=args.reps,
         seed=args.seed,
     )

@@ -8,7 +8,9 @@ the I/O layer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -153,256 +155,515 @@ _KNOWN_SECTIONS = {
     "ENDATA",
 }
 
-_BOUND_TAGS = {"LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI"}
+#: Row ids of the objective and of further free (N) rows; constraint rows
+#: are numbered 0, 1, ... in ROWS order.
+_OBJ = -1
+_FREE = -2
+
+#: Lines per chunk of COLUMNS, RHS or BOUNDS.
+_CHUNK = 4096
+
+#: Bound tag -> (lower, upper, integer): the bound each side gets (None:
+#: unchanged, _VAL: the line's value) and whether the column turns integer.
+_VAL = "value"
+_BOUND_SET = {
+    "LO": (_VAL, None, False),
+    "UP": (None, _VAL, False),
+    "FX": (_VAL, _VAL, False),
+    "FR": (-_INF, _INF, False),
+    "MI": (-_INF, None, False),
+    "PL": (None, _INF, False),
+    "BV": (0.0, 1.0, True),
+    "LI": (_VAL, None, True),
+    "UI": (None, _VAL, True),
+}
+
+
+def _number(tok: str, ln: int) -> float:
+    try:
+        return float(tok.replace("D", "E").replace("d", "e"))
+    except ValueError:
+        raise MpsError(f"bad numeric field {tok!r}", ln) from None
+
+
+def _finite(tok: str, ln: int) -> float:
+    val = _number(tok, ln)
+    if not math.isfinite(val):
+        raise MpsError(f"non-finite value {tok!r}", ln)
+    return val
+
+
+def _floats(toks) -> np.ndarray | None:
+    """float64 values of the tokens, as `_number` reads them; None when one
+    is not a number."""
+    try:
+        return np.array(toks, dtype=np.float64)
+    except ValueError:
+        pass
+    # A Fortran exponent (1.5D3) is the only spelling that float() rejects
+    # and `_number` accepts.
+    fixed = [
+        t.replace("D", "E").replace("d", "e") if "D" in t or "d" in t else t
+        for t in toks
+    ]
+    try:
+        return np.array(fixed, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _values(toks: list[str], lns: list[int]) -> np.ndarray:
+    """Finite float64 values of the tokens; raises at the first bad one,
+    with its line from `lns`."""
+    vals = _floats(toks)
+    if vals is None or not np.isfinite(vals).all():
+        for tok, ln in zip(toks, lns):
+            _finite(tok, ln)
+    return vals
+
+
+def _content(lines: list[str], lo: int, hi: int):
+    """(line number, tokens) of the data lines among lines[lo:hi], leaving
+    out blank and comment lines."""
+    for ln, raw in enumerate(lines[lo:hi], lo + 1):
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "*":
+            yield ln, tokens
+
+
+def _fields(part: list[str], width: int) -> list[list[str]] | None:
+    """The token columns of `part` (first tokens, second tokens, ...) when
+    every line holds exactly `width` tokens and none is a comment, else
+    None. One split of the joined lines: the separator token must sit after
+    every `width` tokens."""
+    flat = " \x00 ".join(part).split()
+    n, step = len(part), width + 1
+    if (
+        len(flat) != step * n - 1
+        or flat[width::step].count("\x00") != n - 1
+        or flat.count("\x00") != n - 1
+        or "*" in "".join(flat[0::step])  # maybe a comment: read line by line
+    ):
+        return None
+    return [flat[k::step] for k in range(width)]
+
+
+def _where(seq: list[str], item: str) -> list[int]:
+    out = []
+    try:
+        while True:
+            out.append(seq.index(item, out[-1] + 1 if out else 0))
+    except ValueError:
+        return out
+
+
+def _chunks(lo: int, hi: int, size: int = _CHUNK):
+    for start in range(lo, hi, size):
+        yield start, min(start + size, hi)
+
+
+def _read(lines: list[str], lo: int, hi: int, block, by_line):
+    """Read lines[lo:hi] a chunk at a time. `block(lines, lo, hi)` reads a
+    chunk whose lines all have one plain shape with a few calls, and
+    declines (returns False, having changed nothing) any other chunk. A
+    declined chunk is retried in sixteenths, and a declined sixteenth is
+    read `by_line(lines, lo, hi)`."""
+    for start, end in _chunks(lo, hi):
+        if not block(lines, start, end):
+            for s, e in _chunks(start, end, _CHUNK // 16):
+                if not block(lines, s, e):
+                    by_line(lines, s, e)
+
+
+class _Reader:
+    """The state of one parse, filled section by section in file order.
+
+    COLUMNS, RHS and BOUNDS are read a chunk of lines at a time (`_read`),
+    so the tokens of a whole section are never held at once. The block and
+    line readers of a section raise the same errors: a block reader either
+    declines a chunk with a bad line or, in COLUMNS, raises at that line
+    after checking the values of the lines before it.
+    """
+
+    def __init__(self):
+        self.name = "MODEL"
+        self.minimize = True
+        self.obj_name = None
+        self.row_order: list[str] = []
+        self.row_sense: list[str] = []
+        self.row_id: dict[str, int] = {}  # name -> row id, _OBJ or _FREE
+        self.col_order: list[str] = []
+        self.col_idx: dict[str, int] = {}
+        self.integers: set[int] = set()
+        # Keyed by row id; an objective constant lands on _OBJ, never read.
+        self.rhs_val: dict[int, float] = {}
+        self.range_val: dict[int, float] = {}
+        self.lb: dict[int, float] = {}
+        self.ub: dict[int, float] = {}
+        # COLUMNS entries in file order: column, row id and value.
+        self.ent_cols = array("q")
+        self.ent_rows = array("q")
+        self.ent_vals: list[np.ndarray] = []
+        # The same for the COLUMNS lines read since the last flush, values
+        # as tokens, and the line of each value; the integer-marker state.
+        self.cols: list[int] = []
+        self.rids: list[int] = []
+        self.toks: list[str] = []
+        self.lns: list[int] = []
+        self.in_integer = False
+
+    def rows(self, lines, lo, hi):
+        row_id = self.row_id
+        for ln, tokens in _content(lines, lo, hi):
+            if len(tokens) < 2:
+                raise MpsError("ROWS line needs a type and a name", ln)
+            rtype, rname = tokens[0].upper(), tokens[1]
+            if rname in row_id:
+                raise MpsError(f"duplicate row name {rname!r}", ln)
+            if rtype == "N":
+                if self.obj_name is None:
+                    self.obj_name = rname
+                    row_id[rname] = _OBJ
+                else:
+                    row_id[rname] = _FREE  # extra free rows: coefficients skipped
+            elif rtype in ("L", "G", "E"):
+                row_id[rname] = len(self.row_order)
+                self.row_order.append(rname)
+                self.row_sense.append(rtype)
+            else:
+                raise MpsError(f"unknown row type {rtype!r}", ln)
+
+    # COLUMNS ---------------------------------------------------------------
+
+    def columns(self, lines, lo, hi):
+        self.in_integer = False
+        _read(lines, lo, hi, self.column_block, self.column_lines)
+
+    def column_block(self, lines, lo, hi) -> bool:
+        """`col row value` lines and integer markers: the runs between the
+        markers are read a run at a time."""
+        fields = _fields(lines[lo:hi], 3)
+        if fields is None:
+            return False
+        markers = sorted(set().union(*(_where(f, "'MARKER'") for f in fields)))
+        done = 0
+        for i in markers + [hi - lo]:
+            if i > done:
+                self.column_run(*(f[done:i] for f in fields), lo + done + 1)
+            if i < hi - lo:
+                self.column_line([f[i] for f in fields], lo + i + 1)
+            done = i + 1
+        self.flush()
+        return True
+
+    def column_lines(self, lines, lo, hi):
+        for ln, tokens in _content(lines, lo, hi):
+            self.column_line(tokens, ln)
+        self.flush()
+
+    def flush(self):
+        """Convert the values read since the last flush in one call."""
+        self.ent_vals.append(_values(self.toks, self.lns))
+        self.ent_cols += array("q", self.cols)
+        self.ent_rows += array("q", self.rids)
+        self.cols, self.rids, self.toks, self.lns = [], [], [], []
+
+    def fail(self, msg: str, ln: int):
+        """Raise at line `ln`, or at an earlier line with a bad value."""
+        _values(self.toks, self.lns)
+        raise MpsError(msg, ln)
+
+    def column_run(self, cnames, rnames, vtoks, ln: int):
+        """Lines ln, ln + 1, ... holding `col row value` each."""
+        col_idx, col_order = self.col_idx, self.col_order
+        new = [c for c in dict.fromkeys(cnames) if c not in col_idx]
+        col_idx.update(zip(new, range(len(col_order), len(col_order) + len(new))))
+        col_order += new
+        js = list(map(col_idx.__getitem__, cnames))
+        if self.in_integer:
+            self.integers.update(js)
+        rids = list(map(self.row_id.get, rnames))
+        if None in rids:
+            i = rids.index(None)
+            self.toks += vtoks[:i + 1]
+            self.lns += range(ln, ln + i + 1)
+            self.fail(f"unknown row {rnames[i]!r}", ln + i)
+        self.toks += vtoks
+        self.lns += range(ln, ln + len(rids))
+        self.cols += js
+        self.rids += rids
+
+    def column_line(self, tokens: list[str], ln: int):
+        """One COLUMNS data line of any shape."""
+        if "'MARKER'" in tokens:
+            if "'INTORG'" in tokens:
+                self.in_integer = True
+            elif "'INTEND'" in tokens:
+                self.in_integer = False
+            else:
+                self.fail("MARKER line without INTORG/INTEND", ln)
+            return
+        n = len(tokens)
+        if n < 3 or n % 2 == 0:
+            self.fail("COLUMNS line needs col followed by row/value pairs", ln)
+        cname = tokens[0]
+        j = self.col_idx.get(cname)
+        if j is None:
+            j = self.col_idx[cname] = len(self.col_order)
+            self.col_order.append(cname)
+        if self.in_integer:
+            self.integers.add(j)
+        for p in range(1, n, 2):
+            r = self.row_id.get(tokens[p])
+            self.toks.append(tokens[p + 1])
+            self.lns.append(ln)
+            if r is None:
+                self.fail(f"unknown row {tokens[p]!r}", ln)
+            self.cols.append(j)
+            self.rids.append(r)
+
+    # RHS, RANGES, BOUNDS ---------------------------------------------------
+
+    def rhs(self, lines, lo, hi):
+        _read(lines, lo, hi, self.rhs_block, self.rhs_lines)
+
+    def rhs_block(self, lines, lo, hi) -> bool:
+        """`set row value` lines."""
+        fields = _fields(lines[lo:hi], 3)
+        if fields is None:
+            return False
+        rids = list(map(self.row_id.get, fields[1]))
+        vals = None if None in rids else _floats(fields[2])
+        if vals is None or not np.isfinite(vals).all():
+            return False
+        self.rhs_val.update(zip(rids, vals.tolist()))
+        return True
+
+    def rhs_lines(self, lines, lo, hi):
+        for ln, tokens in _content(lines, lo, hi):
+            if len(tokens) < 3 or len(tokens) % 2 == 0:
+                raise MpsError("RHS line needs set name and row/value pairs", ln)
+            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
+                val = _finite(vtok, ln)
+                r = self.row_id.get(rname)
+                if r is None:
+                    raise MpsError(f"unknown row {rname!r}", ln)
+                self.rhs_val[r] = val
+
+    def ranges(self, lines, lo, hi):
+        for ln, tokens in _content(lines, lo, hi):
+            if len(tokens) < 3 or len(tokens) % 2 == 0:
+                raise MpsError("RANGES line needs set name and row/value pairs", ln)
+            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
+                r = self.row_id.get(rname, _FREE)
+                if r < 0:
+                    raise MpsError(f"unknown row {rname!r}", ln)
+                self.range_val[r] = _finite(vtok, ln)
+
+    def bounds(self, lines, lo, hi):
+        _read(lines, lo, hi, self.bound_block, self.bound_lines)
+
+    def bound_block(self, lines, lo, hi) -> bool:
+        """`TAG BND col` lines, or `TAG BND col value` lines, applied in
+        line order: a later line wins."""
+        width = len(lines[lo].split())
+        fields = _fields(lines[lo:hi], width) if width in (3, 4) else None
+        if fields is None:
+            return False
+        tags = list(map(str.upper, fields[0]))
+        kinds = {t: _BOUND_SET.get(t) for t in set(tags)}
+        if any(k is None or (_VAL in k[:2]) != (width == 4) for k in kinds.values()):
+            return False
+        js = list(map(self.col_idx.get, fields[2]))
+        if None in js:
+            return False
+        if width == 4:
+            vals = _floats(fields[3])
+            if vals is None or np.isnan(vals).any():
+                return False
+            vals = vals.tolist()
+        for side, bound in ((0, self.lb), (1, self.ub)):
+            value = {t: k[side] for t, k in kinds.items() if k[side] is not None}
+            new = zip(js, vals if width == 4 else map(value.get, tags))
+            bound.update(compress(new, map(value.__contains__, tags)))
+        integer = {t for t, k in kinds.items() if k[2]}
+        self.integers.update(compress(js, map(integer.__contains__, tags)))
+        return True
+
+    def bound_lines(self, lines, lo, hi):
+        for ln, tokens in _content(lines, lo, hi):
+            tag = tokens[0].upper()
+            if tag not in _BOUND_SET:
+                raise MpsError(f"unknown bound type {tag!r}", ln)
+            lower, upper, integer = _BOUND_SET[tag]
+            valued = _VAL in (lower, upper)
+            if not valued and len(tokens) < 3:
+                raise MpsError("bound line needs a column name", ln)
+            if valued and len(tokens) < 4:
+                raise MpsError("bound line needs a column name and a value", ln)
+            j = self.col_idx.get(tokens[2])
+            if j is None:
+                raise MpsError(f"unknown column {tokens[2]!r}", ln)
+            if valued:
+                val = _number(tokens[3], ln)
+                if math.isnan(val):
+                    raise MpsError(f"NaN bound {tokens[3]!r}", ln)
+            if lower is not None:
+                self.lb[j] = val if lower is _VAL else lower
+            if upper is not None:
+                self.ub[j] = val if upper is _VAL else upper
+            if integer:
+                self.integers.add(j)
+
+    # Assembly --------------------------------------------------------------
+
+    def sparse_rows(self, n: int):
+        """(objective, per-row (cols, vals)): duplicate (col, row) entries
+        summed in file order, explicit zeros dropped, each row sorted by
+        column."""
+        m = len(self.row_order)
+        rid = np.array(self.ent_rows, dtype=np.int64)
+        keep = rid != _FREE
+        vals = np.concatenate([np.empty(0)] + self.ent_vals)[keep]
+        # One key per (col, row), the objective first within a column.
+        key = np.array(self.ent_cols, dtype=np.int64)[keep] * (m + 1) + (rid[keep] + 1)
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        sums = vals[first] + 0.0  # as 0.0 + v: -0.0 becomes 0.0
+        sizes = np.diff(first, append=len(key))
+        for g in np.flatnonzero(sizes > 1).tolist():
+            total = 0.0
+            for v in vals[first[g]:first[g] + sizes[g]].tolist():
+                total += v
+            sums[g] = total
+        col, row = np.divmod(key[first], m + 1)
+        row -= 1
+        obj = np.zeros(n)
+        is_obj = row == _OBJ
+        obj[col[is_obj]] = sums[is_obj]
+        nz = (row >= 0) & (sums != 0.0)
+        col, row, sums = col[nz], row[nz], sums[nz]
+        order = np.lexsort((col, row))
+        col, sums = col[order], sums[order]
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m))]).tolist()
+        return obj, [(col[a:b], sums[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def parse_mps(text: str) -> MipModel:
-    """Parse an MPS character stream into a MipModel."""
-    name = "MODEL"
-    minimize = True
-    obj_name = None
-    row_order: list[str] = []
-    row_sense: dict[str, str] = {}
-    free_rows: set[str] = set()
-    col_order: list[str] = []
-    col_idx: dict[str, int] = {}
-    entries: dict[tuple[int, str], float] = {}  # (col, row) -> coeff
-    obj_coeff: dict[int, float] = {}
-    rhs_val: dict[str, float] = {}
-    range_val: dict[str, float] = {}
-    integers: set[int] = set()
-    lb: dict[int, float] = {}
-    ub: dict[int, float] = {}
-    explicit_lb: set[int] = set()
+    """Parse an MPS character stream into a MipModel.
 
-    section = None
-    in_integer = False
-    saw_endata = False
+    Section headers start in the first column and data lines are indented;
+    the sections are read in file order. COLUMNS, RHS and BOUNDS are read
+    `_CHUNK` lines at a time, each chunk's values converted in one call. Repeated (col, row) entries are summed in file order and zero
+    sums dropped; the rows come from one sort of all entries.
 
-    def err(msg: str, ln: int):
-        raise MpsError(msg, ln)
-
-    def number(tok: str, ln: int) -> float:
-        try:
-            return float(tok.replace("D", "E").replace("d", "e"))
-        except ValueError:
-            err(f"bad numeric field {tok!r}", ln)
-
-    def get_col(tok: str, ln: int) -> int:
-        if tok not in col_idx:
-            err(f"unknown column {tok!r}", ln)
-        return col_idx[tok]
-
+    Bounds default to [0, inf), also for an integer column (INTORG marker):
+    without bounds it reads as lb = 0, ub = inf, a general integer and not
+    a binary. Coefficients, right-hand sides and ranges must be finite and
+    bounds must not be NaN; infinite bounds are allowed.
+    """
+    rd = _Reader()
     lines = text.splitlines()
-    ln = 0
-    pending_objsense = False
-    for raw in lines:
-        ln += 1
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if raw[0] not in (" ", "\t"):
-            tokens = raw.split()
+    # Headers: not indented, not blank and not a comment.
+    heads = [
+        i
+        for i, raw in enumerate(lines)
+        if raw[:1] not in " \t" and raw.lstrip()[:1] not in "*"
+    ]
+    section = None
+    saw_endata = False
+    for h, lo in enumerate([-1] + heads):
+        hi = heads[h] if h < len(heads) else len(lines)
+        pending_objsense = False
+        if lo >= 0:
+            tokens = lines[lo].split()
             head = tokens[0].upper()
             if head not in _KNOWN_SECTIONS:
-                err(f"unsupported section {head!r}", ln)
-            if head == "NAME":
-                if len(tokens) > 1:
-                    name = tokens[1]
-                section = None
-                continue
+                raise MpsError(f"unsupported section {head!r}", lo + 1)
             if head == "ENDATA":
                 saw_endata = True
                 break
-            section = head
-            pending_objsense = section == "OBJSENSE"
-            if section == "OBJSENSE" and len(tokens) > 1:
-                minimize = tokens[1].upper().startswith("MIN")
-                pending_objsense = False
-            in_integer = False
+            if head == "NAME":
+                if len(tokens) > 1:
+                    rd.name = tokens[1]
+                section = None
+            else:
+                section = head
+            if section == "OBJSENSE":
+                if len(tokens) > 1:
+                    rd.minimize = tokens[1].upper().startswith("MIN")
+                else:
+                    pending_objsense = True
+        if section in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+            getattr(rd, section.lower())(lines, lo + 1, hi)
             continue
-
-        tokens = raw.split()
-        if section is None:
-            err("data line outside any section", ln)
-        if pending_objsense:
-            minimize = tokens[0].upper().startswith("MIN")
+        for ln, tokens in _content(lines, lo + 1, hi):
+            if section is None:
+                raise MpsError("data line outside any section", ln)
+            if not pending_objsense:
+                raise MpsError(f"unsupported section {section!r}", ln)
+            rd.minimize = tokens[0].upper().startswith("MIN")
             pending_objsense = False
-            continue
 
-        if section == "ROWS":
-            if len(tokens) < 2:
-                err("ROWS line needs a type and a name", ln)
-            rtype, rname = tokens[0].upper(), tokens[1]
-            if rname in row_sense or rname in free_rows or rname == obj_name:
-                err(f"duplicate row name {rname!r}", ln)
-            if rtype == "N":
-                if obj_name is None:
-                    obj_name = rname
-                else:
-                    free_rows.add(rname)  # extra free rows: coefficients skipped
-            elif rtype in ("L", "G", "E"):
-                row_sense[rname] = rtype
-                row_order.append(rname)
-            else:
-                err(f"unknown row type {rtype!r}", ln)
-
-        elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
-                if "'INTORG'" in tokens:
-                    in_integer = True
-                elif "'INTEND'" in tokens:
-                    in_integer = False
-                else:
-                    err("MARKER line without INTORG/INTEND", ln)
-                continue
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                err("COLUMNS line needs col followed by row/value pairs", ln)
-            cname = tokens[0]
-            if cname not in col_idx:
-                col_idx[cname] = len(col_order)
-                col_order.append(cname)
-            j = col_idx[cname]
-            if in_integer:
-                integers.add(j)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                val = number(vtok, ln)
-                if rname == obj_name:
-                    obj_coeff[j] = obj_coeff.get(j, 0.0) + val
-                elif rname in free_rows:
-                    continue
-                elif rname in row_sense:
-                    key = (j, rname)
-                    entries[key] = entries.get(key, 0.0) + val
-                else:
-                    err(f"unknown row {rname!r}", ln)
-
-        elif section == "RHS":
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                err("RHS line needs set name and row/value pairs", ln)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                val = number(vtok, ln)
-                if rname in row_sense:
-                    rhs_val[rname] = val
-                elif rname == obj_name or rname in free_rows:
-                    continue  # objective constant, ignored
-                else:
-                    err(f"unknown row {rname!r}", ln)
-
-        elif section == "RANGES":
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                err("RANGES line needs set name and row/value pairs", ln)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                if rname not in row_sense:
-                    err(f"unknown row {rname!r}", ln)
-                range_val[rname] = number(vtok, ln)
-
-        elif section == "BOUNDS":
-            tag = tokens[0].upper()
-            if tag not in _BOUND_TAGS:
-                err(f"unknown bound type {tag!r}", ln)
-            if tag in ("FR", "MI", "PL", "BV"):
-                if len(tokens) < 3:
-                    err("bound line needs a column name", ln)
-                j = get_col(tokens[2], ln)
-                if tag == "FR":
-                    lb[j], ub[j] = -_INF, _INF
-                elif tag == "MI":
-                    lb[j] = -_INF
-                elif tag == "PL":
-                    ub[j] = _INF
-                else:  # BV
-                    integers.add(j)
-                    lb[j], ub[j] = 0.0, 1.0
-                if tag in ("FR", "MI"):
-                    explicit_lb.add(j)
-            else:
-                if len(tokens) < 4:
-                    err("bound line needs a column name and a value", ln)
-                j = get_col(tokens[2], ln)
-                val = number(tokens[3], ln)
-                if tag in ("LO", "LI"):
-                    lb[j] = val
-                    explicit_lb.add(j)
-                    if tag == "LI":
-                        integers.add(j)
-                elif tag in ("UP", "UI"):
-                    ub[j] = val
-                    if tag == "UI":
-                        integers.add(j)
-                else:  # FX
-                    lb[j] = ub[j] = val
-                    explicit_lb.add(j)
-
-        else:  # pragma: no cover - sections exhausted above
-            err(f"unsupported section {section!r}", ln)
-
-    if not saw_endata and section is None and not row_order and not col_order:
+    if not saw_endata and section is None and not rd.row_order and not rd.col_order:
         raise MpsError("no MPS content found")
 
-    n = len(col_order)
-    obj = np.zeros(n)
-    for j, v in obj_coeff.items():
-        obj[j] = v
+    del lines  # the text's lines are not needed while the rows are built
+    n = len(rd.col_order)
+    obj, base_rows = rd.sparse_rows(n)
     lbs = np.zeros(n)
     ubs = np.full(n, _INF)
-    for j, v in lb.items():
-        lbs[j] = v
-    for j, v in ub.items():
-        ubs[j] = v
+    lbs[list(rd.lb)] = list(rd.lb.values())
+    ubs[list(rd.ub)] = list(rd.ub.values())
 
-    # Assemble sparse rows in ROWS order, dropping explicit zeros.
-    per_row: dict[str, list[tuple[int, float]]] = {r: [] for r in row_order}
-    for (j, rname), val in entries.items():
-        if val != 0.0:
-            per_row[rname].append((j, val))
-
+    # Rows in ROWS order; a RANGES entry adds a paired row.
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     senses: list[str] = []
-    rhs_list: list[float] = []
+    rhs: list[float] = []
     names: list[str] = []
 
-    def add_row(rname: str, sense: str, pairs, b: float):
-        pairs = sorted(pairs)
-        cols = np.array([p[0] for p in pairs], dtype=np.int64)
-        vals = np.array([p[1] for p in pairs], dtype=np.float64)
-        rows.append((cols, vals))
-        senses.append(sense)
-        rhs_list.append(b)
+    def add_row(rname, sense, row, b):
         names.append(rname)
+        senses.append(sense)
+        rows.append(row)
+        rhs.append(b)
 
-    for rname in row_order:
-        sense = row_sense[rname]
-        b = rhs_val.get(rname, 0.0)
-        pairs = per_row[rname]
-        add_row(rname, sense, pairs, b)
-        if rname in range_val:
-            r = range_val[rname]
-            if sense == SENSE_LE:
-                add_row(rname + "_RNG", SENSE_GE, pairs, b - abs(r))
-            elif sense == SENSE_GE:
-                add_row(rname + "_RNG", SENSE_LE, pairs, b + abs(r))
-            else:  # E: becomes a two-sided range
-                lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-                senses[-1] = SENSE_LE
-                rhs_list[-1] = hi
-                add_row(rname + "_RNG", SENSE_GE, pairs, lo)
+    for i, rname in enumerate(rd.row_order):
+        sense, row = rd.row_sense[i], base_rows[i]
+        b = rd.rhs_val.get(i, 0.0)
+        r = rd.range_val.get(i)
+        if r is None:
+            add_row(rname, sense, row, b)
+            continue
+        twin = (row[0].copy(), row[1].copy())
+        if sense == SENSE_LE:
+            add_row(rname, sense, row, b)
+            add_row(rname + "_RNG", SENSE_GE, twin, b - abs(r))
+        elif sense == SENSE_GE:
+            add_row(rname, sense, row, b)
+            add_row(rname + "_RNG", SENSE_LE, twin, b + abs(r))
+        else:  # E: becomes a two-sided range
+            lo, hi = (b, b + r) if r >= 0 else (b + r, b)
+            add_row(rname, SENSE_LE, row, hi)
+            add_row(rname + "_RNG", SENSE_GE, twin, lo)
 
     if len(set(names)) != len(names):
         raise MpsError("duplicate row names after RANGES expansion")
 
     model = MipModel(
-        col_names=col_order,
+        col_names=rd.col_order,
         row_names=names,
         rows=rows,
         senses=senses,
-        rhs=np.array(rhs_list, dtype=np.float64),
+        rhs=np.array(rhs, dtype=np.float64),
         obj=obj,
         lb=lbs,
         ub=ubs,
-        integers=integers,
-        name=name,
-        obj_name=obj_name or "OBJ",
-        minimize=minimize,
+        integers=rd.integers,
+        name=rd.name,
+        obj_name=rd.obj_name or "OBJ",
+        minimize=rd.minimize,
     )
     model.validate()
     return model
@@ -423,130 +684,196 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_mps(model: MipModel) -> str:
-    """Serialize a model as free-format MPS (round-trips through parse_mps)."""
+def _fmt_each(values: np.ndarray) -> list[str]:
+    """`_fmt` of every value, formatting each distinct value once."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    text = [_fmt(v) for v in uniq.tolist()]
+    return list(map(text.__getitem__, inv.tolist()))
+
+
+def _flat(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, vals, row index) of every nonzero, in row order."""
+    if not rows:
+        return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+    cols = np.concatenate([c for c, _ in rows]).astype(np.int64, copy=False)
+    vals = np.concatenate([v for _, v in rows]).astype(np.float64, copy=False)
+    row_of = np.repeat(np.arange(len(rows)), [len(c) for c, _ in rows])
+    return cols, vals, row_of
+
+
+def _bound_lines(names: list[str], lb: np.ndarray, ub: np.ndarray) -> list[str]:
+    """BOUNDS lines of the columns whose bounds are not [0, inf), by column:
+    FX, FR, or MI/LO followed by UP."""
+    lo = np.asarray(lb, dtype=np.float64)
+    hi = np.asarray(ub, dtype=np.float64)
+    shown = ~((lo == 0.0) & (hi == _INF))
+    fx = shown & (lo == hi)
+    fr = shown & ~fx & (lo == -_INF) & (hi == _INF)
+    rest = shown & ~fx & ~fr
+    kinds = (
+        ("FX", fx, lo, 0),
+        ("FR", fr, None, 0),
+        ("MI", rest & (lo == -_INF), None, 0),
+        ("LO", rest & (lo != -_INF) & (lo != 0.0), lo, 0),
+        ("UP", rest & (hi != _INF), hi, 1),
+    )
+    keys, lines = [], []
+    for tag, mask, vals, slot in kinds:
+        js = np.flatnonzero(mask)
+        keys.append(2 * js + slot)
+        cn = [names[j] for j in js.tolist()]
+        if vals is None:
+            lines += [f" {tag} BND  {c}" for c in cn]
+        else:
+            lines += [f" {tag} BND  {c}  {s}" for c, s in zip(cn, _fmt_each(vals[js]))]
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return [lines[i] for i in order.tolist()]
+
+
+def _is_int(model: MipModel, cols: np.ndarray) -> np.ndarray:
+    """Whether each column is in `model.integers`."""
+    ints = np.fromiter(model.integers, np.int64, len(model.integers))
+    return np.isin(cols, ints)
+
+
+def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
+    """Free-format MPS of `model`'s columns with the given rows, whose
+    nonzeros are (cols, vals, row_of) in row order."""
+    n, m = model.num_cols, len(names)
     out = [f"NAME {model.name}"]
     if not model.minimize:
         out.append("OBJSENSE")
         out.append("    MAX")
     out.append("ROWS")
     out.append(f" N  {model.obj_name}")
-    for i, rname in enumerate(model.row_names):
-        out.append(f" {model.senses[i]}  {rname}")
+    out += [f" {s}  {r}" for s, r in zip(senses, names)]
 
-    # Row entries grouped per column.
-    per_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(model.num_cols)}
-    for i, (cols, vals) in enumerate(model.rows):
-        rname = model.row_names[i]
-        for j, v in zip(cols, vals):
-            per_col[int(j)].append((rname, float(v)))
+    # Per column: its objective entry (when nonzero or the column has no
+    # other), then its row entries in row order. One stable sort by column
+    # of [objective entries, row entries] gives that order.
+    count = np.bincount(cols, minlength=n)
+    obj = np.asarray(model.obj, dtype=np.float64)
+    obj_cols = np.flatnonzero((obj != 0.0) | (count == 0))
+    count[obj_cols] += 1
+    all_cols = np.concatenate([obj_cols, cols])
+    order = np.argsort(all_cols, kind="stable")
+    all_rows = np.concatenate([np.full(len(obj_cols), m), row_of])[order]
+    all_vals = np.concatenate([obj[obj_cols], vals])[order]
+    cn, rn = model.col_names, list(names) + [model.obj_name]
+    entries = [
+        f"    {cn[j]}  {rn[i]}  {s}"
+        for j, i, s in zip(all_cols[order].tolist(), all_rows.tolist(), _fmt_each(all_vals))
+    ]
 
     out.append("COLUMNS")
-    in_int = False
-    marker_id = 0
-    for j, cname in enumerate(model.col_names):
-        is_int = j in model.integers
-        if is_int != in_int:
-            marker_id += 1
-            kind = "'INTORG'" if is_int else "'INTEND'"
-            out.append(f"    M{marker_id}  'MARKER'  {kind}")
-            in_int = is_int
-        wrote = False
-        if model.obj[j] != 0.0 or not per_col[j]:
-            out.append(f"    {cname}  {model.obj_name}  {_fmt(model.obj[j])}")
-            wrote = True
-        for rname, v in per_col[j]:
-            out.append(f"    {cname}  {rname}  {_fmt(v)}")
-            wrote = True
-        assert wrote
-    if in_int:
-        marker_id += 1
-        out.append(f"    M{marker_id}  'MARKER'  'INTEND'")
+    is_int = _is_int(model, np.arange(n))
+    switch = np.flatnonzero(np.diff(is_int, prepend=False)).tolist()
+    col_start = np.concatenate([[0], np.cumsum(count)]).tolist()
+    done = 0
+    for marker_id, j in enumerate(switch, 1):
+        out += entries[done:col_start[j]]
+        done = col_start[j]
+        kind = "'INTORG'" if is_int[j] else "'INTEND'"
+        out.append(f"    M{marker_id}  'MARKER'  {kind}")
+    out += entries[done:]
+    if n and is_int[-1]:
+        out.append(f"    M{len(switch) + 1}  'MARKER'  'INTEND'")
 
     out.append("RHS")
-    for i, rname in enumerate(model.row_names):
-        if model.rhs[i] != 0.0:
-            out.append(f"    RHS  {rname}  {_fmt(model.rhs[i])}")
+    rhs = np.asarray(rhs, dtype=np.float64)
+    nz = np.flatnonzero(rhs != 0.0)
+    out += [
+        f"    RHS  {names[i]}  {s}" for i, s in zip(nz.tolist(), _fmt_each(rhs[nz]))
+    ]
 
-    bound_lines = []
-    for j, cname in enumerate(model.col_names):
-        lo, hi = float(model.lb[j]), float(model.ub[j])
-        if lo == 0.0 and hi == _INF:
-            continue
-        if lo == hi:
-            bound_lines.append(f" FX BND  {cname}  {_fmt(lo)}")
-            continue
-        if lo == -_INF and hi == _INF:
-            bound_lines.append(f" FR BND  {cname}")
-            continue
-        if lo == -_INF:
-            bound_lines.append(f" MI BND  {cname}")
-        elif lo != 0.0:
-            bound_lines.append(f" LO BND  {cname}  {_fmt(lo)}")
-        if hi != _INF:
-            bound_lines.append(f" UP BND  {cname}  {_fmt(hi)}")
+    bound_lines = _bound_lines(model.col_names, model.lb, model.ub)
     if bound_lines:
         out.append("BOUNDS")
-        out.extend(bound_lines)
+        out += bound_lines
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
 
-def _clique_row(record: CutRecord, varmap: VarMap, model: MipModel):
-    """Turn a clique into (cols, coeffs, rhs): sum x+ - sum x- <= 1 - q."""
-    pairs = []
-    q = 0
-    for node in record.nodes:
-        lit = varmap.literal(node)
-        j = lit.col
-        if j not in model.integers or model.lb[j] < 0.0 or model.ub[j] > 1.0:
-            raise MpsError(
-                f"clique references non-binary column {model.col_names[j]!r}"
-            )
-        if lit.complemented:
-            pairs.append((j, -1.0))
-            q += 1
-        else:
-            pairs.append((j, 1.0))
-    pairs.sort()
-    cols = np.array([p[0] for p in pairs], dtype=np.int64)
-    vals = np.array([p[1] for p in pairs], dtype=np.float64)
-    return cols, vals, 1.0 - q
+def write_mps(model: MipModel) -> str:
+    """Serialize a model as free-format MPS (round-trips through parse_mps)."""
+    return _write(model, model.row_names, model.senses, model.rhs, *_flat(model.rows))
+
+
+def _ordered(pool: CutPool, disposition: str) -> list[CutRecord]:
+    """The pool's records of one disposition, by tag (TAGS order) then nodes."""
+    tag_rank = {t: i for i, t in enumerate(TAGS)}
+    return sorted(
+        pool.by_disposition(disposition),
+        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
+    )
+
+
+def _clique_rows(records: list[CutRecord], varmap: VarMap, model: MipModel):
+    """Every clique as the row sum x+ - sum x- <= 1 - q, in one batch:
+    (cols, coeffs, clique index) of all nonzeros, each row sorted by
+    (col, coeff), and the right-hand sides."""
+    lens = [len(r.nodes) for r in records]
+    nodes = np.fromiter(
+        chain.from_iterable(r.nodes for r in records), np.int64, sum(lens)
+    )
+    n_b = varmap.n_b
+    vcols = np.asarray(varmap.cols, dtype=np.int64)
+    binary = _is_int(model, vcols) & ~(model.lb[vcols] < 0.0) & ~(model.ub[vcols] > 1.0)
+    comp = nodes >= n_b
+    pos = np.where(comp, nodes - n_b, nodes)
+    ok = (nodes >= 0) & (nodes < 2 * n_b)
+    ok[ok] = binary[pos[ok]]
+    if not ok.all():
+        lit = varmap.literal(int(nodes[np.argmin(ok)]))  # raises when out of range
+        raise MpsError(f"clique references non-binary column {model.col_names[lit.col]!r}")
+    cols = vcols[pos]
+    vals = np.where(comp, -1.0, 1.0)
+    rec = np.repeat(np.arange(len(records)), lens)
+    order = np.lexsort((vals, cols, rec))
+    rhs = 1.0 - np.bincount(rec, weights=comp, minlength=len(records))
+    return cols[order], vals[order], rec[order], rhs
 
 
 def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
-    """Original rows plus one <= row per model_constraint clique."""
-    aug = model.copy()
-    taken = set(aug.row_names)
-    tag_rank = {t: i for i, t in enumerate(TAGS)}
-    constraints = sorted(
-        pool.by_disposition(DISP_CONSTRAINT),
-        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
-    )
-    rhs = []
-    for i, rec in enumerate(constraints):
-        cols, vals, b = _clique_row(rec, pool.varmap, model)
-        rname = f"CLQ{i + 1:06d}"
+    """Original rows plus one <= row per model_constraint clique, named
+    CLQ000001, CLQ000002, ... (prefixed with X while the name is taken)."""
+    constraints = _ordered(pool, DISP_CONSTRAINT)
+    cols, vals, row_of = _flat(model.rows)
+    clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(constraints, pool.varmap, model)
+    names = list(model.row_names)
+    taken = set(names)
+    for i in range(1, len(constraints) + 1):
+        rname = f"CLQ{i:06d}"
         while rname in taken:
             rname = "X" + rname
         taken.add(rname)
-        aug.rows.append((cols, vals))
-        aug.senses.append(SENSE_LE)
-        aug.row_names.append(rname)
-        rhs.append(b)
-    aug.rhs = np.concatenate([aug.rhs, np.array(rhs, dtype=np.float64)])
-    return write_mps(aug)
+        names.append(rname)
+    return _write(
+        model,
+        names,
+        list(model.senses) + [SENSE_LE] * len(constraints),
+        np.concatenate([model.rhs, clq_rhs]),
+        np.concatenate([cols, clq_cols]),
+        np.concatenate([vals, clq_vals]),
+        np.concatenate([row_of, clq_rec + model.num_rows]),
+    )
+
+
+class _Labels(dict):
+    """node -> its signed 1-based column index as text, made on first use;
+    a node out of range raises as `VarMap.literal` does."""
+
+    def __init__(self, varmap: VarMap):
+        super().__init__()
+        self.varmap = varmap
+
+    def __missing__(self, node):
+        label = self[node] = str(self.varmap.signed_index(node))
+        return label
 
 
 def export_cut_pool(pool: CutPool) -> str:
     """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
-    tag_rank = {t: i for i, t in enumerate(TAGS)}
-    cuts = sorted(
-        pool.by_disposition(DISP_USER_CUT),
-        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
-    )
-    lines = []
-    for rec in cuts:
-        signed = " ".join(str(pool.varmap.signed_index(n)) for n in rec.nodes)
-        lines.append(f"{rec.tag} {signed}")
+    label = _Labels(pool.varmap).__getitem__
+    lines = [f"{r.tag} {' '.join(map(label, r.nodes))}" for r in _ordered(pool, DISP_USER_CUT)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -240,3 +240,38 @@ def test_fuzzed_models_round_trip(rng_seed=7, trials=40):
         model = random_binary_model(rng)
         again = parse_mps(write_mps(model))
         assert again.signature() == model.signature()
+
+
+NONFINITE = {
+    "COLUMNS": (PACKING_MPS.replace("x2  obj  1  c1  1", "x2  obj  1  c1  nan"), 8, "'nan'"),
+    "RHS": (PACKING_MPS.replace("RHS  c1  1", "RHS  c1  inf"), 11, "'inf'"),
+    "RANGES": (PACKING_MPS.replace("BOUNDS", "RANGES\n    RNG  c1  1e400\nBOUNDS"), 13,
+               "'1e400'"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(NONFINITE))
+def test_non_finite_values_are_rejected(section):
+    text, line, token = NONFINITE[section]
+    with pytest.raises(MpsError, match=f"non-finite value {token}") as exc:
+        parse_mps(text)
+    assert exc.value.line == line
+
+
+def test_nan_bound_is_rejected_and_infinite_bounds_are_kept():
+    with pytest.raises(MpsError, match="NaN bound 'NaN'") as exc:
+        parse_mps(PACKING_MPS.replace(" UP BND  x2  1", " UP BND  x2  NaN"))
+    assert exc.value.line == 14
+    model = parse_mps(PACKING_MPS.replace(" UP BND  x1  1", " LO BND  x1  -inf")
+                      .replace(" UP BND  x2  1", " UP BND  x2  1e400"))
+    assert model.lb.tolist() == [-math.inf, 0.0]
+    assert model.ub.tolist() == [math.inf, math.inf]
+
+
+def test_unbounded_integer_column_is_a_general_integer():
+    # An INTORG column without bounds reads as lb = 0, ub = inf: integer,
+    # but not binary.
+    model = parse_mps(PACKING_MPS.replace(" UP BND  x2  1\n", ""))
+    assert model.integers == {0, 1}
+    assert (model.lb[1], model.ub[1]) == (0.0, math.inf)
+    assert model.binaries == {0}

@@ -288,3 +288,30 @@ def test_cli_bench_writes_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "k,stage,shifted_geomean_s,speedup"
     assert len(lines) > 1
+
+
+def test_cli_rejects_bad_mps_in_one_line(tmp_path, capsys):
+    src = tmp_path / "bad.mps"
+    src.write_text("NAME bad\nROWS\n N  obj\n L  c1\nCOLUMNS\n    x1  c1  abc\nENDATA\n")
+    out_model, out_cuts = tmp_path / "o.mps", tmp_path / "o.cuts"
+    rc = main(["presolve", str(src),
+               "--out-model", str(out_model), "--out-cuts", str(out_cuts)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"{src}: line 6: bad numeric field 'abc'\n"
+    assert not out_model.exists() and not out_cuts.exists()
+
+
+@pytest.mark.parametrize("counts", ["0", "1,-2", "1,x", "1.5", ""])
+def test_cli_bench_rejects_bad_thread_counts(capsys, counts):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", counts])
+    assert exc.value.code == 2
+    assert "--thread-counts must be positive integers" in capsys.readouterr().err
+
+
+def test_cli_threads_belongs_to_presolve_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
