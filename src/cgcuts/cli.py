@@ -86,7 +86,9 @@ def main(argv=None) -> int:
             print(f"model proven infeasible: {exc}", file=sys.stderr)
             return 2
         except MpsError as exc:
-            print(f"{args.model}: {exc}", file=sys.stderr)
+            if exc.path is None:  # a writer's error, not bad input
+                raise
+            print(f"{exc.path}: {exc}", file=sys.stderr)
             return 2
         if args.stats_json:
             with open(args.stats_json, "w") as fh:

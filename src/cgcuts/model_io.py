@@ -7,10 +7,11 @@ the I/O layer).
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -39,7 +40,13 @@ _INF = math.inf
 
 
 class MpsError(ValueError):
-    """Raised on malformed MPS input or an unwritable model/pool."""
+    """Raised on malformed MPS input or an unwritable model/pool.
+
+    `path` is the input file of an error raised by `parse_mps_file`, and
+    None for the errors of `parse_mps` and of the writers.
+    """
+
+    path = None
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -160,7 +167,7 @@ _KNOWN_SECTIONS = {
 _OBJ = -1
 _FREE = -2
 
-#: Lines per chunk of COLUMNS, RHS or BOUNDS.
+#: Lines per chunk of COLUMNS.
 _CHUNK = 4096
 
 #: Bound tag -> (lower, upper, integer): the bound each side gets (None:
@@ -193,29 +200,22 @@ def _finite(tok: str, ln: int) -> float:
     return val
 
 
-def _floats(toks) -> np.ndarray | None:
-    """float64 values of the tokens, as `_number` reads them; None when one
-    is not a number."""
-    try:
-        return np.array(toks, dtype=np.float64)
-    except ValueError:
-        pass
-    # A Fortran exponent (1.5D3) is the only spelling that float() rejects
-    # and `_number` accepts.
-    fixed = [
-        t.replace("D", "E").replace("d", "e") if "D" in t or "d" in t else t
-        for t in toks
-    ]
-    try:
-        return np.array(fixed, dtype=np.float64)
-    except ValueError:
-        return None
-
-
 def _values(toks: list[str], lns: list[int]) -> np.ndarray:
-    """Finite float64 values of the tokens; raises at the first bad one,
-    with its line from `lns`."""
-    vals = _floats(toks)
+    """Finite float64 values of the tokens, as `_finite` reads them; raises
+    at the first bad one, with its line from `lns`."""
+    try:
+        vals = np.array(toks, dtype=np.float64)
+    except ValueError:
+        # A Fortran exponent (1.5D3) is the only spelling that float()
+        # rejects and `_number` accepts.
+        fixed = [
+            t.replace("D", "E").replace("d", "e") if "D" in t or "d" in t else t
+            for t in toks
+        ]
+        try:
+            vals = np.array(fixed, dtype=np.float64)
+        except ValueError:
+            vals = None
     if vals is None or not np.isfinite(vals).all():
         for tok, ln in zip(toks, lns):
             _finite(tok, ln)
@@ -231,59 +231,8 @@ def _content(lines: list[str], lo: int, hi: int):
             yield ln, tokens
 
 
-def _fields(part: list[str], width: int) -> list[list[str]] | None:
-    """The token columns of `part` (first tokens, second tokens, ...) when
-    every line holds exactly `width` tokens and none is a comment, else
-    None. One split of the joined lines: the separator token must sit after
-    every `width` tokens."""
-    flat = " \x00 ".join(part).split()
-    n, step = len(part), width + 1
-    if (
-        len(flat) != step * n - 1
-        or flat[width::step].count("\x00") != n - 1
-        or flat.count("\x00") != n - 1
-        or "*" in "".join(flat[0::step])  # maybe a comment: read line by line
-    ):
-        return None
-    return [flat[k::step] for k in range(width)]
-
-
-def _where(seq: list[str], item: str) -> list[int]:
-    out = []
-    try:
-        while True:
-            out.append(seq.index(item, out[-1] + 1 if out else 0))
-    except ValueError:
-        return out
-
-
-def _chunks(lo: int, hi: int, size: int = _CHUNK):
-    for start in range(lo, hi, size):
-        yield start, min(start + size, hi)
-
-
-def _read(lines: list[str], lo: int, hi: int, block, by_line):
-    """Read lines[lo:hi] a chunk at a time. `block(lines, lo, hi)` reads a
-    chunk whose lines all have one plain shape with a few calls, and
-    declines (returns False, having changed nothing) any other chunk. A
-    declined chunk is retried in sixteenths, and a declined sixteenth is
-    read `by_line(lines, lo, hi)`."""
-    for start, end in _chunks(lo, hi):
-        if not block(lines, start, end):
-            for s, e in _chunks(start, end, _CHUNK // 16):
-                if not block(lines, s, e):
-                    by_line(lines, s, e)
-
-
 class _Reader:
-    """The state of one parse, filled section by section in file order.
-
-    COLUMNS, RHS and BOUNDS are read a chunk of lines at a time (`_read`),
-    so the tokens of a whole section are never held at once. The block and
-    line readers of a section raise the same errors: a block reader either
-    declines a chunk with a bad line or, in COLUMNS, raises at that line
-    after checking the values of the lines before it.
-    """
+    """The state of one parse, filled section by section in file order."""
 
     def __init__(self):
         self.name = "MODEL"
@@ -304,13 +253,6 @@ class _Reader:
         self.ent_cols = array("q")
         self.ent_rows = array("q")
         self.ent_vals: list[np.ndarray] = []
-        # The same for the COLUMNS lines read since the last flush, values
-        # as tokens, and the line of each value; the integer-marker state.
-        self.cols: list[int] = []
-        self.rids: list[int] = []
-        self.toks: list[str] = []
-        self.lns: list[int] = []
-        self.in_integer = False
 
     def rows(self, lines, lo, hi):
         row_id = self.row_id
@@ -333,113 +275,55 @@ class _Reader:
             else:
                 raise MpsError(f"unknown row type {rtype!r}", ln)
 
-    # COLUMNS ---------------------------------------------------------------
-
     def columns(self, lines, lo, hi):
-        self.in_integer = False
-        _read(lines, lo, hi, self.column_block, self.column_lines)
+        """Read COLUMNS `_CHUNK` lines at a time, so the tokens of the whole
+        section are never held at once; each chunk's values become float64
+        in one call. A bad line raises only after the values of the chunk's
+        earlier lines are checked, so the first bad line is the one named."""
+        col_idx, col_order, row_id = self.col_idx, self.col_order, self.row_id
+        integer = False
+        for start in range(lo, hi, _CHUNK):
+            cols: list[int] = []
+            rids: list[int] = []
+            toks: list[str] = []
+            lns: list[int] = []
 
-    def column_block(self, lines, lo, hi) -> bool:
-        """`col row value` lines and integer markers: the runs between the
-        markers are read a run at a time."""
-        fields = _fields(lines[lo:hi], 3)
-        if fields is None:
-            return False
-        markers = sorted(set().union(*(_where(f, "'MARKER'") for f in fields)))
-        done = 0
-        for i in markers + [hi - lo]:
-            if i > done:
-                self.column_run(*(f[done:i] for f in fields), lo + done + 1)
-            if i < hi - lo:
-                self.column_line([f[i] for f in fields], lo + i + 1)
-            done = i + 1
-        self.flush()
-        return True
+            def fail(msg: str, ln: int):
+                _values(toks, lns)
+                raise MpsError(msg, ln)
 
-    def column_lines(self, lines, lo, hi):
-        for ln, tokens in _content(lines, lo, hi):
-            self.column_line(tokens, ln)
-        self.flush()
-
-    def flush(self):
-        """Convert the values read since the last flush in one call."""
-        self.ent_vals.append(_values(self.toks, self.lns))
-        self.ent_cols += array("q", self.cols)
-        self.ent_rows += array("q", self.rids)
-        self.cols, self.rids, self.toks, self.lns = [], [], [], []
-
-    def fail(self, msg: str, ln: int):
-        """Raise at line `ln`, or at an earlier line with a bad value."""
-        _values(self.toks, self.lns)
-        raise MpsError(msg, ln)
-
-    def column_run(self, cnames, rnames, vtoks, ln: int):
-        """Lines ln, ln + 1, ... holding `col row value` each."""
-        col_idx, col_order = self.col_idx, self.col_order
-        new = [c for c in dict.fromkeys(cnames) if c not in col_idx]
-        col_idx.update(zip(new, range(len(col_order), len(col_order) + len(new))))
-        col_order += new
-        js = list(map(col_idx.__getitem__, cnames))
-        if self.in_integer:
-            self.integers.update(js)
-        rids = list(map(self.row_id.get, rnames))
-        if None in rids:
-            i = rids.index(None)
-            self.toks += vtoks[:i + 1]
-            self.lns += range(ln, ln + i + 1)
-            self.fail(f"unknown row {rnames[i]!r}", ln + i)
-        self.toks += vtoks
-        self.lns += range(ln, ln + len(rids))
-        self.cols += js
-        self.rids += rids
-
-    def column_line(self, tokens: list[str], ln: int):
-        """One COLUMNS data line of any shape."""
-        if "'MARKER'" in tokens:
-            if "'INTORG'" in tokens:
-                self.in_integer = True
-            elif "'INTEND'" in tokens:
-                self.in_integer = False
-            else:
-                self.fail("MARKER line without INTORG/INTEND", ln)
-            return
-        n = len(tokens)
-        if n < 3 or n % 2 == 0:
-            self.fail("COLUMNS line needs col followed by row/value pairs", ln)
-        cname = tokens[0]
-        j = self.col_idx.get(cname)
-        if j is None:
-            j = self.col_idx[cname] = len(self.col_order)
-            self.col_order.append(cname)
-        if self.in_integer:
-            self.integers.add(j)
-        for p in range(1, n, 2):
-            r = self.row_id.get(tokens[p])
-            self.toks.append(tokens[p + 1])
-            self.lns.append(ln)
-            if r is None:
-                self.fail(f"unknown row {tokens[p]!r}", ln)
-            self.cols.append(j)
-            self.rids.append(r)
-
-    # RHS, RANGES, BOUNDS ---------------------------------------------------
+            for ln, tokens in _content(lines, start, min(start + _CHUNK, hi)):
+                if "'MARKER'" in tokens:
+                    if "'INTORG'" in tokens:
+                        integer = True
+                    elif "'INTEND'" in tokens:
+                        integer = False
+                    else:
+                        fail("MARKER line without INTORG/INTEND", ln)
+                    continue
+                n = len(tokens)
+                if n < 3 or n % 2 == 0:
+                    fail("COLUMNS line needs col followed by row/value pairs", ln)
+                cname = tokens[0]
+                j = col_idx.get(cname)
+                if j is None:
+                    j = col_idx[cname] = len(col_order)
+                    col_order.append(cname)
+                if integer:
+                    self.integers.add(j)
+                for p in range(1, n, 2):
+                    r = row_id.get(tokens[p])
+                    toks.append(tokens[p + 1])
+                    lns.append(ln)
+                    if r is None:
+                        fail(f"unknown row {tokens[p]!r}", ln)
+                    cols.append(j)
+                    rids.append(r)
+            self.ent_vals.append(_values(toks, lns))
+            self.ent_cols += array("q", cols)
+            self.ent_rows += array("q", rids)
 
     def rhs(self, lines, lo, hi):
-        _read(lines, lo, hi, self.rhs_block, self.rhs_lines)
-
-    def rhs_block(self, lines, lo, hi) -> bool:
-        """`set row value` lines."""
-        fields = _fields(lines[lo:hi], 3)
-        if fields is None:
-            return False
-        rids = list(map(self.row_id.get, fields[1]))
-        vals = None if None in rids else _floats(fields[2])
-        if vals is None or not np.isfinite(vals).all():
-            return False
-        self.rhs_val.update(zip(rids, vals.tolist()))
-        return True
-
-    def rhs_lines(self, lines, lo, hi):
         for ln, tokens in _content(lines, lo, hi):
             if len(tokens) < 3 or len(tokens) % 2 == 0:
                 raise MpsError("RHS line needs set name and row/value pairs", ln)
@@ -461,36 +345,6 @@ class _Reader:
                 self.range_val[r] = _finite(vtok, ln)
 
     def bounds(self, lines, lo, hi):
-        _read(lines, lo, hi, self.bound_block, self.bound_lines)
-
-    def bound_block(self, lines, lo, hi) -> bool:
-        """`TAG BND col` lines, or `TAG BND col value` lines, applied in
-        line order: a later line wins."""
-        width = len(lines[lo].split())
-        fields = _fields(lines[lo:hi], width) if width in (3, 4) else None
-        if fields is None:
-            return False
-        tags = list(map(str.upper, fields[0]))
-        kinds = {t: _BOUND_SET.get(t) for t in set(tags)}
-        if any(k is None or (_VAL in k[:2]) != (width == 4) for k in kinds.values()):
-            return False
-        js = list(map(self.col_idx.get, fields[2]))
-        if None in js:
-            return False
-        if width == 4:
-            vals = _floats(fields[3])
-            if vals is None or np.isnan(vals).any():
-                return False
-            vals = vals.tolist()
-        for side, bound in ((0, self.lb), (1, self.ub)):
-            value = {t: k[side] for t, k in kinds.items() if k[side] is not None}
-            new = zip(js, vals if width == 4 else map(value.get, tags))
-            bound.update(compress(new, map(value.__contains__, tags)))
-        integer = {t for t, k in kinds.items() if k[2]}
-        self.integers.update(compress(js, map(integer.__contains__, tags)))
-        return True
-
-    def bound_lines(self, lines, lo, hi):
         for ln, tokens in _content(lines, lo, hi):
             tag = tokens[0].upper()
             if tag not in _BOUND_SET:
@@ -554,9 +408,10 @@ def parse_mps(text: str) -> MipModel:
     """Parse an MPS character stream into a MipModel.
 
     Section headers start in the first column and data lines are indented;
-    the sections are read in file order. COLUMNS, RHS and BOUNDS are read
-    `_CHUNK` lines at a time, each chunk's values converted in one call. Repeated (col, row) entries are summed in file order and zero
-    sums dropped; the rows come from one sort of all entries.
+    the sections are read in file order. COLUMNS is read `_CHUNK` lines
+    at a time, each chunk's values converted in one call. Repeated
+    (col, row) entries are summed in file order and zero sums dropped; the
+    rows come from one sort of all entries.
 
     Bounds default to [0, inf), also for an integer column (INTORG marker):
     without bounds it reads as lb = 0, ub = inf, a general integer and not
@@ -671,7 +526,12 @@ def parse_mps(text: str) -> MipModel:
 
 def parse_mps_file(path) -> MipModel:
     with open(path, "r") as fh:
-        return parse_mps(fh.read())
+        text = fh.read()
+    try:
+        return parse_mps(text)
+    except MpsError as exc:
+        exc.path = path
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -859,21 +719,9 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     )
 
 
-class _Labels(dict):
-    """node -> its signed 1-based column index as text, made on first use;
-    a node out of range raises as `VarMap.literal` does."""
-
-    def __init__(self, varmap: VarMap):
-        super().__init__()
-        self.varmap = varmap
-
-    def __missing__(self, node):
-        label = self[node] = str(self.varmap.signed_index(node))
-        return label
-
-
 def export_cut_pool(pool: CutPool) -> str:
     """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
-    label = _Labels(pool.varmap).__getitem__
+    # Each node's signed 1-based column index as text, made once.
+    label = functools.cache(lambda node: str(pool.varmap.signed_index(node)))
     lines = [f"{r.tag} {' '.join(map(label, r.nodes))}" for r in _ordered(pool, DISP_USER_CUT)]
     return "\n".join(lines) + ("\n" if lines else "")

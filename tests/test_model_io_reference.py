@@ -168,7 +168,7 @@ def test_fuzzed_text_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_fuzzed_text_over_many_chunks(seed):
-    """Sections longer than one chunk, with shape changes inside chunks."""
+    """A COLUMNS section longer than one chunk, with lines of every shape."""
     rng = np.random.default_rng(2000 + seed)
     text = random_mps(rng, n_cols=6000, n_rows=900)
     expected = ref.parse_mps(text)
@@ -184,9 +184,9 @@ def test_built_models_write_like_reference():
         assert_same_text(model, random_pool(rng, model))
 
 
-def test_later_bound_line_wins_within_a_block():
-    """Valued and valueless bound lines of mixed tags, several per column,
-    in chunks that are each read as one block."""
+def test_later_bound_line_wins():
+    """Valued and valueless bound lines of mixed tags, several per column:
+    the last line that sets a side wins."""
     n = 300
     out = ["NAME b", "ROWS", " N  obj", " L  c1", "COLUMNS"]
     out += [f"    x{j}  c1  1" for j in range(n)]
@@ -229,7 +229,8 @@ ENDATA
 
 
 def _big(lines_per_section: int = 5000) -> str:
-    """A valid model whose COLUMNS and BOUNDS span several chunks."""
+    """A valid model with long COLUMNS and BOUNDS sections; COLUMNS spans
+    two chunks."""
     out = ["NAME big", "ROWS", " N  obj", " L  c1", "COLUMNS"]
     out += [f"    x{j}  c1  {j % 7 + 1}" for j in range(lines_per_section)]
     out += ["RHS", "    RHS  c1  10", "BOUNDS"]

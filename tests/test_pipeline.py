@@ -6,7 +6,8 @@ import pytest
 
 from cgcuts.cli import main
 from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP
-from cgcuts.model_io import parse_mps, parse_mps_file, write_mps
+from cgcuts import model_io
+from cgcuts.model_io import MpsError, parse_mps, parse_mps_file, write_mps
 from cgcuts.pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
 from conftest import make_model, random_binary_model
 
@@ -300,6 +301,32 @@ def test_cli_rejects_bad_mps_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"{src}: line 6: bad numeric field 'abc'\n"
     assert not out_model.exists() and not out_cuts.exists()
+
+
+def test_cli_does_not_blame_the_input_for_a_writer_error(tmp_path, monkeypatch):
+    src = tmp_path / "ok.mps"
+    src.write_text(write_mps(PACKING))
+
+    def refuse(model, pool):
+        raise MpsError("clique references non-binary column 'x0'")
+
+    monkeypatch.setattr(model_io, "write_augmented_mps", refuse)
+    with pytest.raises(MpsError) as exc:
+        main(["presolve", str(src), "--out-model", str(tmp_path / "o.mps"),
+              "--out-cuts", str(tmp_path / "o.cuts")])
+    assert exc.value.path is None
+
+
+def test_parse_mps_file_names_the_file_of_an_error(tmp_path):
+    src = tmp_path / "bad.mps"
+    src.write_text("NAME bad\nROWS\n N  obj\n X  c1\nENDATA\n")
+    with pytest.raises(MpsError) as exc:
+        parse_mps_file(src)
+    assert (exc.value.path, exc.value.line, str(exc.value)) == (
+        src, 4, "line 4: unknown row type 'X'")
+    with pytest.raises(MpsError) as exc:
+        parse_mps(src.read_text())
+    assert exc.value.path is None
 
 
 @pytest.mark.parametrize("counts", ["0", "1,-2", "1,x", "1.5", ""])
