@@ -18,14 +18,13 @@ from .model_io import (
 )
 from .pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
 from .presolve import (
-    Classification,
     DetectionResult,
     InfeasibleError,
-    PureBinaryConstraint,
-    classify,
+    PbcTable,
+    classify_rows,
     detect,
+    rewrite_rows,
     strengthen_bounds_once,
-    to_pbc,
 )
 from .bench import BenchConfig, BenchReport, generate_cliques, run_bench, shifted_geomean
 from .triage import TriagePlan, triage

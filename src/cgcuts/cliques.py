@@ -1,6 +1,6 @@
 """Maximal clique detection from conflicting knapsack constraints.
 
-`detect_cliques_parallel` shuffle-partitions the knapsack list over k
+`detect_cliques_parallel` shuffle-partitions the knapsack table over k
 workers (k = 1 runs in this process); each worker binary-searches every
 coefficient-sorted knapsack for its original clique and the further maximal
 cliques. Cliques other than the original one are kept in a compact suffix
@@ -11,9 +11,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .literals import VarMap
 from .parallel import map_blocks, shuffle_partition
-from .presolve import TOL, PureBinaryConstraint
+from .presolve import TOL, PbcTable
 
 SRC_OSP = "osp"
 SRC_ISP = "isp"
@@ -86,36 +85,25 @@ def _detect_indices(coeffs, rhs: float):
     return phi, entries
 
 
-def _pbc_nodes(pbc: PureBinaryConstraint, varmap: VarMap):
-    nodes = tuple(varmap.node(lit) for lit, _ in pbc.terms)
-    coeffs = tuple(a for _, a in pbc.terms)
-    return nodes, coeffs
-
-
-def _detect_block(args):
-    knapsacks = args
+def _detect_block(knapsacks: PbcTable):
+    ptr = knapsacks.indptr.tolist()
+    nodes = knapsacks.nodes.tolist()
+    coeffs = knapsacks.coeffs.tolist()
     out = []
-    for nodes, coeffs, rhs in knapsacks:
-        phi, entries = _detect_indices(coeffs, rhs)
-        out.append((nodes, phi, entries))
+    for a, b, rhs in zip(ptr, ptr[1:], knapsacks.rhs.tolist()):
+        phi, entries = _detect_indices(coeffs[a:b], rhs)
+        out.append((tuple(nodes[a:b]), phi, entries))
     return out
 
 
-def detect_cliques_parallel(
-    s_ck: list[PureBinaryConstraint],
-    varmap: VarMap,
-    k: int,
-    seed: int,
-) -> CliqueHarvest:
-    """Shuffle-partition the knapsack list and run detection per block.
+def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueHarvest:
+    """Shuffle-partition the knapsack table and run detection per block.
 
     The resulting clique set is identical for every k and seed; only the
     order of the harvest lists follows the shuffle.
     """
-    flat = [(*_pbc_nodes(p, varmap), p.rhs) for p in s_ck]
-    part = shuffle_partition(len(flat), k, seed)
-    blocks = [[flat[i] for i in idx] for idx in part.blocks]
-    results = map_blocks(_detect_block, blocks, k)
+    part = shuffle_partition(len(s_ck), k, seed)
+    results = map_blocks(_detect_block, [s_ck.take(idx) for idx in part.blocks], k)
     harvest = CliqueHarvest(c_org=[], c_other_blocks=[])
     for block_result in results:
         for nodes, phi, entries in block_result:

@@ -249,6 +249,7 @@ class _Reader:
         self.range_val: dict[int, float] = {}
         self.lb: dict[int, float] = {}
         self.ub: dict[int, float] = {}
+        self.bound_spans: list[tuple[int, int]] = []  # BOUNDS line ranges
         # COLUMNS entries in file order: column, row id and value.
         self.ent_cols = array("q")
         self.ent_rows = array("q")
@@ -368,6 +369,7 @@ class _Reader:
                 self.ub[j] = val if upper is _VAL else upper
             if integer:
                 self.integers.add(j)
+        self.bound_spans.append((lo, hi))
 
     # Assembly --------------------------------------------------------------
 
@@ -416,7 +418,8 @@ def parse_mps(text: str) -> MipModel:
     Bounds default to [0, inf), also for an integer column (INTORG marker):
     without bounds it reads as lb = 0, ub = inf, a general integer and not
     a binary. Coefficients, right-hand sides and ranges must be finite and
-    bounds must not be NaN; infinite bounds are allowed.
+    bounds must not be NaN; infinite bounds are allowed. A column whose
+    bounds cross is rejected at its last BOUNDS line.
     """
     rd = _Reader()
     lines = text.splitlines()
@@ -464,13 +467,20 @@ def parse_mps(text: str) -> MipModel:
     if not saw_endata and section is None and not rd.row_order and not rd.col_order:
         raise MpsError("no MPS content found")
 
-    del lines  # the text's lines are not needed while the rows are built
     n = len(rd.col_order)
-    obj, base_rows = rd.sparse_rows(n)
     lbs = np.zeros(n)
     ubs = np.full(n, _INF)
     lbs[list(rd.lb)] = list(rd.lb.values())
     ubs[list(rd.ub)] = list(rd.ub.values())
+    crossed = np.flatnonzero(lbs > ubs)
+    if len(crossed):
+        name = rd.col_order[int(crossed[0])]
+        line = max(ln for lo, hi in rd.bound_spans
+                   for ln, tokens in _content(lines, lo, hi) if tokens[2] == name)
+        raise MpsError(f"column {name} has lb > ub", line)
+
+    del lines  # the text's lines are not needed while the rows are built
+    obj, base_rows = rd.sparse_rows(n)
 
     # Rows in ROWS order; a RANGES entry adds a paired row.
     rows: list[tuple[np.ndarray, np.ndarray]] = []
@@ -520,7 +530,6 @@ def parse_mps(text: str) -> MipModel:
         obj_name=rd.obj_name or "OBJ",
         minimize=rd.minimize,
     )
-    model.validate()
     return model
 
 

@@ -8,13 +8,14 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import model_io
 from .cliques import (
     SRC_ISP,
     SRC_KNAPSACK_ORG,
     SRC_OSP,
     Clique,
-    _pbc_nodes,
     detect_cliques_parallel,
 )
 from .extend import extend_parallel
@@ -99,11 +100,6 @@ class _Deadline:
         return time.monotonic() >= self.expires
 
 
-def _pbc_clique(pbc, varmap: VarMap, source: str) -> Clique:
-    nodes, _ = _pbc_nodes(pbc, varmap)
-    return Clique(tuple(sorted(nodes)), source=source)
-
-
 def _empty_pools() -> dict[str, list[Clique]]:
     return {tag: [] for tag in TAGS}
 
@@ -153,19 +149,21 @@ def run_pipeline_model(
     if deadline.expired():
         return passthrough()
 
-    s_ck = [p for p in detection.s_ck if len(p) <= limits.max_knapsack_vars]
+    s_ck = detection.s_ck.take(
+        np.flatnonzero(detection.s_ck.lengths() <= limits.max_knapsack_vars)
+    )
     if len(s_ck) != len(detection.s_ck):
         stats.flags["knapsack_size_skipped"] = True
 
     harvest = timed(
         "clique_detect",
-        lambda: detect_cliques_parallel(s_ck, varmap, k, seed),
+        lambda: detect_cliques_parallel(s_ck, k, seed),
     )
     osp_cliques = sorted(
-        _pbc_clique(p, varmap, SRC_OSP) for p in detection.s_osp
+        Clique(q, source=SRC_OSP) for q in detection.s_osp.node_sets()
     )
     isp_cliques = sorted(
-        _pbc_clique(p, varmap, SRC_ISP) for p in detection.s_isp
+        Clique(q, source=SRC_ISP) for q in detection.s_isp.node_sets()
     )
     org_cliques = sorted(harvest.c_org)
     # First-detected other clique of each knapsack is the pool's "long"

@@ -1,24 +1,38 @@
 """One-round row detection: bound strengthening, pure-binary rewriting and
 classification into set packing / conflicting knapsack / singleton / inert.
 
-Runs in a single O(NNZ) pass and is deliberately serial.
+Every step reads the rows as one flat table (`indptr`, `cols`, `vals`,
+`rhs`, sense) and works in NumPy passes. Rows must not store a column twice
+or a zero coefficient; `parse_mps` never produces either.
+
+Strengthening keeps the semantics of a loop over the rows: a bound
+tightened by row i is used by row i + 1. Each <=-form (an equality row has
+two, a singleton row is one fold) gets a level, one more than the highest
+level of an earlier form that shares a column with it. Forms of one level
+share no column, so each level is one vectorised pass, and each form still
+sees every earlier tightening of its columns. Rewriting onto binary
+literals, sorting and classification then run over all rows at once, and
+the set packing and conflicting knapsack rows come out as `PbcTable`s.
+
+Float results are those of the row loop: a form's finite activity is
+NumPy's pairwise `.sum()` of its contributions, taken over equal-length
+forms as one 2-D `.sum(axis=1)` (`np.add.reduceat` sums in another order),
+and the rewrite's shift is a left-to-right sum, taken with `cumsum`.
 """
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .literals import Literal, VarMap
+from .literals import VarMap
 from .model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 
 #: Conservative comparison tolerance: a conflict is only asserted when
 #: a_i + a_j > rhs + TOL, so float noise can never invent a conflict.
 TOL = 1e-9
 
-_INF = math.inf
+_INF = np.inf
 
 
 class InfeasibleError(Exception):
@@ -29,57 +43,297 @@ class InfeasibleError(Exception):
         self.row = row
 
 
-@dataclass
-class PureBinaryConstraint:
-    """Knapsack over literals: sum a_t * lit_t <= rhs with all a_t > 0.
+def _segment_positions(indptr: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """Positions of the entries of segments `segs` of a CSR layout, one
+    segment after the other."""
+    segs = np.asarray(segs, dtype=np.int64)
+    starts = indptr[segs]
+    lens = indptr[segs + 1] - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
 
-    Terms are sorted by non-decreasing coefficient (ties by column index).
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-negative int array, ascending. (A plain
+    `np.unique` imports `numpy.ma` on its first call, which held 1.5 MB of
+    resident memory through the rest of a run.)"""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=-1) != 0]
+
+
+def _indptr(lens: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return ptr
+
+
+@dataclass
+class PbcTable:
+    """Pure binary constraints sum_t coeffs[t] * node_t <= rhs, one per
+    segment of `indptr`, over conflict-graph nodes (see `VarMap`).
+
+    Within a constraint the terms are sorted by coefficient, ties by model
+    column, and every coefficient is positive. `detect` stores the nodes as
+    int32, as `ConflictGraph` does, which halves what k > 1 sends them in. `source_row` is the row of
+    the model that `classify_rows` read; in `detect` that is the model after
+    strengthening, whose empty and singleton rows are gone.
     """
 
-    terms: list[tuple[Literal, float]]
-    rhs: float
-    source_row: int = -1
+    indptr: np.ndarray
+    nodes: np.ndarray
+    coeffs: np.ndarray
+    rhs: np.ndarray
+    source_row: np.ndarray
 
     def __post_init__(self):
-        coeffs = [a for _, a in self.terms]
-        if any(a <= 0 for a in coeffs):
+        if not np.all(self.coeffs > 0):
             raise ValueError("PBC coefficients must be strictly positive")
-        if any(coeffs[i] > coeffs[i + 1] for i in range(len(coeffs) - 1)):
+        starts = np.zeros(len(self.coeffs), dtype=bool)
+        starts[self.indptr[:-1][self.indptr[:-1] < len(self.coeffs)]] = True
+        if np.any((self.coeffs[1:] < self.coeffs[:-1]) & ~starts[1:]):
             raise ValueError("PBC terms must be sorted by coefficient")
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.rhs)
 
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
-class Classification(enum.Enum):
-    SINGLETON = "singleton"
-    SET_PACKING = "set_packing"
-    CONFLICTING_KNAPSACK = "conflicting_knapsack"
-    INERT = "inert"
+    def take(self, idx) -> "PbcTable":
+        """The constraints `idx`, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        pos = _segment_positions(self.indptr, idx)
+        return PbcTable(
+            _indptr(self.indptr[idx + 1] - self.indptr[idx]),
+            self.nodes[pos],
+            self.coeffs[pos],
+            self.rhs[idx],
+            self.source_row[idx],
+        )
+
+    def node_sets(self) -> list[tuple[int, ...]]:
+        """Each constraint's nodes in ascending order."""
+        seg = np.repeat(np.arange(len(self)), self.lengths())
+        nodes = self.nodes[np.lexsort((self.nodes, seg))].tolist()
+        ptr = self.indptr.tolist()
+        return [tuple(nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
 @dataclass
 class DetectionResult:
     model: MipModel
-    s_osp: list[PureBinaryConstraint]
-    s_isp: list[PureBinaryConstraint]
-    s_ck: list[PureBinaryConstraint]
+    s_osp: PbcTable
+    s_isp: PbcTable
+    s_ck: PbcTable
     fixings: list[tuple[int, int]]
     varmap: VarMap
     work: int = 0  # stored-coefficient touches, for the O(NNZ) check
+
+
+class _Rows:
+    """Rows as one CSR table: `indptr`, `cols`, `vals`, `rhs`, `sense`."""
+
+    def __init__(self, indptr, cols, vals, rhs, sense):
+        self.indptr, self.cols, self.vals = indptr, cols, vals
+        self.rhs, self.sense = rhs, sense
+
+    @classmethod
+    def of(cls, model: MipModel) -> "_Rows":
+        rows = model.rows
+        indptr = _indptr(np.fromiter(map(len, (c for c, _ in rows)),
+                                     np.int64, len(rows)))
+        vals = np.concatenate([v for _, v in rows] + [np.empty(0)])
+        zero = np.flatnonzero(vals == 0)
+        if len(zero):
+            row = int(np.searchsorted(indptr, zero[0], side="right")) - 1
+            raise ValueError(f"row {row} stores a zero coefficient")
+        return cls(indptr,
+                   np.concatenate([c for c, _ in rows] + [np.empty(0, np.int64)]),
+                   vals,
+                   np.asarray(model.rhs, dtype=np.float64),
+                   np.array(model.senses, dtype="<U1"))
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        pos = _segment_positions(self.indptr, rows)
+        return _Rows(_indptr(self.indptr[rows + 1] - self.indptr[rows]),
+                     self.cols[pos], self.vals[pos], self.rhs[rows],
+                     self.sense[rows])
+
+    def forms(self, le: np.ndarray, ge: np.ndarray):
+        """The <=-forms of the rows, in (row, LE then GE) order: rows with
+        `le` set give their LE form, rows with `ge` set their GE form (the
+        negated row). Returns each form's row, order key (2 * row + 1 for a
+        second form) and sign, and each entry's position and form."""
+        count = le.astype(np.int64) + ge
+        row = np.repeat(np.arange(len(count)), count)
+        second = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        sign = np.where((second == 1) | ~le[row], -1.0, 1.0)
+        pos = _segment_positions(self.indptr, row)
+        form = np.repeat(np.arange(len(row)), self.indptr[row + 1] - self.indptr[row])
+        return row, 2 * row + second, sign, pos, form
+
+    def views(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        cols, vals, ptr = self.cols, self.vals, self.indptr.tolist()
+        return [(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])
+                for i in rows.tolist()]
+
+
+def _submodel(model: MipModel, rows, ids: np.ndarray, lb, ub) -> MipModel:
+    """`model` with the bounds `lb`, `ub` and only its rows `ids`, whose
+    (cols, vals) pairs are `rows`."""
+    names, senses = model.row_names, model.senses
+    return MipModel(
+        col_names=list(model.col_names),
+        row_names=[names[i] for i in ids.tolist()],
+        rows=rows,
+        senses=[senses[i] for i in ids.tolist()],
+        rhs=model.rhs[ids],
+        obj=model.obj.copy(),
+        lb=lb,
+        ub=ub,
+        integers=set(model.integers),
+        name=model.name,
+        obj_name=model.obj_name,
+        minimize=model.minimize,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Bound strengthening
 
 
-def _round_inward(lo: float, hi: float, is_int: bool) -> tuple[float, float]:
-    if is_int:
-        if lo != -_INF:
-            lo = math.ceil(lo - TOL)
-        if hi != _INF:
-            hi = math.floor(hi + TOL)
-    return lo, hi
+def _first_error(errors: list[tuple[int, int, str]]):
+    """Raise the first of (order key, row, message) errors, if any."""
+    if errors:
+        _, row, message = min(errors)
+        raise InfeasibleError(row, message)
+
+
+def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
+                is_int: np.ndarray) -> None:
+    """Tighten `lb`/`ub` in place, level by level; raise the error of the
+    first offending row, as the row loop would."""
+    lens = np.diff(rows.indptr)
+    sense, rhs = rows.sense, rows.rhs
+    errors = []  # (2 * row + form within the row, row, message)
+
+    ok = np.where(sense == SENSE_LE, rhs >= -TOL,
+                  np.where(sense == SENSE_GE, rhs <= TOL, np.abs(rhs) <= TOL))
+    bad = np.flatnonzero((lens == 0) & ~ok)
+    if len(bad):
+        i = int(bad[0])
+        errors.append((2 * i, i, f"empty row {i} with rhs {float(rhs[i])}"))
+
+    # A singleton row is one form, a fold of its bound b / a.
+    multi = lens >= 2
+    f_row, f_key, sign, pos, form = rows.forms(
+        (multi & (sense != SENSE_GE)) | (lens == 1), multi & (sense != SENSE_LE))
+    fold = lens[f_row] == 1
+    f_b = sign * rhs[f_row]
+    f_len = lens[f_row]
+    f_ptr = _indptr(f_len)
+    col = rows.cols[pos]
+    a = rows.vals[pos] * sign[form]
+
+    fold_lo, fold_hi = _fold_bounds(sense[f_row[form]], a, f_b[form], fold[form])
+    next_form, waiting = _schedule(col, form, f_row)
+
+    level = np.flatnonzero(waiting == 0)
+    while len(level):
+        e = _segment_positions(f_ptr, level)
+        err = _tighten_level(fold[level], f_b[level], f_len[level], col[e], a[e],
+                             fold_lo[e], fold_hi[e], lb, ub, is_int)
+        if err is not None:
+            f = level[err[0]]
+            row = int(f_row[f])
+            errors.append((int(f_key[f]), row, err[1].format(row)))
+        nxt = next_form[e]
+        nxt = nxt[nxt >= 0]
+        np.subtract.at(waiting, nxt, 1)
+        nxt = _distinct(nxt)
+        level = nxt[waiting[nxt] == 0]
+    _first_error(errors)
+
+
+def _fold_bounds(sense, a, b, fold):
+    """The bounds (lo, hi) that each entry of a singleton row sets, -inf and
+    inf on other entries: b / a as both for EQ, as the upper for LE with
+    a > 0 or GE with a < 0, else as the lower."""
+    v = b / a
+    eq = sense == SENSE_EQ
+    upper = eq | ((sense == SENSE_LE) == (a > 0))
+    return np.where(fold & (eq | ~upper), v, -_INF), np.where(fold & upper, v, _INF)
+
+
+def _schedule(col, form, f_row):
+    """Link each entry to the next form that reads its column (-1 if
+    none), and count, for each form, its entries whose column an earlier
+    form reads: a form may run once that count reaches zero."""
+    order = np.argsort(col, kind="stable")
+    same = col[order[1:]] == col[order[:-1]]
+    pred, succ = order[:-1][same], order[1:][same]
+    twice = form[pred] == form[succ]
+    if twice.any():
+        row = int(f_row[form[succ[twice][0]]])
+        raise ValueError(f"row {row} repeats a column")
+    next_form = np.full(len(col), -1, dtype=np.int64)
+    next_form[pred] = form[succ]
+    return next_form, np.bincount(form[succ], minlength=len(f_row))
+
+
+def _tighten_level(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
+    """Tighten the bounds of one level of forms, which share no column.
+
+    Returns (form within the level, message with `{}` for the row) of the
+    first error, or None: within a form the activity test comes first, then
+    its columns in row order.
+    """
+    loc = np.repeat(np.arange(len(fold)), flen)
+    e_fold = fold[loc]
+    contrib = np.where(a > 0, a * lb[col], a * ub[col])
+    inf = np.isinf(contrib) & ~e_fold
+    n_inf = np.bincount(loc[inf], minlength=len(fold))
+    # Each form's finite activity, summed as its own 1-D array would be.
+    finite = contrib[~e_fold & ~inf]
+    k = np.where(fold, 0, flen - n_inf)
+    start = np.cumsum(k) - k
+    fsum = np.zeros(len(fold))
+    for length in _distinct(k[k > 0]).tolist():
+        sel = np.flatnonzero(k == length)
+        fsum[sel] = finite[start[sel][:, None] + np.arange(length)].sum(axis=1)
+    row_bad = ~fold & (n_inf == 0) & (fsum > b + TOL)
+    act = e_fold | (~row_bad[loc] & ((n_inf[loc] == 0) | ((n_inf[loc] == 1) & inf)))
+    rest = np.where(inf, fsum[loc], fsum[loc] - contrib)
+    bound = (b[loc] - rest) / a
+    lo = np.where(e_fold, fold_lo, np.where(a < 0, bound, -_INF))
+    hi = np.where(e_fold, fold_hi, np.where(a > 0, bound, _INF))
+
+    t = np.flatnonzero(act)
+    j, lo, hi = col[t], lo[t], hi[t]
+    lo0, hi0 = lb[j], ub[j]
+    new_lo = np.where(lo > lo0 + TOL, lo, lo0)
+    new_hi = np.where(hi < hi0 - TOL, hi, hi0)
+    r = is_int[j]
+    # `+ 0.0`: the row loop rounds to a Python int, which is never -0.0.
+    new_lo = np.where(r & (new_lo != -_INF), np.ceil(new_lo - TOL) + 0.0, new_lo)
+    new_hi = np.where(r & (new_hi != _INF), np.floor(new_hi + TOL) + 0.0, new_hi)
+    lb[j] = np.where(new_lo > lo0, new_lo, lo0)
+    ub[j] = np.where(new_hi < hi0, new_hi, hi0)
+
+    errors = [(int(f), "row {} is infeasible") for f in np.flatnonzero(row_bad)[:1]]
+    errors += [(int(loc[t[i]]), f"row {{}} forces empty domain on col {int(j[i])}")
+               for i in np.flatnonzero(new_lo > new_hi + TOL)[:1]]
+    return min(errors) if errors else None
+
+
+def _strengthened(model: MipModel, rows: _Rows):
+    """(lb, ub, ids of the rows kept) after `_strengthen`."""
+    lb, ub = model.lb.copy(), model.ub.copy()
+    is_int = np.zeros(model.num_cols, dtype=bool)
+    is_int[list(model.integers)] = True
+    _strengthen(rows, lb, ub, is_int)
+    return lb, ub, np.flatnonzero(np.diff(rows.indptr) >= 2)
 
 
 def strengthen_bounds_once(model: MipModel) -> MipModel:
@@ -88,221 +342,144 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
     Empty rows are checked and dropped; singleton rows are folded into the
     variable bounds and dropped. No iteration to a fixpoint.
     """
-    m = model.copy()
-    lb, ub = m.lb, m.ub
-    keep = []
-
-    def tighten(j: int, lo: float | None, hi: float | None, row: int):
-        is_int = j in m.integers
-        cur_lo, cur_hi = lb[j], ub[j]
-        if lo is not None and lo > cur_lo + TOL:
-            cur_lo = lo
-        if hi is not None and hi < cur_hi - TOL:
-            cur_hi = hi
-        cur_lo, cur_hi = _round_inward(cur_lo, cur_hi, is_int)
-        if cur_lo > cur_hi + TOL:
-            raise InfeasibleError(row, f"row {row} forces empty domain on col {j}")
-        lb[j] = max(lb[j], cur_lo)
-        ub[j] = min(ub[j], cur_hi)
-
-    def strengthen_le(cols, vals, b: float, row: int):
-        # Minimum activity with at most one infinite contribution handled.
-        contrib = np.where(vals > 0, vals * lb[cols], vals * ub[cols])
-        inf_mask = np.isinf(contrib)
-        n_inf = int(inf_mask.sum())
-        finite_sum = float(contrib[~inf_mask].sum())
-        if n_inf == 0 and finite_sum > b + TOL:
-            raise InfeasibleError(row)
-        for t in range(len(cols)):
-            if n_inf > 1 or (n_inf == 1 and not inf_mask[t]):
-                continue
-            rest = finite_sum if inf_mask[t] else finite_sum - float(contrib[t])
-            j = int(cols[t])
-            a = float(vals[t])
-            bound = (b - rest) / a
-            if a > 0:
-                tighten(j, None, bound, row)
-            else:
-                tighten(j, bound, None, row)
-
-    for i, (cols, vals) in enumerate(m.rows):
-        sense = m.senses[i]
-        b = float(m.rhs[i])
-        if len(cols) == 0:
-            ok = (
-                (sense == SENSE_LE and b >= -TOL)
-                or (sense == SENSE_GE and b <= TOL)
-                or (sense == SENSE_EQ and abs(b) <= TOL)
-            )
-            if not ok:
-                raise InfeasibleError(i, f"empty row {i} with rhs {b}")
-            continue
-        if len(cols) == 1:
-            j = int(cols[0])
-            a = float(vals[0])
-            v = b / a
-            if sense == SENSE_EQ:
-                tighten(j, v, v, i)
-            elif (sense == SENSE_LE) == (a > 0):
-                tighten(j, None, v, i)
-            else:
-                tighten(j, v, None, i)
-            continue
-        if sense in (SENSE_LE, SENSE_EQ):
-            strengthen_le(cols, vals, b, i)
-        if sense in (SENSE_GE, SENSE_EQ):
-            strengthen_le(cols, -vals, -b, i)
-        keep.append(i)
-
-    m.rows = [m.rows[i] for i in keep]
-    m.senses = [m.senses[i] for i in keep]
-    m.row_names = [m.row_names[i] for i in keep]
-    m.rhs = m.rhs[keep] if keep else m.rhs[:0]
-    return m
+    rows = _Rows.of(model)
+    lb, ub, keep = _strengthened(model, rows)
+    return _submodel(model, rows.views(keep), keep, lb, ub)
 
 
 # ---------------------------------------------------------------------------
-# PBC extraction and classification
+# Pure binary rewriting and classification
 
 
-def _pbc_from_terms(cols, vals, b: float, model: MipModel, binaries: set[int],
-                    source_row: int):
-    """Eq-style rewrite of a <= row onto binary literals; None if the
-    non-binary part has an unbounded infimum (no conflicts inferable)."""
-    terms = []
-    shift = 0.0
-    for j, a in zip(cols, vals):
-        j = int(j)
-        a = float(a)
-        if j in binaries:
-            if a > 0:
-                terms.append((Literal(j, False), a))
-            else:
-                terms.append((Literal(j, True), -a))
-                shift -= a  # - sum of negative binary coefficients
-        else:
-            inf_j = a * model.lb[j] if a > 0 else a * model.ub[j]
-            if inf_j == -_INF:
-                return None
-            shift -= inf_j
-    terms.sort(key=lambda t: (t[1], t[0].col, t[0].complemented))
-    return PureBinaryConstraint(terms=terms, rhs=b + shift, source_row=source_row)
+def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray) -> PbcTable:
+    """Every <=-form of every row onto the literals of the binary columns
+    `bins`: a negative binary coefficient is complemented and the infimum
+    of the non-binary part is moved to the right-hand side. Forms whose
+    infimum is unbounded give no constraint."""
+    n_b = len(bins)
+    pos = np.full(len(lb), -1, dtype=np.int64)
+    pos[bins] = np.arange(n_b)
+    f_row, _, sign, epos, form = rows.forms(rows.sense != SENSE_GE,
+                                            rows.sense != SENSE_LE)
+    nf = len(f_row)
+    col = rows.cols[epos]
+    a = rows.vals[epos] * sign[form]
+    binary = pos[col] >= 0
+    inf_j = np.where(a > 0, a * lb[col], a * ub[col])
+    # What the row loop subtracts from its shift, term by term (0.0 for a
+    # positive binary: subtracting it leaves the shift as it is).
+    d = np.where(binary, np.where(a > 0, 0.0, a), inf_j)
+    bounded = np.bincount(form[~binary & (inf_j == -_INF)], minlength=nf) == 0
+    f_len = np.diff(rows.indptr)[f_row]
+    f_ptr = _indptr(f_len)
+    shift = np.zeros(nf)
+    for length in _distinct(f_len[bounded & (f_len > 0)]).tolist():
+        sel = np.flatnonzero(bounded & (f_len == length))
+        terms = d[f_ptr[sel][:, None] + np.arange(length)]
+        # `+ 0.0`: cumsum starts from the first term, the loop from 0.0.
+        shift[sel] = np.cumsum(-terms, axis=1)[:, -1] + 0.0
+    t = np.flatnonzero(binary & bounded[form])
+    compl = a[t] < 0
+    coeff = np.abs(a[t])
+    t_order = np.lexsort((compl, col[t], coeff, form[t]))
+    t, compl, coeff = t[t_order], compl[t_order], coeff[t_order]
+    keep = np.flatnonzero(bounded)
+    return PbcTable(
+        _indptr(np.bincount(form[t], minlength=nf)[keep]),
+        (pos[col[t]] + n_b * compl).astype(np.int32),
+        coeff,
+        (sign * rows.rhs[f_row] + shift)[keep],
+        f_row[keep],
+    )
 
 
-def to_pbc(row: int, model: MipModel) -> PureBinaryConstraint | None:
-    """Rewrite row (sense must already be <=) as a pure binary constraint."""
-    if model.senses[row] != SENSE_LE:
-        raise ValueError("to_pbc requires a <=-normalized row")
-    cols, vals = model.rows[row]
-    return _pbc_from_terms(cols, vals, float(model.rhs[row]), model,
-                           model.binaries, row)
+def _binary_cols(integers, lb, ub) -> np.ndarray:
+    ints = np.fromiter(integers, np.int64, len(integers))
+    return np.sort(ints[(lb[ints] == 0.0) & (ub[ints] == 1.0)])
 
 
-def _is_scaled_set_packing(coeffs: np.ndarray, b: float) -> bool:
-    if len(coeffs) < 2:
-        return False
-    a = float(coeffs[0])
-    if a <= 0 or float(coeffs[-1]) - a > TOL:
-        return False
-    return a <= b + TOL and b < 2 * a - TOL
+def rewrite_rows(model: MipModel) -> PbcTable:
+    """The <=-forms of the model's rows as pure binary constraints, in
+    (row, LE then GE) order, over the nodes of `VarMap(sorted(binaries))`."""
+    return _rewrite(_Rows.of(model), model.lb, model.ub,
+                    _binary_cols(model.integers, model.lb, model.ub))
 
 
-def classify(pbc: PureBinaryConstraint) -> Classification:
-    """Alg-style case split on a coefficient-sorted PBC."""
-    n = len(pbc.terms)
-    if n == 0:
-        raise ValueError("cannot classify an empty PBC")
-    if n == 1:
-        return Classification.SINGLETON
-    coeffs = np.array([a for _, a in pbc.terms])
-    if _is_scaled_set_packing(coeffs, pbc.rhs):
-        return Classification.SET_PACKING
-    if float(coeffs[-1] + coeffs[-2]) > pbc.rhs + TOL:
-        return Classification.CONFLICTING_KNAPSACK
-    return Classification.INERT
+def classify_rows(model: MipModel) -> DetectionResult:
+    """Rewrite and classify the rows of a model taken as already
+    strengthened (see `_classify`)."""
+    return _classify(model, _Rows.of(model), np.arange(model.num_rows),
+                     model.lb, model.ub)
 
 
-# ---------------------------------------------------------------------------
-# Detection driver
+def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
+              ) -> DetectionResult:
+    """Rewrite and classify `rows`, which are the rows `ids` of `model`,
+    under the bounds `lb`, `ub`.
 
+    A LE or GE row over binaries only whose coefficients are all positive
+    and equal within TOL is an original set packing (osp) row and leaves
+    the model. Every other row stays; each of its <=-forms is an inferred
+    set packing (isp), a conflicting knapsack (ck, two largest coefficients
+    exceed the rhs), a singleton (a fixing when its coefficient exceeds the
+    rhs) or inert. `source_row` counts in `rows`.
+    """
+    bins = _binary_cols(model.integers, lb, ub)
+    n_b = len(bins)
+    pbc = _rewrite(rows, lb, ub, bins)
 
-def _le_forms(cols, vals, b: float, sense: str):
-    if sense == SENSE_LE:
-        yield cols, vals, b
-    elif sense == SENSE_GE:
-        yield cols, -vals, -b
-    else:
-        yield cols, vals, b
-        yield cols, -vals, -b
+    n = pbc.lengths()
+    c, r = pbc.coeffs, pbc.rhs
+    first, last, second = (np.zeros(len(pbc)) for _ in range(3))
+    first[n > 0] = c[pbc.indptr[:-1][n > 0]]
+    last[n > 0] = c[pbc.indptr[1:][n > 0] - 1]
+    second[n > 1] = c[pbc.indptr[1:][n > 1] - 2]
+    packing = ((n >= 2) & (last - first <= TOL) & (first <= r + TOL)
+               & (r < 2 * first - TOL))
+    seg = np.repeat(np.arange(len(pbc)), n)
+    complemented = np.bincount(seg[pbc.nodes >= n_b], minlength=len(pbc))
+    src = pbc.source_row
+    osp = (packing & (rows.sense[src] != SENSE_EQ) & (complemented == 0)
+           & (n == np.diff(rows.indptr)[src]))
+    ck = ~packing & (n >= 2) & (last + second > r + TOL)
+
+    infeasible = (n <= 1) & (r < -TOL)
+    fix = np.flatnonzero((n == 1) & ~infeasible & (first > r + TOL))
+    node = pbc.nodes[pbc.indptr[fix]]
+    fval = (node >= n_b).astype(np.int64)
+    fcol = bins[node - n_b * fval]
+    # A column fixed a second time, to the other value, is a contradiction.
+    _, head, inv = np.unique(fcol, return_index=True, return_inverse=True)
+    clash = fix[fval != fval[head][inv]]
+    errors = []
+    if infeasible.any():
+        i = int(np.argmax(infeasible))
+        errors.append((i, int(src[i]), ""))
+    if len(clash):
+        i = int(clash[0])
+        j = int(fcol[np.searchsorted(fix, i)])
+        errors.append((i, int(src[i]), f"row {int(src[i])} fixes col {j} both ways"))
+    _first_error(errors)
+
+    lb, ub = lb.copy(), ub.copy()
+    lb[fcol] = ub[fcol] = fval
+    removed = np.zeros(len(rows.rhs), dtype=bool)
+    removed[src[osp]] = True
+    kept = np.flatnonzero(~removed)
+    return DetectionResult(
+        model=_submodel(model, rows.views(kept), ids[kept], lb, ub),
+        s_osp=pbc.take(np.flatnonzero(osp)),
+        s_isp=pbc.take(np.flatnonzero(packing & ~osp)),
+        s_ck=pbc.take(np.flatnonzero(ck)),
+        fixings=list(zip(fcol.tolist(), fval.tolist())),
+        varmap=VarMap(bins.tolist()),
+        work=int(rows.indptr[-1]),
+    )
 
 
 def detect(model: MipModel) -> DetectionResult:
-    """Single-pass detection of set packing and conflicting knapsack rows."""
-    m = strengthen_bounds_once(model)
-    binaries = m.binaries
-    varmap = VarMap(sorted(binaries))
-    s_osp: list[PureBinaryConstraint] = []
-    s_isp: list[PureBinaryConstraint] = []
-    s_ck: list[PureBinaryConstraint] = []
-    fixings: list[tuple[int, int]] = []
-    keep = []
-    work = 0
-
-    def apply_fixing(lit: Literal, row: int):
-        j = lit.col
-        value = 1 if lit.complemented else 0
-        if m.lb[j] > value or m.ub[j] < value:
-            raise InfeasibleError(row, f"row {row} fixes col {j} both ways")
-        m.lb[j] = m.ub[j] = float(value)
-        fixings.append((j, value))
-
-    for i, (cols, vals) in enumerate(m.rows):
-        sense = m.senses[i]
-        b = float(m.rhs[i])
-        work += len(cols)
-        removed = False
-        if sense in (SENSE_LE, SENSE_GE):
-            fcols, fvals, fb = next(_le_forms(cols, vals, b, sense))
-            if (
-                len(fcols) >= 2
-                and all(int(j) in binaries for j in fcols)
-                and np.all(fvals > 0)
-                and _is_scaled_set_packing(np.sort(fvals), fb)
-            ):
-                s_osp.append(_pbc_from_terms(fcols, fvals, fb, m, binaries, i))
-                removed = True
-        if not removed:
-            for fcols, fvals, fb in _le_forms(cols, vals, b, sense):
-                pbc = _pbc_from_terms(fcols, fvals, fb, m, binaries, i)
-                if pbc is None:
-                    continue
-                if len(pbc) == 0:
-                    if pbc.rhs < -TOL:
-                        raise InfeasibleError(i)
-                    continue
-                kind = classify(pbc)
-                if kind is Classification.SINGLETON:
-                    lit, a = pbc.terms[0]
-                    if pbc.rhs < -TOL:
-                        raise InfeasibleError(i)
-                    if a > pbc.rhs + TOL:
-                        apply_fixing(lit, i)
-                elif kind is Classification.SET_PACKING:
-                    s_isp.append(pbc)
-                elif kind is Classification.CONFLICTING_KNAPSACK:
-                    s_ck.append(pbc)
-            keep.append(i)
-
-    m.rows = [m.rows[i] for i in keep]
-    m.senses = [m.senses[i] for i in keep]
-    m.row_names = [m.row_names[i] for i in keep]
-    m.rhs = m.rhs[keep] if keep else m.rhs[:0]
-    return DetectionResult(
-        model=m,
-        s_osp=s_osp,
-        s_isp=s_isp,
-        s_ck=s_ck,
-        fixings=fixings,
-        varmap=varmap,
-        work=work,
-    )
+    """Single-pass detection of set packing and conflicting knapsack rows:
+    `strengthen_bounds_once`, then `classify_rows`."""
+    rows = _Rows.of(model)
+    lb, ub, keep = _strengthened(model, rows)
+    return _classify(model, rows.take(keep), keep, lb, ub)

@@ -7,6 +7,7 @@ import numpy as np
 
 from cgcuts.graph import ConflictGraph
 from cgcuts.model_io import MipModel
+from cgcuts.presolve import PbcTable
 
 
 def graph_from_edges(edges, n_b):
@@ -19,6 +20,20 @@ def graph_from_edges(edges, n_b):
     indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
     indices = np.array([v for r in rows for v in sorted(r)], dtype=np.int32)
     return ConflictGraph(n_b, indptr, indices)
+
+
+def pbc_table(constraints):
+    """PbcTable of (coefficients, rhs) pairs. Term t of a constraint is
+    node t, and constraint i has source row i."""
+    lens = [len(coeffs) for coeffs, _ in constraints]
+    return PbcTable(
+        indptr=np.cumsum([0] + lens, dtype=np.int64),
+        nodes=np.array([t for n in lens for t in range(n)], dtype=np.int64),
+        coeffs=np.array([a for coeffs, _ in constraints for a in coeffs],
+                        dtype=np.float64),
+        rhs=np.array([rhs for _, rhs in constraints], dtype=np.float64),
+        source_row=np.arange(len(constraints), dtype=np.int64),
+    )
 
 
 def make_model(n_cols, rows, senses, rhs, integers=None, lb=None, ub=None,

@@ -14,14 +14,18 @@ from cgcuts.bench import BenchConfig, run_bench, shifted_geomean, warn_if_slow
 from cgcuts.cliques import Clique, detect_cliques_parallel
 from cgcuts.extend import extend_parallel
 from cgcuts.graph import build_graph_parallel
-from cgcuts.literals import Literal, VarMap
 from cgcuts.merge import removal_flags
 from cgcuts.model_io import TAGS, write_mps
 from cgcuts.parallel import available_cores
 from cgcuts.pipeline import Limits, run_pipeline, run_pipeline_model
-from cgcuts.presolve import InfeasibleError, PureBinaryConstraint
+from cgcuts.presolve import InfeasibleError
 from cgcuts.triage import triage
-from conftest import feasible_binary_points, make_model, random_binary_model
+from conftest import (
+    feasible_binary_points,
+    make_model,
+    pbc_table,
+    random_binary_model,
+)
 
 
 def report(n, message):
@@ -40,9 +44,7 @@ def test_criterion_01_knapsack_oracle_equivalence():
         n = int(rng.integers(2, 13))
         coeffs = sorted(int(a) for a in rng.integers(1, 15, size=n))
         rhs = int(rng.integers(coeffs[-1], coeffs[-1] + coeffs[-2] + 2))
-        terms = [(Literal(j), float(a)) for j, a in enumerate(coeffs)]
-        pbc = PureBinaryConstraint(terms=terms, rhs=float(rhs))
-        harvest = detect_cliques_parallel([pbc], VarMap(range(n)), 1, 0)
+        harvest = detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0)
         org = harvest.c_org[0] if harvest.c_org else None
         others = [q for b in harvest.c_other_blocks for q in b.materialize()]
 

@@ -9,45 +9,35 @@ from cgcuts.cliques import (
     _detect_indices,
     detect_cliques_parallel,
 )
-from cgcuts.literals import Literal, VarMap
-from cgcuts.presolve import PureBinaryConstraint
-
-
-def knapsack(coeffs, rhs):
-    terms = [(Literal(j), float(a)) for j, a in enumerate(coeffs)]
-    return PureBinaryConstraint(terms=terms, rhs=float(rhs))
-
-
-def identity_map(n):
-    return VarMap(range(n))
+from conftest import pbc_table
 
 
 def others_of(harvest):
     return [q for block in harvest.c_other_blocks for q in block.materialize()]
 
 
-def detect_one(pbc, n):
-    """(original clique or None, other cliques) of one knapsack over n
-    binaries."""
-    harvest = detect_cliques_parallel([pbc], identity_map(n), 1, 0)
+def detect_one(coeffs, rhs):
+    """(original clique or None, other cliques) of one knapsack whose term
+    t is node t."""
+    harvest = detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0)
     org = harvest.c_org[0] if harvest.c_org else None
     return org, others_of(harvest)
 
 
 def test_worked_example_with_one_other_clique():
-    org, others = detect_one(knapsack([1, 2, 3, 4], 5), 4)
+    org, others = detect_one([1, 2, 3, 4], 5)
     assert org.nodes == (2, 3)
     assert [q.nodes for q in others] == [(1, 3)]
 
 
 def test_all_pairs_conflicting_gives_full_clique():
-    org, others = detect_one(knapsack([3, 3, 3], 5), 3)
+    org, others = detect_one([3, 3, 3], 5)
     assert org.nodes == (0, 1, 2)
     assert others == []
 
 
 def test_no_conflicts_gives_nothing():
-    org, others = detect_one(knapsack([1, 2], 4), 2)
+    org, others = detect_one([1, 2], 4)
     assert org is None and others == []
 
 
@@ -87,7 +77,7 @@ def test_detected_cliques_are_sound_and_maximal():
         coeffs = sorted(int(a) for a in rng.integers(1, 12, size=n))
         top_two = coeffs[-1] + coeffs[-2]
         rhs = int(rng.integers(coeffs[-1], top_two + 2))
-        org, others = detect_one(knapsack(coeffs, rhs), n)
+        org, others = detect_one(coeffs, rhs)
         oracle = brute_force_cliques(coeffs, rhs)
         if org is None:
             assert not oracle or top_two <= rhs
@@ -99,7 +89,7 @@ def test_detected_cliques_are_sound_and_maximal():
 
 
 def test_other_cliques_have_unique_minimum_member():
-    org, others = detect_one(knapsack([1, 2, 3, 5, 6], 7), 5)
+    org, others = detect_one([1, 2, 3, 5, 6], 7)
     assert org.nodes == (2, 3, 4)
     for q in others:
         low = min(q.nodes)
@@ -108,15 +98,10 @@ def test_other_cliques_have_unique_minimum_member():
 
 
 def test_parallel_harvest_matches_serial_union():
-    varmap = identity_map(4)
-    knapsacks = [
-        knapsack([1, 2, 3, 4], 5),
-        knapsack([3, 3, 3], 5),
-        knapsack([1, 2], 4),
-    ]
+    knapsacks = pbc_table([([1, 2, 3, 4], 5), ([3, 3, 3], 5), ([1, 2], 4)])
     for k in (1, 2, 4):
         for seed in (0, 1, 99):
-            harvest = detect_cliques_parallel(knapsacks, varmap, k, seed)
+            harvest = detect_cliques_parallel(knapsacks, k, seed)
             orgs = {q.nodes for q in harvest.c_org}
             others = {q.nodes for q in others_of(harvest)}
             assert orgs == {(2, 3), (0, 1, 2)}
@@ -125,16 +110,16 @@ def test_parallel_harvest_matches_serial_union():
 
 def test_parallel_output_is_thread_invariant_on_random_input():
     rng = np.random.default_rng(23)
-    varmap = identity_map(12)
     knapsacks = []
     for _ in range(200):
         n = int(rng.integers(2, 13))
         coeffs = sorted(float(a) for a in rng.integers(1, 20, size=n))
         rhs = float(rng.integers(int(coeffs[-1]), int(sum(coeffs[-2:])) + 3))
-        knapsacks.append(knapsack(coeffs, rhs))
+        knapsacks.append((coeffs, rhs))
+    knapsacks = pbc_table(knapsacks)
     baseline = None
     for k in (1, 2, 4, 8):
-        harvest = detect_cliques_parallel(knapsacks, varmap, k, seed=5)
+        harvest = detect_cliques_parallel(knapsacks, k, seed=5)
         got = (
             sorted(q.nodes for q in harvest.c_org),
             sorted(q.nodes for q in others_of(harvest)),

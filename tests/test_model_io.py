@@ -268,6 +268,19 @@ def test_nan_bound_is_rejected_and_infinite_bounds_are_kept():
     assert model.ub.tolist() == [math.inf, math.inf]
 
 
+def test_crossing_bounds_name_the_last_bound_line():
+    # LO 5 then UP 3 on x1: the error names x1 and the UP line, 14.
+    text = PACKING_MPS.replace(" UP BND  x1  1\n", " LO BND  x1  5\n UP BND  x1  3\n")
+    with pytest.raises(MpsError) as exc:
+        parse_mps(text)
+    assert str(exc.value) == "line 14: column x1 has lb > ub"
+    assert exc.value.line == 14
+    # An UP line below the default lower bound crosses too.
+    with pytest.raises(MpsError, match="column x2 has lb > ub") as exc:
+        parse_mps(PACKING_MPS.replace(" UP BND  x2  1", " UP BND  x2  -1"))
+    assert exc.value.line == 14
+
+
 def test_unbounded_integer_column_is_a_general_integer():
     # An INTORG column without bounds reads as lb = 0, ub = inf: integer,
     # but not binary.

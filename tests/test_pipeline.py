@@ -303,6 +303,18 @@ def test_cli_rejects_bad_mps_in_one_line(tmp_path, capsys):
     assert not out_model.exists() and not out_cuts.exists()
 
 
+def test_cli_rejects_crossing_bounds_in_one_line(tmp_path, capsys):
+    src = tmp_path / "cross.mps"
+    src.write_text("NAME cross\nROWS\n N  obj\n L  c1\nCOLUMNS\n    x1  c1  1\n"
+                   "BOUNDS\n LO BND  x1  5\n UP BND  x1  3\nENDATA\n")
+    out_model, out_cuts = tmp_path / "o.mps", tmp_path / "o.cuts"
+    rc = main(["presolve", str(src),
+               "--out-model", str(out_model), "--out-cuts", str(out_cuts)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"{src}: line 9: column x1 has lb > ub\n"
+    assert not out_model.exists() and not out_cuts.exists()
+
+
 def test_cli_does_not_blame_the_input_for_a_writer_error(tmp_path, monkeypatch):
     src = tmp_path / "ok.mps"
     src.write_text(write_mps(PACKING))

@@ -4,23 +4,39 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts.literals import Literal
+from cgcuts.literals import Literal, VarMap
 from cgcuts.presolve import (
-    Classification,
     InfeasibleError,
-    PureBinaryConstraint,
-    classify,
+    classify_rows,
     detect,
+    rewrite_rows,
     strengthen_bounds_once,
-    to_pbc,
 )
-from conftest import feasible_binary_points, make_model, random_binary_model
+from conftest import (
+    feasible_binary_points,
+    make_model,
+    pbc_table,
+    random_binary_model,
+)
 
 
-def pbc(coeff_list, rhs):
-    terms = [(Literal(j), float(a)) for j, a in enumerate(coeff_list)]
-    terms.sort(key=lambda t: (t[1], t[0].col))
-    return PureBinaryConstraint(terms=terms, rhs=float(rhs))
+def terms(table, i, varmap):
+    """Constraint i of `table` as (Literal, coefficient) pairs."""
+    a, b = table.indptr[i], table.indptr[i + 1]
+    return [(varmap.literal(int(v)), float(c))
+            for v, c in zip(table.nodes[a:b], table.coeffs[a:b])]
+
+
+def classes(coeff_list, rhs):
+    """What `classify_rows` makes of sum coeff_j x_j <= rhs over binaries:
+    the tables that hold the row, or the fixings it implies."""
+    n = len(coeff_list)
+    model = make_model(n, [dict(enumerate(coeff_list))], ["L"], [rhs],
+                       binary=range(n))
+    res = classify_rows(model)
+    found = {name for name in ("s_osp", "s_isp", "s_ck")
+             if len(getattr(res, name))}
+    return found, res.fixings
 
 
 # --- strengthen_bounds_once ------------------------------------------------
@@ -80,21 +96,25 @@ def test_feasible_empty_row_is_dropped():
     assert strengthen_bounds_once(model).num_rows == 0
 
 
-# --- to_pbc ----------------------------------------------------------------
+# --- rewrite_rows ----------------------------------------------------------
+# The test_to_pbc_* names are those of the per-row rewrite that rewrite_rows
+# now does for all rows at once.
 
 
 def test_to_pbc_complements_negative_binaries():
     model = make_model(2, [{0: 2.0, 1: -3.0}], ["L"], [-1.0], binary=[0, 1])
-    out = to_pbc(0, model)
-    assert out.rhs == 2.0  # -1 - 0 + 3
-    assert out.terms == [(Literal(0, False), 2.0), (Literal(1, True), 3.0)]
+    out = rewrite_rows(model)
+    assert out.rhs.tolist() == [2.0]  # -1 - 0 + 3
+    assert terms(out, 0, VarMap([0, 1])) == [(Literal(0, False), 2.0),
+                                             (Literal(1, True), 3.0)]
 
 
 def test_to_pbc_identity_on_pure_binary_row():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0], binary=[0, 1])
-    out = to_pbc(0, model)
-    assert out.rhs == 1.0
-    assert [(lit.col, lit.complemented, a) for lit, a in out.terms] == [
+    out = rewrite_rows(model)
+    assert out.rhs.tolist() == [1.0]
+    assert [(lit.col, lit.complemented, a)
+            for lit, a in terms(out, 0, VarMap([0, 1]))] == [
         (0, False, 1.0),
         (1, False, 1.0),
     ]
@@ -103,55 +123,58 @@ def test_to_pbc_identity_on_pure_binary_row():
 def test_to_pbc_unbounded_infimum_gives_nothing():
     model = make_model(2, [{0: 2.0, 1: 1.5}], ["L"], [4.0],
                        binary=[0], lb=[0.0, -math.inf])
-    assert to_pbc(0, model) is None
+    assert len(rewrite_rows(model)) == 0
 
 
 def test_to_pbc_absorbs_bounded_continuous_part():
     # 2 x1 + y <= 4 with y in [1, 3] -> 2 x1 <= 3
     model = make_model(2, [{0: 2.0, 1: 1.0}], ["L"], [4.0],
                        binary=[0], lb=[0.0, 1.0], ub=[1.0, 3.0])
-    out = to_pbc(0, model)
-    assert out.rhs == 3.0
-    assert len(out.terms) == 1
+    out = rewrite_rows(model)
+    assert out.rhs.tolist() == [3.0]
+    assert out.lengths().tolist() == [1]
 
 
-def test_to_pbc_requires_le_sense():
+def test_rewrite_negates_ge_rows():
+    # x1 + x2 >= 1 is -x1 - x2 <= -1, that is (1-x1) + (1-x2) <= 1
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["G"], [1.0], binary=[0, 1])
-    with pytest.raises(ValueError):
-        to_pbc(0, model)
+    out = rewrite_rows(model)
+    assert out.rhs.tolist() == [1.0]
+    assert terms(out, 0, VarMap([0, 1])) == [(Literal(0, True), 1.0),
+                                             (Literal(1, True), 1.0)]
 
 
-# --- classify --------------------------------------------------------------
+# --- classification ----------------------------------------------------------
 
 
 def test_classify_set_packing():
-    assert classify(pbc([1, 1, 1], 1)) is Classification.SET_PACKING
+    assert classes([1, 1, 1], 1)[0] == {"s_osp"}
 
 
 def test_classify_scaled_set_packing():
-    assert classify(pbc([2, 2, 2], 3)) is Classification.SET_PACKING
+    assert classes([2, 2, 2], 3)[0] == {"s_osp"}
     # rhs at 2a is no longer a packing row (two members fit)
-    assert classify(pbc([2, 2, 2], 4)) is not Classification.SET_PACKING
+    assert not classes([2, 2, 2], 4)[0] & {"s_osp", "s_isp"}
 
 
 def test_classify_conflicting_knapsack():
-    assert classify(pbc([1, 2, 3, 4], 5)) is Classification.CONFLICTING_KNAPSACK
+    assert classes([1, 2, 3, 4], 5)[0] == {"s_ck"}
 
 
 def test_classify_inert():
-    assert classify(pbc([1, 2], 4)) is Classification.INERT
+    assert classes([1, 2], 4) == (set(), [])
 
 
 def test_classify_singleton():
-    assert classify(pbc([3], 2)) is Classification.SINGLETON
+    # a singleton whose coefficient exceeds the rhs fixes its literal to 0
+    assert classes([3], 2) == (set(), [(0, 0)])
 
 
 def test_pbc_rejects_unsorted_or_nonpositive_terms():
     with pytest.raises(ValueError):
-        PureBinaryConstraint(terms=[(Literal(0), 2.0), (Literal(1), 1.0)],
-                             rhs=3.0)
+        pbc_table([([2.0, 1.0], 3.0)])
     with pytest.raises(ValueError):
-        PureBinaryConstraint(terms=[(Literal(0), 0.0)], rhs=1.0)
+        pbc_table([([0.0], 1.0)])
 
 
 # --- detect ----------------------------------------------------------------
@@ -162,7 +185,7 @@ def test_detect_moves_packing_row_out_of_model():
     res = detect(model)
     assert len(res.s_osp) == 1
     assert res.model.num_rows == 0
-    assert res.s_isp == [] and res.s_ck == []
+    assert len(res.s_isp) == 0 and len(res.s_ck) == 0
 
 
 def test_detect_classifies_rewritten_knapsack():
@@ -171,9 +194,9 @@ def test_detect_classifies_rewritten_knapsack():
     res = detect(model)
     assert len(res.s_ck) == 1
     assert res.model.num_rows == 1
-    ck = res.s_ck[0]
-    assert ck.rhs == 4.0
-    assert ck.terms == [(Literal(0, False), 2.0), (Literal(1, True), 3.0)]
+    assert res.s_ck.rhs.tolist() == [4.0]
+    assert terms(res.s_ck, 0, res.varmap) == [(Literal(0, False), 2.0),
+                                             (Literal(1, True), 3.0)]
 
 
 def test_detect_strengthening_preempts_forced_complement():
@@ -182,13 +205,13 @@ def test_detect_strengthening_preempts_forced_complement():
     model = make_model(2, [{0: 2.0, 1: -3.0}], ["L"], [-1.0], binary=[0, 1])
     res = detect(model)
     assert res.model.lb[1] == 1.0
-    assert res.s_ck == [] and res.s_isp == [] and res.s_osp == []
+    assert len(res.s_ck) == len(res.s_isp) == len(res.s_osp) == 0
 
 
 def test_detect_discards_inert_rows():
     model = make_model(2, [{0: 1.0, 1: 2.0}], ["L"], [4.0], binary=[0, 1])
     res = detect(model)
-    assert res.s_osp == [] and res.s_isp == [] and res.s_ck == []
+    assert len(res.s_osp) == len(res.s_isp) == len(res.s_ck) == 0
     assert res.model.num_rows == 1  # retained, just not useful
 
 
@@ -263,11 +286,12 @@ def test_detect_knapsack_sets_satisfy_conflict_condition():
             res = detect(model)
         except InfeasibleError:
             continue
-        for ck in res.s_ck:
-            coeffs = [a for _, a in ck.terms]
-            assert coeffs[-1] + coeffs[-2] > ck.rhs + 1e-9
-        for sp in res.s_osp + res.s_isp:
-            coeffs = [a for _, a in sp.terms]
-            a = coeffs[0]
-            assert max(coeffs) - a <= 1e-9
-            assert a <= sp.rhs + 1e-9 and sp.rhs < 2 * a - 1e-9
+        for i, rhs in enumerate(res.s_ck.rhs):
+            coeffs = res.s_ck.coeffs[res.s_ck.indptr[i]:res.s_ck.indptr[i + 1]]
+            assert coeffs[-1] + coeffs[-2] > rhs + 1e-9
+        for sp in (res.s_osp, res.s_isp):
+            for i, rhs in enumerate(sp.rhs):
+                coeffs = sp.coeffs[sp.indptr[i]:sp.indptr[i + 1]]
+                a = coeffs[0]
+                assert max(coeffs) - a <= 1e-9
+                assert a <= rhs + 1e-9 and rhs < 2 * a - 1e-9
