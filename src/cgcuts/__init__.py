@@ -1,6 +1,6 @@
 """Parallel conflict-graph cut generation for mixed-integer programs."""
 
-from .cliques import Clique, CliqueHarvest, detect_cliques_parallel
+from .cliques import Clique, CliqueHarvest, CliqueTable, detect_cliques_parallel
 from .extend import extend_parallel
 from .graph import ConflictGraph, build_graph_parallel
 from .literals import Literal, VarMap

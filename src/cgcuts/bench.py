@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliques import Clique
+from .cliques import Clique, CliqueTable
 from .extend import extend_parallel
 from .graph import build_graph_parallel
 from .merge import removal_flags
@@ -94,7 +94,7 @@ def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits):
     times = {}
     t0 = time.perf_counter()
     g = build_graph_parallel(
-        cliques,
+        CliqueTable.plain(cliques),
         n_b,
         k,
         seed,

@@ -5,20 +5,27 @@ once, in compressed sparse row (CSR) form: the neighbours of node u are
 `indices[indptr[u]:indptr[u + 1]]`, sorted ascending, and every edge appears
 in the rows of both its ends. Memory is O(n_b + edges).
 
-`build_graph_parallel` expands each worker's cliques into upper-triangle
-edge codes u*(2*n_b)+v (u < v), deduplicated by sorting and masking equal
-neighbours (k = 1 runs in this process). The partial code arrays and the
-n_b variable/complement edges are concatenated, deduplicated once more and
-converted to CSR once.
+`build_graph_parallel` reads one `CliqueTable`, in which a knapsack's
+cliques share its coefficient-ordered node sequence S: the original clique
+is S[phi:] and each further one {S[i]} | S[sigma:]. Writing every further
+clique out pair by pair would cost the sum of their t(t-1)/2 pairs, far
+more than the edges they make. Each worker instead expands, per sequence,
+the pairs of S[min start:] once, where the minimum runs over the block's
+cliques on S (the suffixes are nested, so this is the union of their
+suffix pairs), plus one star S[head] x S[start:] per clique with a head.
+Plain cliques are their own sequence with no head, so they take the same
+rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v),
+deduplicated by sorting and masking equal neighbours (k = 1 runs in this
+process). The partial code arrays and the n_b variable/complement edges
+are concatenated, deduplicated once more and converted to CSR once.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .cliques import Clique
+from .cliques import CliqueTable
 from .parallel import map_blocks, shuffle_partition
+from .presolve import _ranges
 
 
 class ConflictGraph:
@@ -96,43 +103,50 @@ def _from_codes(n_b: int, codes: np.ndarray) -> ConflictGraph:
     return ConflictGraph(n_b, indptr, cols.astype(index_type))
 
 
-@lru_cache(maxsize=None)
-def _pair_index(length: int):
-    return np.triu_indices(length, k=1)
-
-
-def _sample_clique(nodes: np.ndarray, limit: int, rng) -> np.ndarray:
-    if limit is None or len(nodes) <= limit:
-        return nodes
-    pick = rng.choice(len(nodes), size=limit, replace=False)
-    return nodes[np.sort(pick)]
+def _span_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Positions (p, q) of every pair lo[s] <= p < q < hi[s] of every span."""
+    p = _ranges(lo, hi)
+    stops = np.repeat(hi, hi - lo)
+    return np.repeat(p, stops - p - 1), _ranges(p + 1, stops)
 
 
 def _build_block(args):
-    """Distinct upper-triangle codes of one block's cliques, and the number
-    of pairs expanded."""
-    node_arrays, n_b = args
-    chunks = [np.empty(0, dtype=np.int64)]
-    pair_count = 0
-    for nodes in node_arrays:
-        t = len(nodes)
-        if t < 2:
-            continue
-        ii, jj = _pair_index(t)
-        chunks.append(_encode(nodes[ii], nodes[jj], n_b))
-        pair_count += t * (t - 1) // 2
-    return _dedup(np.concatenate(chunks)), pair_count
+    """Distinct upper-triangle codes of one block's `CliqueTable`.
+
+    The suffixes of one sequence are nested, so the pairs of its shortest
+    start cover those of every member's suffix; each member with a head
+    adds the star head x suffix."""
+    table, n_b = args
+    ptr = table.seq_ptr
+    first = ptr[table.seq] + table.start
+    stop = ptr[table.seq + 1]
+    shortest = ptr[1:].copy()
+    np.minimum.at(shortest, table.seq, first)
+    su, sv = _span_pairs(shortest, ptr[1:])
+    star = table.head >= 0
+    hu = np.repeat((ptr[table.seq] + table.head)[star], (stop - first)[star])
+    hv = _ranges(first[star], stop[star])
+    u = table.seq_nodes[np.concatenate([su, hu])]
+    v = table.seq_nodes[np.concatenate([sv, hv])]
+    return _dedup(_encode(np.minimum(u, v), np.maximum(u, v), n_b))
 
 
-def _clique_nodes(clique: Clique, n_b: int) -> np.ndarray:
-    nodes = np.asarray(clique.nodes, dtype=np.int64)
-    if len(nodes) and (nodes[0] < 0 or nodes[-1] >= 2 * n_b):
-        raise ValueError(f"clique node out of range for n_b={n_b}")
-    return nodes
+def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
+    """`table` with clique ids[j] replaced by the plain clique samples[j]."""
+    lens = np.array([len(s) for s in samples], dtype=np.int64)
+    seq, head, start = table.seq.copy(), table.head.copy(), table.start.copy()
+    seq[ids] = len(table.seq_ptr) - 1 + np.arange(len(ids))
+    head[ids] = -1
+    start[ids] = 0
+    return CliqueTable(
+        np.concatenate([table.seq_ptr, table.seq_ptr[-1] + np.cumsum(lens)]),
+        np.concatenate([table.seq_nodes, *samples]),
+        seq, head, start,
+    )
 
 
 def build_graph_parallel(
-    cliques,
+    table: CliqueTable,
     n_b: int,
     k: int,
     seed: int,
@@ -141,41 +155,44 @@ def build_graph_parallel(
     max_pairs: int | None = None,
     stats: dict | None = None,
 ) -> ConflictGraph:
-    """Union of the pair expansions of all cliques plus the n_b trivial
+    """Union of the pair sets of all cliques of `table` plus the n_b trivial
     variable/complement edges.
 
     The cliques are shuffle-partitioned and each block is expanded on its
-    own worker. Down-sampling (cliques longer than `max_clique_sample`) and
-    the cumulative pair cap (`max_pairs`) are applied in the shuffled order
-    before dispatch, so the result is identical for every k. The trivial
-    edges are not cliques of the input, so they neither count toward
+    own worker. Down-sampling and the cumulative pair cap are decided in the
+    shuffled order before dispatch, so the result is identical for every k:
+    a clique longer than `max_clique_sample` is sampled from its sorted
+    nodes and expanded as a plain clique, and the cliques are taken while
+    the sum of their t(t-1)/2 stays within `max_pairs`. That sum is the
+    pair budget `pairs_expanded`, not the number of codes generated. The
+    trivial edges are not cliques of the input, so they neither count toward
     `max_pairs` nor appear in `pairs_expanded`.
     """
-    cliques = list(cliques)
-    part = shuffle_partition(len(cliques), k, seed)
+    nodes = table.seq_nodes
+    if len(nodes) and (nodes.min() < 0 or nodes.max() >= 2 * n_b):
+        raise ValueError(f"clique node out of range for n_b={n_b}")
+    part = shuffle_partition(len(table), k, seed)
+    sizes = table.sizes()[part.order]
+    t = sizes if max_clique_sample is None else np.minimum(sizes, max_clique_sample)
+    budget = np.cumsum(t * (t - 1) // 2)
+    chosen = len(budget) if max_pairs is None else int(
+        np.searchsorted(budget, max_pairs, side="right"))
+    sampled = part.order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
     rng = np.random.default_rng(seed)
-    chosen = [None] * len(cliques)
-    total_pairs = 0
-    downsampled = 0
-    capped = False
-    for i in part.order:
-        nodes = _clique_nodes(cliques[i], n_b)
-        sampled = _sample_clique(nodes, max_clique_sample, rng)
-        downsampled += len(sampled) < len(nodes)
-        t = len(sampled)
-        pairs = t * (t - 1) // 2
-        capped = capped or (max_pairs is not None and total_pairs + pairs > max_pairs)
-        if not capped:
-            total_pairs += pairs
-            chosen[i] = sampled
-    block_args = [
-        ([chosen[i] for i in idx if chosen[i] is not None], n_b)
-        for idx in part.blocks
-    ]
+    samples = []
+    for c in sampled.tolist():
+        members = table.members(c)
+        pick = rng.choice(len(members), size=max_clique_sample, replace=False)
+        samples.append(members[np.sort(pick)])
+    table = _with_samples(table, sampled, samples)
+    block_args, lo = [], 0
+    for idx in part.blocks:
+        block_args.append((table.take(idx[:max(chosen - lo, 0)]), n_b))
+        lo += len(idx)
     results = map_blocks(_build_block, block_args, k)
     if stats is not None:
-        stats["pairs_expanded"] = sum(p for _, p in results)
-        stats["pair_cap_hit"] = capped
-        stats["downsampled"] = downsampled
-    codes = np.concatenate([_trivial_codes(n_b)] + [c for c, _ in results])
+        stats["pairs_expanded"] = int(budget[chosen - 1]) if chosen else 0
+        stats["pair_cap_hit"] = chosen < len(budget)
+        stats["downsampled"] = int(np.count_nonzero(t < sizes))
+    codes = np.concatenate([_trivial_codes(n_b)] + results)
     return _from_codes(n_b, _dedup(codes))

@@ -16,6 +16,7 @@ from .cliques import (
     SRC_KNAPSACK_ORG,
     SRC_OSP,
     Clique,
+    CliqueTable,
     detect_cliques_parallel,
 )
 from .extend import extend_parallel
@@ -45,7 +46,9 @@ class Limits:
 
     `per_thread_ext_nnz` is the adjacency-touch budget of each extension
     worker for the whole extension stage, shared by the osp, isp and org
-    bases.
+    bases. `max_graph_nnz` caps the graph build's pair budget, the sum of
+    t(t-1)/2 over the cliques it takes, not the number of edge codes it
+    generates.
     """
 
     max_knapsack_vars: int = 5000
@@ -104,6 +107,17 @@ def _empty_pools() -> dict[str, list[Clique]]:
     return {tag: [] for tag in TAGS}
 
 
+def _sorted_group(cliques: list[Clique], rows: list[int]):
+    """The cliques of one source in sorted order, and their flat (seq,
+    head, start) rows as an (n, 3) array in the same order. Sorting an
+    index list by the node tuples allocates no container per clique; pairs
+    of clique and row brought on a full garbage collection in a later
+    stage."""
+    order = sorted(range(len(cliques)), key=lambda j: cliques[j].nodes)
+    table_rows = np.array(rows, dtype=np.int64).reshape(-1, 3)[order]
+    return [cliques[j] for j in order], table_rows
+
+
 def run_pipeline_model(
     model: MipModel,
     limits: Limits | None = None,
@@ -159,36 +173,48 @@ def run_pipeline_model(
         "clique_detect",
         lambda: detect_cliques_parallel(s_ck, k, seed),
     )
-    osp_cliques = sorted(
-        Clique(q, source=SRC_OSP) for q in detection.s_osp.node_sets()
+    # The graph's CliqueTable holds five groups, each sorted: osp, isp, org,
+    # other_long, other_other. Each clique carries its (sequence, head,
+    # start): an osp or isp clique is its own sequence, a knapsack's cliques
+    # share its node sequence. The first-detected other clique of each
+    # knapsack is the pool's "long" representative; the rest are plain
+    # user-cut material.
+    sequences: list[tuple[int, ...]] = []
+    groups = [([], []) for _ in range(5)]  # (cliques, flat rows) per group
+
+    def add(group: int, q: Clique, s: int, head: int, start: int):
+        groups[group][0].append(q)
+        groups[group][1].extend((s, head, start))
+
+    for group, (pbc, source) in enumerate(
+        ((detection.s_osp, SRC_OSP), (detection.s_isp, SRC_ISP))
+    ):
+        for q in pbc.node_sets():
+            add(group, Clique(q, source=source), len(sequences), -1, 0)
+            sequences.append(q)
+    for family in harvest.families:
+        s = len(sequences)
+        sequences.append(family.nodes)
+        add(2, family.original(), s, -1, family.phi)
+        for j, (q, (i, sigma)) in enumerate(
+            zip(family.materialize(), family.entries)
+        ):
+            add(4 if j else 3, q, s, i, sigma)
+    ordered = [_sorted_group(*g) for g in groups]
+    osp_cliques, isp_cliques, org_cliques, other_long, other_other = (
+        q for q, _ in ordered
     )
-    isp_cliques = sorted(
-        Clique(q, source=SRC_ISP) for q in detection.s_isp.node_sets()
-    )
-    org_cliques = sorted(harvest.c_org)
-    # First-detected other clique of each knapsack is the pool's "long"
-    # representative; the rest are plain user-cut material.
-    other_long: list[Clique] = []
-    other_other: list[Clique] = []
-    for block in harvest.c_other_blocks:
-        materialized = list(block.materialize())
-        if materialized:
-            other_long.append(materialized[0])
-            other_other.extend(materialized[1:])
-    other_long.sort()
-    other_other.sort()
     pools["other_long"] = other_long
     pools["other_other"] = other_other
     if deadline.expired():
         return passthrough()
 
-    graph_input = (osp_cliques + isp_cliques + org_cliques + other_long
-                   + other_other)
+    table = CliqueTable.of(sequences, np.concatenate([r for _, r in ordered]))
     gstats: dict = {}
     graph = timed(
         "graph_build",
         lambda: build_graph_parallel(
-            graph_input,
+            table,
             varmap.n_b,
             k,
             seed,

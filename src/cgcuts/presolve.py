@@ -43,15 +43,19 @@ class InfeasibleError(Exception):
         self.row = row
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """`arange(starts[i], stops[i])` for every i, one after the other."""
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(stops - ends, lens) + np.arange(total)
+
+
 def _segment_positions(indptr: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """Positions of the entries of segments `segs` of a CSR layout, one
     segment after the other."""
     segs = np.asarray(segs, dtype=np.int64)
-    starts = indptr[segs]
-    lens = indptr[segs + 1] - starts
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+    return _ranges(indptr[segs], indptr[segs + 1])
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -75,9 +79,10 @@ class PbcTable:
 
     Within a constraint the terms are sorted by coefficient, ties by model
     column, and every coefficient is positive. `detect` stores the nodes as
-    int32, as `ConflictGraph` does, which halves what k > 1 sends them in. `source_row` is the row of
-    the model that `classify_rows` read; in `detect` that is the model after
-    strengthening, whose empty and singleton rows are gone.
+    int32, as `ConflictGraph` does, which halves what k > 1 sends them in.
+    `source_row` is the row of the input model that the constraint comes
+    from; `detect` maps it back through the empty and singleton rows that
+    strengthening drops.
     """
 
     indptr: np.ndarray
@@ -422,7 +427,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     the model. Every other row stays; each of its <=-forms is an inferred
     set packing (isp), a conflicting knapsack (ck, two largest coefficients
     exceed the rhs), a singleton (a fixing when its coefficient exceeds the
-    rhs) or inert. `source_row` counts in `rows`.
+    rhs) or inert. The tables' `source_row` is the row's entry in `ids`.
     """
     bins = _binary_cols(model.integers, lb, ub)
     n_b = len(bins)
@@ -466,6 +471,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     removed = np.zeros(len(rows.rhs), dtype=bool)
     removed[src[osp]] = True
     kept = np.flatnonzero(~removed)
+    pbc.source_row = ids[src]
     return DetectionResult(
         model=_submodel(model, rows.views(kept), ids[kept], lb, ub),
         s_osp=pbc.take(np.flatnonzero(osp)),

@@ -1,0 +1,113 @@
+"""Per-clique conflict-graph build, kept as the oracle for
+`cgcuts.graph.build_graph_parallel`.
+
+Every clique is expanded into all of its pairs, one small array per
+clique, so the work is the sum of t(t-1)/2 over the cliques rather than
+O(edges). Down-sampling and the pair cap are decided clique by clique in
+the shuffled order.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from cgcuts.graph import ConflictGraph
+from cgcuts.parallel import map_blocks, shuffle_partition
+
+
+def _encode(lo, hi, n_b: int) -> np.ndarray:
+    lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+    return lo * (2 * n_b) + hi
+
+
+def _dedup(codes: np.ndarray) -> np.ndarray:
+    codes = np.sort(codes)
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _trivial_codes(n_b: int) -> np.ndarray:
+    j = np.arange(n_b, dtype=np.int64)
+    return _encode(j, j + n_b, n_b)
+
+
+def _from_codes(n_b: int, codes: np.ndarray) -> ConflictGraph:
+    dim = 2 * n_b
+    lo, hi = np.divmod(codes, dim)
+    rows, cols = np.divmod(np.sort(np.concatenate([codes, hi * dim + lo])), dim)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    index_type = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    return ConflictGraph(n_b, indptr, cols.astype(index_type))
+
+
+@lru_cache(maxsize=None)
+def _pair_index(length: int):
+    return np.triu_indices(length, k=1)
+
+
+def _sample_clique(nodes: np.ndarray, limit: int, rng) -> np.ndarray:
+    if limit is None or len(nodes) <= limit:
+        return nodes
+    pick = rng.choice(len(nodes), size=limit, replace=False)
+    return nodes[np.sort(pick)]
+
+
+def _build_block(args):
+    node_arrays, n_b = args
+    chunks = [np.empty(0, dtype=np.int64)]
+    pair_count = 0
+    for nodes in node_arrays:
+        t = len(nodes)
+        if t < 2:
+            continue
+        ii, jj = _pair_index(t)
+        chunks.append(_encode(nodes[ii], nodes[jj], n_b))
+        pair_count += t * (t - 1) // 2
+    return _dedup(np.concatenate(chunks)), pair_count
+
+
+def _clique_nodes(clique, n_b: int) -> np.ndarray:
+    nodes = np.asarray(clique.nodes, dtype=np.int64)
+    if len(nodes) and (nodes[0] < 0 or nodes[-1] >= 2 * n_b):
+        raise ValueError(f"clique node out of range for n_b={n_b}")
+    return nodes
+
+
+def build_graph_parallel(cliques, n_b: int, k: int, seed: int, *,
+                         max_clique_sample: int | None = None,
+                         max_pairs: int | None = None,
+                         stats: dict | None = None) -> ConflictGraph:
+    """Union of the pair expansions of all `Clique`s plus the n_b trivial
+    variable/complement edges."""
+    cliques = list(cliques)
+    part = shuffle_partition(len(cliques), k, seed)
+    rng = np.random.default_rng(seed)
+    chosen = [None] * len(cliques)
+    total_pairs = 0
+    downsampled = 0
+    capped = False
+    for i in part.order:
+        nodes = _clique_nodes(cliques[i], n_b)
+        sampled = _sample_clique(nodes, max_clique_sample, rng)
+        downsampled += len(sampled) < len(nodes)
+        t = len(sampled)
+        pairs = t * (t - 1) // 2
+        capped = capped or (max_pairs is not None and total_pairs + pairs > max_pairs)
+        if not capped:
+            total_pairs += pairs
+            chosen[i] = sampled
+    block_args = [
+        ([chosen[i] for i in idx if chosen[i] is not None], n_b)
+        for idx in part.blocks
+    ]
+    results = map_blocks(_build_block, block_args, k)
+    if stats is not None:
+        stats["pairs_expanded"] = sum(p for _, p in results)
+        stats["pair_cap_hit"] = capped
+        stats["downsampled"] = downsampled
+    codes = np.concatenate([_trivial_codes(n_b)] + [c for c, _ in results])
+    return _from_codes(n_b, _dedup(codes))

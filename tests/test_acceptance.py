@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cgcuts.bench import BenchConfig, run_bench, shifted_geomean, warn_if_slow
-from cgcuts.cliques import Clique, detect_cliques_parallel
+from cgcuts.cliques import Clique, CliqueTable, detect_cliques_parallel
 from cgcuts.extend import extend_parallel
 from cgcuts.graph import build_graph_parallel
 from cgcuts.merge import removal_flags
@@ -113,7 +113,7 @@ def test_criterion_02_graph_build_equivalence():
             cliques.append(Clique(tuple(sorted(int(v) for v in nodes))))
         oracle = _dense(cliques, n_b, trivial=True)
         for k in (1, 2, 3, 4, 8):
-            g = build_graph_parallel(cliques, n_b, k, seed=trial)
+            g = build_graph_parallel(CliqueTable.plain(cliques), n_b, k, seed=trial)
             assert np.array_equal(_graph_dense(g), oracle), (trial, k)
     report(2, f"{sets} clique sets equal the dense union oracle at "
               "k in {1,2,3,4,8}")
@@ -128,7 +128,7 @@ def _random_graph_and_base(rng, n_b):
     for _ in range(int(rng.integers(dim, 3 * dim))):
         u, v = rng.choice(dim, size=2, replace=False)
         edges.append(Clique((min(u, v), max(u, v))))
-    g = build_graph_parallel(edges, n_b, 1, seed=0)
+    g = build_graph_parallel(CliqueTable.plain(edges), n_b, 1, seed=0)
     base = [int(rng.integers(0, dim))]
     for v in rng.permutation(dim):
         v = int(v)

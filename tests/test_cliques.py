@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cgcuts.cliques import (
-    OtherCliqueBlock,
+    CliqueFamily,
     _detect_indices,
     detect_cliques_parallel,
 )
@@ -47,7 +47,7 @@ def test_unsorted_coefficients_rejected():
 
 
 def test_compact_block_materializes_suffix_cliques():
-    block = OtherCliqueBlock(nodes=(10, 11, 12, 13), entries=[(1, 3), (0, 3)])
+    block = CliqueFamily(nodes=(10, 11, 12, 13), phi=2, entries=[(1, 3), (0, 3)])
     assert [q.nodes for q in block.materialize()] == [(11, 13), (10, 13)]
 
 

@@ -25,10 +25,11 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def _ref_table(pbcs, varmap):
+def _ref_table(pbcs, varmap, rows):
+    """The reference's constraints, each row mapped through `rows`."""
     return [
         ([varmap.node(lit) for lit, _ in p.terms],
-         _bits([a for _, a in p.terms]), _bits([p.rhs])[0], p.source_row)
+         _bits([a for _, a in p.terms]), _bits([p.rhs])[0], rows[p.source_row])
         for p in pbcs
     ]
 
@@ -58,19 +59,24 @@ def _outcome(fn, model, table):
 
 def assert_same_detection(model):
     """`detect` and `classify_rows` agree with the row loop bit for bit;
-    returns the outcome of `detect`."""
-    def ref_tables(fn):
+    returns the outcome of `detect`. The reference's `detect` counts rows
+    after strengthening, which keeps the rows with two or more entries;
+    `detect` reports input rows, so the reference's rows are mapped back."""
+    def ref_tables(fn, rows):
         def run(m):
             res = fn(m)
             res.s_osp, res.s_isp, res.s_ck = (
-                _ref_table(p, res.varmap) for p in (res.s_osp, res.s_isp, res.s_ck))
+                _ref_table(p, res.varmap, rows)
+                for p in (res.s_osp, res.s_isp, res.s_ck))
             return res
         return run
 
+    kept = [i for i, (cols, _) in enumerate(model.rows) if len(cols) >= 2]
     got = _outcome(detect, model, _table)
-    assert got == _outcome(ref_tables(ref.detect), model, lambda t: t)
+    assert got == _outcome(ref_tables(ref.detect, kept), model, lambda t: t)
     assert (_outcome(classify_rows, model, _table)
-            == _outcome(ref_tables(ref.classify_rows), model, lambda t: t))
+            == _outcome(ref_tables(ref.classify_rows, range(model.num_rows)),
+                        model, lambda t: t))
     return got
 
 
@@ -188,6 +194,17 @@ def test_tightening_reaches_the_next_row():
     assert res.model.ub.tolist() == [1.0, 1.0, 2.0, 2.0]
     assert res.s_isp.source_row.tolist() == [1]
     assert res.s_isp.node_sets() == [(0, 1)]
+    assert assert_same_detection(model)[0] == "ok"
+
+
+def test_source_row_is_the_input_row():
+    # Strengthening drops the singleton row c1, so the knapsack c2 is row 0
+    # of the strengthened rows; its provenance is still input row 1.
+    model = make_model(3, [{0: 1.0}, {0: 2.0, 1: 3.0, 2: 4.0}], ["L", "L"],
+                       [1.0, 5.0], binary=range(3))
+    res = detect(model)
+    assert res.s_ck.source_row.tolist() == [1]
+    assert classify_rows(model).s_ck.source_row.tolist() == [1]
     assert assert_same_detection(model)[0] == "ok"
 
 

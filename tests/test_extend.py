@@ -3,7 +3,13 @@ import itertools
 
 import numpy as np
 
-from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique
+from cgcuts.cliques import (
+    SRC_ISP,
+    SRC_KNAPSACK_ORG,
+    SRC_OSP,
+    Clique,
+    CliqueTable,
+)
 from cgcuts.extend import extend_parallel
 from cgcuts.graph import build_graph_parallel
 from conftest import graph_from_edges
@@ -87,7 +93,7 @@ def test_candidate_can_join_several_buckets():
 
 
 def test_trivial_edges_support_complement_extension():
-    g = build_graph_parallel([Clique((0, 1))], 2, 1, seed=0)
+    g = build_graph_parallel(CliqueTable.plain([Clique((0, 1))]), 2, 1, seed=0)
     longest, others = extend_one(Clique((0,)), g)
     # candidates 1 and 2 (= complement of 0) are not adjacent to each other
     assert longest.nodes == (0, 1)
@@ -100,7 +106,7 @@ def random_graph_and_clique(rng, n_b):
     for _ in range(int(rng.integers(dim, 3 * dim))):
         u, v = rng.choice(dim, size=2, replace=False)
         edges.add((min(u, v), max(u, v)))
-    g = build_graph_parallel([Clique(e) for e in sorted(edges)], n_b, 1, seed=0)
+    g = build_graph_parallel(CliqueTable.plain([Clique(e) for e in sorted(edges)]), n_b, 1, seed=0)
     return g, random_clique_of(rng, g)
 
 
@@ -157,7 +163,7 @@ def test_parallel_equals_sequential_mapping():
 
 
 def test_parallel_empty_input():
-    g = build_graph_parallel([], 2, 1, seed=0)
+    g = build_graph_parallel(CliqueTable.plain([]), 2, 1, seed=0)
     assert extend_parallel([], g, 4, seed=0) == ([], [])
 
 
@@ -219,7 +225,7 @@ def test_one_call_equals_one_call_per_source():
 def test_graph_memory_is_linear_in_binaries_and_edges():
     n_b = 200_000
     bases = [Clique((0, 1, 2)), Clique((1, 2, 3)), Clique((5, 7, n_b + 9))]
-    g = build_graph_parallel(bases, n_b, 1, seed=0)
+    g = build_graph_parallel(CliqueTable.plain(bases), n_b, 1, seed=0)
     # CSR: 8 bytes per node pointer and 4 per stored entry, about 4.8 MB
     assert g.indptr.nbytes + g.indices.nbytes < 16_000_000
     assert g.stored_nnz == 2 * (n_b + 3 + 3 + 3 - 1)
