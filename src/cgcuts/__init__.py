@@ -26,7 +26,6 @@ from .presolve import (
     rewrite_rows,
     strengthen_bounds_once,
 )
-from .bench import BenchConfig, BenchReport, generate_cliques, run_bench, shifted_geomean
 from .triage import TriagePlan, triage
 
 __version__ = "0.1.0"

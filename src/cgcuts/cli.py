@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import sys
 
-from .bench import BenchConfig, run_bench, warn_if_slow
 from .model_io import MpsError
 from .pipeline import Limits, run_pipeline
 from .presolve import InfeasibleError
@@ -95,6 +94,8 @@ def main(argv=None) -> int:
                 fh.write(stats.to_json())
         print(f"wrote {out_model} and {out_cuts}")
         return 0
+
+    from .bench import BenchConfig, run_bench, warn_if_slow
 
     cfg = BenchConfig(
         n_b=args.n_b,

@@ -14,10 +14,19 @@ the pairs of S[min start:] once, where the minimum runs over the block's
 cliques on S (the suffixes are nested, so this is the union of their
 suffix pairs), plus one star S[head] x S[start:] per clique with a head.
 Plain cliques are their own sequence with no head, so they take the same
-rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v),
-deduplicated by sorting and masking equal neighbours (k = 1 runs in this
-process). The partial code arrays and the n_b variable/complement edges
-are concatenated, deduplicated once more and converted to CSR once.
+rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v), written
+into one int64 array `_SLICE_PAIRS` pairs at a time, so that the node
+arrays behind them stay small, then sorted in place and deduplicated (k = 1
+runs in this process). The partial arrays and the n_b variable/complement
+edges are sorted runs: one stable sort merges them, and equal neighbours
+are dropped once more.
+
+The CSR is built from the distinct codes alone: the row lengths are the
+per-end counts of the codes, each row's upper entries (v > u) are the
+codes' high ends in code order, and its lower entries are the low ends of
+the codes re-keyed v*(2*n_b)+u and sorted in the memory the high ends
+used. The two directions are never both held as int64 codes, so a build
+peaks at a small multiple of its codes plus the CSR.
 """
 from __future__ import annotations
 
@@ -72,14 +81,15 @@ class ConflictGraph:
         )
 
 
-def _encode(lo, hi, n_b: int) -> np.ndarray:
-    lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
-    return lo * (2 * n_b) + hi
+#: Pairs written per slice of a block's codes; bounds the node arrays made
+#: to write them.
+_SLICE_PAIRS = 1 << 16
 
 
-def _dedup(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `codes`: sort, then drop equal neighbours."""
-    codes = np.sort(codes)
+def _dedup(codes: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """Sorted distinct values of `codes`, which is sorted in place by
+    `np.sort`'s algorithm `kind`."""
+    codes.sort(kind=kind)
     keep = np.empty(len(codes), dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
@@ -87,27 +97,40 @@ def _dedup(codes: np.ndarray) -> np.ndarray:
 
 
 def _trivial_codes(n_b: int) -> np.ndarray:
+    """Codes of the n_b variable/complement edges (j, j + n_b)."""
     j = np.arange(n_b, dtype=np.int64)
-    return _encode(j, j + n_b, n_b)
+    return j * (2 * n_b) + (j + n_b)
 
 
-def _from_codes(n_b: int, codes: np.ndarray) -> ConflictGraph:
-    """CSR graph from sorted distinct upper-triangle codes."""
+def _from_codes(n_b: int, parts: list[np.ndarray]) -> ConflictGraph:
+    """CSR graph from the sorted upper-triangle code arrays `parts`, which
+    it empties, so that each array is freed once it is no longer read."""
     dim = 2 * n_b
-    lo, hi = np.divmod(codes, dim)
-    # Both directions as row*dim + col keys; sorting them orders each row.
-    rows, cols = np.divmod(np.sort(np.concatenate([codes, hi * dim + lo])), dim)
+    codes = np.concatenate(parts)
+    parts.clear()
+    # The parts are sorted runs, which a stable sort merges in linear time.
+    codes = _dedup(codes, kind="stable")
+    high = codes % dim
+    codes //= dim
+    n_low = np.bincount(high, minlength=dim)
+    n_up = np.bincount(codes, minlength=dim)
+    counts = np.empty(2 * dim, dtype=np.int64)
+    counts[0::2], counts[1::2] = n_low, n_up
     indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    np.cumsum(n_low + n_up, out=indptr[1:])
+    # Each row holds its lower entries (columns below the row), then its
+    # upper ones: a mask of the lower slots places both in one pass each.
+    lower = np.repeat(np.tile(np.array([True, False]), dim), counts)
     index_type = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    return ConflictGraph(n_b, indptr, cols.astype(index_type))
-
-
-def _span_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Positions (p, q) of every pair lo[s] <= p < q < hi[s] of every span."""
-    p = _ranges(lo, hi)
-    stops = np.repeat(hi, hi - lo)
-    return np.repeat(p, stops - p - 1), _ranges(p + 1, stops)
+    indices = np.empty(len(lower), dtype=index_type)
+    indices[~lower] = high  # by (row, column), as the codes are sorted
+    high *= dim
+    high += codes  # re-keyed v*dim + u: sorted, it orders the lower entries
+    del codes
+    high.sort()
+    high %= dim
+    indices[lower] = high
+    return ConflictGraph(n_b, indptr, indices)
 
 
 def _build_block(args):
@@ -115,20 +138,33 @@ def _build_block(args):
 
     The suffixes of one sequence are nested, so the pairs of its shortest
     start cover those of every member's suffix; each member with a head
-    adds the star head x suffix."""
+    adds the star head x suffix. Every pair is one of the stars
+    S[h] x S[a:b]: the suffix pairs are a star per position of the suffix,
+    with the positions after it."""
     table, n_b = args
-    ptr = table.seq_ptr
+    ptr, nodes = table.seq_ptr, table.seq_nodes
     first = ptr[table.seq] + table.start
-    stop = ptr[table.seq + 1]
     shortest = ptr[1:].copy()
     np.minimum.at(shortest, table.seq, first)
-    su, sv = _span_pairs(shortest, ptr[1:])
+    p = _ranges(shortest, ptr[1:])
     star = table.head >= 0
-    hu = np.repeat((ptr[table.seq] + table.head)[star], (stop - first)[star])
-    hv = _ranges(first[star], stop[star])
-    u = table.seq_nodes[np.concatenate([su, hu])]
-    v = table.seq_nodes[np.concatenate([sv, hv])]
-    return _dedup(_encode(np.minimum(u, v), np.maximum(u, v), n_b))
+    h = np.concatenate([p, (ptr[table.seq] + table.head)[star]])
+    a = np.concatenate([p + 1, first[star]])
+    b = np.concatenate([np.repeat(ptr[1:], ptr[1:] - shortest),
+                        ptr[table.seq + 1][star]])
+    ends = np.cumsum(b - a)
+    codes = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    dim, i, done = 2 * n_b, 0, 0
+    while done < len(codes):  # stars i..j-1, at least one, per slice
+        j = max(int(np.searchsorted(ends, done + _SLICE_PAIRS, side="right")), i + 1)
+        u = np.repeat(nodes[h[i:j]], b[i:j] - a[i:j])
+        v = nodes[_ranges(a[i:j], b[i:j])]
+        out = codes[done:ends[j - 1]]
+        np.minimum(u, v, out=out)
+        out *= dim
+        out += np.maximum(u, v)
+        i, done = j, int(ends[j - 1])
+    return _dedup(codes)
 
 
 def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
@@ -190,9 +226,10 @@ def build_graph_parallel(
         block_args.append((table.take(idx[:max(chosen - lo, 0)]), n_b))
         lo += len(idx)
     results = map_blocks(_build_block, block_args, k)
+    del block_args
     if stats is not None:
         stats["pairs_expanded"] = int(budget[chosen - 1]) if chosen else 0
         stats["pair_cap_hit"] = chosen < len(budget)
         stats["downsampled"] = int(np.count_nonzero(t < sizes))
-    codes = np.concatenate([_trivial_codes(n_b)] + results)
-    return _from_codes(n_b, _dedup(codes))
+    results.append(_trivial_codes(n_b))
+    return _from_codes(n_b, results)

@@ -547,17 +547,34 @@ def parse_mps_file(path) -> MipModel:
 # Writing
 
 
+#: Lines formatted per slice of the writer: each slice's line strings are
+#: joined and dropped before the next slice is formatted.
+_SLICE_LINES = 1 << 13
+
+
 def _fmt(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(float(v))
 
 
-def _fmt_each(values: np.ndarray) -> list[str]:
-    """`_fmt` of every value, formatting each distinct value once."""
+def _texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """`_fmt` of each distinct value, made once, and the index of each
+    value's text."""
     uniq, inv = np.unique(values, return_inverse=True)
-    text = [_fmt(v) for v in uniq.tolist()]
-    return list(map(text.__getitem__, inv.tolist()))
+    return [_fmt(v) for v in uniq.tolist()], inv
+
+
+def _pick(strings: list[str], idx: np.ndarray):
+    """The strings at positions `idx`, lazily."""
+    return map(strings.__getitem__, idx.tolist())
+
+
+def _sliced(count: int, lines) -> list[str]:
+    """The lines `lines(lo, hi)` of range(count), made `_SLICE_LINES` at a
+    time and joined per slice."""
+    return ["\n".join(lines(lo, min(lo + _SLICE_LINES, count)))
+            for lo in range(0, count, _SLICE_LINES)]
 
 
 def _flat(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -572,7 +589,7 @@ def _flat(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _bound_lines(names: list[str], lb: np.ndarray, ub: np.ndarray) -> list[str]:
     """BOUNDS lines of the columns whose bounds are not [0, inf), by column:
-    FX, FR, or MI/LO followed by UP."""
+    FX, FR, or MI/LO followed by UP; joined per slice."""
     lo = np.asarray(lb, dtype=np.float64)
     hi = np.asarray(ub, dtype=np.float64)
     shown = ~((lo == 0.0) & (hi == _INF))
@@ -586,17 +603,30 @@ def _bound_lines(names: list[str], lb: np.ndarray, ub: np.ndarray) -> list[str]:
         ("LO", rest & (lo != -_INF) & (lo != 0.0), lo, 0),
         ("UP", rest & (hi != _INF), hi, 1),
     )
-    keys, lines = [], []
-    for tag, mask, vals, slot in kinds:
+    keys, kind, valued = [], [], []
+    for t, (_, mask, vals, slot) in enumerate(kinds):
         js = np.flatnonzero(mask)
         keys.append(2 * js + slot)
-        cn = [names[j] for j in js.tolist()]
-        if vals is None:
-            lines += [f" {tag} BND  {c}" for c in cn]
-        else:
-            lines += [f" {tag} BND  {c}  {s}" for c, s in zip(cn, _fmt_each(vals[js]))]
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    return [lines[i] for i in order.tolist()]
+        kind.append(np.full(len(js), t))
+        valued.append(np.full(len(js), vals is not None))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    col = keys // 2
+    kind = np.concatenate(kind)[order]
+    valued = np.concatenate(valued)[order]
+    # UP lines (slot 1) show the upper bound, FX and LO the lower; a line
+    # without a value takes the empty text after the values' texts.
+    text, inv = _texts(np.where(keys % 2 == 1, hi[col], lo[col])[valued])
+    val = np.full(len(col), len(text))
+    val[valued] = inv
+    text = [f"  {s}" for s in text] + [""]
+    heads = [f" {tag} BND  " for tag, *_ in kinds]
+    return _sliced(len(col), lambda a, b: [
+        f"{h}{c}{s}"
+        for h, c, s in zip(_pick(heads, kind[a:b]), _pick(names, col[a:b]),
+                           _pick(text, val[a:b]))
+    ])
 
 
 def _is_int(model: MipModel, cols: np.ndarray) -> np.ndarray:
@@ -607,7 +637,11 @@ def _is_int(model: MipModel, cols: np.ndarray) -> np.ndarray:
 
 def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     """Free-format MPS of `model`'s columns with the given rows, whose
-    nonzeros are (cols, vals, row_of) in row order."""
+    nonzeros are (cols, vals, row_of) in row order.
+
+    The sections are made from index arrays, `_SLICE_LINES` lines at a
+    time, so that beside the text only one slice of line strings is alive.
+    """
     n, m = model.num_cols, len(names)
     out = [f"NAME {model.name}"]
     if not model.minimize:
@@ -615,7 +649,9 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
         out.append("    MAX")
     out.append("ROWS")
     out.append(f" N  {model.obj_name}")
-    out += [f" {s}  {r}" for s, r in zip(senses, names)]
+    out += _sliced(m, lambda a, b: [
+        f" {s}  {r}" for s, r in zip(senses[a:b], names[a:b])
+    ])
 
     # Per column: its objective entry (when nonzero or the column has no
     # other), then its row entries in row order. One stable sort by column
@@ -624,43 +660,49 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     obj = np.asarray(model.obj, dtype=np.float64)
     obj_cols = np.flatnonzero((obj != 0.0) | (count == 0))
     count[obj_cols] += 1
-    all_cols = np.concatenate([obj_cols, cols])
-    order = np.argsort(all_cols, kind="stable")
-    all_rows = np.concatenate([np.full(len(obj_cols), m), row_of])[order]
-    all_vals = np.concatenate([obj[obj_cols], vals])[order]
-    cn, rn = model.col_names, list(names) + [model.obj_name]
-    entries = [
-        f"    {cn[j]}  {rn[i]}  {s}"
-        for j, i, s in zip(all_cols[order].tolist(), all_rows.tolist(), _fmt_each(all_vals))
-    ]
-
-    out.append("COLUMNS")
+    col = np.concatenate([obj_cols, cols])
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    row = np.concatenate([np.full(len(obj_cols), m), row_of])[order]
+    text, val = _texts(np.concatenate([obj[obj_cols], vals])[order])
+    del order
+    # Marker lines take the entry layout with names of their own: INTORG
+    # before each column where integrality switches on, INTEND where it
+    # switches off and after the last column when that is integer.
     is_int = _is_int(model, np.arange(n))
-    switch = np.flatnonzero(np.diff(is_int, prepend=False)).tolist()
-    col_start = np.concatenate([[0], np.cumsum(count)]).tolist()
-    done = 0
-    for marker_id, j in enumerate(switch, 1):
-        out += entries[done:col_start[j]]
-        done = col_start[j]
-        kind = "'INTORG'" if is_int[j] else "'INTEND'"
-        out.append(f"    M{marker_id}  'MARKER'  {kind}")
-    out += entries[done:]
-    if n and is_int[-1]:
-        out.append(f"    M{len(switch) + 1}  'MARKER'  'INTEND'")
+    switch = np.flatnonzero(np.diff(is_int, append=False, prepend=False))
+    marker = np.arange(len(switch))
+    at = np.concatenate([[0], np.cumsum(count)])[switch]
+    col = np.insert(col, at, n + marker)
+    row = np.insert(row, at, m + 1)
+    val = np.insert(val, at, len(text) + marker % 2)
+    cn = list(model.col_names) + [f"M{t}" for t in range(1, len(switch) + 1)]
+    rn = list(names) + [model.obj_name, "'MARKER'"]
+    text += ["'INTORG'", "'INTEND'"]
+    out.append("COLUMNS")
+    out += _sliced(len(col), lambda a, b: [
+        f"    {c}  {r}  {s}"
+        for c, r, s in zip(_pick(cn, col[a:b]), _pick(rn, row[a:b]),
+                           _pick(text, val[a:b]))
+    ])
+    del col, row, val
 
     out.append("RHS")
     rhs = np.asarray(rhs, dtype=np.float64)
     nz = np.flatnonzero(rhs != 0.0)
-    out += [
-        f"    RHS  {names[i]}  {s}" for i, s in zip(nz.tolist(), _fmt_each(rhs[nz]))
-    ]
+    text, val = _texts(rhs[nz])
+    out += _sliced(len(nz), lambda a, b: [
+        f"    RHS  {r}  {s}"
+        for r, s in zip(_pick(names, nz[a:b]), _pick(text, val[a:b]))
+    ])
 
     bound_lines = _bound_lines(model.col_names, model.lb, model.ub)
     if bound_lines:
         out.append("BOUNDS")
         out += bound_lines
     out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out.append("")  # the closing newline, without a copy of the text
+    return "\n".join(out)
 
 
 def write_mps(model: MipModel) -> str:
@@ -707,7 +749,6 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     """Original rows plus one <= row per model_constraint clique, named
     CLQ000001, CLQ000002, ... (prefixed with X while the name is taken)."""
     constraints = _ordered(pool, DISP_CONSTRAINT)
-    cols, vals, row_of = _flat(model.rows)
     clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(constraints, pool.varmap, model)
     names = list(model.row_names)
     taken = set(names)
@@ -717,14 +758,20 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
             rname = "X" + rname
         taken.add(rname)
         names.append(rname)
+    del taken
+    # Rebound one at a time, so that no array is held twice.
+    cols, vals, row_of = _flat(model.rows)
+    cols = np.concatenate([cols, clq_cols])
+    vals = np.concatenate([vals, clq_vals])
+    row_of = np.concatenate([row_of, clq_rec + model.num_rows])
     return _write(
         model,
         names,
         list(model.senses) + [SENSE_LE] * len(constraints),
         np.concatenate([model.rhs, clq_rhs]),
-        np.concatenate([cols, clq_cols]),
-        np.concatenate([vals, clq_vals]),
-        np.concatenate([row_of, clq_rec + model.num_rows]),
+        cols,
+        vals,
+        row_of,
     )
 
 
@@ -733,4 +780,6 @@ def export_cut_pool(pool: CutPool) -> str:
     # Each node's signed 1-based column index as text, made once.
     label = functools.cache(lambda node: str(pool.varmap.signed_index(node)))
     lines = [f"{r.tag} {' '.join(map(label, r.nodes))}" for r in _ordered(pool, DISP_USER_CUT)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    if lines:
+        lines.append("")  # the closing newline, without a copy of the text
+    return "\n".join(lines)

@@ -9,12 +9,14 @@ process.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -56,6 +58,10 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     for size, pool in _POOLS.items():
         if size >= workers:
             return pool
+    # Imported here: a k = 1 run starts no pool and need not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     _shutdown_pools(wait=True)
     ctx = multiprocessing.get_context("fork")
     pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=ctx)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -42,7 +43,7 @@ _EXTENDED_TAGS = ("osp_long", "osp_other", "isp_long", "isp_other",
 
 @dataclass
 class Limits:
-    """Stage limits; all strictly positive.
+    """Stage limits; all strictly positive, the counts integers.
 
     `per_thread_ext_nnz` is the adjacency-touch budget of each extension
     worker for the whole extension stage, shared by the osp, isp and org
@@ -60,7 +61,12 @@ class Limits:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value <= 0:
+            count = name != "time_limit_s"
+            kind = numbers.Integral if count else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"limit {name} must be "
+                                f"{'an integer' if count else 'a number'}, got {value!r}")
+            if not value > 0:  # NaN included
                 raise ValueError(f"limit {name} must be strictly positive")
 
     @classmethod

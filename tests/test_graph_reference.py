@@ -15,6 +15,7 @@ from cgcuts.cliques import (
     _detect_indices,
     detect_cliques_parallel,
 )
+from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
 from cgcuts.parallel import shuffle_partition
 from conftest import pbc_table
@@ -79,10 +80,12 @@ def _random_input(rng, n_b):
     return sequences, [rows[i] for i in order]
 
 
-def test_fuzz_matches_per_clique_build():
-    rng = np.random.default_rng(909)
+def _fuzz(seed: int, trials: int) -> dict:
+    """Seeded random builds against the reference; how often each case
+    fired."""
+    rng = np.random.default_rng(seed)
     fired = {"sampled": 0, "capped": 0, "plain": 0}
-    for trial in range(600):
+    for trial in range(trials):
         n_b = int(rng.integers(8, 40))
         sequences, rows = _random_input(rng, n_b)
         limits = {}
@@ -95,7 +98,20 @@ def test_fuzz_matches_per_clique_build():
         fired["sampled"] += stats["downsampled"] > 0
         fired["capped"] += stats["pair_cap_hit"]
         fired["plain"] += not stats["downsampled"] and not stats["pair_cap_hit"]
+    return fired
+
+
+def test_fuzz_matches_per_clique_build():
+    fired = _fuzz(909, 600)
     assert min(fired.values()) >= 50, fired
+
+
+def test_fuzz_matches_per_clique_build_in_small_slices(monkeypatch):
+    # A block writes its codes a few pairs at a time, so most builds cross
+    # slice boundaries, inside a star as well as between stars.
+    monkeypatch.setattr(graph, "_SLICE_PAIRS", 5)
+    fired = _fuzz(910, 300)
+    assert min(fired.values()) >= 25, fired
 
 
 def _seed_where(count: int, first: int, last: int) -> int:
@@ -141,7 +157,9 @@ def test_sampled_family_member_is_expanded_as_its_sample():
 def test_wide_knapsack_builds_in_memory_proportional_to_edges():
     # Coefficients 1..800 and rhs 800: the further cliques hold 10,666,600
     # pairs, the graph 160,000 conflict edges (a + b >= 801). Written out
-    # pair by pair, their codes alone would take 85 MB.
+    # pair by pair, their codes alone would take 85 MB. The CSR takes
+    # 1.24 MB; building both edge directions as int64 codes and sorting a
+    # copy of them peaked at 13.5 MB.
     coeffs = list(range(1, 801))
     harvest = detect_cliques_parallel(pbc_table([(coeffs, 800)]), 1, 0)
     (family,) = harvest.families
@@ -158,4 +176,4 @@ def test_wide_knapsack_builds_in_memory_proportional_to_edges():
         tracemalloc.stop()
     assert stats["pairs_expanded"] == 80_200 + 10_666_600
     assert g.stored_nnz == 2 * (160_000 + 800)
-    assert peak < 16 * 2**20, peak
+    assert peak < 8 * 2**20, peak

@@ -1,5 +1,6 @@
 """MPS parsing, writing and cut-pool serialization."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cgcuts.model_io import (
     DISP_USER_CUT,
     CutPool,
     CutRecord,
+    MipModel,
     MpsError,
     export_cut_pool,
     parse_mps,
@@ -288,3 +290,45 @@ def test_unbounded_integer_column_is_a_general_integer():
     assert model.integers == {0, 1}
     assert (model.lb[1], model.ub[1]) == (0.0, math.inf)
     assert model.binaries == {0}
+
+
+def _wide_model(n: int, m: int, per_row: int, seed: int):
+    """A MIP of n columns (binary, general integer and continuous, in runs)
+    and m rows of `per_row` nonzeros, with a pool of clique rows over its
+    binaries."""
+    rng = np.random.default_rng(seed)
+    kind = np.repeat(rng.integers(0, 3, size=n // 50 + 1), 50)[:n]
+    cols = np.sort(rng.integers(0, n, size=(m, per_row)), axis=1)
+    cols = [np.unique(c) for c in cols]
+    model = MipModel(
+        col_names=[f"x{j}" for j in range(n)],
+        row_names=[f"r{i}" for i in range(m)],
+        rows=[(c, rng.integers(-9, 10, size=len(c)) / 4 + 0.125) for c in cols],
+        senses=["L", "G", "E"] * (m // 3) + ["L"] * (m % 3),
+        rhs=rng.integers(-5, 20, size=m).astype(float),
+        obj=rng.integers(0, 3, size=n).astype(float),
+        lb=np.where(kind == 2, -1.0, 0.0),
+        ub=np.choose(kind, [1.0, 20.0, 50.5]),
+        integers={int(j) for j in np.flatnonzero(kind < 2)},
+    )
+    varmap = VarMap(sorted(model.binaries))
+    records = [
+        CutRecord(tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, 6, replace=False))),
+                  "org_other", DISP_CONSTRAINT)
+        for _ in range(m // 4)
+    ]
+    return model, CutPool(records=records, varmap=varmap)
+
+
+def test_augmented_model_is_written_in_memory_proportional_to_its_text():
+    # Formatting every line before joining them held all line strings and
+    # per-entry Python integers at once: 8.9 times the text's length here.
+    model, pool = _wide_model(20_000, 4_000, 12, 5)
+    tracemalloc.start()
+    try:
+        text = write_augmented_mps(model, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2**20
+    assert peak < 6 * len(text), peak / len(text)

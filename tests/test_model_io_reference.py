@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mps_reference as ref
+from cgcuts import model_io
 from cgcuts.literals import VarMap
 from cgcuts.model_io import (
     DISP_CONSTRAINT,
@@ -164,6 +165,17 @@ def test_fuzzed_text_matches_reference(seed):
     model = parse_mps(text)
     assert_same_model(model, expected)
     assert_same_text(model, random_pool(rng, model))
+
+
+def test_fuzzed_text_matches_reference_in_small_slices(monkeypatch):
+    # The writers format a few lines at a time, so every section and the
+    # integer markers cross slice boundaries.
+    monkeypatch.setattr(model_io, "_SLICE_LINES", 3)
+    for seed in range(40):
+        rng = np.random.default_rng(1500 + seed)
+        text = random_mps(rng, n_cols=int(rng.integers(1, 40)), n_rows=int(rng.integers(1, 12)))
+        model = parse_mps(text)
+        assert_same_text(model, random_pool(rng, model))
 
 
 @pytest.mark.parametrize("seed", range(2))

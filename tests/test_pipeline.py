@@ -1,9 +1,14 @@
 """End-to-end pipeline, limits and the command-line driver."""
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cgcuts
 from cgcuts.cli import main
 from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP
 from cgcuts import model_io
@@ -276,6 +281,54 @@ def test_cli_rejects_unknown_limits_key(tmp_path, capsys):
     path.write_text(json.dumps({"max_knapsack_vars": 7, "no_such_limit": 1}))
     assert_cli_rejects(tmp_path, capsys, ["--limits", str(path)],
                        "no_such_limit")
+
+
+@pytest.mark.parametrize("limits, extra, message", [
+    ({"max_clique_sample": 2.5}, [], "max_clique_sample must be an integer"),
+    ({"max_graph_nnz": math.nan}, [], "max_graph_nnz must be an integer"),
+    ({"per_thread_ext_nnz": True}, [], "per_thread_ext_nnz must be an integer"),
+    ({"time_limit_s": math.nan}, [], "time_limit_s must be strictly positive"),
+    ({}, ["--time-limit", "nan"], "time_limit_s must be strictly positive"),
+], ids=["fractional-count", "nan-count", "bool-count", "nan-seconds",
+        "nan-time-limit-flag"])
+def test_cli_rejects_fractional_and_nan_limits(tmp_path, capsys, limits, extra,
+                                               message):
+    # A fractional sample size reached `Generator.choice` as a TypeError, and
+    # NaN passed `value <= 0`, turning the pair cap or the time limit off.
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps(limits))
+    assert_cli_rejects(tmp_path, capsys, ["--limits", str(path), *extra],
+                       f"invalid limits: limit {message}")
+
+
+def test_limits_accept_integer_counts_and_real_seconds():
+    limits = Limits(max_graph_nnz=np.int64(9), time_limit_s=2)
+    assert (limits.max_graph_nnz, limits.time_limit_s) == (9, 2)
+    with pytest.raises(TypeError):
+        Limits(max_knapsack_vars=7.0)
+
+
+def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path):
+    # A k = 1 run starts no process pool and runs no benchmark, so a fresh
+    # interpreter need not import either.
+    src = tmp_path / "in.mps"
+    src.write_text(write_mps(KNAPSACK6))
+    code = (
+        "import sys\n"
+        "from cgcuts import cli\n"
+        f"assert cli.main(['presolve', {str(src)!r}]) == 0\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+    )
+    root = os.path.dirname(os.path.dirname(cgcuts.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "multiprocessing", "concurrent.futures",
+         "cgcuts.bench"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_bench_writes_csv(tmp_path):
