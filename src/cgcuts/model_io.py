@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -163,76 +163,134 @@ _KNOWN_SECTIONS = {
 }
 
 #: Row ids of the objective and of further free (N) rows; constraint rows
-#: are numbered 0, 1, ... in ROWS order.
+#: are numbered 0, 1, ... in ROWS order. No row has the id _UNKNOWN.
 _OBJ = -1
 _FREE = -2
+_UNKNOWN = -3
 
-#: Lines per chunk of COLUMNS.
+#: Lines per slice: a section is read this many lines at a time.
 _CHUNK = 4096
 
-#: Bound tag -> (lower, upper, integer): the bound each side gets (None:
-#: unchanged, _VAL: the line's value) and whether the column turns integer.
-_VAL = "value"
-_BOUND_SET = {
-    "LO": (_VAL, None, False),
-    "UP": (None, _VAL, False),
-    "FX": (_VAL, _VAL, False),
-    "FR": (-_INF, _INF, False),
-    "MI": (-_INF, None, False),
-    "PL": (None, _INF, False),
-    "BV": (0.0, 1.0, True),
-    "LI": (_VAL, None, True),
-    "UI": (None, _VAL, True),
-}
+_ROW_TYPES = {"N": 0, "L": 1, "G": 1, "E": 1}  # 1: a constraint
+
+#: Bound tag -> code; the last three (BV, LI, UI) make a column integer.
+#: Per code, the (lower, upper) bound a line sets where _SETS holds, NaN
+#: standing for the line's value.
+_BOUND_CODE = {t: c for c, t in enumerate(("LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI"))}
+_BOUND = np.array([[math.nan, 0], [0, math.nan], [math.nan, math.nan], [-_INF, _INF],
+                   [-_INF, 0], [0, _INF], [0, 1], [math.nan, 0], [0, math.nan]])
+_SETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1], [1, 0], [0, 1], [1, 1], [1, 0], [0, 1]], bool)
+_VALUED = np.isnan(_BOUND).any(axis=1)
+
+#: The line breaks of `str.splitlines` and the whitespace of `str.split`
+#: besides newline, space and tab, which `_plain` rewrites.
+_ODD_ASCII = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_BREAK = "\r\n|[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
+_LEADING = r"(?m)^[^\S \t\n][^\S\n]*"
+_SPACE = r"[^\S \t\n]"
 
 
-def _number(tok: str, ln: int) -> float:
-    try:
-        return float(tok.replace("D", "E").replace("d", "e"))
-    except ValueError:
-        raise MpsError(f"bad numeric field {tok!r}", ln) from None
+def _plain(text: str) -> str:
+    """The text with the lines of `str.splitlines` and the tokens of
+    `str.split`, but only newline, space and tab as whitespace. A line led
+    by other whitespace is not indented, so all its leading whitespace goes."""
+    if text.isascii() and not any(map(text.__contains__, _ODD_ASCII)):
+        return text
+    return re.sub(_SPACE, " ", re.sub(_LEADING, "", re.sub(_BREAK, "\n", text)))
 
 
-def _finite(tok: str, ln: int) -> float:
-    val = _number(tok, ln)
-    if not math.isfinite(val):
-        raise MpsError(f"non-finite value {tok!r}", ln)
-    return val
-
-
-def _values(toks: list[str], lns: list[int]) -> np.ndarray:
-    """Finite float64 values of the tokens, as `_finite` reads them; raises
-    at the first bad one, with its line from `lns`."""
+def _floats(toks: np.ndarray, finite: bool = True):
+    """(float64 values, error) of an object array of tokens, D exponents
+    included. `error` is None, or (index, message) of the first token that
+    is no number, or not finite (NaN when not `finite`)."""
     try:
         vals = np.array(toks, dtype=np.float64)
-    except ValueError:
-        # A Fortran exponent (1.5D3) is the only spelling that float()
-        # rejects and `_number` accepts.
-        fixed = [
-            t.replace("D", "E").replace("d", "e") if "D" in t or "d" in t else t
-            for t in toks
-        ]
-        try:
-            vals = np.array(fixed, dtype=np.float64)
-        except ValueError:
-            vals = None
-    if vals is None or not np.isfinite(vals).all():
-        for tok, ln in zip(toks, lns):
-            _finite(tok, ln)
-    return vals
+    except ValueError:  # a Fortran exponent (1.5D3), or no number
+        vals = []
+        for tok in toks.tolist():
+            try:
+                vals.append(float(tok.replace("D", "E").replace("d", "e")))
+            except ValueError:
+                break
+        vals = np.array(vals)
+    odd = np.flatnonzero(~np.isfinite(vals) if finite else np.isnan(vals))
+    i = odd[0] if len(odd) else len(vals)
+    what = "bad numeric field" if not len(odd) else "non-finite value" if finite else "NaN bound"
+    return vals, (i, f"{what} {toks[i]!r}") if i < len(toks) else None
 
 
-def _content(lines: list[str], lo: int, hi: int):
-    """(line number, tokens) of the data lines among lines[lo:hi], leaving
-    out blank and comment lines."""
-    for ln, raw in enumerate(lines[lo:hi], lo + 1):
-        tokens = raw.split()
-        if tokens and tokens[0][0] != "*":
-            yield ln, tokens
+def _raise_first(errors: list) -> None:
+    """Raise the first in file order of (line, place in the line, message)."""
+    if errors:
+        line, _, message = min(errors)
+        raise MpsError(message, int(line))
+
+
+def _runs(names: np.ndarray):
+    """(first name, length) of each run of equal names: the names of a
+    column, or of a bound tag, come in runs and are looked up once a run."""
+    run = np.ones(len(names), bool)
+    run[1:] = names[1:] != names[:-1]
+    run = np.flatnonzero(run)
+    return names[run].tolist(), np.diff(run, append=len(names))
+
+
+class _Lines:
+    """An MPS text as UTF-8 bytes and the offset where each line starts:
+    line i is data[starts[i]:starts[i + 1]], and `heads` are the lines not
+    indented, not blank and no comment."""
+
+    def __init__(self, text: str):
+        self.data = _plain(text).encode()
+        self.bytes = np.frombuffer(self.data, np.uint8)
+        ends = np.flatnonzero(self.bytes == 10) + 1
+        if self.data and not self.data.endswith(b"\n"):
+            ends = np.append(ends, len(self.data))
+        self.starts = np.concatenate(([0], ends))
+        c = self.bytes[self.starts[:-1]]
+        self.heads = np.flatnonzero((c != 32) & (c != 9) & (c != 10) & (c != 42)).tolist()
+
+    def slices(self, lo: int, hi: int):
+        """Lines lo..hi-1, `_CHUNK` at a time: all tokens as an object array,
+        and per content line (not blank, no comment) its number, token count
+        and first token's index, found in one pass over the slice's bytes."""
+        for a in range(lo, hi, _CHUNK):
+            z = min(a + _CHUNK, hi)
+            p, q = self.starts[a], self.starts[z]
+            b = self.bytes[p:q]
+            space = (b == 32) | (b == 9) | (b == 10)
+            first = ~space
+            first[1:] &= space[:-1]
+            n = np.add.reduceat(first.view(np.int8), self.starts[a:z] - p, dtype=np.int32)
+            off = np.cumsum(n) - n
+            keep = n > 0
+            if self.data.find(b"*", p, q) >= 0:  # a comment starts with *
+                keep[keep] = b[np.flatnonzero(first)[off[keep]]] != 42
+            at = np.flatnonzero(keep)
+            toks = self.data[p:q].decode().split()
+            yield np.fromiter(toks, object, len(toks)), at + (a + 1), n[at], off[at]
+
+    def having(self, needle: bytes, line: np.ndarray) -> np.ndarray:
+        """Which of the lines numbered `line` (ascending) contain `needle`."""
+        hits = []
+        if len(line):
+            at, end = self.starts[line[0] - 1], self.starts[line[-1]]
+            while (at := self.data.find(needle, at, end)) >= 0:
+                hits.append(at)
+                at += 1
+        if not hits:
+            return np.zeros(len(line), bool)
+        return np.isin(line, np.searchsorted(self.starts, hits, "right"))
 
 
 class _Reader:
-    """The state of one parse, filled section by section in file order."""
+    """The state of one parse, filled section by section in file order.
+
+    A section method reads one slice of lines: names become ids in one dict
+    lookup per token, values float64 in one call, and each check is a mask
+    over the slice's lines or pairs. The first failing check in file order
+    raises, and within a line the first in a line-at-a-time reader's order.
+    """
 
     def __init__(self):
         self.name = "MODEL"
@@ -244,145 +302,182 @@ class _Reader:
         self.col_order: list[str] = []
         self.col_idx: dict[str, int] = {}
         self.integers: set[int] = set()
+        self.integer = False  # between INTORG and INTEND markers
         # Keyed by row id; an objective constant lands on _OBJ, never read.
         self.rhs_val: dict[int, float] = {}
         self.range_val: dict[int, float] = {}
-        self.lb: dict[int, float] = {}
-        self.ub: dict[int, float] = {}
-        self.bound_spans: list[tuple[int, int]] = []  # BOUNDS line ranges
-        # COLUMNS entries in file order: column, row id and value.
-        self.ent_cols = array("q")
-        self.ent_rows = array("q")
-        self.ent_vals: list[np.ndarray] = []
+        # Per slice: each BOUNDS line's column, tag code, value and line, and
+        # each COLUMNS entry's column, row id and value.
+        self.bnd = [(np.empty(0, np.int64),) * 2 + (np.empty(0), np.empty(0, np.int64))]
+        self.entries = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]
 
-    def rows(self, lines, lo, hi):
-        row_id = self.row_id
-        for ln, tokens in _content(lines, lo, hi):
-            if len(tokens) < 2:
-                raise MpsError("ROWS line needs a type and a name", ln)
-            rtype, rname = tokens[0].upper(), tokens[1]
-            if rname in row_id:
-                raise MpsError(f"duplicate row name {rname!r}", ln)
-            if rtype == "N":
-                if self.obj_name is None:
-                    self.obj_name = rname
-                    row_id[rname] = _OBJ
-                else:
-                    row_id[rname] = _FREE  # extra free rows: coefficients skipped
-            elif rtype in ("L", "G", "E"):
-                row_id[rname] = len(self.row_order)
-                self.row_order.append(rname)
-                self.row_sense.append(rtype)
+    def rows(self, tok, line, n, off):
+        errors = []
+        if (n < 2).any():
+            errors.append((line[(n < 2).argmax()], 0, "ROWS line needs a type and a name"))
+        line, off = line[n >= 2], off[n >= 2]
+        types = list(map(str.upper, tok[off].tolist()))
+        names = tok[off + 1].tolist()
+        con = np.fromiter(map(_ROW_TYPES.get, types, repeat(-1)), np.int64, len(names))
+        if len(set(names)) < len(names) or not self.row_id.keys().isdisjoint(names):
+            seen = set(self.row_id)  # find the first name seen before
+            i = next(i for i, r in enumerate(names) if r in seen or seen.add(r))
+            errors.append((line[i], 1, f"duplicate row name {names[i]!r}"))
+        if (con < 0).any():
+            errors.append((line[con.argmin()], 2, f"unknown row type {types[con.argmin()]!r}"))
+        _raise_first(errors)
+        ids = np.where(con == 1, len(self.row_order) + np.cumsum(con) - 1, _FREE)
+        if self.obj_name is None and not con.all():
+            self.obj_name = names[con.argmin()]
+            ids[con.argmin()] = _OBJ
+        self.row_id.update(zip(names, ids.tolist()))
+        self.row_order += compress(names, con.tolist())
+        self.row_sense += compress(types, con.tolist())
+
+    def _pairs(self, tok, line, n, off, message, errors, ranges=False):
+        """Read lines that are a name and row/value pairs: (the lines read,
+        pairs per line, row id and value per pair). Raises the first in file
+        order of `errors`, a line without pairs or with an unpaired token
+        (`message`), an unknown row and a bad value; within a pair the value
+        is checked first, but in RANGES the row."""
+        odd = (n < 3) | (n % 2 == 0)
+        if odd.any():
+            errors.append((line[odd.argmax()], -1, message))
+        good = np.flatnonzero(~odd)
+        npair = (n[good] - 1) // 2
+        ends = np.cumsum(npair)
+        pair = np.arange(npair.sum()) - np.repeat(ends - npair, npair)
+        at = np.repeat(off[good] + 1, npair) + 2 * pair
+        names = tok[at].tolist()
+        rids = np.fromiter(map(self.row_id.get, names, repeat(_UNKNOWN)), np.int64, len(names))
+        vals, bad = _floats(tok[at + 1])
+
+        def place(e, row):  # (line, place in the line) of pair e's row or value
+            return line[good[np.searchsorted(ends, e, "right")]], 2 * pair[e] + (row != ranges)
+
+        unknown = rids < (0 if ranges else _FREE)
+        if unknown.any():
+            errors.append((*place(unknown.argmax(), True), f"unknown row {names[unknown.argmax()]!r}"))
+        if bad:
+            errors.append((*place(bad[0], False), bad[1]))
+        _raise_first(errors)
+        return good, npair, rids, vals
+
+    def columns(self, tok, line, n, off, marker):
+        """A column gets its id at its first line. A line with a 'MARKER'
+        token switches integrality on (INTORG) or off (INTEND); `marker`
+        tells which lines have 'MARKER' in their text."""
+        errors, flips, states = [], [], [self.integer]
+        for i in np.flatnonzero(marker).tolist():
+            toks = tok[off[i]:off[i] + n[i]].tolist()
+            if "'MARKER'" not in toks:
+                marker[i] = False
+            elif "'INTORG'" in toks or "'INTEND'" in toks:
+                self.integer = "'INTORG'" in toks
+                flips.append(i)
+                states.append(self.integer)
             else:
-                raise MpsError(f"unknown row type {rtype!r}", ln)
+                errors.append((line[i], -1, "MARKER line without INTORG/INTEND"))
+                break
+        at = np.flatnonzero(~marker)
+        good, npair, rids, vals = self._pairs(
+            tok, line[at], n[at], off[at], "COLUMNS line needs col followed by row/value pairs",
+            errors)
+        at = at[good]
+        ids = self._col_ids(tok[off[at]])
+        ints = ids[np.array(states)[np.searchsorted(flips, at, "right")]]
+        self.integers.update(ints[np.diff(ints, prepend=-1) != 0].tolist())
+        self.entries.append((np.repeat(ids, npair), rids, vals))
 
-    def columns(self, lines, lo, hi):
-        """Read COLUMNS `_CHUNK` lines at a time, so the tokens of the whole
-        section are never held at once; each chunk's values become float64
-        in one call. A bad line raises only after the values of the chunk's
-        earlier lines are checked, so the first bad line is the one named."""
-        col_idx, col_order, row_id = self.col_idx, self.col_order, self.row_id
-        integer = False
-        for start in range(lo, hi, _CHUNK):
-            cols: list[int] = []
-            rids: list[int] = []
-            toks: list[str] = []
-            lns: list[int] = []
+    def _col_ids(self, names: np.ndarray) -> np.ndarray:
+        """Each name's column id; a new name gets the next id."""
+        first, length = _runs(names)
+        ids = np.fromiter(map(self.col_idx.get, first, repeat(-1)), np.int64, len(first))
+        new = ids < 0
+        if new.any():
+            added = list(compress(first, new.tolist()))
+            base = len(self.col_order)
+            self.col_idx.update(zip(added, range(base, base + len(added))))
+            if len(self.col_idx) == base + len(added):
+                ids[new] = np.arange(base, base + len(added))
+            else:  # a new name starts two runs: number the names by first run
+                added = list(dict.fromkeys(added))
+                self.col_idx.update(zip(added, range(base, base + len(added))))
+                ids[new] = np.fromiter(map(self.col_idx.__getitem__, compress(
+                    first, new.tolist())), np.int64, new.sum())
+            self.col_order += added
+        return np.repeat(ids, length)
 
-            def fail(msg: str, ln: int):
-                _values(toks, lns)
-                raise MpsError(msg, ln)
+    def rhs(self, tok, line, n, off, ranges=False):
+        section = "RANGES" if ranges else "RHS"
+        _, _, rids, vals = self._pairs(
+            tok, line, n, off, f"{section} line needs set name and row/value pairs", [], ranges)
+        (self.range_val if ranges else self.rhs_val).update(zip(rids.tolist(), vals.tolist()))
 
-            for ln, tokens in _content(lines, start, min(start + _CHUNK, hi)):
-                if "'MARKER'" in tokens:
-                    if "'INTORG'" in tokens:
-                        integer = True
-                    elif "'INTEND'" in tokens:
-                        integer = False
-                    else:
-                        fail("MARKER line without INTORG/INTEND", ln)
-                    continue
-                n = len(tokens)
-                if n < 3 or n % 2 == 0:
-                    fail("COLUMNS line needs col followed by row/value pairs", ln)
-                cname = tokens[0]
-                j = col_idx.get(cname)
-                if j is None:
-                    j = col_idx[cname] = len(col_order)
-                    col_order.append(cname)
-                if integer:
-                    self.integers.add(j)
-                for p in range(1, n, 2):
-                    r = row_id.get(tokens[p])
-                    toks.append(tokens[p + 1])
-                    lns.append(ln)
-                    if r is None:
-                        fail(f"unknown row {tokens[p]!r}", ln)
-                    cols.append(j)
-                    rids.append(r)
-            self.ent_vals.append(_values(toks, lns))
-            self.ent_cols += array("q", cols)
-            self.ent_rows += array("q", rids)
+    def ranges(self, tok, line, n, off):
+        self.rhs(tok, line, n, off, ranges=True)
 
-    def rhs(self, lines, lo, hi):
-        for ln, tokens in _content(lines, lo, hi):
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise MpsError("RHS line needs set name and row/value pairs", ln)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                val = _finite(vtok, ln)
-                r = self.row_id.get(rname)
-                if r is None:
-                    raise MpsError(f"unknown row {rname!r}", ln)
-                self.rhs_val[r] = val
-
-    def ranges(self, lines, lo, hi):
-        for ln, tokens in _content(lines, lo, hi):
-            if len(tokens) < 3 or len(tokens) % 2 == 0:
-                raise MpsError("RANGES line needs set name and row/value pairs", ln)
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                r = self.row_id.get(rname, _FREE)
-                if r < 0:
-                    raise MpsError(f"unknown row {rname!r}", ln)
-                self.range_val[r] = _finite(vtok, ln)
-
-    def bounds(self, lines, lo, hi):
-        for ln, tokens in _content(lines, lo, hi):
-            tag = tokens[0].upper()
-            if tag not in _BOUND_SET:
-                raise MpsError(f"unknown bound type {tag!r}", ln)
-            lower, upper, integer = _BOUND_SET[tag]
-            valued = _VAL in (lower, upper)
-            if not valued and len(tokens) < 3:
-                raise MpsError("bound line needs a column name", ln)
-            if valued and len(tokens) < 4:
-                raise MpsError("bound line needs a column name and a value", ln)
-            j = self.col_idx.get(tokens[2])
-            if j is None:
-                raise MpsError(f"unknown column {tokens[2]!r}", ln)
-            if valued:
-                val = _number(tokens[3], ln)
-                if math.isnan(val):
-                    raise MpsError(f"NaN bound {tokens[3]!r}", ln)
-            if lower is not None:
-                self.lb[j] = val if lower is _VAL else lower
-            if upper is not None:
-                self.ub[j] = val if upper is _VAL else upper
-            if integer:
-                self.integers.add(j)
-        self.bound_spans.append((lo, hi))
+    def bounds(self, tok, line, n, off):
+        """A tag, a set name, a column and, for a tag that takes one, a value,
+        checked in that order. A NaN bound is rejected, an infinite kept."""
+        first, length = _runs(tok[off])
+        code = np.repeat(np.fromiter(map(_BOUND_CODE.get, map(str.upper, first), repeat(-1)),
+                                     np.int64, len(first)), length)
+        valued = (code >= 0) & _VALUED[code]
+        at = np.flatnonzero((code >= 0) & (n >= 3 + valued))
+        col = np.full(len(line), -1)
+        col[at] = np.fromiter(map(self.col_idx.get, tok[off[at] + 2].tolist(), repeat(-1)),
+                              np.int64, len(at))
+        at = np.flatnonzero(valued & (col >= 0))
+        vals, bad = _floats(tok[off[at] + 3], finite=False)
+        errors = [(line[at[bad[0]]], 0, bad[1])] if bad else []
+        if (col < 0).any():
+            i = (col < 0).argmax()
+            if code[i] < 0:
+                msg = f"unknown bound type {tok[off[i]].upper()!r}"
+            elif n[i] < 3 + valued[i]:
+                msg = "bound line needs a column name" + " and a value" * int(valued[i])
+            else:
+                msg = f"unknown column {tok[off[i] + 2]!r}"
+            errors.append((line[i], 0, msg))
+        _raise_first(errors)
+        val = np.full(len(line), math.nan)
+        val[at] = vals
+        self.integers.update(col[code >= _BOUND_CODE["BV"]].tolist())
+        self.bnd.append((col, code, val, line))
 
     # Assembly --------------------------------------------------------------
+
+    def bound_arrays(self, n: int):
+        """(lb, ub): [0, inf), or the bound of the last BOUNDS line that sets
+        the side. A column whose bounds cross raises at its last BOUNDS
+        line."""
+        bounds = np.zeros(n), np.full(n, _INF)
+        col, code, val, line = (np.concatenate(a)[::-1] for a in zip(*self.bnd))
+        self.bnd = None
+        for side, bound in enumerate(bounds):
+            sets = _SETS[code, side]
+            _, last = np.unique(col[sets], return_index=True)  # first of the reversed
+            b = np.where(np.isnan(_BOUND[code, side]), val, _BOUND[code, side])[sets]
+            bound[col[sets][last]] = b[last]
+        crossed = np.flatnonzero(bounds[0] > bounds[1])
+        if len(crossed):
+            j = int(crossed[0])
+            raise MpsError(f"column {self.col_order[j]} has lb > ub", int(line[col == j].max()))
+        return bounds
 
     def sparse_rows(self, n: int):
         """(objective, per-row (cols, vals)): duplicate (col, row) entries
         summed in file order, explicit zeros dropped, each row sorted by
         column."""
         m = len(self.row_order)
-        rid = np.array(self.ent_rows, dtype=np.int64)
+        col, rid, vals = map(np.concatenate, zip(*self.entries))
+        self.entries = None  # so that the entries are held once
         keep = rid != _FREE
-        vals = np.concatenate([np.empty(0)] + self.ent_vals)[keep]
+        vals = vals[keep]
         # One key per (col, row), the objective first within a column.
-        key = np.array(self.ent_cols, dtype=np.int64)[keep] * (m + 1) + (rid[keep] + 1)
+        key = col[keep] * (m + 1) + (rid[keep] + 1)
+        del col, rid, keep
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
@@ -409,77 +504,64 @@ class _Reader:
 def parse_mps(text: str) -> MipModel:
     """Parse an MPS character stream into a MipModel.
 
-    Section headers start in the first column and data lines are indented;
-    the sections are read in file order. COLUMNS is read `_CHUNK` lines
-    at a time, each chunk's values converted in one call. Repeated
-    (col, row) entries are summed in file order and zero sums dropped; the
-    rows come from one sort of all entries.
+    Section headers start in the first column and data lines are indented.
+    One pass over the text's bytes finds the lines and headers; the sections
+    are read in file order, `_CHUNK` lines at a time (`_Lines`, `_Reader`).
+    Beside the text and the model, memory holds the text's bytes, one
+    slice's tokens and the entries read so far. The first malformed line in
+    file order raises, with a line-at-a-time reader's message and line.
+    Repeated (col, row) entries are summed in file order and zero sums
+    dropped; the rows come from one sort of all entries.
 
     Bounds default to [0, inf), also for an integer column (INTORG marker):
     without bounds it reads as lb = 0, ub = inf, a general integer and not
-    a binary. Coefficients, right-hand sides and ranges must be finite and
-    bounds must not be NaN; infinite bounds are allowed. A column whose
-    bounds cross is rejected at its last BOUNDS line.
+    a binary. The last BOUNDS line that sets a side wins. Coefficients,
+    right-hand sides and ranges must be finite and bounds must not be NaN;
+    infinite bounds are allowed. A column whose bounds cross is rejected at
+    its last BOUNDS line.
     """
     rd = _Reader()
-    lines = text.splitlines()
-    # Headers: not indented, not blank and not a comment.
-    heads = [
-        i
-        for i, raw in enumerate(lines)
-        if raw[:1] not in " \t" and raw.lstrip()[:1] not in "*"
-    ]
+    lines = _Lines(text)
+    heads = lines.heads
     section = None
-    saw_endata = False
+    saw_endata = pending_objsense = False
     for h, lo in enumerate([-1] + heads):
-        hi = heads[h] if h < len(heads) else len(lines)
-        pending_objsense = False
+        hi = heads[h] if h < len(heads) else len(lines.starts) - 1
         if lo >= 0:
-            tokens = lines[lo].split()
+            tokens = lines.data[lines.starts[lo]:lines.starts[lo + 1]].decode().split()
             head = tokens[0].upper()
             if head not in _KNOWN_SECTIONS:
                 raise MpsError(f"unsupported section {head!r}", lo + 1)
             if head == "ENDATA":
                 saw_endata = True
                 break
-            if head == "NAME":
-                if len(tokens) > 1:
-                    rd.name = tokens[1]
-                section = None
+            section = None if head == "NAME" else head
+            if head == "NAME" and len(tokens) > 1:
+                rd.name = tokens[1]
+            if head == "OBJSENSE" and len(tokens) > 1:
+                rd.minimize = tokens[1].upper().startswith("MIN")
+            pending_objsense = head == "OBJSENSE" and len(tokens) == 1
+            rd.integer = False
+        for tok, line, n, off in lines.slices(lo + 1, hi):
+            if section == "COLUMNS":
+                rd.columns(tok, line, n, off, lines.having(b"'MARKER'", line))
+            elif section in ("ROWS", "RHS", "RANGES", "BOUNDS"):
+                getattr(rd, section.lower())(tok, line, n, off)
             else:
-                section = head
-            if section == "OBJSENSE":
-                if len(tokens) > 1:
-                    rd.minimize = tokens[1].upper().startswith("MIN")
-                else:
-                    pending_objsense = True
-        if section in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-            getattr(rd, section.lower())(lines, lo + 1, hi)
-            continue
-        for ln, tokens in _content(lines, lo + 1, hi):
-            if section is None:
-                raise MpsError("data line outside any section", ln)
-            if not pending_objsense:
-                raise MpsError(f"unsupported section {section!r}", ln)
-            rd.minimize = tokens[0].upper().startswith("MIN")
-            pending_objsense = False
+                for ln, first in zip(line.tolist(), tok[off].tolist()):
+                    if section is None:
+                        raise MpsError("data line outside any section", ln)
+                    if not pending_objsense:
+                        raise MpsError(f"unsupported section {section!r}", ln)
+                    rd.minimize = first.upper().startswith("MIN")
+                    pending_objsense = False
 
     if not saw_endata and section is None and not rd.row_order and not rd.col_order:
         raise MpsError("no MPS content found")
 
+    del lines  # the text's bytes are not needed while the rows are built
     n = len(rd.col_order)
-    lbs = np.zeros(n)
-    ubs = np.full(n, _INF)
-    lbs[list(rd.lb)] = list(rd.lb.values())
-    ubs[list(rd.ub)] = list(rd.ub.values())
-    crossed = np.flatnonzero(lbs > ubs)
-    if len(crossed):
-        name = rd.col_order[int(crossed[0])]
-        line = max(ln for lo, hi in rd.bound_spans
-                   for ln, tokens in _content(lines, lo, hi) if tokens[2] == name)
-        raise MpsError(f"column {name} has lb > ub", line)
-
-    del lines  # the text's lines are not needed while the rows are built
+    lbs, ubs = rd.bound_arrays(n)
     obj, base_rows = rd.sparse_rows(n)
 
     # Rows in ROWS order; a RANGES entry adds a paired row.
@@ -534,9 +616,18 @@ def parse_mps(text: str) -> MipModel:
 
 
 def parse_mps_file(path) -> MipModel:
-    with open(path, "r") as fh:
-        text = fh.read()
+    """Parse the MPS file at `path`, read as UTF-8 with universal newlines.
+    Every error is an `MpsError` with `path` set, also for a file that
+    cannot be read (the OS error) or a byte that is not UTF-8 (its line)."""
     try:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise MpsError(f"cannot read the file: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+            line = len((exc.object[:exc.start].decode() + ".").splitlines())
+            raise MpsError(f"byte {exc.object[exc.start]:#04x} is not UTF-8", line) from None
         return parse_mps(text)
     except MpsError as exc:
         exc.path = path

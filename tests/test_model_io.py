@@ -15,6 +15,7 @@ from cgcuts.model_io import (
     MpsError,
     export_cut_pool,
     parse_mps,
+    parse_mps_file,
     write_augmented_mps,
     write_mps,
 )
@@ -332,3 +333,43 @@ def test_augmented_model_is_written_in_memory_proportional_to_its_text():
         tracemalloc.stop()
     assert len(text) > 2**20
     assert peak < 6 * len(text), peak / len(text)
+
+
+def test_model_is_parsed_in_memory_proportional_to_its_text():
+    # Splitting the whole text into lines held one str per line: 7.3 times
+    # the text's length here. Slices of lines hold 5.7.
+    model, _ = _wide_model(20_000, 4_000, 12, 5)
+    text = write_mps(model)
+    tracemalloc.start()
+    try:
+        parsed = parse_mps(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.signature() == model.signature()
+    assert len(text) > 2**20
+    assert peak < 6.5 * len(text), peak / len(text)
+
+
+def test_parse_mps_file_reads_utf8_with_text_mode_newlines(tmp_path):
+    text = PACKING_MPS.replace("x1", "\u03be1")
+    src = tmp_path / "crlf.mps"
+    src.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert parse_mps_file(src).col_names == ["\u03be1", "x2"]
+
+
+def test_parse_mps_file_rejects_unreadable_input_with_its_path(tmp_path):
+    missing = tmp_path / "missing.mps"
+    bad = tmp_path / "bad.mps"
+    # The bad byte comes after more text than one read buffer holds.
+    bad.write_bytes(("* note\r\n" * 2000 + PACKING_MPS.replace("x2  obj", "x\xff2  obj", 1))
+                    .encode("latin-1"))
+    expected = {
+        missing: (None, "cannot read the file: No such file or directory"),
+        tmp_path: (None, "cannot read the file: Is a directory"),
+        bad: (2008, "line 2008: byte 0xff is not UTF-8"),
+    }
+    for path, (line, message) in expected.items():
+        with pytest.raises(MpsError) as exc:
+            parse_mps_file(path)
+        assert (exc.value.path, exc.value.line, str(exc.value)) == (path, line, message)

@@ -1,6 +1,8 @@
 """The array-pass MPS reader and writers against the line-at-a-time
 reference in `mps_reference`: equal models, byte-identical text, and the
 same `MpsError` message and line for malformed input."""
+import re
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,9 @@ MALFORMED = {
     "bad value before an unknown row": BASE.replace("x2  c1  1  c2  1", "x2  c1  abc  c9  1"),
     "bad value a line above an unknown row": BASE.replace("x1  obj  1", "x1  obj  zz").replace(
         "x2  c1  1", "x2  c9  1"),
+    "unknown row and bad value in one pair": BASE.replace("x2  c1  1", "x2  c9  abc"),
+    "RHS unknown row and bad value in one pair": BASE.replace("RHS  c1  4", "RHS  c7  four"),
+    "RANGES unknown row and bad value in one pair": BASE.replace("RNG  c1  2", "RNG  c7  two"),
     "marker without INTORG/INTEND": BASE.replace("'INTEND'", "'SOMETHING'"),
     "COLUMNS line with an even token count": BASE.replace("y1  c2  3", "y1  c2  3  c1"),
     "COLUMNS line too short": BASE.replace("y1  c2  3", "y1  c2"),
@@ -331,3 +336,131 @@ def test_malformed_table_reports_the_expected_lines():
     assert line_of("bad numeric deep in COLUMNS") == BIG_COL
     assert line_of("unknown column after a BV/UP boundary") == BIG_BND
     assert line_of("no MPS content") is None
+
+
+def same_outcome(text):
+    """`parse_mps` gives the reference's model, or its message and line."""
+    try:
+        expected = ref.parse_mps(text)
+    except MpsError as exc:
+        with pytest.raises(MpsError) as got:
+            parse_mps(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert_same_model(parse_mps(text), expected)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 4, 5])
+def test_fuzzed_text_matches_reference_in_small_chunks(monkeypatch, chunk):
+    # Every section, the integer markers, comments and repeated bounds
+    # cross slice boundaries.
+    monkeypatch.setattr(model_io, "_CHUNK", chunk)
+    for seed in range(15):
+        rng = np.random.default_rng(3000 + 100 * chunk + seed)
+        text = random_mps(rng, n_cols=int(rng.integers(1, 40)), n_rows=int(rng.integers(1, 12)))
+        assert_same_model(parse_mps(text), ref.parse_mps(text))
+
+
+@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_fails_like_reference_in_small_chunks(monkeypatch, case, chunk):
+    monkeypatch.setattr(model_io, "_CHUNK", chunk)
+    test_malformed_input_fails_like_reference(case)
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_column_lines_out_of_order_match_reference(monkeypatch, chunk):
+    # A column's lines need not be consecutive: it gets its id at its first.
+    monkeypatch.setattr(model_io, "_CHUNK", chunk)
+    cols = np.random.default_rng(5).integers(0, 9, size=60)
+    text = "\n".join(["NAME mix", "ROWS", " N  obj", " L  c1", " G  c2", "COLUMNS"]
+                     + [f"    x{k}  c{1 + k % 2}  {k + 1}" for k in cols] + ["ENDATA", ""])
+    assert_same_model(parse_mps(text), ref.parse_mps(text))
+
+
+#: Every line break of `str.splitlines` and a sample of the whitespace of
+#: `str.split`, ASCII and not.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u1680", "\u2000", "\u200a", "\u202f", "\u205f", "\u3000"]
+
+
+def respell(text: str, rng) -> str:
+    """The text with random line breaks and whitespace, and non-ASCII
+    names. Indented lines still start with a space or a tab; headers, blank
+    and comment lines may start with other whitespace."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    text = re.sub(r"\b([XR])(\d+)", lambda m: "ξŘ"[m.group(1) == "R"] + m.group(2) + "é", text)
+    out = []
+    for raw in text.splitlines():
+        body = raw.lstrip(" ")
+        lead = pick([" ", "\t", " \u3000", "\t\x1f"]) if body != raw else pick(["", "", "\xa0", "\u2003 "])
+        out.append(lead + re.sub(" +", lambda m: pick(SPACES) + pick(["", " "]), body) + pick(BREAKS))
+        if rng.random() < 0.05:
+            out.append(pick(["", "\u3000", "\xa0* note", " \x1f"]) + pick(BREAKS))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_respelled_text_matches_reference(monkeypatch, chunk):
+    monkeypatch.setattr(model_io, "_CHUNK", chunk)
+    for seed in range(20):
+        rng = np.random.default_rng(4000 + seed)
+        text = respell(random_mps(rng, n_cols=int(rng.integers(1, 30)), n_rows=8), rng)
+        assert not text.isascii()
+        assert_same_model(parse_mps(text), ref.parse_mps(text))
+    for case in sorted(MALFORMED)[:20]:
+        same_outcome(respell(MALFORMED[case], np.random.default_rng(len(case))))
+
+
+def test_every_line_break_and_whitespace_reads_like_reference():
+    """Each character that `str.splitlines` breaks at or `str.split` splits
+    at, as every line break, as every separator, and leading the lines."""
+    odd = [c for c in map(chr, range(0x3001)) if c.isspace() or len(f"a{c}b".splitlines()) > 1]
+    assert len(odd) == 29
+    for c in odd:
+        for text in (BASE.replace("\n", c), BASE.replace("  ", c), BASE.replace("\n ", "\n" + c),
+                     BASE.replace("\n", c + "\n"), ("ROWS" + c + " N  obj\n").replace("N", c + "L")):
+            same_outcome(text)
+
+
+#: A model whose COLUMNS, RHS and BOUNDS sections are 14, 12 and 14 lines.
+EDGE = "\n".join(
+    ["NAME edge", "ROWS", " N  obj"] + [f" L  c{i}" for i in range(12)]
+    + ["COLUMNS"] + [f"    x{j}  c{j % 12}  {j + 1}  obj  1" for j in range(14)]
+    + ["RHS"] + [f"    RHS  c{i}  {i}" for i in range(12)]
+    + ["BOUNDS"] + [f" UP BND  x{j}  {j + 2}" for j in range(14)] + ["ENDATA", ""])
+
+#: Per section: malformed lines for its data line `j`.
+EDGE_BAD = {
+    "COLUMNS": [lambda j: f"    x{j}  c1  zz  obj  1", lambda j: f"    x{j}  c1  1  c99  1",
+                lambda j: f"    x{j}  c1", lambda j: "    M  'MARKER'  'INT'"],
+    "RHS": [lambda j: "    RHS  c1  1  c2  1..", lambda j: "    RHS  c99  1", lambda j: "    RHS"],
+    "BOUNDS": [lambda j: f" UP BND  x{j}  up", lambda j: f" UP BND  q{j}  1",
+               lambda j: f" UQ BND  x{j}  1", lambda j: f" LO BND  x{j}"],
+}
+
+
+def edge_cases():
+    """EDGE with malformed lines on the first and last lines of 4-line
+    slices, alone and two at a time across a slice boundary."""
+    lines = EDGE.splitlines()
+    for section, bad in EDGE_BAD.items():
+        head = lines.index(section)
+        for edits in ([4], [5], [8], [4, 5], [5, 8], [1, 12]):
+            for k in range(len(bad)):
+                text = lines.copy()
+                for e, j in enumerate(edits):
+                    text[head + j] = bad[(k + e) % len(bad)](j - 1)
+                yield f"{section}-{edits}-{k}", "\n".join(text)
+
+
+def test_malformed_lines_at_slice_edges_fail_like_reference(monkeypatch):
+    monkeypatch.setattr(model_io, "_CHUNK", 4)
+    cases = dict(edge_cases())
+    assert len(cases) == 6 * (4 + 3 + 4)
+    for text in cases.values():
+        with pytest.raises(MpsError):
+            ref.parse_mps(text)
+        same_outcome(text)

@@ -356,6 +356,23 @@ def test_cli_rejects_bad_mps_in_one_line(tmp_path, capsys):
     assert not out_model.exists() and not out_cuts.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+def test_cli_rejects_unreadable_input_in_one_line(tmp_path, capsys, kind):
+    src = {"missing": tmp_path / "missing.mps", "directory": tmp_path,
+           "not UTF-8": tmp_path / "bad.mps"}[kind]
+    if kind == "not UTF-8":
+        src.write_bytes(b"NAME bad\nROWS\n N  obj\xe9\n")
+    out_model, out_cuts = tmp_path / "o.mps", tmp_path / "o.cuts"
+    rc = main(["presolve", str(src),
+               "--out-model", str(out_model), "--out-cuts", str(out_cuts)])
+    assert rc == 2
+    message = {"missing": "cannot read the file: No such file or directory",
+               "directory": "cannot read the file: Is a directory",
+               "not UTF-8": "line 3: byte 0xe9 is not UTF-8"}[kind]
+    assert capsys.readouterr().err == f"{src}: {message}\n"
+    assert not out_model.exists() and not out_cuts.exists()
+
+
 def test_cli_rejects_crossing_bounds_in_one_line(tmp_path, capsys):
     src = tmp_path / "cross.mps"
     src.write_text("NAME cross\nROWS\n N  obj\n L  c1\nCOLUMNS\n    x1  c1  1\n"
