@@ -13,11 +13,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .parallel import map_blocks, shuffle_partition
-from .presolve import TOL, PbcTable, _distinct, _indptr, _segment_positions
+from .presolve import PbcTable, _distinct, _indptr, _segment_positions, scaled_tol
 
 SRC_OSP = "osp"
 SRC_ISP = "isp"
@@ -34,6 +35,10 @@ class Clique:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+#: Sort key giving `Clique`'s field order, without the generated `__lt__`.
+clique_order = attrgetter("nodes", "source")
 
 
 @dataclass
@@ -144,23 +149,26 @@ def _detect_indices(coeffs, rhs: float):
     n = len(coeffs)
     if any(coeffs[t] > coeffs[t + 1] for t in range(n - 1)):
         raise ValueError("knapsack coefficients must be sorted non-decreasing")
-    if n < 2 or coeffs[-2] + coeffs[-1] <= rhs + TOL:
+    if n < 2:
+        return None, []
+    tol = float(scaled_tol(rhs, coeffs[-2] + coeffs[-1]))
+    if coeffs[-2] + coeffs[-1] <= rhs + tol:
         return None, []
     # smallest phi with a[phi] + a[phi+1] > rhs; the sum is monotone in phi
     lo, hi = 0, n - 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if coeffs[mid] + coeffs[mid + 1] > rhs + TOL:
+        if coeffs[mid] + coeffs[mid + 1] > rhs + tol:
             hi = mid
         else:
             lo = mid + 1
     phi = lo
     entries = []
     for i in range(phi - 1, -1, -1):
-        sigma = bisect_right(coeffs, rhs + TOL - coeffs[i])
+        sigma = bisect_right(coeffs, rhs + tol - coeffs[i])
         if sigma <= i:
             sigma = i + 1
-        if sigma >= n or coeffs[i] + coeffs[sigma] <= rhs + TOL:
+        if sigma >= n or coeffs[i] + coeffs[sigma] <= rhs + tol:
             break
         entries.append((i, sigma))
     return phi, entries

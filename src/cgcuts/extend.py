@@ -2,54 +2,38 @@
 
 Each base clique is grown by the literals adjacent to all of its members;
 candidates are bucketed greedily so one call can yield several extended
-cliques, of which the longest is singled out.
+cliques, of which the longest is singled out. A block scans `_CHUNK` bases
+at a time: the CSR row of each base's member of least degree gives its
+candidates, and the other members, by ascending degree, drop those not in
+their rows. Only a base with candidates is checked for being a clique: one
+without comes back as it is.
 """
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
 from .cliques import Clique
 from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_partition
+from .presolve import _indptr, _ranges, _within
+
+#: Bases scanned at once; the deadline is polled once per chunk.
+_CHUNK = 256
 
 
-def _row_reader(g: ConflictGraph):
-    """`g.row` with the row starts as a Python list, which is faster when
-    one worker scans many cliques of the graph."""
-    starts, indices = g.indptr.tolist(), g.indices
-    return lambda v: indices[starts[v]:starts[v + 1]]
-
-
-def _scan(nodes, row):
-    """(whether `nodes` form a clique, their common neighbours as a sorted
-    array), from one sort of the members' rows.
-
-    No row holds its own node, so in the sorted rows a member occurs at most
-    t - 1 times, exactly t - 1 times if the members form a clique, and a node
-    adjacent to all t members occurs t times.
-    """
-    t = len(nodes)
-    flat = np.sort(np.concatenate([row(v) for v in nodes]))
-    q = np.asarray(nodes, dtype=flat.dtype)
-    hits = np.searchsorted(flat, q, "right") - np.searchsorted(flat, q, "left")
-    head = flat[:max(len(flat) - t + 1, 0)]
-    return int(hits.sum()) == t * (t - 1), head[head == flat[t - 1:]]
-
-
-def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
-    """Grow `clq` greedily by its common neighbours `cands`.
+def _grow(base: tuple[int, ...], cands: list[int], g: ConflictGraph):
+    """Grow the clique `base` greedily by its common neighbours `cands`.
 
     Candidates are processed in ascending node order; a candidate joins
     every bucket it is fully adjacent to, or opens a new one. Ties for the
-    longest bucket go to the earliest-created bucket. Returns the longest
-    extension, all other extensions and the number of adjacency entries
-    touched.
+    longest bucket go to the earliest-created bucket. Returns the nodes of
+    the longest extension, those of all other extensions and the number of
+    adjacency entries touched.
     """
-    touched = len(clq.nodes) + len(cands)
-    if not cands:
-        return clq, [], touched
+    touched = len(base) + len(cands)
     buckets: list[list[int]] = []  # creation order
     for u in cands:
         adjacent = set(g.neighbors(u))
@@ -65,44 +49,115 @@ def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
     for t in range(1, len(buckets)):
         if len(buckets[t]) > len(buckets[best]):
             best = t
-    base = clq.nodes
-    longest = Clique(tuple(sorted(base + tuple(buckets[best]))), source=clq.source)
-    others = [
-        Clique(tuple(sorted(base + tuple(members))), source=clq.source)
-        for t, members in enumerate(buckets)
-        if t != best
-    ]
-    return longest, others, touched
+    grown = [tuple(sorted(base + tuple(members))) for members in buckets]
+    return grown[best], grown[:best] + grown[best + 1:], touched
+
+
+def _adjacent(g: ConflictGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each v[i] is in the sorted row of u[i]: a lower-bound search
+    of all the rows at once, one step per bit of the longest row, which
+    needs no second copy of the graph."""
+    pos, end = g.indptr[u], g.indptr[u + 1]
+    top = len(g.indices)
+    for bit in reversed(range(int((end - pos).max(initial=0)).bit_length())):
+        step = pos + (1 << bit)
+        ok = (step <= end) & (g.indices[np.minimum(step, top) - 1] < v)
+        pos = np.where(ok, step, pos)
+    return (pos < end) & (g.indices[np.minimum(pos, top - 1)] == v)
+
+
+def _candidates(members, lens, g: ConflictGraph):
+    """(base, node) pairs, by base then node, of the nodes outside each base
+    that are adjacent to all of its members, which `members` lists sorted,
+    one base after the other."""
+    dim = g.num_nodes
+    base = np.repeat(np.arange(len(lens)), lens)
+    members = members.astype(np.int64)
+    own = base * dim + members  # sorted, as each base's members are
+    # by base, then ascending degree; lexsort keeps node order on a tie
+    members = members[np.lexsort((g.indptr[members + 1] - g.indptr[members], base))]
+    first = _indptr(lens)[:-1]
+    pivot = members[first]
+    pair_base = np.repeat(np.arange(len(lens)), g.indptr[pivot + 1] - g.indptr[pivot])
+    pair_node = g.indices[_ranges(g.indptr[pivot], g.indptr[pivot + 1])]
+    keep = ~_within(own, pair_base * dim + pair_node)
+    pair_base, pair_node = pair_base[keep], pair_node[keep]
+    rank = 1
+    while len(pair_base) and rank < lens[pair_base].max():
+        test = np.flatnonzero(lens[pair_base] > rank)
+        adjacent = _adjacent(g, members[first[pair_base[test]] + rank], pair_node[test])
+        keep = np.ones(len(pair_base), dtype=bool)
+        keep[test[~adjacent]] = False
+        pair_base, pair_node = pair_base[keep], pair_node[keep]
+        rank += 1
+    return pair_base, pair_node
+
+
+def _cliques(members, lens, ids, g: ConflictGraph) -> np.ndarray:
+    """Whether each base `ids` is a clique: all its t(t-1)/2 pairs are
+    edges. `members` and `lens` are as in `_candidates`."""
+    t = lens[ids]
+    start = _indptr(lens)[ids]
+    pos = _ranges(start, start + t)
+    after = np.repeat(start + t, t) - pos - 1
+    adjacent = _adjacent(g, np.repeat(members[pos], after),
+                         members[_ranges(pos + 1, pos + 1 + after)])
+    owner = np.repeat(np.repeat(np.arange(len(ids)), t), after)
+    return np.bincount(owner[~adjacent], minlength=len(ids)) == 0
 
 
 def _extend_block(args):
-    clique_items, n_b, indptr, indices, budget, deadline = args
+    """Extend one block's bases, given as flat sorted `nodes` and `lens`.
+
+    Bases are taken in order until the running sum of touches reaches
+    `budget`, or the deadline has passed at a chunk start. Returns (the
+    cliques of the bases that grew, as flat nodes, lengths and the position
+    of their base, each base's longest first; the stop position, which is
+    the first base not taken; touches; budget hit; deadline hit).
+    """
+    nodes, lens, n_b, indptr, indices, budget, deadline = args
     g = ConflictGraph(n_b, indptr, indices)
-    row = _row_reader(g)
-    longs, others = [], []
-    touches = 0
-    budget_hit = False
-    deadline_hit = False
-    for step, (nodes, source) in enumerate(clique_items):
-        if budget is not None and touches >= budget:
-            budget_hit = True
+    budget = np.inf if budget is None else budget
+    ptr = _indptr(lens).tolist()
+    out_nodes, out_lens, owner = [], [], []
+    touches, stop = 0, len(lens)
+    budget_hit = deadline_hit = False
+    for lo in range(0, len(lens), _CHUNK):
+        if touches >= budget:
+            budget_hit, stop = True, lo
             break
-        if deadline is not None and step % 256 == 0 and time.monotonic() >= deadline:
-            deadline_hit = True
+        if deadline is not None and time.monotonic() >= deadline:
+            deadline_hit, stop = True, lo
             break
-        clq = Clique(nodes, source=source)
-        is_clique, cands = _scan(nodes, row)
-        if not is_clique:
-            # capped/down-sampled graphs can miss base edges; pass the
-            # base through unchanged rather than extending blind
-            touches += len(nodes)
-            longs.append(clq)
-            continue
-        longest, grown, touched = _grow(clq, cands.tolist(), g)
-        touches += touched
-        longs.append(longest)
-        others.extend(grown)
-    return longs, others, budget_hit, touches, deadline_hit
+        t = lens[lo:lo + _CHUNK]
+        members = nodes[ptr[lo]:ptr[lo + len(t)]]
+        pair_base, pair_node = _candidates(members, t, g)
+        bounds = np.flatnonzero(np.diff(pair_base, prepend=-1, append=len(t)))
+        ids = pair_base[bounds[:-1]]
+        steps = t.astype(np.int64)  # touches per base
+        pair_node = pair_node.tolist()
+        for i, a, b, clique in zip(ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+                                   _cliques(members, t, ids, g).tolist()):
+            if touches + steps[:i].sum() >= budget:
+                break
+            if not clique:
+                # capped/down-sampled graphs can miss base edges; pass the
+                # base through unchanged rather than extending blind
+                continue
+            base = tuple(nodes[ptr[lo + i]:ptr[lo + i + 1]].tolist())
+            longest, grown, steps[i] = _grow(base, pair_node[a:b], g)
+            for q in [longest] + grown:
+                out_nodes += q
+                out_lens.append(len(q))
+                owner.append(lo + i)
+        ends = touches + np.cumsum(steps)
+        cut = int(np.searchsorted(ends, budget)) + 1
+        if cut < len(t):
+            budget_hit, stop, touches = True, lo + cut, int(ends[cut - 1])
+            break
+        touches = int(ends[-1])
+    return (np.array(out_nodes, dtype=np.int64), np.array(out_lens, dtype=np.int64),
+            np.array(owner, dtype=np.int64), stop, touches, budget_hit, deadline_hit)
 
 
 def extend_parallel(
@@ -118,26 +173,37 @@ def extend_parallel(
     """Shuffle-partition the cliques and extend each on its own worker.
 
     Each worker stops once it has touched `per_worker_budget` adjacency
-    entries (or the monotonic `deadline` passes) and returns what it has;
-    the budget is granted once per worker for the whole call. Every result
-    keeps its base clique's `source`. Returns (longest list, others list).
+    entries (or the monotonic `deadline` passes); the budget is granted once
+    per worker for the whole call. Every base comes back in `longs`, in
+    block order: as its longest extension, or as the caller's own object if
+    it did not grow or lies past the stop. Every result keeps its base
+    clique's `source`. Returns (longest list, others list).
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
-    block_args = [
-        ([(cliques[i].nodes, cliques[i].source) for i in idx], g.n_b,
-         g.indptr, g.indices, per_worker_budget, deadline)
-        for idx in part.blocks
-    ]
+    block_args = []
+    for idx in part.blocks:
+        bases = [cliques[i].nodes for i in idx.tolist()]
+        lens = np.fromiter(map(len, bases), dtype=np.int32, count=len(bases))
+        nodes = np.fromiter(chain.from_iterable(bases), dtype=g.indices.dtype,
+                            count=int(lens.sum()))
+        block_args.append((nodes, lens, g.n_b, g.indptr, g.indices,
+                           per_worker_budget, deadline))
     results = map_blocks(_extend_block, block_args, k)
     longs: list[Clique] = []
     others: list[Clique] = []
-    budget_hit = False
-    deadline_hit = False
+    budget_hit = deadline_hit = False
     touches = 0
-    for bl, bo, bh, bt, dh in results:
-        longs.extend(bl)
-        others.extend(bo)
+    for idx, (flat, lens, owner, _, bt, bh, dh) in zip(part.blocks, results):
+        block = [cliques[i] for i in idx.tolist()]
+        heads = (np.diff(owner, prepend=-1) != 0).tolist()  # a base's longest
+        for i, q, head in zip(owner.tolist(), np.split(flat, np.cumsum(lens)[:-1]), heads):
+            q = Clique(tuple(q.tolist()), source=block[i].source)
+            if head:
+                block[i] = q
+            else:
+                others.append(q)
+        longs.extend(block)
         budget_hit = budget_hit or bh
         deadline_hit = deadline_hit or dh
         touches += bt

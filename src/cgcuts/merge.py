@@ -5,39 +5,66 @@ redundant and removed. A clique's dominators contain each of its members,
 so the candidates are found in a node -> clique-id index (CSR over the
 literal nodes, built once per call): a clique is tested only against the
 cliques, at least as long as it, that hold its rarest member. The cliques
-are split into contiguous index ranges, one per worker.
+are split into contiguous index ranges, one per worker. A block tests
+`_CHUNK` cliques at a time, each against windows of 1, 2, 4, ... of its
+candidates until one holds a dominator: S_j <= S_i when each of j's
+members is found in the sorted clique*N + node codes. A round tests at most
+twice what a one-by-one scan would, never every pair at once.
 """
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
 from .parallel import map_blocks
+from .presolve import _indptr, _ranges, _within
+
+#: Cliques tested at once; the deadline is polled once per chunk. Smaller
+#: chunks cost more rounds of small array passes.
+_CHUNK = 4096
 
 
 def _merge_block(args):
-    sets, lens, pivots, starts, ids, j_lo, j_hi, deadline = args
-    lens, pivots = lens.tolist(), pivots.tolist()
-    starts, ids = starts.tolist(), ids.tolist()
+    nodes, lens, pivots, starts, ids, j_lo, j_hi, deadline = args
+    nodes, ids = nodes.astype(np.int64), ids.astype(np.int64)
+    first = _indptr(lens)
+    codes = np.repeat(np.arange(len(lens)) * (len(starts) - 1), lens) + nodes
     removed = np.zeros(j_hi - j_lo, dtype=bool)
     work = 0
     deadline_hit = False
-    for j in range(j_lo, j_hi):
-        if deadline is not None and (j - j_lo) % 256 == 0:
-            if time.monotonic() >= deadline:
-                deadline_hit = True
-                break
-        sj = sets[j]
-        lj = lens[j]
-        p = pivots[j]
-        for i in ids[starts[p]:starts[p + 1]]:
-            if i == j or lens[i] < lj:
-                continue
-            work += lj
-            if sj <= sets[i] and (lens[i] > lj or i < j):
-                removed[j - j_lo] = True
-                break
+    for lo in range(j_lo, j_hi, _CHUNK):
+        if deadline is not None and time.monotonic() >= deadline:
+            deadline_hit = True
+            break
+        j = np.arange(lo, min(lo + _CHUNK, j_hi))
+        pos, end = starts[pivots[j]], starts[pivots[j] + 1]
+        seen = np.zeros(len(j), dtype=np.int64)  # candidates before `pos`
+        width = 1
+        while len(j):
+            stop = np.minimum(pos + width, end)
+            pair = np.repeat(np.arange(len(j)), stop - pos)
+            i = ids[_ranges(pos, stop)]
+            keep = (i != j[pair]) & (lens[i] >= lens[j[pair]])
+            pair, i, jp = pair[keep], i[keep], j[pair[keep]]
+            count = np.bincount(pair, minlength=len(j))
+            rank = seen[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+            q = np.repeat(i * (len(starts) - 1), lens[jp]) + nodes[_ranges(first[jp], first[jp + 1])]
+            missing = np.repeat(np.arange(len(pair)), lens[jp])[~_within(codes, q)]
+            hits = np.flatnonzero((np.bincount(missing, minlength=len(pair)) == 0)
+                                  & ((lens[i] > lens[jp]) | (i < jp)))
+            hits = hits[np.diff(pair[hits], prepend=-1) != 0]  # the first per clique
+            removed[jp[hits] - j_lo] = True
+            work += int(lens[jp[hits]] @ (rank[hits] + 1))
+            seen += count
+            left = np.ones(len(j), dtype=bool)  # not dominated yet
+            left[pair[hits]] = False
+            over = left & (stop == end)
+            work += int(lens[j[over]] @ seen[over])
+            going = left & (stop < end)
+            j, pos, end, seen = j[going], stop[going], end[going], seen[going]
+            width *= 2
     return removed, work, deadline_hit
 
 
@@ -51,29 +78,30 @@ def removal_flags(
 
     A clique is removed when it is contained in a longer clique, or in an
     equal one with a lower input index; the result is a pure function of
-    the input order, independent of k, and so is `subset_work`.
+    the input order, independent of k, and so is `subset_work`: the length
+    of each clique times the number of candidates it is tested against, up
+    to and including its first dominator.
     """
     m = len(cliques)
     if m == 0:
         return np.zeros(0, dtype=bool)
-    sets = [frozenset(q.nodes) for q in cliques]
-    lens = np.array([len(q.nodes) for q in cliques], dtype=np.int64)
-    flat = np.fromiter((v for q in cliques for v in q.nodes), dtype=np.int64,
-                       count=int(lens.sum()))
+    members = [q.nodes for q in cliques]
+    lens = np.fromiter(map(len, members), dtype=np.int64, count=m)
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(lens.sum()))
     owner = np.repeat(np.arange(m, dtype=np.int64), lens)
     # Posting lists: the cliques holding node v are ids[starts[v]:starts[v + 1]],
     # in ascending id order.
     counts = np.bincount(flat)
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    starts = _indptr(counts)
     ids = owner[np.argsort(flat, kind="stable")]
     # Pivot of each clique: its member in the fewest cliques, the first in
     # sorted node order on a tie (lexsort is stable in the position).
-    first = np.lexsort((counts[flat], owner))[np.cumsum(lens) - lens]
-    pivots = flat[first]
+    pivots = flat[np.lexsort((counts[flat], owner))[np.cumsum(lens) - lens]]
+    small = np.int32 if max(len(counts), m) <= np.iinfo(np.int32).max else np.int64
+    flat, ids, pivots = flat.astype(small), ids.astype(small), pivots.astype(small)
     bounds = np.linspace(0, m, k + 1).astype(int)
     block_args = [
-        (sets, lens, pivots, starts, ids, int(bounds[t]), int(bounds[t + 1]),
+        (flat, lens, pivots, starts, ids, int(bounds[t]), int(bounds[t + 1]),
          deadline)
         for t in range(k)
         if bounds[t] < bounds[t + 1]

@@ -18,6 +18,7 @@ from .cliques import (
     SRC_OSP,
     Clique,
     CliqueTable,
+    clique_order,
     detect_cliques_parallel,
 )
 from .extend import extend_parallel
@@ -155,7 +156,7 @@ def run_pipeline_model(
         records = [
             CutRecord(q.nodes, tag, DISP_USER_CUT)
             for tag in TAGS
-            for q in sorted(pools[tag])
+            for q in sorted(pools[tag], key=clique_order)
         ]
         pool = CutPool(records=records, varmap=varmap)
         _fill_tag_counts(stats, pools, None)
@@ -247,7 +248,7 @@ def run_pipeline_model(
             stats=estats,
         )
         for extended, suffix in ((longs, "long"), (others, "other")):
-            for q in sorted(extended):
+            for q in sorted(extended, key=clique_order):
                 pools[f"{_BASE_PREFIX[q.source]}_{suffix}"].append(q)
         if estats.get("ext_budget_hit"):
             stats.flags["extension_budget_hit"] = True

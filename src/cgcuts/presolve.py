@@ -29,10 +29,21 @@ from .literals import VarMap
 from .model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 
 #: Conservative comparison tolerance: a conflict is only asserted when
-#: a_i + a_j > rhs + TOL, so float noise can never invent a conflict.
+#: a_i + a_j > rhs + TOL * max(1, a_i + a_j, |rhs|), so float noise can never
+#: invent a conflict; a sum near 1e9 is off by more than 1e-9 (`scaled_tol`).
 TOL = 1e-9
 
 _INF = np.inf
+
+
+def scaled_tol(*magnitudes):
+    """TOL relative to the largest of `magnitudes` (scalars or arrays), and
+    absolute below 1: the slack for testing a sum of coefficients against
+    a rhs, where a rounding error grows with the values compared."""
+    scale = 1.0
+    for m in magnitudes:
+        scale = np.maximum(scale, np.abs(m))
+    return TOL * scale
 
 
 class InfeasibleError(Exception):
@@ -49,6 +60,13 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     ends = np.cumsum(lens)
     total = int(ends[-1]) if len(ends) else 0
     return np.repeat(stops - ends, lens) + np.arange(total)
+
+
+def _within(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each value of `q` occurs in the sorted array `sorted_values`."""
+    pos = np.searchsorted(sorted_values, q)
+    np.minimum(pos, len(sorted_values) - 1, out=pos)
+    return sorted_values[pos] == q
 
 
 def _segment_positions(indptr: np.ndarray, segs: np.ndarray) -> np.ndarray:
@@ -300,14 +318,16 @@ def _tighten_level(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
     inf = np.isinf(contrib) & ~e_fold
     n_inf = np.bincount(loc[inf], minlength=len(fold))
     # Each form's finite activity, summed as its own 1-D array would be.
-    finite = contrib[~e_fold & ~inf]
+    fin = ~e_fold & ~inf
+    finite = contrib[fin]
     k = np.where(fold, 0, flen - n_inf)
     start = np.cumsum(k) - k
     fsum = np.zeros(len(fold))
     for length in _distinct(k[k > 0]).tolist():
         sel = np.flatnonzero(k == length)
         fsum[sel] = finite[start[sel][:, None] + np.arange(length)].sum(axis=1)
-    row_bad = ~fold & (n_inf == 0) & (fsum > b + TOL)
+    size = np.bincount(loc[fin], weights=np.abs(finite), minlength=len(fold))
+    row_bad = ~fold & (n_inf == 0) & (fsum > b + scaled_tol(b, size))
     act = e_fold | (~row_bad[loc] & ((n_inf[loc] == 0) | ((n_inf[loc] == 1) & inf)))
     rest = np.where(inf, fsum[loc], fsum[loc] - contrib)
     bound = (b[loc] - rest) / a
@@ -356,11 +376,13 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
 # Pure binary rewriting and classification
 
 
-def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray) -> PbcTable:
+def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray):
     """Every <=-form of every row onto the literals of the binary columns
     `bins`: a negative binary coefficient is complemented and the infimum
     of the non-binary part is moved to the right-hand side. Forms whose
-    infimum is unbounded give no constraint."""
+    infimum is unbounded give no constraint. Returns the table and, per
+    constraint, the magnitude of what its rhs sums: |rhs| plus the absolute
+    values of the terms moved into it."""
     n_b = len(bins)
     pos = np.full(len(lb), -1, dtype=np.int64)
     pos[bins] = np.arange(n_b)
@@ -389,13 +411,14 @@ def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray) -> PbcTable:
     t_order = np.lexsort((compl, col[t], coeff, form[t]))
     t, compl, coeff = t[t_order], compl[t_order], coeff[t_order]
     keep = np.flatnonzero(bounded)
+    size = np.abs(rows.rhs[f_row]) + np.bincount(form, weights=np.abs(d), minlength=nf)
     return PbcTable(
         _indptr(np.bincount(form[t], minlength=nf)[keep]),
         (pos[col[t]] + n_b * compl).astype(np.int32),
         coeff,
         (sign * rows.rhs[f_row] + shift)[keep],
         f_row[keep],
-    )
+    ), size[keep]
 
 
 def _binary_cols(integers, lb, ub) -> np.ndarray:
@@ -407,7 +430,7 @@ def rewrite_rows(model: MipModel) -> PbcTable:
     """The <=-forms of the model's rows as pure binary constraints, in
     (row, LE then GE) order, over the nodes of `VarMap(sorted(binaries))`."""
     return _rewrite(_Rows.of(model), model.lb, model.ub,
-                    _binary_cols(model.integers, model.lb, model.ub))
+                    _binary_cols(model.integers, model.lb, model.ub))[0]
 
 
 def classify_rows(model: MipModel) -> DetectionResult:
@@ -431,7 +454,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     """
     bins = _binary_cols(model.integers, lb, ub)
     n_b = len(bins)
-    pbc = _rewrite(rows, lb, ub, bins)
+    pbc, size = _rewrite(rows, lb, ub, bins)
 
     n = pbc.lengths()
     c, r = pbc.coeffs, pbc.rhs
@@ -439,17 +462,18 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     first[n > 0] = c[pbc.indptr[:-1][n > 0]]
     last[n > 0] = c[pbc.indptr[1:][n > 0] - 1]
     second[n > 1] = c[pbc.indptr[1:][n > 1] - 2]
-    packing = ((n >= 2) & (last - first <= TOL) & (first <= r + TOL)
-               & (r < 2 * first - TOL))
+    tol = scaled_tol(r, last + second, size)
+    packing = ((n >= 2) & (last - first <= tol) & (first <= r + tol)
+               & (r < 2 * first - tol))
     seg = np.repeat(np.arange(len(pbc)), n)
     complemented = np.bincount(seg[pbc.nodes >= n_b], minlength=len(pbc))
     src = pbc.source_row
     osp = (packing & (rows.sense[src] != SENSE_EQ) & (complemented == 0)
            & (n == np.diff(rows.indptr)[src]))
-    ck = ~packing & (n >= 2) & (last + second > r + TOL)
+    ck = ~packing & (n >= 2) & (last + second > r + tol)
 
-    infeasible = (n <= 1) & (r < -TOL)
-    fix = np.flatnonzero((n == 1) & ~infeasible & (first > r + TOL))
+    infeasible = (n <= 1) & (r < -tol)
+    fix = np.flatnonzero((n == 1) & ~infeasible & (first > r + tol))
     node = pbc.nodes[pbc.indptr[fix]]
     fval = (node >= n_b).astype(np.int64)
     fcol = bins[node - n_b * fval]

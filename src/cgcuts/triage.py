@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cliques import Clique
+from .cliques import Clique, clique_order
 from .model_io import TAGS, MipModel
 
 _OTHER_TAGS = ("osp_other", "isp_other", "org_other", "other_other")
@@ -45,7 +45,7 @@ def triage(pools: dict[str, list[Clique]], model: MipModel) -> TriagePlan:
         raise ValueError(f"unknown pool tags: {sorted(unknown)}")
     post_rows = model.num_rows
     nnz = model.nnz
-    replacements = sorted(pools.get("osp_long", []))
+    replacements = sorted(pools.get("osp_long", []), key=clique_order)
     as_constraints: list[tuple[Clique, str]] = []
     as_user_cuts: list[tuple[Clique, str]] = []
     # Row budget: the post-detect rows plus the one-for-one replacements may
@@ -56,11 +56,11 @@ def triage(pools: dict[str, list[Clique]], model: MipModel) -> TriagePlan:
     demotions = 0
 
     for tag in _OTHER_TAGS:
-        for q in sorted(pools.get(tag, [])):
+        for q in sorted(pools.get(tag, []), key=clique_order):
             as_user_cuts.append((q, tag))
 
     for tag in _RULE_TAGS:
-        pool = sorted(pools.get(tag, []))
+        pool = sorted(pools.get(tag, []), key=clique_order)
         size = _set_nnz(pool)
         if tag == "other_long":
             admit = clq_nnz + size <= nnz

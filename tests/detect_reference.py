@@ -10,13 +10,13 @@ bit-identical bounds, kept rows, fixings and tables, and the same
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from cgcuts.literals import Literal, VarMap
 from cgcuts.model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
-from cgcuts.presolve import TOL, InfeasibleError
+from cgcuts.presolve import TOL, InfeasibleError, scaled_tol
 
 _INF = math.inf
 
@@ -29,6 +29,8 @@ class PureBinaryConstraint:
     terms: list[tuple[Literal, float]]
     rhs: float
     source_row: int = -1
+    #: |rhs| plus the absolute values of the terms moved into it
+    size: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         coeffs = [a for _, a in self.terms]
@@ -84,7 +86,8 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
         inf_mask = np.isinf(contrib)
         n_inf = int(inf_mask.sum())
         finite_sum = float(contrib[~inf_mask].sum())
-        if n_inf == 0 and finite_sum > b + TOL:
+        size = float(np.abs(contrib[~inf_mask]).sum())
+        if n_inf == 0 and finite_sum > b + scaled_tol(b, size):
             raise InfeasibleError(row)
         for t in range(len(cols)):
             if n_inf > 1 or (n_inf == 1 and not inf_mask[t]):
@@ -138,6 +141,7 @@ def _pbc_from_terms(cols, vals, b: float, model: MipModel, binaries: set[int],
                     source_row: int):
     terms = []
     shift = 0.0
+    size = abs(b)
     for j, a in zip(cols, vals):
         j = int(j)
         a = float(a)
@@ -147,22 +151,26 @@ def _pbc_from_terms(cols, vals, b: float, model: MipModel, binaries: set[int],
             else:
                 terms.append((Literal(j, True), -a))
                 shift -= a
+                size += abs(a)
         else:
             inf_j = a * model.lb[j] if a > 0 else a * model.ub[j]
             if inf_j == -_INF:
                 return None
             shift -= inf_j
+            size += abs(inf_j)
     terms.sort(key=lambda t: (t[1], t[0].col, t[0].complemented))
-    return PureBinaryConstraint(terms=terms, rhs=b + shift, source_row=source_row)
+    return PureBinaryConstraint(terms=terms, rhs=b + shift, source_row=source_row,
+                                size=size)
 
 
-def _is_scaled_set_packing(coeffs: np.ndarray, b: float) -> bool:
+def _is_scaled_set_packing(coeffs: np.ndarray, b: float, size: float) -> bool:
     if len(coeffs) < 2:
         return False
     a = float(coeffs[0])
-    if a <= 0 or float(coeffs[-1]) - a > TOL:
+    tol = scaled_tol(b, float(coeffs[-1] + coeffs[-2]), size)
+    if a <= 0 or float(coeffs[-1]) - a > tol:
         return False
-    return a <= b + TOL and b < 2 * a - TOL
+    return a <= b + tol and b < 2 * a - tol
 
 
 def _le_forms(cols, vals, b: float, sense: str):
@@ -205,7 +213,7 @@ def classify_rows(m: MipModel) -> Detection:
                 len(fcols) >= 2
                 and all(int(j) in binaries for j in fcols)
                 and np.all(fvals > 0)
-                and _is_scaled_set_packing(np.sort(fvals), fb)
+                and _is_scaled_set_packing(np.sort(fvals), fb, fb)
             ):
                 s_osp.append(_pbc_from_terms(fcols, fvals, fb, m, binaries, i))
                 removed = True
@@ -215,19 +223,21 @@ def classify_rows(m: MipModel) -> Detection:
                 if pbc is None:
                     continue
                 if len(pbc) == 0:
-                    if pbc.rhs < -TOL:
+                    if pbc.rhs < -scaled_tol(pbc.rhs, pbc.size):
                         raise InfeasibleError(i)
                     continue
                 coeffs = np.array([a for _, a in pbc.terms])
                 if len(pbc) == 1:
                     lit, a = pbc.terms[0]
-                    if pbc.rhs < -TOL:
+                    tol = scaled_tol(pbc.rhs, a, pbc.size)
+                    if pbc.rhs < -tol:
                         raise InfeasibleError(i)
-                    if a > pbc.rhs + TOL:
+                    if a > pbc.rhs + tol:
                         apply_fixing(lit, i)
-                elif _is_scaled_set_packing(coeffs, pbc.rhs):
+                elif _is_scaled_set_packing(coeffs, pbc.rhs, pbc.size):
                     s_isp.append(pbc)
-                elif float(coeffs[-1] + coeffs[-2]) > pbc.rhs + TOL:
+                elif float(coeffs[-1] + coeffs[-2]) > pbc.rhs + scaled_tol(
+                        pbc.rhs, float(coeffs[-1] + coeffs[-2]), pbc.size):
                     s_ck.append(pbc)
             keep.append(i)
 

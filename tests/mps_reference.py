@@ -58,6 +58,7 @@ def parse_mps(text: str) -> MipModel:
     lb: dict[int, float] = {}
     ub: dict[int, float] = {}
     explicit_lb: set[int] = set()
+    bound_line: dict[int, int] = {}  # col -> its last BOUNDS line
 
     section = None
     in_integer = False
@@ -66,11 +67,15 @@ def parse_mps(text: str) -> MipModel:
     def err(msg: str, ln: int):
         raise MpsError(msg, ln)
 
-    def number(tok: str, ln: int) -> float:
+    def number(tok: str, ln: int, finite: bool = True) -> float:
+        """The value of `tok`: finite, or for a bound not NaN."""
         try:
-            return float(tok.replace("D", "E").replace("d", "e"))
+            val = float(tok.replace("D", "E").replace("d", "e"))
         except ValueError:
             err(f"bad numeric field {tok!r}", ln)
+        if math.isnan(val) or (finite and math.isinf(val)):
+            err(f"{'non-finite value' if finite else 'NaN bound'} {tok!r}", ln)
+        return val
 
     def get_col(tok: str, ln: int) -> int:
         if tok not in col_idx:
@@ -188,6 +193,7 @@ def parse_mps(text: str) -> MipModel:
                 if len(tokens) < 3:
                     err("bound line needs a column name", ln)
                 j = get_col(tokens[2], ln)
+                bound_line[j] = ln
                 if tag == "FR":
                     lb[j], ub[j] = -_INF, _INF
                 elif tag == "MI":
@@ -203,7 +209,8 @@ def parse_mps(text: str) -> MipModel:
                 if len(tokens) < 4:
                     err("bound line needs a column name and a value", ln)
                 j = get_col(tokens[2], ln)
-                val = number(tokens[3], ln)
+                val = number(tokens[3], ln, finite=False)
+                bound_line[j] = ln
                 if tag in ("LO", "LI"):
                     lb[j] = val
                     explicit_lb.add(j)
@@ -233,6 +240,9 @@ def parse_mps(text: str) -> MipModel:
         lbs[j] = v
     for j, v in ub.items():
         ubs[j] = v
+    crossed = [j for j in range(n) if lbs[j] > ubs[j]]
+    if crossed:
+        err(f"column {col_order[crossed[0]]} has lb > ub", bound_line[crossed[0]])
 
     # Assemble sparse rows in ROWS order, dropping explicit zeros.
     per_row: dict[str, list[tuple[int, float]]] = {r: [] for r in row_order}

@@ -175,9 +175,12 @@ def test_worker_budget_stops_early_and_flags():
         bases, g, 1, seed=0, per_worker_budget=5, stats=stats
     )
     assert stats["ext_budget_hit"]
-    assert len(longs) < len(bases)
-    for q in longs:
-        assert q.nodes == (0, 1, 2)
+    # each base touches 4 entries, so the third starts at 8 >= 5 and stops;
+    # every base past the stop comes back unextended, as the caller's object
+    assert [q.nodes for q in longs] == [(0, 1, 2)] * 2 + [(0,)] * 48
+    assert all(q is b for q, b in zip(longs[2:], bases[2:]))
+    assert others == []
+    assert stats["ext_touches"] == 8
 
 
 def test_touch_counter_accumulates():

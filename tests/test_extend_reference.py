@@ -1,0 +1,160 @@
+"""The array-pass extension against the per-base loop in `extend_reference`:
+the same cliques in the same order, the same `touches`, flags and stop
+position, with the pair cap and down-sampling leaving non-clique bases, a
+binding budget and a deadline each firing."""
+import numpy as np
+import pytest
+
+import extend_reference as ref
+from cgcuts import extend, parallel
+from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique, CliqueTable
+from cgcuts.graph import build_graph_parallel
+from conftest import graph_from_edges
+
+SOURCES = (SRC_OSP, SRC_ISP, SRC_KNAPSACK_ORG)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """`extend._CHUNK` = 3, also in the pool's workers, which are forked
+    again so that they see it."""
+    monkeypatch.setattr(extend, "_CHUNK", 3)
+    parallel._shutdown_pools(wait=True)
+    yield
+    parallel._shutdown_pools(wait=True)
+
+
+class Clock:
+    """A monotonic clock that advances by one at every reading."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self):
+        self.now += 1
+        return self.now - 1
+
+
+def _sub_clique(rng, nodes):
+    t = int(rng.integers(1, len(nodes) + 1))
+    return tuple(sorted(int(v) for v in rng.choice(nodes, size=t, replace=False)))
+
+
+def _random_case(rng):
+    """(graph, bases, build stats): a graph from random cliques, some of
+    them sampled or cut by the pair cap, and bases taken from subsets of
+    those cliques, so that many bases have candidates and some are not
+    cliques of the graph."""
+    n_b = int(rng.integers(3, 12))
+    cliques = [_sub_clique(rng, rng.choice(2 * n_b, size=min(7, 2 * n_b), replace=False))
+               for _ in range(int(rng.integers(1, 30)))]
+    limits = {}
+    if rng.random() < 0.3:
+        limits["max_clique_sample"] = int(rng.integers(2, 5))
+    if rng.random() < 0.3:
+        limits["max_pairs"] = int(rng.integers(0, 40))
+    gstats = {}
+    g = build_graph_parallel(CliqueTable.plain([Clique(c) for c in cliques]), n_b, 1,
+                             int(rng.integers(0, 100)), stats=gstats, **limits)
+    bases = [Clique(_sub_clique(rng, cliques[int(rng.integers(len(cliques)))]),
+                    source=SOURCES[int(rng.integers(3))])
+             for _ in range(int(rng.integers(0, 40)))]
+    return g, bases, gstats
+
+
+def _items(qs):
+    return [(q.nodes, q.source) for q in qs]
+
+
+def assert_same_extension(bases, g, k, seed, **kw):
+    got_stats, want_stats = {}, {}
+    got = extend.extend_parallel(bases, g, k, seed, stats=got_stats, **kw)
+    want = ref.extend_parallel(bases, g, k, seed, stats=want_stats, **kw)
+    assert _items(got[0]) == _items(want[0])
+    assert _items(got[1]) == _items(want[1])
+    assert got_stats == want_stats
+    return got_stats
+
+
+def assert_same_block(bases, g, budget, deadline=None):
+    """One block of `bases`: the same results, stop and touches."""
+    flat = np.array([v for q in bases for v in q.nodes], dtype=g.indices.dtype)
+    lens = np.array([len(q) for q in bases], dtype=np.int64)
+    got = extend._extend_block((flat, lens, g.n_b, g.indptr, g.indices, budget, deadline))
+    want = ref._extend_block(([(q.nodes, q.source) for q in bases], g.n_b, g.indptr,
+                              g.indices, budget, deadline))
+    assert got[3:] == (want[5], want[3], want[2], want[4])
+    return got[3]
+
+
+def _is_clique(nodes, g):
+    return all(g.has_edge(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
+
+
+def _fuzz(seed, trials):
+    rng = np.random.default_rng(seed)
+    fired = {"capped": 0, "sampled": 0, "non_clique": 0, "budget": 0, "grew": 0}
+    for trial in range(trials):
+        g, bases, gstats = _random_case(rng)
+        budget = int(rng.integers(1, 80)) if rng.random() < 0.4 else None
+        k = (1, 2, 4)[trial % 3]
+        stats = assert_same_extension(bases, g, k, trial, per_worker_budget=budget)
+        stop = assert_same_block(bases, g, budget)
+        fired["capped"] += gstats["pair_cap_hit"]
+        fired["sampled"] += gstats["downsampled"] > 0
+        fired["non_clique"] += any(not _is_clique(q.nodes, g) for q in bases[:stop])
+        fired["budget"] += stats["ext_budget_hit"]
+        fired["grew"] += stats["ext_touches"] > sum(len(q) for q in bases)
+    return fired
+
+
+def test_fuzz_matches_per_base_loop():
+    fired = _fuzz(1301, 300)
+    assert min(fired.values()) >= 20, fired
+
+
+def test_fuzz_matches_per_base_loop_in_small_chunks(small_chunks):
+    # Three bases per chunk: budget stops fall inside chunks and at their
+    # starts, at k = 1 in this process and at k = 2, 4 on the pool.
+    fired = _fuzz(1302, 300)
+    assert min(fired.values()) >= 20, fired
+
+
+def test_budget_stop_inside_and_at_start_of_a_chunk(small_chunks):
+    # {0} grows to {0, 1, 2} and touches 4 entries, so base i starts at 4i
+    # touches. With chunks of 3, budget 8 stops inside the first chunk,
+    # 9 and 12 at the start of the second and 13 inside it.
+    g = graph_from_edges([(0, 1), (0, 2), (1, 2)], 3)
+    bases = [Clique((0,))] * 7
+    for budget, stop in ((8, 2), (9, 3), (12, 3), (13, 4)):
+        assert assert_same_block(bases, g, budget) == stop
+        stats = assert_same_extension(bases, g, 1, 0, per_worker_budget=budget)
+        assert stats["ext_touches"] == 4 * stop
+
+
+def test_deadline_stops_at_the_same_base(monkeypatch):
+    # The clock advances once per poll: deadline d stops both at the
+    # d-th poll, which is base 256 * d.
+    rng = np.random.default_rng(1303)
+    g, _, _ = _random_case(rng)
+    bases = [Clique((int(v),)) for v in rng.integers(0, g.num_nodes, size=700)]
+    for deadline in (0, 1, 2, 3):
+        for mod in (extend, ref):
+            monkeypatch.setattr(mod, "time", Clock())
+        assert assert_same_block(bases, g, None, deadline) == min(256 * deadline, 700)
+        for mod in (extend, ref):
+            monkeypatch.setattr(mod, "time", Clock())
+        stats = assert_same_extension(bases, g, 1, 0, deadline=deadline)
+        assert stats["deadline_hit"] == (deadline < 3)
+
+
+def test_candidates_die_at_the_last_member():
+    # In the base {0, 1, 2}, 2 has the highest degree and is tested last:
+    # 3 is adjacent to 0 and 1 but not to 2, and 4 to all three.
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 4),
+             (2, 5), (2, 6), (2, 7)]
+    g = graph_from_edges(edges, 4)
+    for k in (1, 2):
+        longs, others = extend.extend_parallel([Clique((0, 1, 2))], g, k, 0)
+        assert [q.nodes for q in longs] == [(0, 1, 2, 4)] and others == []
+        assert_same_extension([Clique((0, 1, 2))], g, k, 0)

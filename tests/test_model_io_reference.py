@@ -309,6 +309,16 @@ MALFORMED = {
         _edit(BIG, BIG_COL - 3, "* note"), BIG_COL, "    x4500  c1  --"),
     "unknown column after a BV/UP boundary": _edit(BIG, BIG_BND, " UP BND  q2600  3"),
     "bad bound after a BV/UP boundary": _edit(BIG, BIG_BND, " UP BND  x2600  3..0"),
+    "non-finite coefficient": BASE.replace("x2  c1  1", "x2  c1  inf"),
+    "NaN coefficient in the second pair": BASE.replace("c2  1\n    M2", "c2  nan\n    M2"),
+    "non-finite objective coefficient": BASE.replace("x1  obj  1", "x1  obj  -Infinity"),
+    "RHS non-finite": BASE.replace("RHS  c1  4", "RHS  c1  1e999"),
+    "RANGES NaN": BASE.replace("RNG  c1  2", "RNG  c1  nan"),
+    "NaN bound": BASE.replace(" LO BND  y1  -1", " LO BND  y1  NaN"),
+    "crossing bounds": BASE.replace(" LO BND  y1  -1", " LO BND  y1  5\n UP BND  y1  2"),
+    "crossing bounds above later bound lines": BASE.replace(" UP BND  x1  1", " UP BND  x1  -1"),
+    "crossing bounds of two columns": BASE.replace(" UP BND  x1  1", " UP BND  x1  -1").replace(
+        " BV BND  x2", " UP BND  x2  -2"),
 }
 
 
@@ -336,6 +346,8 @@ def test_malformed_table_reports_the_expected_lines():
     assert line_of("bad numeric deep in COLUMNS") == BIG_COL
     assert line_of("unknown column after a BV/UP boundary") == BIG_BND
     assert line_of("no MPS content") is None
+    assert line_of("crossing bounds") == 20
+    assert line_of("crossing bounds above later bound lines") == 17
 
 
 def same_outcome(text):
@@ -435,10 +447,13 @@ EDGE = "\n".join(
 #: Per section: malformed lines for its data line `j`.
 EDGE_BAD = {
     "COLUMNS": [lambda j: f"    x{j}  c1  zz  obj  1", lambda j: f"    x{j}  c1  1  c99  1",
-                lambda j: f"    x{j}  c1", lambda j: "    M  'MARKER'  'INT'"],
-    "RHS": [lambda j: "    RHS  c1  1  c2  1..", lambda j: "    RHS  c99  1", lambda j: "    RHS"],
+                lambda j: f"    x{j}  c1", lambda j: "    M  'MARKER'  'INT'",
+                lambda j: f"    x{j}  c1  1  obj  inf"],
+    "RHS": [lambda j: "    RHS  c1  1  c2  1..", lambda j: "    RHS  c99  1", lambda j: "    RHS",
+            lambda j: "    RHS  c1  nan"],
     "BOUNDS": [lambda j: f" UP BND  x{j}  up", lambda j: f" UP BND  q{j}  1",
-               lambda j: f" UQ BND  x{j}  1", lambda j: f" LO BND  x{j}"],
+               lambda j: f" UQ BND  x{j}  1", lambda j: f" LO BND  x{j}",
+               lambda j: f" UP BND  x{j}  nan", lambda j: f" UP BND  x{j}  -3"],
 }
 
 
@@ -459,7 +474,7 @@ def edge_cases():
 def test_malformed_lines_at_slice_edges_fail_like_reference(monkeypatch):
     monkeypatch.setattr(model_io, "_CHUNK", 4)
     cases = dict(edge_cases())
-    assert len(cases) == 6 * (4 + 3 + 4)
+    assert len(cases) == 6 * (5 + 4 + 6)
     for text in cases.values():
         with pytest.raises(MpsError):
             ref.parse_mps(text)

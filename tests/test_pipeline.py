@@ -157,6 +157,26 @@ def test_extension_budget_flag():
     assert all(len(r.nodes) >= 2 for r in pool.records)
 
 
+def test_binding_extension_budget_keeps_every_packing_row():
+    # detect removes the five set-packing rows, and only their osp_long
+    # cliques replace them: a base past the budget stop must still come back
+    model = make_model(
+        8,
+        [{j: 1.0 for j in range(t, t + 3)} for t in range(5)],
+        ["L"] * 5,
+        [1.0] * 5,
+        binary=range(8),
+    )
+    for k in (1, 2):
+        for budget in (1, 4, 1_250_000):
+            _, _, plan, stats = run_pipeline_model(
+                model, limits=Limits(per_thread_ext_nnz=budget), k=k
+            )
+            assert stats.rows_removed == 5
+            assert len(plan.replacements) == stats.rows_removed
+        assert stats.flags["extension_budget_hit"] is False
+
+
 def test_extended_cliques_go_to_their_base_source_pools():
     model = make_model(
         9,
