@@ -10,7 +10,6 @@ quadratic memory, and `CliqueTable` keeps that form.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -18,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .parallel import map_blocks, shuffle_partition
-from .presolve import PbcTable, _distinct, _indptr, _segment_positions, scaled_tol
+from .presolve import PbcTable, _distinct, _indptr, _ranges, _segment_positions, scaled_tol
 
 SRC_OSP = "osp"
 SRC_ISP = "isp"
@@ -140,48 +139,44 @@ class CliqueTable:
         )
 
 
-def _detect_indices(coeffs, rhs: float):
-    """Core search on sorted coefficients.
-
-    Returns (phi, [(i, sigma), ...]) with 0-based indices, or (None, [])
-    when the two largest coefficients do not conflict.
-    """
-    n = len(coeffs)
-    if any(coeffs[t] > coeffs[t + 1] for t in range(n - 1)):
-        raise ValueError("knapsack coefficients must be sorted non-decreasing")
-    if n < 2:
-        return None, []
-    tol = float(scaled_tol(rhs, coeffs[-2] + coeffs[-1]))
-    if coeffs[-2] + coeffs[-1] <= rhs + tol:
-        return None, []
-    # smallest phi with a[phi] + a[phi+1] > rhs; the sum is monotone in phi
-    lo, hi = 0, n - 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coeffs[mid] + coeffs[mid + 1] > rhs + tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    phi = lo
-    entries = []
-    for i in range(phi - 1, -1, -1):
-        sigma = bisect_right(coeffs, rhs + tol - coeffs[i])
-        if sigma <= i:
-            sigma = i + 1
-        if sigma >= n or coeffs[i] + coeffs[sigma] <= rhs + tol:
-            break
-        entries.append((i, sigma))
-    return phi, entries
-
-
 def _detect_block(args):
-    """(phi, entries) of each knapsack of one block, from its `indptr`,
-    `coeffs` and `rhs`."""
-    indptr, coeffs, rhs = args
-    ptr = indptr.tolist()
-    coeffs = coeffs.tolist()
-    return [_detect_indices(coeffs[a:b], r)
-            for a, b, r in zip(ptr, ptr[1:], rhs.tolist())]
+    """Phi (-1 for none), the number of entries and the (i, sigma) entries,
+    by falling i, of each knapsack of a block (`indptr`, sorted `coeffs`,
+    `rhs`), in array passes over the whole block. With t = rhs + tol, a
+    knapsack conflicts when a[-2] + a[-1] > t; phi is the smallest p with
+    a[p] + a[p + 1] > t, a sum that grows with p, so phi counts the p below
+    it. From i = phi - 1 down, sigma is bisect_right(a, t - a[i]), at least
+    i + 1, up to the first i with sigma = n or a[i] + a[sigma] <= t."""
+    indptr, c, rhs = args
+    n = np.diff(indptr)
+    seg = np.repeat(np.arange(len(n)), n)
+    inner = seg[1:] == seg[:-1]
+    if np.any((c[:-1] > c[1:]) & inner):
+        raise ValueError("knapsack coefficients must be sorted non-decreasing")
+    top = np.zeros(len(n))
+    two = np.flatnonzero(n >= 2)
+    top[two] = c[indptr[two + 1] - 2] + c[indptr[two + 1] - 1]
+    over = rhs + scaled_tol(rhs, top)
+    hit = (n >= 2) & (top > over)
+    below = inner & (c[:-1] + c[1:] <= over[seg[:-1]])
+    phi = np.where(hit, np.bincount(seg[:-1][below], minlength=len(n)), 0)
+    # One query per i < phi, by falling i, and its bisect_right.
+    k = np.repeat(np.arange(len(n)), phi)
+    i = phi[k] - 1 - _ranges(np.zeros(len(n), np.int64), phi)
+    base, size, x = indptr[k], n[k], over[k] - c[indptr[k] + i]
+    lo, hi = np.zeros(len(k), np.int64), size.copy()
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        left = active & (x < c[base + np.minimum(mid, size - 1)])
+        lo, hi = np.where(active & ~left, mid + 1, lo), np.where(left, mid, hi)
+    sigma = np.maximum(lo, i + 1)
+    stop = sigma >= size
+    stop[~stop] = c[(base + i)[~stop]] + c[(base + sigma)[~stop]] <= over[k[~stop]]
+    # The entries of a knapsack are its queries before its first stop.
+    first = np.full(len(n), len(k))
+    np.minimum.at(first, k[stop], np.flatnonzero(stop))
+    keep = np.arange(len(k)) < first[k]
+    return np.where(hit, phi, -1), np.bincount(k[keep], minlength=len(n)), i[keep], sigma[keep]
 
 
 def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueHarvest:
@@ -199,10 +194,11 @@ def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueHarvest:
     ptr = s_ck.indptr.tolist()
     nodes = s_ck.nodes.tolist()
     families = []
-    for idx, found in zip(part.blocks, results):
-        for j, (phi, entries) in zip(idx.tolist(), found):
-            if phi is not None:
-                families.append(
-                    CliqueFamily(tuple(nodes[ptr[j]:ptr[j + 1]]), phi, entries)
-                )
+    for idx, (phi, count, i, sigma) in zip(part.blocks, results):
+        entries = list(zip(i.tolist(), sigma.tolist()))
+        ends = np.cumsum(count).tolist()
+        for j, p, e, t in zip(idx.tolist(), phi.tolist(), ends, count.tolist()):
+            if p >= 0:
+                families.append(CliqueFamily(tuple(nodes[ptr[j]:ptr[j + 1]]), p,
+                                             entries[e - t:e]))
     return CliqueHarvest(families)

@@ -9,9 +9,9 @@ in the rows of both its ends. Memory is O(n_b + edges).
 cliques share its coefficient-ordered node sequence S: the original clique
 is S[phi:] and each further one {S[i]} | S[sigma:]. Writing every further
 clique out pair by pair would cost the sum of their t(t-1)/2 pairs, far
-more than the edges they make. Each worker instead expands, per sequence,
-the pairs of S[min start:] once, where the minimum runs over the block's
-cliques on S (the suffixes are nested, so this is the union of their
+more than the edges they make. A block holds all chosen cliques of its
+sequences, and its worker expands, per sequence, the pairs of
+S[min start:] once (the suffixes are nested, so this is the union of their
 suffix pairs), plus one star S[head] x S[start:] per clique with a head.
 Plain cliques are their own sequence with no head, so they take the same
 rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v), written
@@ -181,6 +181,25 @@ def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
     )
 
 
+def _by_sequence(table: CliqueTable, ids: np.ndarray, k: int) -> list[np.ndarray]:
+    """The cliques `ids` in k blocks of whole sequences, so that no two
+    blocks expand one sequence's suffix: in sequence order, a sequence goes
+    to the block where the middle of its pairs falls, its pairs being those
+    `_build_block` expands (its suffix pairs and its stars)."""
+    ptr, seq = table.seq_ptr, table.seq[ids]
+    first = ptr[seq] + table.start[ids]
+    shortest = ptr[1:].copy()
+    np.minimum.at(shortest, seq, first)
+    span = ptr[1:] - shortest
+    star = np.where(table.head[ids] >= 0, ptr[seq + 1] - first, 0)
+    pairs = span * (span - 1) // 2 + np.bincount(seq, star, len(span)).astype(np.int64)
+    cum = np.cumsum(pairs)
+    total = int(cum[-1]) if len(cum) else 0
+    block = np.minimum((2 * cum - pairs) * k // max(2 * total, 1), k - 1)[seq]
+    order = np.argsort(block, kind="stable")
+    return np.split(ids[order], np.searchsorted(block[order], np.arange(1, k)))
+
+
 def build_graph_parallel(
     table: CliqueTable,
     n_b: int,
@@ -194,9 +213,10 @@ def build_graph_parallel(
     """Union of the pair sets of all cliques of `table` plus the n_b trivial
     variable/complement edges.
 
-    The cliques are shuffle-partitioned and each block is expanded on its
-    own worker. Down-sampling and the cumulative pair cap are decided in the
-    shuffled order before dispatch, so the result is identical for every k:
+    Down-sampling and the cumulative pair cap are decided in a seeded
+    shuffle of the cliques, so the result is identical for every k; the
+    chosen cliques then go to k blocks of whole sequences (`_by_sequence`),
+    each expanded on its own worker:
     a clique longer than `max_clique_sample` is sampled from its sorted
     nodes and expanded as a plain clique, and the cliques are taken while
     the sum of their t(t-1)/2 stays within `max_pairs`. That sum is the
@@ -221,10 +241,7 @@ def build_graph_parallel(
         pick = rng.choice(len(members), size=max_clique_sample, replace=False)
         samples.append(members[np.sort(pick)])
     table = _with_samples(table, sampled, samples)
-    block_args, lo = [], 0
-    for idx in part.blocks:
-        block_args.append((table.take(idx[:max(chosen - lo, 0)]), n_b))
-        lo += len(idx)
+    block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, part.order[:chosen], k)]
     results = map_blocks(_build_block, block_args, k)
     del block_args
     if stats is not None:

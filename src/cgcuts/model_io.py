@@ -57,11 +57,19 @@ class MpsError(ValueError):
 
 @dataclass
 class MipModel:
-    """Sparse-row MIP: min c'x s.t. Ax {<=,>=,=} b, l <= x <= u, x_I integer."""
+    """MIP min c'x s.t. Ax {<=,>=,=} b, l <= x <= u, x_I integer.
+
+    A is held once, in compressed sparse row form: row i has the columns
+    `cols[indptr[i]:indptr[i + 1]]` (int64, ascending) with the nonzero
+    coefficients `vals` at the same positions (float64). `row(i)` gives
+    both as views.
+    """
 
     col_names: list[str]
     row_names: list[str]
-    rows: list[tuple[np.ndarray, np.ndarray]]  # (col indices, nonzero coeffs)
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     senses: list[str]  # SENSE_LE / SENSE_GE / SENSE_EQ per row
     rhs: np.ndarray
     obj: np.ndarray
@@ -74,7 +82,7 @@ class MipModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
 
     @property
     def num_cols(self) -> int:
@@ -82,51 +90,26 @@ class MipModel:
 
     @property
     def nnz(self) -> int:
-        return sum(len(cols) for cols, _ in self.rows)
+        return int(self.indptr[-1])
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, coefficients) of row i."""
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return self.cols[a:b], self.vals[a:b]
 
     @property
     def binaries(self) -> set[int]:
         """Columns j with j integer, l_j = 0 and u_j = 1."""
         return {j for j in self.integers if self.lb[j] == 0.0 and self.ub[j] == 1.0}
 
-    def copy(self) -> "MipModel":
-        return MipModel(
-            col_names=list(self.col_names),
-            row_names=list(self.row_names),
-            rows=[(c.copy(), v.copy()) for c, v in self.rows],
-            senses=list(self.senses),
-            rhs=self.rhs.copy(),
-            obj=self.obj.copy(),
-            lb=self.lb.copy(),
-            ub=self.ub.copy(),
-            integers=set(self.integers),
-            name=self.name,
-            obj_name=self.obj_name,
-            minimize=self.minimize,
-        )
-
     def signature(self):
         """Name-independent numeric tuple; equal signatures = equal models."""
-        row_sig = tuple(
-            (self.senses[i], float(self.rhs[i]))
-            + tuple(sorted(zip(map(int, c), map(float, v))))
-            for i, (c, v) in enumerate(self.rows)
-        )
-        return (
-            self.num_rows,
-            self.num_cols,
-            row_sig,
-            tuple(map(float, self.obj)),
-            tuple(map(float, self.lb)),
-            tuple(map(float, self.ub)),
-            frozenset(self.integers),
-            self.minimize,
-        )
-
-    def validate(self) -> None:
-        if np.any(self.lb > self.ub):
-            bad = int(np.argmax(self.lb > self.ub))
-            raise ValueError(f"column {self.col_names[bad]} has lb > ub")
+        rows = tuple((self.senses[i], float(self.rhs[i]))
+                     + tuple(sorted(zip(*(x.tolist() for x in self.row(i)))))
+                     for i in range(self.num_rows))
+        obj, lb, ub = (tuple(map(float, x)) for x in (self.obj, self.lb, self.ub))
+        return (self.num_rows, self.num_cols, rows, obj, lb, ub, frozenset(self.integers),
+                self.minimize)
 
 
 @dataclass(frozen=True, order=True)
@@ -188,6 +171,30 @@ _ODD_ASCII = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _BREAK = "\r\n|[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
 _LEADING = r"(?m)^[^\S \t\n][^\S\n]*"
 _SPACE = r"[^\S \t\n]"
+
+
+def _indptr(lens: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return ptr
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """`arange(starts[i], stops[i])` for every i, one after the other."""
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(stops - ends, lens) + np.arange(total)
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """`np.argsort(key, kind="stable")` of non-negative int keys, as one
+    `np.sort` of the distinct keys key * len + position (several times
+    faster, as NumPy sorts plain int64 with SIMD)."""
+    n = len(key)
+    if n and int(key.max()) >= np.iinfo(np.int64).max // n:
+        return np.argsort(key, kind="stable")
+    return np.sort(key.astype(np.int64) * n + np.arange(n)) % n
 
 
 def _plain(text: str) -> str:
@@ -466,10 +473,10 @@ class _Reader:
             raise MpsError(f"column {self.col_order[j]} has lb > ub", int(line[col == j].max()))
         return bounds
 
-    def sparse_rows(self, n: int):
-        """(objective, per-row (cols, vals)): duplicate (col, row) entries
-        summed in file order, explicit zeros dropped, each row sorted by
-        column."""
+    def csr(self, n: int):
+        """(objective, indptr, cols, vals) of the rows in ROWS order:
+        duplicate (col, row) entries summed in file order, explicit zeros
+        dropped, each row sorted by column."""
         m = len(self.row_order)
         col, rid, vals = map(np.concatenate, zip(*self.entries))
         self.entries = None  # so that the entries are held once
@@ -478,7 +485,7 @@ class _Reader:
         # One key per (col, row), the objective first within a column.
         key = col[keep] * (m + 1) + (rid[keep] + 1)
         del col, rid, keep
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key)
         key, vals = key[order], vals[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
         sums = vals[first] + 0.0  # as 0.0 + v: -0.0 becomes 0.0
@@ -495,10 +502,33 @@ class _Reader:
         obj[col[is_obj]] = sums[is_obj]
         nz = (row >= 0) & (sums != 0.0)
         col, row, sums = col[nz], row[nz], sums[nz]
-        order = np.lexsort((col, row))
-        col, sums = col[order], sums[order]
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m))]).tolist()
-        return obj, [(col[a:b], sums[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+        order = stable_order(row)  # the entries are by column
+        return obj, _indptr(np.bincount(row, minlength=m)), col[order], sums[order]
+
+    def ranged(self, indptr, cols, vals):
+        """The rows with their RANGES twins: a ranged L row gets a G twin
+        |r| below, a G row an L twin |r| above, and an E row becomes the L
+        row and G twin of [b, b + r] (r >= 0) or [b + r, b]. Returns the
+        names, senses, rhs, indptr, cols and vals of all rows, each twin
+        right after its row."""
+        m = len(self.row_order)
+        rhs, rng = np.zeros(m), np.full(m, math.nan)
+        for out, given in ((rhs, self.rhs_val), (rng, self.range_val)):
+            ids = np.fromiter(given, np.int64, len(given))
+            out[ids[ids >= 0]] = np.fromiter(given.values(), float, len(ids))[ids >= 0]
+        src = np.repeat(np.arange(m), 1 + ~np.isnan(rng))
+        twin = np.diff(src, prepend=-1) == 0
+        s, b, r = np.array(self.row_sense, dtype="<U1")[src], rhs[src], rng[src]
+        eq, up = (s == SENSE_EQ) & ~np.isnan(r), r >= 0
+        rhs = np.where(twin, np.where(eq, np.where(up, b, b + r), np.where(
+            s == SENSE_LE, b - abs(r), b + abs(r))), np.where(eq, np.where(up, b + r, b), b))
+        sense = np.where(twin, np.where(s == SENSE_GE, SENSE_LE, SENSE_GE), np.where(eq, SENSE_LE, s))
+        names = np.array(self.row_order, dtype=object)[src]
+        names[twin] = [f"{name}_RNG" for name in names[twin].tolist()]
+        if len(src) > m:
+            pos = _ranges(indptr[src], indptr[src + 1])
+            indptr, cols, vals = _indptr(np.diff(indptr)[src]), cols[pos], vals[pos]
+        return names.tolist(), sense.tolist(), rhs, indptr, cols, vals
 
 
 def parse_mps(text: str) -> MipModel:
@@ -562,48 +592,19 @@ def parse_mps(text: str) -> MipModel:
     del lines  # the text's bytes are not needed while the rows are built
     n = len(rd.col_order)
     lbs, ubs = rd.bound_arrays(n)
-    obj, base_rows = rd.sparse_rows(n)
-
-    # Rows in ROWS order; a RANGES entry adds a paired row.
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-    names: list[str] = []
-
-    def add_row(rname, sense, row, b):
-        names.append(rname)
-        senses.append(sense)
-        rows.append(row)
-        rhs.append(b)
-
-    for i, rname in enumerate(rd.row_order):
-        sense, row = rd.row_sense[i], base_rows[i]
-        b = rd.rhs_val.get(i, 0.0)
-        r = rd.range_val.get(i)
-        if r is None:
-            add_row(rname, sense, row, b)
-            continue
-        twin = (row[0].copy(), row[1].copy())
-        if sense == SENSE_LE:
-            add_row(rname, sense, row, b)
-            add_row(rname + "_RNG", SENSE_GE, twin, b - abs(r))
-        elif sense == SENSE_GE:
-            add_row(rname, sense, row, b)
-            add_row(rname + "_RNG", SENSE_LE, twin, b + abs(r))
-        else:  # E: becomes a two-sided range
-            lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-            add_row(rname, SENSE_LE, row, hi)
-            add_row(rname + "_RNG", SENSE_GE, twin, lo)
-
+    obj, *csr = rd.csr(n)
+    names, senses, rhs, indptr, cols, vals = rd.ranged(*csr)
+    del csr
     if len(set(names)) != len(names):
         raise MpsError("duplicate row names after RANGES expansion")
-
-    model = MipModel(
+    return MipModel(
         col_names=rd.col_order,
         row_names=names,
-        rows=rows,
+        indptr=indptr,
+        cols=cols,
+        vals=vals,
         senses=senses,
-        rhs=np.array(rhs, dtype=np.float64),
+        rhs=rhs,
         obj=obj,
         lb=lbs,
         ub=ubs,
@@ -612,7 +613,6 @@ def parse_mps(text: str) -> MipModel:
         obj_name=rd.obj_name or "OBJ",
         minimize=rd.minimize,
     )
-    return model
 
 
 def parse_mps_file(path) -> MipModel:
@@ -638,8 +638,8 @@ def parse_mps_file(path) -> MipModel:
 # Writing
 
 
-#: Lines formatted per slice of the writer: each slice's line strings are
-#: joined and dropped before the next slice is formatted.
+#: Lines formatted per slice of the writer: each slice's pieces are joined
+#: and dropped before the next slice is made.
 _SLICE_LINES = 1 << 13
 
 
@@ -649,36 +649,35 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """`_fmt` of each distinct value, made once, and the index of each
-    value's text."""
+def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_fmt` of each distinct value, made once, as an object array, and
+    the index of each value's text."""
     uniq, inv = np.unique(values, return_inverse=True)
-    return [_fmt(v) for v in uniq.tolist()], inv
+    return np.array([_fmt(v) for v in uniq.tolist()], dtype=object), inv
 
 
-def _pick(strings: list[str], idx: np.ndarray):
-    """The strings at positions `idx`, lazily."""
-    return map(strings.__getitem__, idx.tolist())
+def _lines(count: int, *parts) -> list[str]:
+    """`count` lines, each its pieces and a newline, joined once per slice
+    of `_SLICE_LINES` lines. A part is a text shared by every line, or
+    (object array of texts, each line's index into it)."""
+    width = len(parts) + 1
+    out = []
+    for lo in range(0, count, _SLICE_LINES):
+        hi = min(lo + _SLICE_LINES, count)
+        pieces = np.empty(width * (hi - lo), dtype=object)
+        for p, part in enumerate(parts):
+            pieces[p::width] = part if isinstance(part, str) else part[0][part[1][lo:hi]]
+        pieces[width - 1::width] = "\n"
+        out.append("".join(pieces.tolist()))
+    return out
 
 
-def _sliced(count: int, lines) -> list[str]:
-    """The lines `lines(lo, hi)` of range(count), made `_SLICE_LINES` at a
-    time and joined per slice."""
-    return ["\n".join(lines(lo, min(lo + _SLICE_LINES, count)))
-            for lo in range(0, count, _SLICE_LINES)]
+def _row_of(indptr: np.ndarray) -> np.ndarray:
+    """The row of each nonzero of a CSR."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _flat(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, vals, row index) of every nonzero, in row order."""
-    if not rows:
-        return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
-    cols = np.concatenate([c for c, _ in rows]).astype(np.int64, copy=False)
-    vals = np.concatenate([v for _, v in rows]).astype(np.float64, copy=False)
-    row_of = np.repeat(np.arange(len(rows)), [len(c) for c, _ in rows])
-    return cols, vals, row_of
-
-
-def _bound_lines(names: list[str], lb: np.ndarray, ub: np.ndarray) -> list[str]:
+def _bound_lines(names: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> list[str]:
     """BOUNDS lines of the columns whose bounds are not [0, inf), by column:
     FX, FR, or MI/LO followed by UP; joined per slice."""
     lo = np.asarray(lb, dtype=np.float64)
@@ -687,37 +686,20 @@ def _bound_lines(names: list[str], lb: np.ndarray, ub: np.ndarray) -> list[str]:
     fx = shown & (lo == hi)
     fr = shown & ~fx & (lo == -_INF) & (hi == _INF)
     rest = shown & ~fx & ~fr
-    kinds = (
-        ("FX", fx, lo, 0),
-        ("FR", fr, None, 0),
-        ("MI", rest & (lo == -_INF), None, 0),
-        ("LO", rest & (lo != -_INF) & (lo != 0.0), lo, 0),
-        ("UP", rest & (hi != _INF), hi, 1),
-    )
-    keys, kind, valued = [], [], []
-    for t, (_, mask, vals, slot) in enumerate(kinds):
-        js = np.flatnonzero(mask)
-        keys.append(2 * js + slot)
-        kind.append(np.full(len(js), t))
-        valued.append(np.full(len(js), vals is not None))
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    col = keys // 2
-    kind = np.concatenate(kind)[order]
-    valued = np.concatenate(valued)[order]
-    # UP lines (slot 1) show the upper bound, FX and LO the lower; a line
-    # without a value takes the empty text after the values' texts.
-    text, inv = _texts(np.where(keys % 2 == 1, hi[col], lo[col])[valued])
+    first = np.select([fx, fr, rest & (lo == -_INF), rest & (lo != 0.0)], [0, 1, 2, 3], -1)
+    # Line 2j is column j's FX, FR, MI or LO line and 2j + 1 its UP line.
+    at = np.flatnonzero(np.stack([first >= 0, rest & (hi != _INF)], axis=1).ravel())
+    col, up = at // 2, at % 2 == 1
+    kind = np.where(up, 4, first[col])
+    # FX and LO show the lower bound, UP the upper; a line without a value
+    # takes the empty text after the values' texts.
+    valued = (kind == 0) | (kind >= 3)
+    text, inv = _texts(np.where(up, hi[col], lo[col])[valued])
     val = np.full(len(col), len(text))
     val[valued] = inv
-    text = [f"  {s}" for s in text] + [""]
-    heads = [f" {tag} BND  " for tag, *_ in kinds]
-    return _sliced(len(col), lambda a, b: [
-        f"{h}{c}{s}"
-        for h, c, s in zip(_pick(heads, kind[a:b]), _pick(names, col[a:b]),
-                           _pick(text, val[a:b]))
-    ])
+    text = np.array([f"  {s}" for s in text.tolist()] + [""], dtype=object)
+    heads = np.array([f" {t} BND  " for t in ("FX", "FR", "MI", "LO", "UP")], dtype=object)
+    return _lines(len(col), (heads, kind), (names, col), (text, val))
 
 
 def _is_int(model: MipModel, cols: np.ndarray) -> np.ndarray:
@@ -730,19 +712,18 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     """Free-format MPS of `model`'s columns with the given rows, whose
     nonzeros are (cols, vals, row_of) in row order.
 
-    The sections are made from index arrays, `_SLICE_LINES` lines at a
-    time, so that beside the text only one slice of line strings is alive.
+    Each section's lines are pieces picked by index arrays from the texts
+    of the names and of the distinct values, `_SLICE_LINES` lines at a
+    time, so that beside the text only one slice of pieces is alive.
     """
     n, m = model.num_cols, len(names)
-    out = [f"NAME {model.name}"]
+    out = [f"NAME {model.name}\n"]
     if not model.minimize:
-        out.append("OBJSENSE")
-        out.append("    MAX")
-    out.append("ROWS")
-    out.append(f" N  {model.obj_name}")
-    out += _sliced(m, lambda a, b: [
-        f" {s}  {r}" for s, r in zip(senses[a:b], names[a:b])
-    ])
+        out.append("OBJSENSE\n    MAX\n")
+    out.append(f"ROWS\n N  {model.obj_name}\n")
+    every = np.arange(m)
+    out += _lines(m, " ", (np.array(senses, dtype=object), every), "  ",
+                  (np.array(names, dtype=object), every))
 
     # Per column: its objective entry (when nonzero or the column has no
     # other), then its row entries in row order. One stable sort by column
@@ -752,7 +733,7 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     obj_cols = np.flatnonzero((obj != 0.0) | (count == 0))
     count[obj_cols] += 1
     col = np.concatenate([obj_cols, cols])
-    order = np.argsort(col, kind="stable")
+    order = stable_order(col)
     col = col[order]
     row = np.concatenate([np.full(len(obj_cols), m), row_of])[order]
     text, val = _texts(np.concatenate([obj[obj_cols], vals])[order])
@@ -767,38 +748,33 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     col = np.insert(col, at, n + marker)
     row = np.insert(row, at, m + 1)
     val = np.insert(val, at, len(text) + marker % 2)
-    cn = list(model.col_names) + [f"M{t}" for t in range(1, len(switch) + 1)]
-    rn = list(names) + [model.obj_name, "'MARKER'"]
-    text += ["'INTORG'", "'INTEND'"]
-    out.append("COLUMNS")
-    out += _sliced(len(col), lambda a, b: [
-        f"    {c}  {r}  {s}"
-        for c, r, s in zip(_pick(cn, col[a:b]), _pick(rn, row[a:b]),
-                           _pick(text, val[a:b]))
-    ])
-    del col, row, val
+    cn = np.array([f"    {c}  " for c in model.col_names]
+                  + [f"    M{t}  " for t in range(1, len(switch) + 1)], dtype=object)
+    rn = np.array([f"{r}  " for r in names] + [f"{model.obj_name}  ", "'MARKER'  "],
+                  dtype=object)
+    text = np.append(text, ["'INTORG'", "'INTEND'"])
+    out.append("COLUMNS\n")
+    out += _lines(len(col), (cn, col), (rn, row), (text, val))
+    del col, row, val, cn
 
-    out.append("RHS")
+    out.append("RHS\n")
     rhs = np.asarray(rhs, dtype=np.float64)
     nz = np.flatnonzero(rhs != 0.0)
     text, val = _texts(rhs[nz])
-    out += _sliced(len(nz), lambda a, b: [
-        f"    RHS  {r}  {s}"
-        for r, s in zip(_pick(names, nz[a:b]), _pick(text, val[a:b]))
-    ])
+    out += _lines(len(nz), "    RHS  ", (rn, nz), (text, val))
 
-    bound_lines = _bound_lines(model.col_names, model.lb, model.ub)
+    bound_lines = _bound_lines(np.array(model.col_names, dtype=object), model.lb, model.ub)
     if bound_lines:
-        out.append("BOUNDS")
+        out.append("BOUNDS\n")
         out += bound_lines
-    out.append("ENDATA")
-    out.append("")  # the closing newline, without a copy of the text
-    return "\n".join(out)
+    out.append("ENDATA\n")
+    return "".join(out)
 
 
 def write_mps(model: MipModel) -> str:
     """Serialize a model as free-format MPS (round-trips through parse_mps)."""
-    return _write(model, model.row_names, model.senses, model.rhs, *_flat(model.rows))
+    return _write(model, model.row_names, model.senses, model.rhs, model.cols,
+                  model.vals, _row_of(model.indptr))
 
 
 def _ordered(pool: CutPool, disposition: str) -> list[CutRecord]:
@@ -850,19 +826,14 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         taken.add(rname)
         names.append(rname)
     del taken
-    # Rebound one at a time, so that no array is held twice.
-    cols, vals, row_of = _flat(model.rows)
-    cols = np.concatenate([cols, clq_cols])
-    vals = np.concatenate([vals, clq_vals])
-    row_of = np.concatenate([row_of, clq_rec + model.num_rows])
     return _write(
         model,
         names,
         list(model.senses) + [SENSE_LE] * len(constraints),
         np.concatenate([model.rhs, clq_rhs]),
-        cols,
-        vals,
-        row_of,
+        np.concatenate([model.cols, clq_cols]),
+        np.concatenate([model.vals, clq_vals]),
+        np.concatenate([_row_of(model.indptr), clq_rec + model.num_rows]),
     )
 
 

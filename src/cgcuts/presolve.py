@@ -1,18 +1,20 @@
 """One-round row detection: bound strengthening, pure-binary rewriting and
 classification into set packing / conflicting knapsack / singleton / inert.
 
-Every step reads the rows as one flat table (`indptr`, `cols`, `vals`,
-`rhs`, sense) and works in NumPy passes. Rows must not store a column twice
+Every step reads the model's CSR rows as they are (`_Rows` adds the rhs
+and senses) and works in NumPy passes. Rows must not store a column twice
 or a zero coefficient; `parse_mps` never produces either.
 
 Strengthening keeps the semantics of a loop over the rows: a bound
-tightened by row i is used by row i + 1. Each <=-form (an equality row has
-two, a singleton row is one fold) gets a level, one more than the highest
-level of an earlier form that shares a column with it. Forms of one level
-share no column, so each level is one vectorised pass, and each form still
-sees every earlier tightening of its columns. Rewriting onto binary
-literals, sorting and classification then run over all rows at once, and
-the set packing and conflicting knapsack rows come out as `PbcTable`s.
+tightened by row i is used by row i + 1. One speculative pass evaluates
+every <=-form (an equality row has two, a singleton row is one fold)
+against the input bounds; the forms that no moving form reaches through
+shared columns are final. The rest run in levels: a form's level is one
+more than the highest level of an earlier such form that shares a column
+with it, so the forms of one level share no column and each still sees
+every earlier tightening of its columns. Rewriting onto binary literals,
+sorting and classification then run over all rows at once, and the set
+packing and conflicting knapsack rows come out as `PbcTable`s.
 
 Float results are those of the row loop: a form's finite activity is
 NumPy's pairwise `.sum()` of its contributions, taken over equal-length
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .literals import VarMap
-from .model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
+from .model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, _indptr, _ranges, stable_order
 
 #: Conservative comparison tolerance: a conflict is only asserted when
 #: a_i + a_j > rhs + TOL * max(1, a_i + a_j, |rhs|), so float noise can never
@@ -54,14 +56,6 @@ class InfeasibleError(Exception):
         self.row = row
 
 
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """`arange(starts[i], stops[i])` for every i, one after the other."""
-    lens = stops - starts
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(stops - ends, lens) + np.arange(total)
-
-
 def _within(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Whether each value of `q` occurs in the sorted array `sorted_values`."""
     pos = np.searchsorted(sorted_values, q)
@@ -82,12 +76,6 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     resident memory through the rest of a run.)"""
     x = np.sort(x)
     return x[np.diff(x, prepend=-1) != 0]
-
-
-def _indptr(lens: np.ndarray) -> np.ndarray:
-    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=ptr[1:])
-    return ptr
 
 
 @dataclass
@@ -163,21 +151,16 @@ class _Rows:
 
     @classmethod
     def of(cls, model: MipModel) -> "_Rows":
-        rows = model.rows
-        indptr = _indptr(np.fromiter(map(len, (c for c, _ in rows)),
-                                     np.int64, len(rows)))
-        vals = np.concatenate([v for _, v in rows] + [np.empty(0)])
-        zero = np.flatnonzero(vals == 0)
+        zero = np.flatnonzero(model.vals == 0)
         if len(zero):
-            row = int(np.searchsorted(indptr, zero[0], side="right")) - 1
+            row = int(np.searchsorted(model.indptr, zero[0], side="right")) - 1
             raise ValueError(f"row {row} stores a zero coefficient")
-        return cls(indptr,
-                   np.concatenate([c for c, _ in rows] + [np.empty(0, np.int64)]),
-                   vals,
-                   np.asarray(model.rhs, dtype=np.float64),
+        return cls(model.indptr, model.cols, model.vals, np.asarray(model.rhs, dtype=np.float64),
                    np.array(model.senses, dtype="<U1"))
 
     def take(self, rows: np.ndarray) -> "_Rows":
+        if len(rows) == len(self.rhs):  # ascending and distinct: every row
+            return self
         pos = _segment_positions(self.indptr, rows)
         return _Rows(_indptr(self.indptr[rows + 1] - self.indptr[rows]),
                      self.cols[pos], self.vals[pos], self.rhs[rows],
@@ -196,20 +179,17 @@ class _Rows:
         form = np.repeat(np.arange(len(row)), self.indptr[row + 1] - self.indptr[row])
         return row, 2 * row + second, sign, pos, form
 
-    def views(self, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        cols, vals, ptr = self.cols, self.vals, self.indptr.tolist()
-        return [(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])
-                for i in rows.tolist()]
 
-
-def _submodel(model: MipModel, rows, ids: np.ndarray, lb, ub) -> MipModel:
-    """`model` with the bounds `lb`, `ub` and only its rows `ids`, whose
-    (cols, vals) pairs are `rows`."""
+def _submodel(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub) -> MipModel:
+    """`model` with the bounds `lb`, `ub` and only its rows `ids`, which
+    `rows` holds."""
     names, senses = model.row_names, model.senses
     return MipModel(
         col_names=list(model.col_names),
         row_names=[names[i] for i in ids.tolist()],
-        rows=rows,
+        indptr=rows.indptr,
+        cols=rows.cols,
+        vals=rows.vals,
         senses=[senses[i] for i in ids.tolist()],
         rhs=model.rhs[ids],
         obj=model.obj.copy(),
@@ -235,8 +215,16 @@ def _first_error(errors: list[tuple[int, int, str]]):
 
 def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
                 is_int: np.ndarray) -> None:
-    """Tighten `lb`/`ub` in place, level by level; raise the error of the
-    first offending row, as the row loop would."""
+    """Tighten `lb`/`ub` in place as the row loop would, and raise the
+    error of the first offending row, as the row loop would.
+
+    First every form is evaluated against the bounds as they are, in one
+    speculative pass that writes nothing. A form that no form moving a
+    bound in that pass reaches along the column links of `_schedule` reads
+    only columns that no earlier form changes, so its result is the loop's:
+    such a form is final, and the bounds the final forms move are written
+    at once. Only the forms downstream of a move then run level by level.
+    """
     lens = np.diff(rows.indptr)
     sense, rhs = rows.sense, rows.rhs
     errors = []  # (2 * row + form within the row, row, message)
@@ -258,25 +246,58 @@ def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
     f_ptr = _indptr(f_len)
     col = rows.cols[pos]
     a = rows.vals[pos] * sign[form]
-
     fold_lo, fold_hi = _fold_bounds(sense[f_row[form]], a, f_b[form], fold[form])
-    next_form, waiting = _schedule(col, form, f_row)
+    next_form = _schedule(col, form, f_row)
 
-    level = np.flatnonzero(waiting == 0)
+    def evaluate(forms, e):
+        """`_evaluate` of `forms` (ascending), whose entries are `e`: the
+        entries that move a bound and their new bounds, the infeasible
+        forms and the entries that force an empty domain."""
+        t, lo, hi, infeasible, empty = _evaluate(
+            fold[forms], f_b[forms], f_len[forms], col[e], a[e], fold_lo[e],
+            fold_hi[e], lb, ub, is_int)
+        j = col[e[t]]
+        moved = (lo > lb[j]) | (hi < ub[j])
+        return e[t[moved]], lo[moved], hi[moved], forms[infeasible], e[t[empty]]
+
+    def write(moved, lo, hi, infeasible, empty):
+        """Write the moved bounds; record the first of each error."""
+        lb[col[moved]], ub[col[moved]] = lo, hi
+        for f, what in [(f, "is infeasible") for f in infeasible[:1].tolist()] + [
+                (form[i], f"forces empty domain on col {col[i]}") for i in empty[:1].tolist()]:
+            errors.append((int(f_key[f]), int(f_row[f]), f"row {f_row[f]} {what}"))
+
+    moved, lo, hi, infeasible, empty = evaluate(np.arange(len(f_row)), np.arange(len(col)))
+    tainted = _downstream(_distinct(form[moved]), next_form, f_ptr)
+    final = ~tainted[form[moved]]
+    write(moved[final], lo[final], hi[final], infeasible[~tainted[infeasible]],
+          empty[~tainted[form[empty]]])
+
+    # A tainted form waits for the tainted forms before it on its columns.
+    nxt = next_form[tainted[form]]
+    waiting = np.bincount(nxt[nxt >= 0], minlength=len(f_row))
+    level = np.flatnonzero(tainted & (waiting == 0))
     while len(level):
         e = _segment_positions(f_ptr, level)
-        err = _tighten_level(fold[level], f_b[level], f_len[level], col[e], a[e],
-                             fold_lo[e], fold_hi[e], lb, ub, is_int)
-        if err is not None:
-            f = level[err[0]]
-            row = int(f_row[f])
-            errors.append((int(f_key[f]), row, err[1].format(row)))
+        write(*evaluate(level, e))
         nxt = next_form[e]
         nxt = nxt[nxt >= 0]
         np.subtract.at(waiting, nxt, 1)
         nxt = _distinct(nxt)
         level = nxt[waiting[nxt] == 0]
     _first_error(errors)
+
+
+def _downstream(start: np.ndarray, next_form: np.ndarray, f_ptr: np.ndarray):
+    """Which forms the forms `start` reach along the `next_form` links of
+    their entries (a form of `start` only when another reaches it)."""
+    reached = np.zeros(len(f_ptr) - 1, dtype=bool)
+    while len(start):
+        nxt = next_form[_segment_positions(f_ptr, start)]
+        nxt = _distinct(nxt[nxt >= 0])
+        start = nxt[~reached[nxt]]
+        reached[start] = True
+    return reached
 
 
 def _fold_bounds(sense, a, b, fold):
@@ -291,9 +312,8 @@ def _fold_bounds(sense, a, b, fold):
 
 def _schedule(col, form, f_row):
     """Link each entry to the next form that reads its column (-1 if
-    none), and count, for each form, its entries whose column an earlier
-    form reads: a form may run once that count reaches zero."""
-    order = np.argsort(col, kind="stable")
+    none)."""
+    order = stable_order(col)
     same = col[order[1:]] == col[order[:-1]]
     pred, succ = order[:-1][same], order[1:][same]
     twice = form[pred] == form[succ]
@@ -302,15 +322,16 @@ def _schedule(col, form, f_row):
         raise ValueError(f"row {row} repeats a column")
     next_form = np.full(len(col), -1, dtype=np.int64)
     next_form[pred] = form[succ]
-    return next_form, np.bincount(form[succ], minlength=len(f_row))
+    return next_form
 
 
-def _tighten_level(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
-    """Tighten the bounds of one level of forms, which share no column.
+def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
+    """What a set of forms does to the bounds, each form reading `lb` and
+    `ub` as they are; nothing is written.
 
-    Returns (form within the level, message with `{}` for the row) of the
-    first error, or None: within a form the activity test comes first, then
-    its columns in row order.
+    Returns the entries that act, their new bounds (lower, upper), the
+    infeasible forms and which acting entries force an empty domain. Within
+    a form the activity test comes first, then its columns in row order.
     """
     loc = np.repeat(np.arange(len(fold)), flen)
     e_fold = fold[loc]
@@ -343,13 +364,8 @@ def _tighten_level(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
     # `+ 0.0`: the row loop rounds to a Python int, which is never -0.0.
     new_lo = np.where(r & (new_lo != -_INF), np.ceil(new_lo - TOL) + 0.0, new_lo)
     new_hi = np.where(r & (new_hi != _INF), np.floor(new_hi + TOL) + 0.0, new_hi)
-    lb[j] = np.where(new_lo > lo0, new_lo, lo0)
-    ub[j] = np.where(new_hi < hi0, new_hi, hi0)
-
-    errors = [(int(f), "row {} is infeasible") for f in np.flatnonzero(row_bad)[:1]]
-    errors += [(int(loc[t[i]]), f"row {{}} forces empty domain on col {int(j[i])}")
-               for i in np.flatnonzero(new_lo > new_hi + TOL)[:1]]
-    return min(errors) if errors else None
+    return (t, np.where(new_lo > lo0, new_lo, lo0), np.where(new_hi < hi0, new_hi, hi0),
+            np.flatnonzero(row_bad), new_lo > new_hi + TOL)
 
 
 def _strengthened(model: MipModel, rows: _Rows):
@@ -369,7 +385,7 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
     """
     rows = _Rows.of(model)
     lb, ub, keep = _strengthened(model, rows)
-    return _submodel(model, rows.views(keep), keep, lb, ub)
+    return _submodel(model, rows.take(keep), keep, lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +513,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     kept = np.flatnonzero(~removed)
     pbc.source_row = ids[src]
     return DetectionResult(
-        model=_submodel(model, rows.views(kept), ids[kept], lb, ub),
+        model=_submodel(model, rows.take(kept), ids[kept], lb, ub),
         s_osp=pbc.take(np.flatnonzero(osp)),
         s_isp=pbc.take(np.flatnonzero(packing & ~osp)),
         s_ck=pbc.take(np.flatnonzero(ck)),

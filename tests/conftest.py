@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
 
+from cgcuts.cliques import _detect_block
 from cgcuts.graph import ConflictGraph
 from cgcuts.model_io import MipModel
 from cgcuts.presolve import PbcTable
@@ -36,6 +38,35 @@ def pbc_table(constraints):
     )
 
 
+def model_of_rows(rows, like=None, **fields):
+    """MipModel whose row i is the (cols, vals) pair rows[i]: the one place
+    the tests build a model's CSR. `fields` are the other MipModel fields;
+    those not given are the model `like`'s."""
+    if like is not None:
+        fields = {f.name: getattr(like, f.name) for f in dataclasses.fields(like)
+                  if f.name not in ("indptr", "cols", "vals")} | fields
+    lens = [len(c) for c, _ in rows]
+    return MipModel(
+        indptr=np.cumsum([0] + lens, dtype=np.int64),
+        cols=np.concatenate([np.asarray(c, dtype=np.int64) for c, _ in rows]
+                            + [np.empty(0, np.int64)]),
+        vals=np.concatenate([np.asarray(v, dtype=np.float64) for _, v in rows]
+                            + [np.empty(0)]),
+        **fields,
+    )
+
+
+def knapsack_indices(coeffs, rhs):
+    """(phi, [(i, sigma), ...]) of one knapsack by `cliques._detect_block`,
+    or (None, []) when it does not conflict, as the reference loop returns
+    them."""
+    phi, _, i, sigma = _detect_block((np.array([0, len(coeffs)]),
+                                      np.asarray(coeffs, dtype=float), np.array([rhs])))
+    if phi[0] < 0:
+        return None, []
+    return int(phi[0]), list(zip(i.tolist(), sigma.tolist()))
+
+
 def make_model(n_cols, rows, senses, rhs, integers=None, lb=None, ub=None,
                obj=None, binary=None):
     """Small-model builder.
@@ -53,13 +84,11 @@ def make_model(n_cols, rows, senses, rhs, integers=None, lb=None, ub=None,
     sparse_rows = []
     for row in rows:
         pairs = sorted(row.items() if isinstance(row, dict) else row)
-        cols = np.array([p[0] for p in pairs], dtype=np.int64)
-        vals = np.array([p[1] for p in pairs], dtype=np.float64)
-        sparse_rows.append((cols, vals))
-    return MipModel(
+        sparse_rows.append(([p[0] for p in pairs], [p[1] for p in pairs]))
+    return model_of_rows(
+        sparse_rows,
         col_names=[f"x{j + 1}" for j in range(n_cols)],
         row_names=[f"c{i + 1}" for i in range(len(rows))],
-        rows=sparse_rows,
         senses=list(senses),
         rhs=np.asarray(rhs, dtype=float),
         obj=np.zeros(n_cols) if obj is None else np.asarray(obj, dtype=float),
@@ -77,7 +106,8 @@ def feasible_binary_points(model):
     ok = np.ones(len(pts), dtype=bool)
     ok &= np.all(pts >= model.lb - 1e-9, axis=1)
     ok &= np.all(pts <= model.ub + 1e-9, axis=1)
-    for i, (cols, vals) in enumerate(model.rows):
+    for i in range(model.num_rows):
+        cols, vals = model.row(i)
         act = pts[:, cols] @ vals
         b = model.rhs[i]
         if model.senses[i] == "L":

@@ -9,6 +9,7 @@ bit-identical bounds, kept rows, fixings and tables, and the same
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +18,8 @@ import numpy as np
 from cgcuts.literals import Literal, VarMap
 from cgcuts.model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 from cgcuts.presolve import TOL, InfeasibleError, scaled_tol
+
+from conftest import model_of_rows
 
 _INF = math.inf
 
@@ -63,8 +66,16 @@ def _round_inward(lo: float, hi: float, is_int: bool) -> tuple[float, float]:
     return lo, hi
 
 
+def _rows_of(m: MipModel, keep: list[int]) -> MipModel:
+    """`m` with only the rows `keep`."""
+    return model_of_rows([m.row(i) for i in keep], like=m,
+                         row_names=[m.row_names[i] for i in keep],
+                         senses=[m.senses[i] for i in keep],
+                         rhs=m.rhs[keep] if keep else m.rhs[:0])
+
+
 def strengthen_bounds_once(model: MipModel) -> MipModel:
-    m = model.copy()
+    m = copy.deepcopy(model)
     lb, ub = m.lb, m.ub
     keep = []
 
@@ -101,7 +112,8 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
             else:
                 tighten(j, bound, None, row)
 
-    for i, (cols, vals) in enumerate(m.rows):
+    for i in range(m.num_rows):
+        cols, vals = m.row(i)
         sense = m.senses[i]
         b = float(m.rhs[i])
         if len(cols) == 0:
@@ -130,10 +142,7 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
             strengthen_le(cols, -vals, -b, i)
         keep.append(i)
 
-    m.rows = [m.rows[i] for i in keep]
-    m.senses = [m.senses[i] for i in keep]
-    m.row_names = [m.row_names[i] for i in keep]
-    m.rhs = m.rhs[keep] if keep else m.rhs[:0]
+    m = _rows_of(m, keep)
     return m
 
 
@@ -186,7 +195,7 @@ def _le_forms(cols, vals, b: float, sense: str):
 def classify_rows(m: MipModel) -> Detection:
     """The classification loop of `detect`, on a model taken as already
     strengthened."""
-    m = m.copy()
+    m = copy.deepcopy(m)
     binaries = m.binaries
     varmap = VarMap(sorted(binaries))
     s_osp, s_isp, s_ck = [], [], []
@@ -202,7 +211,8 @@ def classify_rows(m: MipModel) -> Detection:
         m.lb[j] = m.ub[j] = float(value)
         fixings.append((j, value))
 
-    for i, (cols, vals) in enumerate(m.rows):
+    for i in range(m.num_rows):
+        cols, vals = m.row(i)
         sense = m.senses[i]
         b = float(m.rhs[i])
         work += len(cols)
@@ -241,10 +251,7 @@ def classify_rows(m: MipModel) -> Detection:
                     s_ck.append(pbc)
             keep.append(i)
 
-    m.rows = [m.rows[i] for i in keep]
-    m.senses = [m.senses[i] for i in keep]
-    m.row_names = [m.row_names[i] for i in keep]
-    m.rhs = m.rhs[keep] if keep else m.rhs[:0]
+    m = _rows_of(m, keep)
     return Detection(m, s_osp, s_isp, s_ck, fixings, varmap, work)
 
 

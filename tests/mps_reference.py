@@ -24,6 +24,8 @@ from cgcuts.model_io import (
     MpsError,
 )
 
+from conftest import model_of_rows
+
 _INF = math.inf
 
 _KNOWN_SECTIONS = {
@@ -284,10 +286,10 @@ def parse_mps(text: str) -> MipModel:
     if len(set(names)) != len(names):
         raise MpsError("duplicate row names after RANGES expansion")
 
-    model = MipModel(
+    return model_of_rows(
+        rows,
         col_names=col_order,
         row_names=names,
-        rows=rows,
         senses=senses,
         rhs=np.array(rhs_list, dtype=np.float64),
         obj=obj,
@@ -298,8 +300,6 @@ def parse_mps(text: str) -> MipModel:
         obj_name=obj_name or "OBJ",
         minimize=minimize,
     )
-    model.validate()
-    return model
 
 
 def _fmt(v: float) -> str:
@@ -321,7 +321,8 @@ def write_mps(model: MipModel) -> str:
 
     # Row entries grouped per column.
     per_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(model.num_cols)}
-    for i, (cols, vals) in enumerate(model.rows):
+    for i in range(model.num_rows):
+        cols, vals = model.row(i)
         rname = model.row_names[i]
         for j, v in zip(cols, vals):
             per_col[int(j)].append((rname, float(v)))
@@ -401,8 +402,9 @@ def _clique_row(record: CutRecord, varmap: VarMap, model: MipModel):
 
 def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     """Original rows plus one <= row per model_constraint clique."""
-    aug = model.copy()
-    taken = set(aug.row_names)
+    names, senses = list(model.row_names), list(model.senses)
+    rows = [model.row(i) for i in range(model.num_rows)]
+    taken = set(names)
     tag_rank = {t: i for i, t in enumerate(TAGS)}
     constraints = sorted(
         pool.by_disposition(DISP_CONSTRAINT),
@@ -415,12 +417,13 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         while rname in taken:
             rname = "X" + rname
         taken.add(rname)
-        aug.rows.append((cols, vals))
-        aug.senses.append(SENSE_LE)
-        aug.row_names.append(rname)
+        rows.append((cols, vals))
+        senses.append(SENSE_LE)
+        names.append(rname)
         rhs.append(b)
-    aug.rhs = np.concatenate([aug.rhs, np.array(rhs, dtype=np.float64)])
-    return write_mps(aug)
+    return write_mps(model_of_rows(
+        rows, like=model, row_names=names, senses=senses,
+        rhs=np.concatenate([model.rhs, np.array(rhs, dtype=np.float64)])))
 
 
 def export_cut_pool(pool: CutPool) -> str:

@@ -4,12 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cgcuts.cliques import (
-    CliqueFamily,
-    _detect_indices,
-    detect_cliques_parallel,
-)
-from conftest import pbc_table
+from cgcuts.cliques import CliqueFamily, detect_cliques_parallel
+from conftest import knapsack_indices, pbc_table
 
 
 def others_of(harvest):
@@ -43,7 +39,7 @@ def test_no_conflicts_gives_nothing():
 
 def test_unsorted_coefficients_rejected():
     with pytest.raises(ValueError, match="sorted"):
-        _detect_indices((3.0, 1.0, 2.0), 4.0)
+        knapsack_indices((3.0, 1.0, 2.0), 4.0)
 
 
 def test_compact_block_materializes_suffix_cliques():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import detect_reference as ref
+from cgcuts import presolve
 from cgcuts.presolve import (
     InfeasibleError,
     classify_rows,
@@ -45,7 +46,7 @@ def _table(table):
 
 def _model_key(m):
     return (m.row_names, m.senses, _bits(m.rhs), _bits(m.lb), _bits(m.ub),
-            [(c.tolist(), _bits(v)) for c, v in m.rows])
+            [(c.tolist(), _bits(v)) for c, v in map(m.row, range(m.num_rows))])
 
 
 def _outcome(fn, model, table):
@@ -71,7 +72,7 @@ def assert_same_detection(model):
             return res
         return run
 
-    kept = [i for i, (cols, _) in enumerate(model.rows) if len(cols) >= 2]
+    kept = np.flatnonzero(np.diff(model.indptr) >= 2).tolist()
     got = _outcome(detect, model, _table)
     assert got == _outcome(ref_tables(ref.detect, kept), model, lambda t: t)
     assert (_outcome(classify_rows, model, _table)
@@ -134,6 +135,105 @@ def random_mip(rng):
     return make_model(n, rows, senses, rhs, integers=integers, lb=lb, ub=ub)
 
 
+def chain_mip(rng):
+    """A chain of rows whose tightenings feed each other: row i reads
+    column i, whose bound row i - 1 may just have moved, and bounds column
+    i + 1, sometimes also a third column. Rows are LE, GE or EQ (the GE
+    form of an EQ row runs after its LE form), singleton folds sit between
+    the links, and sometimes a last row is cut just below what the
+    tightened bounds allow: infeasible only after the tightenings."""
+    m = int(rng.integers(2, 16))
+    n = m + 1
+    integer = rng.random(n) < 0.4
+    lb = -rng.integers(0, 4, size=n).astype(float)
+    ub = rng.integers(3, 30, size=n) + np.where(integer, 0.0, 0.5)
+    point = np.where(integer, np.round(rng.uniform(lb, ub)), rng.uniform(lb, ub))
+    rows, senses, rhs = [], [], []
+    for i in range(m):
+        if rng.random() < 0.25:  # a fold on column i, mid-chain
+            rows.append({i: _value(rng, "int")})
+        else:
+            rows.append({i: _value(rng, "int"), i + 1: _value(rng, "fraction")})
+            if rng.random() < 0.2:
+                rows[-1][int(rng.integers(0, n))] = _value(rng, "int")
+        sense = str(rng.choice(["L", "G", "E"], p=[0.5, 0.3, 0.2]))
+        act = sum(a * point[j] for j, a in rows[-1].items())
+        slack = 0.0 if sense == "E" else float(rng.choice([0.0, 0.5, 2.0]))
+        senses.append(sense)
+        rhs.append(act + slack if sense == "L" else act - slack)
+    integers = np.flatnonzero(integer).tolist()
+    model = make_model(n, rows, senses, rhs, integers=integers, lb=lb, ub=ub)
+    if rng.random() < 0.4:
+        try:
+            tight = ref.strengthen_bounds_once(model)
+        except InfeasibleError:
+            return model
+        j, k = rng.choice(n, size=2, replace=False).tolist()
+        if tight.lb[j] > lb[j]:  # min activity now above the rhs
+            rows.append({j: 1.0, k: 1.0})
+            senses.append("L")
+            rhs.append(lb[k] + (lb[j] + tight.lb[j]) / 2)
+        elif tight.ub[j] < ub[j]:  # max activity now below the rhs
+            rows.append({j: 1.0, k: 1.0})
+            senses.append("G")
+            rhs.append(ub[k] + (ub[j] + tight.ub[j]) / 2)
+        model = make_model(n, rows, senses, rhs, integers=integers, lb=lb, ub=ub)
+    return model
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The number of forms of each `presolve._evaluate` call."""
+    counts = []
+    evaluate = presolve._evaluate
+    monkeypatch.setattr(presolve, "_evaluate",
+                        lambda *args: counts.append(len(args[0])) or evaluate(*args))
+    return counts
+
+
+def test_fuzzed_chains_match_row_loop(calls):
+    """Chains of tightenings through the speculative pass and the levels
+    after it give the row loop's bounds, rows and errors."""
+    rng = np.random.default_rng(31)
+    hits = dict.fromkeys(["deep", "infeasible after a move", "fold moved", "ge moved"], 0)
+    for _ in range(600):
+        model = chain_mip(rng)
+        calls.clear()
+        got = assert_same_detection(model)
+        levels = len(calls) - 1  # after the speculative pass
+        hits["deep"] += levels >= 3
+        hits["infeasible after a move"] += got[0] == "infeasible" and levels >= 1
+        try:
+            tight = ref.strengthen_bounds_once(model)
+        except InfeasibleError:
+            continue
+        moved = (tight.lb != model.lb) | (tight.ub != model.ub)
+        lens = np.diff(model.indptr)
+        for i in range(model.num_rows):
+            cols = model.row(i)[0]
+            if moved[cols].any():
+                hits["fold moved"] += lens[i] == 1
+                hits["ge moved"] += model.senses[i] != "L" and lens[i] >= 2
+    assert all(hits.values()), hits
+
+
+def test_a_chain_without_tightening_settles_in_one_pass(calls):
+    # 200 rows x_i + x_{i+1} <= 2 over binaries: every row shares a column
+    # with the next, so a level schedule takes 200 rounds, but no bound
+    # moves, so the speculative pass alone is final.
+    model = make_model(201, [{i: 1.0, i + 1: 1.0} for i in range(200)], ["L"] * 200,
+                       [2.0] * 200, binary=range(201))
+    out = strengthen_bounds_once(model)
+    assert calls == [200]
+    assert _bits(out.lb) == _bits(model.lb) and _bits(out.ub) == _bits(model.ub)
+    # a move in row 100 (x_100 = x_101 = 0) sends only the 99 rows after
+    # it through the levels, one row each
+    model.rhs[100] = 0.0
+    calls.clear()
+    assert assert_same_detection(model)[0] == "ok"
+    assert calls == [200] + [1] * 99
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_fuzzed_detection_matches_row_loop(seed):
     rng = np.random.default_rng(5000 + seed)
@@ -168,9 +268,9 @@ def test_fuzz_covers_the_listed_cases():
         hits["isp"] += bool(res.s_isp)
         hits["no pbc"] += any(
             ref._pbc_from_terms(c, v, 0.0, res.model, res.model.binaries, 0) is None
-            for c, v in res.model.rows)
+            for c, v in map(res.model.row, range(res.model.num_rows)))
         hits["eq"] += "E" in model.senses
-        for cols, vals in model.rows:
+        for cols, vals in map(model.row, range(model.num_rows)):
             low = np.where(vals > 0, vals * model.lb[cols], vals * model.ub[cols])
             hits["two infinite"] += int(np.isinf(low).sum() == 2)
             if len(cols) >= 9:

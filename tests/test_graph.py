@@ -140,3 +140,42 @@ def test_neighbors_and_degree():
     assert g.neighbors(0) == [1, 2, 3]
     assert len(g.row(0)) == 3
     assert g.neighbors(4) == [1]
+
+
+def test_blocks_take_whole_sequences(monkeypatch):
+    # Six knapsack families of 30 nodes, each with 20 further cliques, and a
+    # few plain cliques: a split of the shuffled cliques puts every family's
+    # cliques in both blocks, which then both expand its shared suffix.
+    from cgcuts import graph
+
+    rng = np.random.default_rng(5)
+    n_b = 200
+    sequences, rows = [], []
+    for s in range(6):
+        sequences.append(tuple(int(v) for v in rng.choice(2 * n_b, 30, replace=False)))
+        rows += [(s, -1, 15)] + [(s, i, 15 + i // 4) for i in range(10, 15)]
+        rows += [(s, i, 16) for i in range(15)]
+    for q in random_cliques(rng, n_b, 8):
+        rows.append((len(sequences), -1, 0))
+        sequences.append(q.nodes)
+    table = CliqueTable.of(sequences, rows)
+    blocks = []
+
+    def spy(fn, args, k):
+        blocks.extend(args)
+        return [fn(a) for a in args]
+
+    monkeypatch.setattr(graph, "map_blocks", spy)
+    want = build_graph_parallel(table, n_b, 1, seed=7)
+    for k in (2, 3):
+        blocks.clear()
+        assert build_graph_parallel(table, n_b, k, seed=7) == want
+        owner = {}
+        for b, (block, _) in enumerate(blocks):
+            ptr = block.seq_ptr.tolist()
+            for s in np.unique(block.seq).tolist():
+                nodes = tuple(block.seq_nodes[ptr[s]:ptr[s + 1]].tolist())
+                assert owner.setdefault(nodes, b) == b, "a sequence reached two blocks"
+        assert len(owner) == len(sequences)
+        # the families' pairs are spread: no block is empty
+        assert all(len(block) for block, _ in blocks)

@@ -8,11 +8,11 @@ import tracemalloc
 
 import numpy as np
 
+import cliques_reference
 import graph_reference as ref
 from cgcuts.cliques import (
     Clique,
     CliqueTable,
-    _detect_indices,
     detect_cliques_parallel,
 )
 from cgcuts import graph
@@ -53,7 +53,7 @@ def _random_family(rng, n_b):
     n = int(rng.integers(2, 14))
     coeffs = sorted(float(a) for a in rng.integers(1, 30, size=n))
     rhs = float(rng.integers(int(coeffs[-1]), int(coeffs[-1] + coeffs[-2]) + 1))
-    phi, entries = _detect_indices(coeffs, rhs)
+    phi, entries = cliques_reference.detect_indices(coeffs, rhs)
     if phi is None:
         return None
     nodes = tuple(int(v) for v in rng.choice(2 * n_b, size=n, replace=False))

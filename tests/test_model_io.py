@@ -11,7 +11,6 @@ from cgcuts.model_io import (
     DISP_USER_CUT,
     CutPool,
     CutRecord,
-    MipModel,
     MpsError,
     export_cut_pool,
     parse_mps,
@@ -19,6 +18,8 @@ from cgcuts.model_io import (
     write_augmented_mps,
     write_mps,
 )
+
+from conftest import model_of_rows
 
 PACKING_MPS = """\
 NAME tiny
@@ -94,7 +95,7 @@ def test_parse_hand_checked_file():
     assert model.ub.tolist() == [1.0, 6.0, math.inf, 2.0]
     assert model.integers == {0}
     assert model.binaries == {0}
-    cols, vals = model.rows[0]
+    cols, vals = model.row(0)
     assert cols.tolist() == [0, 1, 3]
     assert vals.tolist() == [3.0, 1.5, 4.0]
 
@@ -154,7 +155,7 @@ def test_augmented_row_for_plain_clique():
     pool = _pool([CutRecord((0, 1), "org_long", DISP_CONSTRAINT)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
     assert out.num_rows == 2
-    cols, vals = out.rows[1]
+    cols, vals = out.row(1)
     assert cols.tolist() == [0, 1]
     assert vals.tolist() == [1.0, 1.0]
     assert out.senses[1] == "L"
@@ -166,7 +167,7 @@ def test_augmented_row_for_complemented_clique():
     model = parse_mps(PACKING_MPS)
     pool = _pool([CutRecord((0, 3), "org_long", DISP_CONSTRAINT)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
-    cols, vals = out.rows[1]
+    cols, vals = out.row(1)
     assert cols.tolist() == [0, 1]
     assert vals.tolist() == [1.0, -1.0]
     assert out.rhs[1] == 0.0
@@ -301,10 +302,10 @@ def _wide_model(n: int, m: int, per_row: int, seed: int):
     kind = np.repeat(rng.integers(0, 3, size=n // 50 + 1), 50)[:n]
     cols = np.sort(rng.integers(0, n, size=(m, per_row)), axis=1)
     cols = [np.unique(c) for c in cols]
-    model = MipModel(
+    model = model_of_rows(
+        [(c, rng.integers(-9, 10, size=len(c)) / 4 + 0.125) for c in cols],
         col_names=[f"x{j}" for j in range(n)],
         row_names=[f"r{i}" for i in range(m)],
-        rows=[(c, rng.integers(-9, 10, size=len(c)) / 4 + 0.125) for c in cols],
         senses=["L", "G", "E"] * (m // 3) + ["L"] * (m % 3),
         rhs=rng.integers(-5, 20, size=m).astype(float),
         obj=rng.integers(0, 3, size=n).astype(float),

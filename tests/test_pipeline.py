@@ -80,7 +80,7 @@ def test_file_outputs_and_stats(tmp_path):
     stats = run_pipeline(src, out_model=out_model, out_cuts=out_cuts)
     aug = parse_mps_file(out_model)
     assert aug.num_rows == 2
-    cols, vals = aug.rows[1]
+    cols, vals = aug.row(1)
     assert cols.tolist() == [2, 3] and vals.tolist() == [1.0, 1.0]
     assert aug.rhs[1] == 1.0
     assert out_cuts.read_text() == "other_long 2 4\n"

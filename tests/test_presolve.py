@@ -266,7 +266,8 @@ def test_detect_preserves_binary_feasible_set():
         out = res.model
         for pt in before:
             assert np.all(pt >= out.lb - 1e-9) and np.all(pt <= out.ub + 1e-9)
-            for i, (cols, vals) in enumerate(out.rows):
+            for i in range(out.num_rows):
+                cols, vals = out.row(i)
                 act = pt[cols] @ vals
                 if out.senses[i] == "L":
                     assert act <= out.rhs[i] + 1e-9

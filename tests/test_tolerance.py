@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detect_reference as ref
-from cgcuts.cliques import _detect_indices
 from cgcuts.pipeline import run_pipeline_model
 from cgcuts.presolve import detect
-from conftest import make_model
+from conftest import knapsack_indices, make_model
 
 
 def pair_row(a, b, rhs, fixed=False):
@@ -40,7 +39,7 @@ def test_exact_decimal_sum_at_large_magnitude_is_not_a_conflict():
     assert a + b > rhs + 1e-9
     model = pair_row(a, b, rhs)
     assert claims(model) == (0, 0, 0)
-    assert _detect_indices([a, b], rhs) == (None, [])
+    assert knapsack_indices([a, b], rhs) == (None, [])
     _, pool, plan, _ = run_pipeline_model(model)
     assert pool.records == [] and plan.constraint_rows() == 0
     # with both fixed at 1, the activity equals the rhs: not infeasible
@@ -56,9 +55,9 @@ def test_large_decimal_rows_claim_a_conflict_only_above_the_rhs(a, b):
     lo, hi = sorted((a / 10, b / 10))
     rhs = (a + b) / 10  # the exact decimal sum, rounded once
     assert claims(pair_row(lo, hi, rhs)) == (0, 0, 0)
-    assert _detect_indices([lo, hi], rhs) == (None, [])
+    assert knapsack_indices([lo, hi], rhs) == (None, [])
     assert claims(pair_row(lo, hi, rhs, fixed=True)) == (0, 0, 0)
     below = rhs * (1 - 1e-6)
     ck, packing, fixings = claims(pair_row(lo, hi, below))
     assert ck + packing == 1 and fixings == 0  # a packing when lo == hi
-    assert _detect_indices([lo, hi], below) == (0, [])
+    assert knapsack_indices([lo, hi], below) == (0, [])
