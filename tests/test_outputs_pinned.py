@@ -1,0 +1,121 @@
+"""Pinned outputs: the sha256 of the augmented model and of the cut pool of
+every benchmark shape, and of the cut pool that the time-limit pass-through
+exports after each stage.
+
+A refactor must keep every output byte for byte, so these digests do not
+change with the code. They change only when the generated input does, which
+happens when NumPy's random generator changes its stream; the input digest
+is pinned too, and a test skips, saying so, only when it differs.
+"""
+import hashlib
+import os
+import sys
+
+import pytest
+
+from cgcuts import pipeline
+from cgcuts.model_io import TAGS, export_cut_pool, parse_mps, write_augmented_mps
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import gen  # noqa: E402
+
+SCALE = 0.2
+SEED = 7
+
+#: Per shape: the generated input, then (augmented model, cut pool).
+PINNED = {
+    "general-int": (
+        "89fb5c90e2f382d9092360e3708cb85ea5f96a7e7c10fc7796540e23f53bca19",
+        "296e2ac7411e917ff083226243009c1d3888c4fb7a18bbf3a9b4e79d0bdefdf1",
+        "7951813b68e9cd4f2d361ce5f5ec502573222e2dbe499abaf268cb5012655e9b",
+    ),
+    "knapsack-wide": (
+        "9f51e920c4937288ddd3c0ee724e6ad728cde79e5cd96e7319ce9904521b364a",
+        "069f51044f7cc02d5f444d40209b139ac2b609c3c9cdc8bf10230833d116fc36",
+        "b27867c5c8b12c260271b2243c87822812512c55973f19c144c9d6e8c2c30369",
+    ),
+    "mixed-short": (
+        "a829d034e75a1280d4ba2f1c5f16e97a0b60f5f48bd4de6b2b5931df2b385f05",
+        "39143bcf9bdde43bbc3458f6e1ba581fe806cae8d6a5f1367165b24d4e8e06f3",
+        "ecc2e9b5bb22f5f833bbccf1e8f96726784993cafc863fba8d42c0da55139fcc",
+    ),
+}
+
+#: Per shape, the cut pool exported when the deadline fires at its 2nd, 3rd,
+#: 4th and 5th check: after clique detect, graph build, extension and merge.
+PINNED_PASSTHROUGH = {
+    "general-int": (
+        "d72b2b5e32fd88fc305b13eaf63e2a6d08ad8e92173359abbf55366966c8fd90",
+        "d72b2b5e32fd88fc305b13eaf63e2a6d08ad8e92173359abbf55366966c8fd90",
+        "1f0d65cc50d7b383d30b1865799ba08401796896e5c090104819da5f9a20d744",
+        "1f0d65cc50d7b383d30b1865799ba08401796896e5c090104819da5f9a20d744",
+    ),
+    "knapsack-wide": (
+        "18c12d4b2fd41e894ac01163348776aa5309e457f27448a69efe931a91bb8e19",
+        "18c12d4b2fd41e894ac01163348776aa5309e457f27448a69efe931a91bb8e19",
+        "ce6a3d6fc4a0514ba4c4a73434eddf9951b24153176fab2d7b8afa9d1c5337d4",
+        "ce6a3d6fc4a0514ba4c4a73434eddf9951b24153176fab2d7b8afa9d1c5337d4",
+    ),
+    "mixed-short": (
+        "6c40ef0a234a432033d006b466b3d442b009e226f63b05dab9bf6a7826b523fc",
+        "6c40ef0a234a432033d006b466b3d442b009e226f63b05dab9bf6a7826b523fc",
+        "7ac05eb81b3815efecb3d2a6c20197a24b855a16bd3e178dfc8e51a94f9fb5a7",
+        "ce90d0fed92bab4717b1db9cac302b07e7ed640af8a4dc5e82f90eeed3244f3a",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _input(shape: str) -> str:
+    """The generated model text; skips when it is not the pinned input."""
+    text = gen.generate(shape, SEED, SCALE).mps
+    if _sha(text) != PINNED[shape][0]:
+        pytest.skip(f"{shape}: the generated input differs from the pinned one "
+                    "(NumPy's random stream changed), so its outputs cannot be compared")
+    return text
+
+
+def test_every_shape_is_pinned():
+    assert set(PINNED) == set(gen.SHAPES) == set(PINNED_PASSTHROUGH)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_outputs_match_pinned_digests(shape, k):
+    base, pool, _, _ = pipeline.run_pipeline_model(parse_mps(_input(shape)), k=k)
+    assert (_sha(write_augmented_mps(base, pool)), _sha(export_cut_pool(pool))) \
+        == PINNED[shape][1:]
+
+
+@pytest.mark.parametrize("check", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_time_limit_passthrough_after_each_stage(monkeypatch, shape, check):
+    text = _input(shape)
+    calls = []
+
+    def expired(self):
+        calls.append(None)
+        return len(calls) >= check
+
+    monkeypatch.setattr(pipeline._Deadline, "expired", expired)
+    model = parse_mps(text)
+    base, pool, plan, stats = pipeline.run_pipeline_model(model, k=1)
+    assert len(calls) == check
+    assert stats.flags["time_limit_hit"] and plan is None
+    assert base is model
+    # The augmented model is the input with no row added, and every pool
+    # line is a known tag followed by signed 1-based column indices.
+    assert parse_mps(write_augmented_mps(base, pool)).signature() == model.signature()
+    cuts = export_cut_pool(pool)
+    assert _sha(cuts) == PINNED_PASSTHROUGH[shape][check - 2]
+    for line in cuts.splitlines():
+        tag, *indices = line.split()
+        assert tag in TAGS and len(indices) >= 2
+        assert all(0 < abs(int(j)) <= model.num_cols for j in indices)
+    tags = {tag for tag, c in stats.tag_counts.items() if c["total"]}
+    assert {line.split()[0] for line in cuts.splitlines()} == tags
