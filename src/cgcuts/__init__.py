@@ -1,13 +1,12 @@
 """Parallel conflict-graph cut generation for mixed-integer programs."""
 
-from .cliques import Clique, CliqueHarvest, CliqueTable, detect_cliques_parallel
+from .cliques import CliqueTable, detect_cliques_parallel
 from .extend import extend_parallel
 from .graph import ConflictGraph, build_graph_parallel
 from .literals import Literal, VarMap
 from .merge import removal_flags
 from .model_io import (
     CutPool,
-    CutRecord,
     MipModel,
     MpsError,
     export_cut_pool,

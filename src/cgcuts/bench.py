@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliques import Clique, CliqueTable
+from .cliques import CliqueTable
 from .extend import extend_parallel
 from .graph import build_graph_parallel
 from .merge import removal_flags
@@ -48,6 +48,10 @@ class BenchConfig:
     def __post_init__(self):
         if not 0.0 < self.membership_prob < 1.0:
             raise ValueError("membership_prob must lie in (0, 1)")
+        if min(self.n_b, self.num_cliques) < 0:
+            raise ValueError("n_b and num_cliques must be non-negative")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be at least 1")
 
 
 @dataclass
@@ -75,26 +79,26 @@ class BenchReport:
 
 
 def generate_cliques(n_b: int, num_cliques: int, p: float, seed: int):
-    """Random cliques over the positive literals; returns (cliques, dropped)."""
-    rng = np.random.default_rng(seed)
-    member = rng.random((num_cliques, n_b)) < p
-    cliques = []
-    dropped = 0
-    for row in member:
-        nodes = np.nonzero(row)[0]
-        if len(nodes) < 2:
-            dropped += 1
-            continue
-        cliques.append(Clique(tuple(int(v) for v in nodes), source="bench"))
-    return cliques, dropped
+    """Random cliques over the positive literals, as a plain `CliqueTable`
+    of tag 0; returns (table, dropped)."""
+    member = np.random.default_rng(seed).random((num_cliques, n_b)) < p
+    lens = member.sum(axis=1)
+    keep = lens >= 2
+    return CliqueTable.plain(lens[keep], np.nonzero(member[keep])[1], 0), int((~keep).sum())
 
 
-def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits):
+def _sorted_cliques(table: CliqueTable):
+    """The cliques' members in sorted order: equal for equal multisets."""
+    lens, nodes = table.take(table.order()).flat()
+    return lens.tolist(), nodes.tolist()
+
+
+def _run_stages(cliques: CliqueTable, n_b: int, k: int, seed: int, limits: Limits):
     out = {}
     times = {}
     t0 = time.perf_counter()
     g = build_graph_parallel(
-        CliqueTable.plain(cliques),
+        cliques,
         n_b,
         k,
         seed,
@@ -109,14 +113,15 @@ def _run_stages(cliques, n_b: int, k: int, seed: int, limits: Limits):
     )
     times["extension"] = time.perf_counter() - t1
     t2 = time.perf_counter()
-    pool = sorted(longs) + sorted(others)
+    pool = CliqueTable.concat([longs, others])
+    pool = pool.take(pool.order())
     flags = removal_flags(pool, k)
     times["merge"] = time.perf_counter() - t2
     times["total"] = time.perf_counter() - t0
     out["graph"] = g
-    out["longs"] = sorted(q.nodes for q in longs)
-    out["others"] = sorted(q.nodes for q in others)
-    out["kept"] = sorted(q.nodes for q, dead in zip(pool, flags) if not dead)
+    out["longs"] = _sorted_cliques(longs)
+    out["others"] = _sorted_cliques(others)
+    out["kept"] = _sorted_cliques(pool.take(np.flatnonzero(~flags)))
     return times, out
 
 
@@ -150,7 +155,7 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
             f"{dropped}/{cfg.num_cliques} generated cliques had <2 members "
             "and were dropped"
         )
-    if not cliques:
+    if not len(cliques):
         report.notes.append("no usable cliques generated; nothing to time")
         return report
 

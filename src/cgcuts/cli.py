@@ -48,7 +48,7 @@ def _limits(parser: argparse.ArgumentParser, args) -> Limits:
         limits = Limits.from_json(args.limits) if args.limits else Limits()
         if args.time_limit is not None:
             limits = dataclasses.replace(limits, time_limit_s=args.time_limit)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         parser.error(f"invalid limits: {exc}")
     return limits
 
@@ -97,14 +97,17 @@ def main(argv=None) -> int:
 
     from .bench import BenchConfig, run_bench, warn_if_slow
 
-    cfg = BenchConfig(
-        n_b=args.n_b,
-        num_cliques=args.cliques,
-        membership_prob=args.prob,
-        threads=_thread_counts(parser, args.thread_counts),
-        repetitions=args.reps,
-        seed=args.seed,
-    )
+    try:
+        cfg = BenchConfig(
+            n_b=args.n_b,
+            num_cliques=args.cliques,
+            membership_prob=args.prob,
+            threads=_thread_counts(parser, args.thread_counts),
+            repetitions=args.reps,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_bench(cfg, limits=limits)
     csv_text = report.to_csv()
     if args.csv:

@@ -1,95 +1,46 @@
 """Maximal clique detection from conflicting knapsack constraints, and the
-clique table that graph build reads.
+clique table that every stage reads, from the harvest to the writers.
 
 `detect_cliques_parallel` shuffle-partitions the knapsack table over k
 workers (k = 1 runs in this process); each worker binary-searches every
 coefficient-sorted knapsack for its original clique and the further maximal
 cliques. A knapsack's cliques are kept in a compact suffix form over its
 coefficient-ordered nodes, because materializing all of them can take
-quadratic memory, and `CliqueTable` keeps that form.
+quadratic memory, and `CliqueTable` keeps that form. Members are written
+out, sorted per clique, only where a stage needs them (`CliqueTable.flat`):
+extension, merge, the pool order and the writers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
+from .model_io import TAGS, stable_order
 from .parallel import map_blocks, shuffle_partition
 from .presolve import PbcTable, _distinct, _indptr, _ranges, _segment_positions, scaled_tol
 
-SRC_OSP = "osp"
-SRC_ISP = "isp"
-SRC_KNAPSACK_ORG = "knapsack_org"
-SRC_KNAPSACK_OTHER = "knapsack_other"
-
-
-@dataclass(frozen=True, order=True)
-class Clique:
-    """Sorted conflict-graph node indices asserting pairwise conflict."""
-
-    nodes: tuple[int, ...]
-    source: str = ""
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-#: Sort key giving `Clique`'s field order, without the generated `__lt__`.
-clique_order = attrgetter("nodes", "source")
-
-
-@dataclass
-class CliqueFamily:
-    """The maximal cliques of one conflicting knapsack in suffix form.
-
-    `nodes` is the knapsack's node list in coefficient order. The original
-    clique is nodes[phi:]; each entry (i, sigma), i < phi <= sigma, denotes
-    the further clique {nodes[i]} | nodes[sigma:].
-    """
-
-    nodes: tuple[int, ...]
-    phi: int
-    entries: list[tuple[int, int]]
-
-    def original(self) -> Clique:
-        return Clique(tuple(sorted(self.nodes[self.phi:])), source=SRC_KNAPSACK_ORG)
-
-    def materialize(self):
-        """The further cliques, in entry order."""
-        for i, sigma in self.entries:
-            members = (self.nodes[i],) + self.nodes[sigma:]
-            yield Clique(tuple(sorted(members)), source=SRC_KNAPSACK_OTHER)
-
-
-@dataclass
-class CliqueHarvest:
-    """One family per knapsack whose two largest coefficients conflict."""
-
-    families: list[CliqueFamily]
-
-    @property
-    def c_org(self) -> list[Clique]:
-        return [f.original() for f in self.families]
-
-    @property
-    def c_other_blocks(self) -> list[CliqueFamily]:
-        """The families that have further cliques."""
-        return [f for f in self.families if f.entries]
+#: The tags (indices into `model_io.TAGS`) of the cliques of original and
+#: inferred set packing rows, of the knapsacks' original cliques and of
+#: their first further clique; a knapsack's other further cliques take
+#: OTHER + 1. Extension gives a base's longest extension the base's tag t
+#: and its other extensions t + 1.
+OSP, ISP, ORG, OTHER = (TAGS.index(f"{s}_long") for s in ("osp", "isp", "org", "other"))
 
 
 @dataclass
 class CliqueTable:
-    """Cliques in suffix form over shared node sequences.
+    """Cliques in suffix form over shared node sequences, each with a tag.
 
     Sequence s is `seq_nodes[seq_ptr[s]:seq_ptr[s + 1]]`, of distinct nodes.
     Clique c is {S[head[c]]} | S[start[c]:] for S = sequence `seq[c]`, where
     `head[c]` is a position before `start[c]`, or -1 for none. A knapsack's
     cliques share its coefficient-ordered nodes: its original clique is
     (-1, phi) and each further one (i, sigma). A plain clique is its own
-    sorted sequence with (-1, 0). All but `seq_ptr` are int32, as the nodes
-    of a `PbcTable` are, which halves what k > 1 sends them in.
+    sequence with (-1, 0). `tag[c]` (uint8) indexes `model_io.TAGS`. All
+    but `seq_ptr` and `tag` are int32, as the nodes of a `PbcTable` are,
+    which halves what k > 1 sends them in.
     """
 
     seq_ptr: np.ndarray
@@ -97,21 +48,30 @@ class CliqueTable:
     seq: np.ndarray
     head: np.ndarray
     start: np.ndarray
+    tag: np.ndarray
 
     @classmethod
-    def of(cls, sequences, rows) -> "CliqueTable":
-        """Table of node `sequences` and one (seq, head, start) per clique."""
-        lens = [len(s) for s in sequences]
-        nodes = np.fromiter(chain.from_iterable(sequences), dtype=np.int32,
-                            count=sum(lens))
-        cols = np.array(rows, dtype=np.int32).reshape(-1, 3).T
-        return cls(_indptr(lens), nodes, *(np.ascontiguousarray(c) for c in cols))
+    def plain(cls, lens, nodes, tag) -> "CliqueTable":
+        """Clique c is the c-th run of `lens[c]` `nodes`, as its own
+        sequence, with `tag` (one for all, or one per clique)."""
+        n = len(lens)
+        return cls(_indptr(lens), np.asarray(nodes, dtype=np.int32),
+                   np.arange(n, dtype=np.int32), np.full(n, -1, dtype=np.int32),
+                   np.zeros(n, dtype=np.int32), np.full(n, tag, dtype=np.uint8))
 
     @classmethod
-    def plain(cls, cliques) -> "CliqueTable":
-        """Each `Clique` as its own sequence."""
-        sequences = [q.nodes for q in cliques]
-        return cls.of(sequences, [(s, -1, 0) for s in range(len(sequences))])
+    def concat(cls, tables) -> "CliqueTable":
+        """The cliques of `tables`, one table after the other."""
+        seqs = np.cumsum([0] + [len(t.seq_ptr) - 1 for t in tables])
+        ends = np.cumsum([0] + [int(t.seq_ptr[-1]) for t in tables])
+        return cls(
+            np.concatenate([[0]] + [t.seq_ptr[1:] + e for t, e in zip(tables, ends)]),
+            np.concatenate([t.seq_nodes for t in tables]),
+            np.concatenate([t.seq + s for t, s in zip(tables, seqs)]).astype(np.int32),
+            np.concatenate([t.head for t in tables]),
+            np.concatenate([t.start for t in tables]),
+            np.concatenate([t.tag for t in tables]),
+        )
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -126,6 +86,49 @@ class CliqueTable:
         head = nodes[self.head[c]:self.head[c] + 1] if self.head[c] >= 0 else nodes[:0]
         return np.sort(np.concatenate([head, nodes[self.start[c]:]]))
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lengths, nodes), both int64: every clique's members, ascending,
+        one clique after the other."""
+        lens = self.sizes().astype(np.int64)
+        lo = self.seq_ptr[self.seq]
+        has = self.head >= 0
+        pos = _ranges(lo + self.start - has, self.seq_ptr[self.seq + 1])
+        pos[_indptr(lens)[:-1][has]] = (lo + self.head)[has]
+        nodes = self.seq_nodes[pos].astype(np.int64)
+        # one sort of clique * dim + node orders every clique's members
+        shift = np.repeat(np.arange(len(lens)) * (int(nodes.max(initial=0)) + 1), lens)
+        nodes += shift
+        nodes.sort()
+        nodes -= shift
+        return lens, nodes
+
+    def order(self) -> np.ndarray:
+        """The clique ids by (tag, members) in tuple order, where a prefix
+        comes first, and by id on a tie. Ties are refined one member
+        position at a time over the cliques still tied, so the passes
+        together read each member at most once and hold O(members)."""
+        lens, nodes = self.flat()
+        first = _indptr(lens)[:-1]
+        dim = int(nodes.max(initial=0)) + 2  # a key is 0 past the last member
+        order = np.arange(len(lens))
+        live = order.copy()  # positions of `order` whose group still ties
+        group = self.tag.astype(np.int64)
+        p = 0
+        while len(live):
+            c = order[live]
+            key = group * dim
+            more = lens[c] > p
+            key[more] += nodes[first[c[more]] + p] + 1
+            perm = stable_order(key)
+            order[live], key = c[perm], key[perm]
+            group = np.cumsum(np.diff(key, prepend=-1) != 0) - 1
+            tied = np.zeros(len(key) + 1, dtype=bool)
+            tied[1:-1] = key[1:] == key[:-1]
+            keep = (tied[1:] | tied[:-1]) & (key % dim != 0)
+            live, group = live[keep], group[keep]
+            p += 1
+        return order
+
     def take(self, idx) -> "CliqueTable":
         """The cliques `idx`, in that order, over the sequences they use."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -136,7 +139,18 @@ class CliqueTable:
             np.searchsorted(used, self.seq[idx]).astype(np.int32),
             self.head[idx],
             self.start[idx],
+            self.tag[idx],
         )
+
+    # The harvest's counts as the benchmark's tracer (perfbench/spans.py)
+    # reads them; these go when it reads the tags (ROADMAP item 7).
+    @property
+    def c_org(self) -> np.ndarray:
+        return np.flatnonzero(self.tag == ORG)
+
+    @property
+    def c_other_blocks(self) -> list:
+        return [SimpleNamespace(entries=np.flatnonzero(self.tag >= OTHER))]
 
 
 def _detect_block(args):
@@ -179,26 +193,32 @@ def _detect_block(args):
     return np.where(hit, phi, -1), np.bincount(k[keep], minlength=len(n)), i[keep], sigma[keep]
 
 
-def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueHarvest:
+def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueTable:
     """Shuffle-partition the knapsack table and run detection per block.
 
-    The workers see only the coefficients; the families take their nodes
-    from `s_ck` here. The clique set is identical for every k and seed;
-    only the order of the families follows the shuffle.
+    The workers see only the coefficients; the table takes its sequences
+    from `s_ck` here: one per knapsack with cliques, in its coefficient
+    order, holding its original clique (tag ORG), then all further cliques
+    (OTHER for each knapsack's first, OTHER + 1 for the rest). The clique
+    set is identical for every k and seed; only the order of the knapsacks
+    follows the shuffle.
     """
     part = shuffle_partition(len(s_ck), k, seed)
     blocks = [s_ck.take(idx) for idx in part.blocks]
     results = map_blocks(
         _detect_block, [(b.indptr, b.coeffs, b.rhs) for b in blocks], k
     )
-    ptr = s_ck.indptr.tolist()
-    nodes = s_ck.nodes.tolist()
-    families = []
-    for idx, (phi, count, i, sigma) in zip(part.blocks, results):
-        entries = list(zip(i.tolist(), sigma.tolist()))
-        ends = np.cumsum(count).tolist()
-        for j, p, e, t in zip(idx.tolist(), phi.tolist(), ends, count.tolist()):
-            if p >= 0:
-                families.append(CliqueFamily(tuple(nodes[ptr[j]:ptr[j + 1]]), p,
-                                             entries[e - t:e]))
-    return CliqueHarvest(families)
+    phi, count, i, sigma = (np.concatenate([r[j] for r in results]) for j in range(4))
+    hit = phi >= 0  # a knapsack without cliques has no entries either
+    family = s_ck.take(part.order[hit])
+    f, count = len(family), count[hit]
+    first = np.zeros(len(i), dtype=bool)
+    first[_indptr(count)[:-1][count > 0]] = True
+    return CliqueTable(
+        family.indptr,
+        family.nodes.astype(np.int32),
+        np.concatenate([np.arange(f), np.repeat(np.arange(f), count)]).astype(np.int32),
+        np.concatenate([np.full(f, -1), i]).astype(np.int32),
+        np.concatenate([phi[hit], sigma]).astype(np.int32),
+        np.concatenate([np.full(f, ORG), np.where(first, OTHER, OTHER + 1)]).astype(np.uint8),
+    )

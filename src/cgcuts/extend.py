@@ -11,14 +11,13 @@ without comes back as it is.
 from __future__ import annotations
 
 import time
-from itertools import chain
 
 import numpy as np
 
-from .cliques import Clique
+from .cliques import CliqueTable
 from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_partition
-from .presolve import _indptr, _ranges, _within
+from .presolve import _indptr, _ranges, _segment_positions, _within
 
 #: Bases scanned at once; the deadline is polled once per chunk.
 _CHUNK = 256
@@ -161,7 +160,7 @@ def _extend_block(args):
 
 
 def extend_parallel(
-    cliques,
+    bases: CliqueTable,
     g: ConflictGraph,
     k: int,
     seed: int,
@@ -170,45 +169,40 @@ def extend_parallel(
     deadline: float | None = None,
     stats: dict | None = None,
 ):
-    """Shuffle-partition the cliques and extend each on its own worker.
+    """Shuffle-partition the bases and extend each block on its own worker.
 
     Each worker stops once it has touched `per_worker_budget` adjacency
     entries (or the monotonic `deadline` passes); the budget is granted once
-    per worker for the whole call. Every base comes back in `longs`, in
-    block order: as its longest extension, or as the caller's own object if
-    it did not grow or lies past the stop. Every result keeps its base
-    clique's `source`. Returns (longest list, others list).
+    per worker for the whole call. Returns (longs, others), two plain
+    tables: `longs` holds every base, in block order, as its longest
+    extension or as it is when it did not grow or lies past the stop, with
+    the base's tag t; `others` holds the other extensions, with tag t + 1.
     """
-    cliques = list(cliques)
-    part = shuffle_partition(len(cliques), k, seed)
-    block_args = []
-    for idx in part.blocks:
-        bases = [cliques[i].nodes for i in idx.tolist()]
-        lens = np.fromiter(map(len, bases), dtype=np.int32, count=len(bases))
-        nodes = np.fromiter(chain.from_iterable(bases), dtype=g.indices.dtype,
-                            count=int(lens.sum()))
-        block_args.append((nodes, lens, g.n_b, g.indptr, g.indices,
-                           per_worker_budget, deadline))
+    lens, nodes = bases.flat()
+    ptr = _indptr(lens)
+    part = shuffle_partition(len(bases), k, seed)
+    block_args = [
+        (nodes[_segment_positions(ptr, idx)].astype(g.indices.dtype), lens[idx], g.n_b,
+         g.indptr, g.indices, per_worker_budget, deadline)
+        for idx in part.blocks
+    ]
     results = map_blocks(_extend_block, block_args, k)
-    longs: list[Clique] = []
-    others: list[Clique] = []
-    budget_hit = deadline_hit = False
-    touches = 0
-    for idx, (flat, lens, owner, _, bt, bh, dh) in zip(part.blocks, results):
-        block = [cliques[i] for i in idx.tolist()]
-        heads = (np.diff(owner, prepend=-1) != 0).tolist()  # a base's longest
-        for i, q, head in zip(owner.tolist(), np.split(flat, np.cumsum(lens)[:-1]), heads):
-            q = Clique(tuple(q.tolist()), source=block[i].source)
-            if head:
-                block[i] = q
-            else:
-                others.append(q)
-        longs.extend(block)
-        budget_hit = budget_hit or bh
-        deadline_hit = deadline_hit or dh
-        touches += bt
+    out_nodes, out_lens = (np.concatenate([r[j] for r in results]) for j in range(2))
+    offset = _indptr([len(idx) for idx in part.blocks])
+    owner = np.concatenate([r[2] + o for r, o in zip(results, offset.tolist())])
+    longest = np.diff(owner, prepend=-1) != 0  # the first clique of a grown base
+    # Each base's clique is a run of [base members, extension members]:
+    # its own or, for a grown base, its longest extension's.
+    order = part.order
+    long_lens, at = lens[order], ptr[order]
+    long_lens[owner[longest]] = out_lens[longest]
+    at[owner[longest]] = len(nodes) + _indptr(out_lens)[:-1][longest]
+    runs = np.concatenate([nodes, out_nodes])[_ranges(at, at + long_lens)]
+    rest = ~longest
     if stats is not None:
-        stats["ext_budget_hit"] = budget_hit
-        stats["ext_touches"] = touches
-        stats["deadline_hit"] = deadline_hit
-    return longs, others
+        stats["ext_budget_hit"] = any(r[5] for r in results)
+        stats["ext_touches"] = sum(r[4] for r in results)
+        stats["deadline_hit"] = any(r[6] for r in results)
+    return (CliqueTable.plain(long_lens, runs, bases.tag[order]),
+            CliqueTable.plain(out_lens[rest], out_nodes[np.repeat(rest, out_lens)],
+                              bases.tag[order[owner[rest]]] + 1))

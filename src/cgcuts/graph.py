@@ -177,7 +177,7 @@ def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
     return CliqueTable(
         np.concatenate([table.seq_ptr, table.seq_ptr[-1] + np.cumsum(lens)]),
         np.concatenate([table.seq_nodes, *samples]),
-        seq, head, start,
+        seq, head, start, table.tag,
     )
 
 

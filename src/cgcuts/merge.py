@@ -14,10 +14,10 @@ twice what a one-by-one scan would, never every pair at once.
 from __future__ import annotations
 
 import time
-from itertools import chain
 
 import numpy as np
 
+from .cliques import CliqueTable
 from .parallel import map_blocks
 from .presolve import _indptr, _ranges, _within
 
@@ -69,7 +69,7 @@ def _merge_block(args):
 
 
 def removal_flags(
-    cliques,
+    cliques: CliqueTable,
     k: int,
     counters: dict | None = None,
     deadline: float | None = None,
@@ -85,9 +85,7 @@ def removal_flags(
     m = len(cliques)
     if m == 0:
         return np.zeros(0, dtype=bool)
-    members = [q.nodes for q in cliques]
-    lens = np.fromiter(map(len, members), dtype=np.int64, count=m)
-    flat = np.fromiter(chain.from_iterable(members), dtype=np.int64, count=int(lens.sum()))
+    lens, flat = cliques.flat()
     owner = np.repeat(np.arange(m, dtype=np.int64), lens)
     # Posting lists: the cliques holding node v are ids[starts[v]:starts[v + 1]],
     # in ascending id order.

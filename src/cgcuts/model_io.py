@@ -11,11 +11,15 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .literals import VarMap
+
+if TYPE_CHECKING:
+    from .cliques import CliqueTable
 
 SENSE_LE = "L"
 SENSE_GE = "G"
@@ -32,9 +36,6 @@ TAGS = (
     "other_long",
     "other_other",
 )
-
-DISP_CONSTRAINT = "model_constraint"
-DISP_USER_CUT = "user_cut"
 
 _INF = math.inf
 
@@ -112,22 +113,15 @@ class MipModel:
                 self.minimize)
 
 
-@dataclass(frozen=True, order=True)
-class CutRecord:
-    """One clique of the pool: sorted graph nodes, origin tag, disposition."""
-
-    nodes: tuple[int, ...]
-    tag: str
-    disposition: str
-
-
 @dataclass
 class CutPool:
-    records: list[CutRecord]
-    varmap: VarMap
+    """The clique pool, sorted by (tag, members) as `CliqueTable.order`
+    sorts it, and per clique whether it is a model constraint (else a user
+    cut), over the nodes of `varmap`."""
 
-    def by_disposition(self, disposition: str) -> list[CutRecord]:
-        return [r for r in self.records if r.disposition == disposition]
+    table: CliqueTable
+    constraint: np.ndarray
+    varmap: VarMap
 
 
 # ---------------------------------------------------------------------------
@@ -777,23 +771,11 @@ def write_mps(model: MipModel) -> str:
                   model.vals, _row_of(model.indptr))
 
 
-def _ordered(pool: CutPool, disposition: str) -> list[CutRecord]:
-    """The pool's records of one disposition, by tag (TAGS order) then nodes."""
-    tag_rank = {t: i for i, t in enumerate(TAGS)}
-    return sorted(
-        pool.by_disposition(disposition),
-        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
-    )
-
-
-def _clique_rows(records: list[CutRecord], varmap: VarMap, model: MipModel):
+def _clique_rows(table: CliqueTable, varmap: VarMap, model: MipModel):
     """Every clique as the row sum x+ - sum x- <= 1 - q, in one batch:
     (cols, coeffs, clique index) of all nonzeros, each row sorted by
     (col, coeff), and the right-hand sides."""
-    lens = [len(r.nodes) for r in records]
-    nodes = np.fromiter(
-        chain.from_iterable(r.nodes for r in records), np.int64, sum(lens)
-    )
+    lens, nodes = table.flat()
     n_b = varmap.n_b
     vcols = np.asarray(varmap.cols, dtype=np.int64)
     binary = _is_int(model, vcols) & ~(model.lb[vcols] < 0.0) & ~(model.ub[vcols] > 1.0)
@@ -806,20 +788,21 @@ def _clique_rows(records: list[CutRecord], varmap: VarMap, model: MipModel):
         raise MpsError(f"clique references non-binary column {model.col_names[lit.col]!r}")
     cols = vcols[pos]
     vals = np.where(comp, -1.0, 1.0)
-    rec = np.repeat(np.arange(len(records)), lens)
+    rec = np.repeat(np.arange(len(lens)), lens)
     order = np.lexsort((vals, cols, rec))
-    rhs = 1.0 - np.bincount(rec, weights=comp, minlength=len(records))
+    rhs = 1.0 - np.bincount(rec, weights=comp, minlength=len(lens))
     return cols[order], vals[order], rec[order], rhs
 
 
 def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
-    """Original rows plus one <= row per model_constraint clique, named
+    """Original rows plus one <= row per constraint clique of the pool, named
     CLQ000001, CLQ000002, ... (prefixed with X while the name is taken)."""
-    constraints = _ordered(pool, DISP_CONSTRAINT)
-    clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(constraints, pool.varmap, model)
+    constraints = np.count_nonzero(pool.constraint)
+    clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(
+        pool.table.take(np.flatnonzero(pool.constraint)), pool.varmap, model)
     names = list(model.row_names)
     taken = set(names)
-    for i in range(1, len(constraints) + 1):
+    for i in range(1, constraints + 1):
         rname = f"CLQ{i:06d}"
         while rname in taken:
             rname = "X" + rname
@@ -829,7 +812,7 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     return _write(
         model,
         names,
-        list(model.senses) + [SENSE_LE] * len(constraints),
+        list(model.senses) + [SENSE_LE] * constraints,
         np.concatenate([model.rhs, clq_rhs]),
         np.concatenate([model.cols, clq_cols]),
         np.concatenate([model.vals, clq_vals]),
@@ -839,9 +822,14 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
 
 def export_cut_pool(pool: CutPool) -> str:
     """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
+    cuts = pool.table.take(np.flatnonzero(~pool.constraint))
+    lens, nodes = cuts.flat()
     # Each node's signed 1-based column index as text, made once.
     label = functools.cache(lambda node: str(pool.varmap.signed_index(node)))
-    lines = [f"{r.tag} {' '.join(map(label, r.nodes))}" for r in _ordered(pool, DISP_USER_CUT)]
+    words = list(map(label, nodes.tolist()))
+    ends = np.cumsum(lens).tolist()
+    lines = [f"{TAGS[t]} {' '.join(words[e - n:e])}"
+             for t, e, n in zip(cuts.tag.tolist(), ends, lens.tolist())]
     if lines:
         lines.append("")  # the closing newline, without a copy of the text
     return "\n".join(lines)

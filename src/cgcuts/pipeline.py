@@ -1,10 +1,16 @@
 """End-to-end driver: detection, clique harvest, graph build, extension,
 merging, triage and file emission, under the global limiting parameters.
+
+Every stage reads and writes one `CliqueTable`. The harvest's table, with
+the set-packing cliques, is sorted once by (tag, members): the extension
+bases (osp, isp, org) come first and the further knapsack cliques (other)
+last. Extension turns the bases into the extended tags, merge filters
+them, and the sorted pool goes to triage and, with one disposition per
+clique, to the writers.
 """
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -12,34 +18,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import model_io
-from .cliques import (
-    SRC_ISP,
-    SRC_KNAPSACK_ORG,
-    SRC_OSP,
-    Clique,
-    CliqueTable,
-    clique_order,
-    detect_cliques_parallel,
-)
+from .cliques import ISP, OSP, OTHER, CliqueTable, detect_cliques_parallel
 from .extend import extend_parallel
 from .graph import build_graph_parallel
-from .literals import VarMap
 from .merge import removal_flags
-from .model_io import (
-    DISP_CONSTRAINT,
-    DISP_USER_CUT,
-    CutPool,
-    CutRecord,
-    MipModel,
-    TAGS,
-)
-from .presolve import InfeasibleError, detect
-from .triage import TriagePlan, triage
-
-# Pool prefix of each extension base source.
-_BASE_PREFIX = {SRC_OSP: "osp", SRC_ISP: "isp", SRC_KNAPSACK_ORG: "org"}
-_EXTENDED_TAGS = ("osp_long", "osp_other", "isp_long", "isp_other",
-                  "org_long", "org_other")
+from .model_io import CutPool, MipModel, TAGS
+from .presolve import detect
+from .triage import triage
 
 
 @dataclass
@@ -110,21 +95,6 @@ class _Deadline:
         return time.monotonic() >= self.expires
 
 
-def _empty_pools() -> dict[str, list[Clique]]:
-    return {tag: [] for tag in TAGS}
-
-
-def _sorted_group(cliques: list[Clique], rows: list[int]):
-    """The cliques of one source in sorted order, and their flat (seq,
-    head, start) rows as an (n, 3) array in the same order. Sorting an
-    index list by the node tuples allocates no container per clique; pairs
-    of clique and row brought on a full garbage collection in a later
-    stage."""
-    order = sorted(range(len(cliques)), key=lambda j: cliques[j].nodes)
-    table_rows = np.array(rows, dtype=np.int64).reshape(-1, 3)[order]
-    return [cliques[j] for j in order], table_rows
-
-
 def run_pipeline_model(
     model: MipModel,
     limits: Limits | None = None,
@@ -135,14 +105,11 @@ def run_pipeline_model(
 
     Returns (augmented model, cut pool, triage plan or None, RunStats).
     On time-limit expiry the original model is passed through unchanged and
-    whatever pools exist so far are exported as user cuts.
+    whatever pool exists so far is exported as user cuts.
     """
     limits = limits or Limits()
     stats = RunStats(threads=k, seed=seed, flags=_fresh_flags())
     deadline = _Deadline(limits.time_limit_s)
-    pools = _empty_pools()
-    original = model
-    state: dict = {"varmap": None}
 
     def timed(name: str, fn):
         t0 = time.perf_counter()
@@ -150,25 +117,19 @@ def run_pipeline_model(
         stats.stage_seconds[name] = time.perf_counter() - t0
         return out
 
-    def passthrough():
+    def passthrough(pool: CliqueTable):
         stats.flags["time_limit_hit"] = True
-        varmap = state["varmap"] or VarMap(sorted(original.binaries))
-        records = [
-            CutRecord(q.nodes, tag, DISP_USER_CUT)
-            for tag in TAGS
-            for q in sorted(pools[tag], key=clique_order)
-        ]
-        pool = CutPool(records=records, varmap=varmap)
-        _fill_tag_counts(stats, pools, None)
-        return original, pool, None, stats
+        cut = np.zeros(len(pool), dtype=bool)
+        _fill_tag_counts(stats, pool, cut)
+        return model, CutPool(pool, cut, detection.varmap), None, stats
 
     detection = timed("detect", lambda: detect(model))
-    varmap = detection.varmap
-    state["varmap"] = varmap
     stats.fixings = len(detection.fixings)
     stats.rows_removed = model.num_rows - detection.model.num_rows
+    packing = [CliqueTable.plain(s.lengths(), s.nodes, tag)
+               for s, tag in ((detection.s_osp, OSP), (detection.s_isp, ISP))]
     if deadline.expired():
-        return passthrough()
+        return passthrough(CliqueTable.plain([], [], OSP))
 
     s_ck = detection.s_ck.take(
         np.flatnonzero(detection.s_ck.lengths() <= limits.max_knapsack_vars)
@@ -180,49 +141,19 @@ def run_pipeline_model(
         "clique_detect",
         lambda: detect_cliques_parallel(s_ck, k, seed),
     )
-    # The graph's CliqueTable holds five groups, each sorted: osp, isp, org,
-    # other_long, other_other. Each clique carries its (sequence, head,
-    # start): an osp or isp clique is its own sequence, a knapsack's cliques
-    # share its node sequence. The first-detected other clique of each
-    # knapsack is the pool's "long" representative; the rest are plain
-    # user-cut material.
-    sequences: list[tuple[int, ...]] = []
-    groups = [([], []) for _ in range(5)]  # (cliques, flat rows) per group
-
-    def add(group: int, q: Clique, s: int, head: int, start: int):
-        groups[group][0].append(q)
-        groups[group][1].extend((s, head, start))
-
-    for group, (pbc, source) in enumerate(
-        ((detection.s_osp, SRC_OSP), (detection.s_isp, SRC_ISP))
-    ):
-        for q in pbc.node_sets():
-            add(group, Clique(q, source=source), len(sequences), -1, 0)
-            sequences.append(q)
-    for family in harvest.families:
-        s = len(sequences)
-        sequences.append(family.nodes)
-        add(2, family.original(), s, -1, family.phi)
-        for j, (q, (i, sigma)) in enumerate(
-            zip(family.materialize(), family.entries)
-        ):
-            add(4 if j else 3, q, s, i, sigma)
-    ordered = [_sorted_group(*g) for g in groups]
-    osp_cliques, isp_cliques, org_cliques, other_long, other_other = (
-        q for q, _ in ordered
-    )
-    pools["other_long"] = other_long
-    pools["other_other"] = other_other
+    table = CliqueTable.concat(packing + [harvest])
+    table = table.take(table.order())
+    n_bases = int(np.searchsorted(table.tag, OTHER))
+    others = table.take(np.arange(n_bases, len(table)))
     if deadline.expired():
-        return passthrough()
+        return passthrough(others)
 
-    table = CliqueTable.of(sequences, np.concatenate([r for _, r in ordered]))
     gstats: dict = {}
     graph = timed(
         "graph_build",
         lambda: build_graph_parallel(
             table,
-            varmap.n_b,
+            detection.varmap.n_b,
             k,
             seed,
             max_clique_sample=limits.max_clique_sample,
@@ -234,81 +165,51 @@ def run_pipeline_model(
     stats.flags["graph_nnz_capped"] = bool(gstats.get("pair_cap_hit"))
     stats.flags["clique_downsampled"] = gstats.get("downsampled", 0) > 0
     if deadline.expired():
-        return passthrough()
+        return passthrough(others)
 
-    def run_extension():
-        estats: dict = {}
-        longs, others = extend_parallel(
-            osp_cliques + isp_cliques + org_cliques,
-            graph,
-            k,
-            seed,
-            per_worker_budget=limits.per_thread_ext_nnz,
-            deadline=deadline.expires,
-            stats=estats,
-        )
-        for extended, suffix in ((longs, "long"), (others, "other")):
-            for q in sorted(extended, key=clique_order):
-                pools[f"{_BASE_PREFIX[q.source]}_{suffix}"].append(q)
-        if estats.get("ext_budget_hit"):
-            stats.flags["extension_budget_hit"] = True
-
-    timed("extension", run_extension)
+    estats: dict = {}
+    longs, grown = timed("extension", lambda: extend_parallel(
+        table.take(np.arange(n_bases)),
+        graph,
+        k,
+        seed,
+        per_worker_budget=limits.per_thread_ext_nnz,
+        deadline=deadline.expires,
+        stats=estats,
+    ))
+    if estats.get("ext_budget_hit"):
+        stats.flags["extension_budget_hit"] = True
+    extended = CliqueTable.concat([longs, grown])
+    extended = extended.take(extended.order())
     if deadline.expired():
-        return passthrough()
+        return passthrough(CliqueTable.concat([extended, others]))
 
     def run_merge():
-        tagged = [
-            (q, tag) for tag in _EXTENDED_TAGS for q in pools[tag]
-        ]
-        if len(tagged) > limits.max_merge_cliques:
+        if len(extended) > limits.max_merge_cliques:
             stats.flags["merge_skipped"] = True
-            return
+            return extended
         counters: dict = {}
         flags = removal_flags(
-            [q for q, _ in tagged], k,
-            counters=counters, deadline=deadline.expires,
+            extended, k, counters=counters, deadline=deadline.expires,
         )
         if counters.get("deadline_hit"):
-            return
-        for tag in _EXTENDED_TAGS:
-            pools[tag] = []
-        for (q, tag), dead in zip(tagged, flags):
-            if not dead:
-                pools[tag].append(q)
+            return extended
+        return extended.take(np.flatnonzero(~flags))
 
-    timed("merge", run_merge)
+    pool = CliqueTable.concat([timed("merge", run_merge), others])
     if deadline.expired():
-        return passthrough()
+        return passthrough(pool)
 
-    plan = timed("triage", lambda: triage(pools, detection.model))
-    records = [
-        CutRecord(q.nodes, "osp_long", DISP_CONSTRAINT) for q in plan.replacements
-    ]
-    records += [
-        CutRecord(q.nodes, tag, DISP_CONSTRAINT) for q, tag in plan.as_constraints
-    ]
-    records += [
-        CutRecord(q.nodes, tag, DISP_USER_CUT) for q, tag in plan.as_user_cuts
-    ]
-    pool = CutPool(records=records, varmap=varmap)
-    _fill_tag_counts(stats, pools, plan)
-    return detection.model, pool, plan, stats
+    plan = timed("triage", lambda: triage(pool, detection.model))
+    _fill_tag_counts(stats, pool, plan.constraint)
+    return detection.model, CutPool(pool, plan.constraint, detection.varmap), plan, stats
 
 
-def _fill_tag_counts(stats: RunStats, pools, plan: TriagePlan | None):
-    counts = {tag: {"total": len(pools[tag]), "added": 0, "user": 0}
-              for tag in TAGS}
-    if plan is None:
-        for tag in TAGS:
-            counts[tag]["user"] = counts[tag]["total"]
-    else:
-        counts["osp_long"]["added"] += len(plan.replacements)
-        for _, tag in plan.as_constraints:
-            counts[tag]["added"] += 1
-        for _, tag in plan.as_user_cuts:
-            counts[tag]["user"] += 1
-    stats.tag_counts = counts
+def _fill_tag_counts(stats: RunStats, pool: CliqueTable, constraint: np.ndarray):
+    added, user = (np.bincount(pool.tag[m], minlength=len(TAGS)).tolist()
+                   for m in (constraint, ~constraint))
+    stats.tag_counts = {tag: {"total": a + u, "added": a, "user": u}
+                        for tag, a, u in zip(TAGS, added, user)}
 
 
 def run_pipeline(

@@ -123,13 +123,6 @@ class PbcTable:
             self.source_row[idx],
         )
 
-    def node_sets(self) -> list[tuple[int, ...]]:
-        """Each constraint's nodes in ascending order."""
-        seg = np.repeat(np.arange(len(self)), self.lengths())
-        nodes = self.nodes[np.lexsort((self.nodes, seg))].tolist()
-        ptr = self.indptr.tolist()
-        return [tuple(nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
-
 
 @dataclass
 class DetectionResult:

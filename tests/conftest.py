@@ -6,9 +6,9 @@ import itertools
 
 import numpy as np
 
-from cgcuts.cliques import _detect_block
+from cgcuts.cliques import CliqueTable, _detect_block
 from cgcuts.graph import ConflictGraph
-from cgcuts.model_io import MipModel
+from cgcuts.model_io import TAGS, CutPool, MipModel
 from cgcuts.presolve import PbcTable
 
 
@@ -22,6 +22,36 @@ def graph_from_edges(edges, n_b):
     indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
     indices = np.array([v for r in rows for v in sorted(r)], dtype=np.int32)
     return ConflictGraph(n_b, indptr, indices)
+
+
+def clique_table(sequences, rows, tags=0):
+    """CliqueTable of node `sequences` and one (seq, head, start) row per
+    clique, with `tags` (one for all, or one per clique)."""
+    cols = np.array(rows, dtype=np.int32).reshape(-1, 3).T
+    return CliqueTable(np.cumsum([0] + [len(s) for s in sequences], dtype=np.int64),
+                       np.array([v for s in sequences for v in s], dtype=np.int32),
+                       *(np.ascontiguousarray(c) for c in cols),
+                       np.full(len(rows), tags, dtype=np.uint8))
+
+
+def plain_table(cliques, tags=0):
+    """CliqueTable with each clique, a sequence of nodes, as its own
+    sequence, with `tags` (one for all, or one per clique)."""
+    return CliqueTable.plain([len(q) for q in cliques], [v for q in cliques for v in q], tags)
+
+
+def cliques_of(table):
+    """(sorted members, tag) of each clique of `table`, in table order."""
+    return [(tuple(table.members(c).tolist()), int(table.tag[c])) for c in range(len(table))]
+
+
+def cut_pool(records, varmap):
+    """CutPool of (nodes, tag name, is a constraint) records, sorted as the
+    pipeline sorts its pool."""
+    table = plain_table([r[0] for r in records], [TAGS.index(r[1]) for r in records])
+    constraint = np.array([r[2] for r in records], dtype=bool)
+    order = table.order()
+    return CutPool(table.take(order), constraint[order], varmap)
 
 
 def pbc_table(constraints):

@@ -3,7 +3,9 @@
 
 Each base is scanned on its own: one sort of its members' CSR rows gives
 both whether it is a clique and its common neighbours. Bases past a budget
-or deadline stop come back unchanged.
+or deadline stop come back unchanged. A clique is a (sorted nodes, tag)
+pair: the longest extension of a base keeps its tag t, the others take
+t + 1.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import time
 
 import numpy as np
 
-from cgcuts.cliques import Clique
 from cgcuts.graph import ConflictGraph
 from cgcuts.parallel import map_blocks, shuffle_partition
 
@@ -39,8 +40,8 @@ def _scan(nodes, row):
     return int(hits.sum()) == t * (t - 1), head[head == flat[t - 1:]]
 
 
-def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
-    """Grow `clq` greedily by its common neighbours `cands`.
+def _grow(clq, cands: list[int], g: ConflictGraph):
+    """Grow the (nodes, tag) clique `clq` greedily by its common neighbours `cands`.
 
     Candidates are processed in ascending node order; a candidate joins
     every bucket it is fully adjacent to, or opens a new one. Ties for the
@@ -48,7 +49,8 @@ def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
     extension, all other extensions and the number of adjacency entries
     touched.
     """
-    touched = len(clq.nodes) + len(cands)
+    base, tag = clq
+    touched = len(base) + len(cands)
     if not cands:
         return clq, [], touched
     buckets: list[list[int]] = []  # creation order
@@ -66,10 +68,9 @@ def _grow(clq: Clique, cands: list[int], g: ConflictGraph):
     for t in range(1, len(buckets)):
         if len(buckets[t]) > len(buckets[best]):
             best = t
-    base = clq.nodes
-    longest = Clique(tuple(sorted(base + tuple(buckets[best]))), source=clq.source)
+    longest = (tuple(sorted(base + tuple(buckets[best]))), tag)
     others = [
-        Clique(tuple(sorted(base + tuple(members))), source=clq.source)
+        (tuple(sorted(base + tuple(members))), tag + 1)
         for t, members in enumerate(buckets)
         if t != best
     ]
@@ -84,14 +85,14 @@ def _extend_block(args):
     touches = 0
     budget_hit = False
     deadline_hit = False
-    for step, (nodes, source) in enumerate(clique_items):
+    for step, clq in enumerate(clique_items):
+        nodes = clq[0]
         if budget is not None and touches >= budget:
             budget_hit = True
             break
         if deadline is not None and step % 256 == 0 and time.monotonic() >= deadline:
             deadline_hit = True
             break
-        clq = Clique(nodes, source=source)
         is_clique, cands = _scan(nodes, row)
         if not is_clique:
             # capped/down-sampled graphs can miss base edges; pass the
@@ -105,7 +106,7 @@ def _extend_block(args):
         others.extend(grown)
     else:
         step = len(clique_items)
-    longs.extend(Clique(nodes, source=source) for nodes, source in clique_items[step:])
+    longs.extend(clique_items[step:])
     return longs, others, budget_hit, touches, deadline_hit, step
 
 
@@ -119,24 +120,23 @@ def extend_parallel(
     deadline: float | None = None,
     stats: dict | None = None,
 ):
-    """Shuffle-partition the cliques and extend each on its own worker.
+    """Shuffle-partition the (nodes, tag) cliques and extend each on its own
+    worker.
 
     Each worker stops once it has touched `per_worker_budget` adjacency
     entries (or the monotonic `deadline` passes); the budget is granted once
     per worker for the whole call, and the bases past the stop come back
-    unextended. Every result keeps its base clique's `source`. Returns
-    (longest list, others list).
+    unextended. Returns (longest list, others list).
     """
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
     block_args = [
-        ([(cliques[i].nodes, cliques[i].source) for i in idx], g.n_b,
-         g.indptr, g.indices, per_worker_budget, deadline)
+        ([cliques[i] for i in idx], g.n_b, g.indptr, g.indices, per_worker_budget, deadline)
         for idx in part.blocks
     ]
     results = map_blocks(_extend_block, block_args, k)
-    longs: list[Clique] = []
-    others: list[Clique] = []
+    longs: list = []
+    others: list = []
     budget_hit = False
     deadline_hit = False
     touches = 0

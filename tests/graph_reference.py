@@ -71,7 +71,7 @@ def _build_block(args):
 
 
 def _clique_nodes(clique, n_b: int) -> np.ndarray:
-    nodes = np.asarray(clique.nodes, dtype=np.int64)
+    nodes = np.asarray(clique, dtype=np.int64)
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= 2 * n_b):
         raise ValueError(f"clique node out of range for n_b={n_b}")
     return nodes
@@ -81,8 +81,8 @@ def build_graph_parallel(cliques, n_b: int, k: int, seed: int, *,
                          max_clique_sample: int | None = None,
                          max_pairs: int | None = None,
                          stats: dict | None = None) -> ConflictGraph:
-    """Union of the pair expansions of all `Clique`s plus the n_b trivial
-    variable/complement edges."""
+    """Union of the pair expansions of all cliques, sorted node tuples, plus
+    the n_b trivial variable/complement edges."""
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
     rng = np.random.default_rng(seed)

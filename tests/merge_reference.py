@@ -1,8 +1,9 @@
 """Per-clique domination filter with frozenset subset tests, kept as the
 oracle for `cgcuts.merge.removal_flags`.
 
-Each clique is tested, one candidate at a time, against the cliques at
-least as long as it that hold its pivot, its member in the fewest cliques.
+Each clique, a sorted tuple of nodes, is tested, one candidate at a time,
+against the cliques at least as long as it that hold its pivot, its member
+in the fewest cliques.
 """
 from __future__ import annotations
 
@@ -53,9 +54,9 @@ def removal_flags(
     m = len(cliques)
     if m == 0:
         return np.zeros(0, dtype=bool)
-    sets = [frozenset(q.nodes) for q in cliques]
-    lens = np.array([len(q.nodes) for q in cliques], dtype=np.int64)
-    flat = np.fromiter((v for q in cliques for v in q.nodes), dtype=np.int64,
+    sets = [frozenset(q) for q in cliques]
+    lens = np.array([len(q) for q in cliques], dtype=np.int64)
+    flat = np.fromiter((v for q in cliques for v in q), dtype=np.int64,
                        count=int(lens.sum()))
     owner = np.repeat(np.arange(m, dtype=np.int64), lens)
     # Posting lists: the cliques holding node v are ids[starts[v]:starts[v + 1]],

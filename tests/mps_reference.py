@@ -2,6 +2,8 @@
 
 These are the straightforward per-line, per-nonzero and per-node versions
 of `parse_mps`, `write_mps`, `write_augmented_mps` and `export_cut_pool`.
+A pool is a list of (sorted nodes, tag name, is a constraint) records in
+any order, which the writers sort themselves.
 The array-pass versions in `cgcuts.model_io` must give equal models, the
 same `MpsError` messages and line numbers, and byte-identical text.
 """
@@ -12,17 +14,7 @@ import math
 import numpy as np
 
 from cgcuts.literals import VarMap
-from cgcuts.model_io import (
-    DISP_CONSTRAINT,
-    DISP_USER_CUT,
-    SENSE_GE,
-    SENSE_LE,
-    TAGS,
-    CutPool,
-    CutRecord,
-    MipModel,
-    MpsError,
-)
+from cgcuts.model_io import SENSE_GE, SENSE_LE, TAGS, MipModel, MpsError
 
 from conftest import model_of_rows
 
@@ -378,11 +370,11 @@ def write_mps(model: MipModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _clique_row(record: CutRecord, varmap: VarMap, model: MipModel):
+def _clique_row(nodes, varmap: VarMap, model: MipModel):
     """Turn a clique into (cols, coeffs, rhs): sum x+ - sum x- <= 1 - q."""
     pairs = []
     q = 0
-    for node in record.nodes:
+    for node in nodes:
         lit = varmap.literal(node)
         j = lit.col
         if j not in model.integers or model.lb[j] < 0.0 or model.ub[j] > 1.0:
@@ -400,19 +392,21 @@ def _clique_row(record: CutRecord, varmap: VarMap, model: MipModel):
     return cols, vals, 1.0 - q
 
 
-def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
-    """Original rows plus one <= row per model_constraint clique."""
+def _sorted(records, constraint: bool):
+    """The (nodes, tag) of one disposition's records, by tag (TAGS order)
+    then nodes."""
+    return sorted(((TAGS.index(tag), nodes) for nodes, tag, con in records
+                   if con == constraint))
+
+
+def write_augmented_mps(model: MipModel, records, varmap: VarMap) -> str:
+    """Original rows plus one <= row per constraint clique."""
     names, senses = list(model.row_names), list(model.senses)
     rows = [model.row(i) for i in range(model.num_rows)]
     taken = set(names)
-    tag_rank = {t: i for i, t in enumerate(TAGS)}
-    constraints = sorted(
-        pool.by_disposition(DISP_CONSTRAINT),
-        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
-    )
     rhs = []
-    for i, rec in enumerate(constraints):
-        cols, vals, b = _clique_row(rec, pool.varmap, model)
+    for i, (_, nodes) in enumerate(_sorted(records, True)):
+        cols, vals, b = _clique_row(nodes, varmap, model)
         rname = f"CLQ{i + 1:06d}"
         while rname in taken:
             rname = "X" + rname
@@ -426,15 +420,10 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         rhs=np.concatenate([model.rhs, np.array(rhs, dtype=np.float64)])))
 
 
-def export_cut_pool(pool: CutPool) -> str:
+def export_cut_pool(records, varmap: VarMap) -> str:
     """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
-    tag_rank = {t: i for i, t in enumerate(TAGS)}
-    cuts = sorted(
-        pool.by_disposition(DISP_USER_CUT),
-        key=lambda r: (tag_rank.get(r.tag, len(TAGS)), r.nodes),
-    )
     lines = []
-    for rec in cuts:
-        signed = " ".join(str(pool.varmap.signed_index(n)) for n in rec.nodes)
-        lines.append(f"{rec.tag} {signed}")
+    for tag, nodes in _sorted(records, False):
+        signed = " ".join(str(varmap.signed_index(n)) for n in nodes)
+        lines.append(f"{TAGS[tag]} {signed}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cgcuts.bench import BenchConfig, run_bench, shifted_geomean, warn_if_slow
-from cgcuts.cliques import Clique, CliqueTable, detect_cliques_parallel
+from cgcuts.cliques import ORG, OTHER, detect_cliques_parallel
 from cgcuts.extend import extend_parallel
 from cgcuts.graph import build_graph_parallel
 from cgcuts.merge import removal_flags
@@ -21,9 +21,11 @@ from cgcuts.pipeline import Limits, run_pipeline, run_pipeline_model
 from cgcuts.presolve import InfeasibleError
 from cgcuts.triage import triage
 from conftest import (
+    cliques_of,
     feasible_binary_points,
     make_model,
     pbc_table,
+    plain_table,
     random_binary_model,
 )
 
@@ -44,9 +46,10 @@ def test_criterion_01_knapsack_oracle_equivalence():
         n = int(rng.integers(2, 13))
         coeffs = sorted(int(a) for a in rng.integers(1, 15, size=n))
         rhs = int(rng.integers(coeffs[-1], coeffs[-1] + coeffs[-2] + 2))
-        harvest = detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0)
-        org = harvest.c_org[0] if harvest.c_org else None
-        others = [q for b in harvest.c_other_blocks for q in b.materialize()]
+        harvest = cliques_of(detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0))
+        orgs = [q for q, tag in harvest if tag == ORG]
+        org = orgs[0] if orgs else None
+        others = [q for q, tag in harvest if tag >= OTHER]
 
         conflict = [
             [coeffs[i] + coeffs[j] > rhs for j in range(n)] for i in range(n)
@@ -54,8 +57,7 @@ def test_criterion_01_knapsack_oracle_equivalence():
         if org is None:
             assert coeffs[-1] + coeffs[-2] <= rhs
             continue
-        for q in [org] + others:
-            members = q.nodes
+        for members in [org] + others:
             for i, j in itertools.combinations(members, 2):
                 assert conflict[i][j], (coeffs, rhs, members)
             for u in range(n):
@@ -64,7 +66,7 @@ def test_criterion_01_knapsack_oracle_equivalence():
                         coeffs, rhs, members, u,
                     )
             checked_cliques += 1
-        assert {n - 2, n - 1} <= set(org.nodes)
+        assert {n - 2, n - 1} <= set(org)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(
@@ -82,7 +84,7 @@ def _dense(cliques, n_b, trivial):
     dim = 2 * n_b
     adj = np.zeros((dim, dim), dtype=bool)
     for q in cliques:
-        idx = np.array(q.nodes)
+        idx = np.array(q)
         adj[np.ix_(idx, idx)] = True
     np.fill_diagonal(adj, False)
     if trivial:
@@ -110,10 +112,10 @@ def test_criterion_02_graph_build_equivalence():
         for _ in range(m):
             t = int(rng.integers(2, min(6, 2 * n_b) + 1))
             nodes = rng.choice(2 * n_b, size=t, replace=False)
-            cliques.append(Clique(tuple(sorted(int(v) for v in nodes))))
+            cliques.append(tuple(sorted(int(v) for v in nodes)))
         oracle = _dense(cliques, n_b, trivial=True)
         for k in (1, 2, 3, 4, 8):
-            g = build_graph_parallel(CliqueTable.plain(cliques), n_b, k, seed=trial)
+            g = build_graph_parallel(plain_table(cliques), n_b, k, seed=trial)
             assert np.array_equal(_graph_dense(g), oracle), (trial, k)
     report(2, f"{sets} clique sets equal the dense union oracle at "
               "k in {1,2,3,4,8}")
@@ -127,8 +129,8 @@ def _random_graph_and_base(rng, n_b):
     edges = []
     for _ in range(int(rng.integers(dim, 3 * dim))):
         u, v = rng.choice(dim, size=2, replace=False)
-        edges.append(Clique((min(u, v), max(u, v))))
-    g = build_graph_parallel(CliqueTable.plain(edges), n_b, 1, seed=0)
+        edges.append((min(u, v), max(u, v)))
+    g = build_graph_parallel(plain_table(edges), n_b, 1, seed=0)
     base = [int(rng.integers(0, dim))]
     for v in rng.permutation(dim):
         v = int(v)
@@ -136,7 +138,7 @@ def _random_graph_and_base(rng, n_b):
             base.append(v)
             if len(base) >= 3:
                 break
-    return g, Clique(tuple(sorted(base)))
+    return g, tuple(sorted(base))
 
 
 def test_criterion_03_extension_validity():
@@ -145,11 +147,12 @@ def test_criterion_03_extension_validity():
     for _ in range(pairs):
         n_b = int(rng.integers(2, 12))
         g, base = _random_graph_and_base(rng, n_b)
-        (longest,), others = extend_parallel([base], g, 1, seed=0)
-        for q in [longest] + others:
-            assert set(base.nodes) <= set(q.nodes)
-            for u, v in itertools.combinations(q.nodes, 2):
-                assert g.has_edge(u, v), (base.nodes, q.nodes)
+        longs, others = extend_parallel(plain_table([base]), g, 1, seed=0)
+        ((longest, _),) = cliques_of(longs)
+        for q in [longest] + [q for q, _ in cliques_of(others)]:
+            assert set(base) <= set(q)
+            for u, v in itertools.combinations(q, 2):
+                assert g.has_edge(u, v), (base, q)
             assert len(longest) >= len(q)
     report(3, f"{pairs} extensions produce valid cliques containing their "
               "base, longest has maximum cardinality")
@@ -164,10 +167,10 @@ def _domination_oracle(cliques):
     lens = np.zeros(m, dtype=np.int64)
     for t, q in enumerate(cliques):
         acc = 0
-        for v in q.nodes:
+        for v in q:
             acc |= 1 << v
         masks[t] = acc
-        lens[t] = len(q.nodes)
+        lens[t] = len(q)
     idx = np.arange(m)
     removed = np.zeros(m, dtype=bool)
     for j in range(m):
@@ -175,7 +178,7 @@ def _domination_oracle(cliques):
         cond = subset & ((lens > lens[j]) | (idx < j))
         cond[j] = False
         removed[j] = cond.any()
-    return [q.nodes for q, dead in zip(cliques, removed) if not dead]
+    return [q for q, dead in zip(cliques, removed) if not dead]
 
 
 def test_criterion_04_merge_oracle_equivalence():
@@ -191,11 +194,11 @@ def test_criterion_04_merge_oracle_equivalence():
         for _ in range(count):
             t = int(rng.integers(2, min(6, literals) + 1))
             nodes = rng.choice(literals, size=t, replace=False)
-            pool.append(Clique(tuple(sorted(int(v) for v in nodes))))
+            pool.append(tuple(sorted(int(v) for v in nodes)))
         expect = _domination_oracle(pool)
         for k in (1, 4, 8):
-            flags = removal_flags(pool, k=k)
-            kept = [q.nodes for q, dead in zip(pool, flags) if not dead]
+            flags = removal_flags(plain_table(pool), k=k)
+            kept = [q for q, dead in zip(pool, flags) if not dead]
             assert kept == expect, (trial, k)
     report(4, f"{pools} pools (largest 2000 cliques) match the naive "
               "domination oracle at k in {1,4,8}")
@@ -226,11 +229,11 @@ def test_criterion_05_no_feasible_point_violates_emitted_cuts():
         if len(feasible) == 0:
             continue
         n_b = pool.varmap.n_b
-        for rec in pool.records:
+        for nodes, tag in cliques_of(pool.table):
             total = np.zeros(len(feasible))
-            for node in rec.nodes:
+            for node in nodes:
                 total += _literal_value(feasible, node, n_b, pool.varmap)
-            assert np.all(total <= 1.0 + 1e-9), (rec, model.signature())
+            assert np.all(total <= 1.0 + 1e-9), (nodes, tag, model.signature())
             checked += 1
     assert checked > 0
     report(5, f"{models} models: every feasible 0/1 point satisfies all "
@@ -265,9 +268,24 @@ def test_criterion_06_byte_identical_outputs(tmp_path):
 
 def _uniform_cliques(count, size, offset=0):
     return [
-        Clique(tuple(range(offset + i * size, offset + (i + 1) * size)))
+        tuple(range(offset + i * size, offset + (i + 1) * size))
         for i in range(count)
     ]
+
+
+def _pool(pools):
+    """The pool of {tag: cliques}, sorted as the pipeline sorts it."""
+    cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
+    table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
+    return table.take(table.order())
+
+
+def _routed(plan, pool):
+    """The tags of the constraints besides the replacements, and of the
+    user cuts, in pool order."""
+    tags = [TAGS[t] for t in pool.tag.tolist()]
+    return ([t for t, c in zip(tags, plan.constraint.tolist()) if c and t != "osp_long"],
+            [tags[i] for i in plan.as_user_cuts.tolist()])
 
 
 def _model_with(nnz, rows):
@@ -287,16 +305,17 @@ def test_criterion_07_triage_arithmetic():
     pools["org_long"] = _uniform_cliques(6, 5)
     pools["isp_long"] = _uniform_cliques(4, 5, offset=100)
     pools["other_long"] = _uniform_cliques(1, 5, offset=200)
-    plan = triage(pools, _model_with(nnz=40, rows=10))
-    tags = [tag for _, tag in plan.as_constraints]
+    pool = _pool(pools)
+    plan = triage(pool, _model_with(nnz=40, rows=10))
+    tags, cut_tags = _routed(plan, pool)
     assert tags.count("org_long") == 6 and tags.count("isp_long") == 4
-    assert [tag for _, tag in plan.as_user_cuts] == ["other_long"]
+    assert cut_tags == ["other_long"]
     assert plan.clq_nnz == 50
 
     budget_pools = {tag: [] for tag in TAGS}
     budget_pools["org_long"] = _uniform_cliques(5, 2)
-    budget_plan = triage(budget_pools, _model_with(nnz=30, rows=3))
-    assert len(budget_plan.as_constraints) == 3
+    budget_plan = triage(_pool(budget_pools), _model_with(nnz=30, rows=3))
+    assert budget_plan.constraint_rows() == 3
     assert budget_plan.budget_demotions == 2
 
     rng = np.random.default_rng(707)
@@ -309,9 +328,9 @@ def test_criterion_07_triage_arithmetic():
             fuzz[tag] = _uniform_cliques(
                 int(rng.integers(0, 6)), int(rng.integers(2, 7))
             )
-        plan = triage(fuzz, model)
-        post = model.num_rows + len(plan.replacements)
-        assert post + len(plan.as_constraints) <= 2 * post
+        plan = triage(_pool(fuzz), model)
+        post = model.num_rows + plan.replacements
+        assert post + plan.constraint_rows() - plan.replacements <= 2 * post
     report(7, "ratio example routes 30/20 in and 5 out, budget example "
               "demotes 2 of 5, fuzzing never exceeds the doubled row count")
 
@@ -372,7 +391,7 @@ def test_criterion_10_limit_flags_and_valid_outputs(tmp_path):
         knap, limits=Limits(max_knapsack_vars=3)
     )
     assert stats.flags["knapsack_size_skipped"]
-    assert pool.records == []
+    assert len(pool.table) == 0
 
     wide = make_model(
         8,

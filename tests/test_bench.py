@@ -13,6 +13,7 @@ from cgcuts.bench import (
     warn_if_slow,
 )
 from cgcuts.parallel import available_cores
+from conftest import cliques_of
 
 
 def test_shifted_geomean_reference_value():
@@ -45,27 +46,38 @@ def test_config_validates_probability():
         BenchConfig(n_b=10, num_cliques=5, membership_prob=1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("repetitions", 0, "repetitions must be at least 1"),
+    ("n_b", -1, "n_b and num_cliques must be non-negative"),
+    ("num_cliques", -3, "n_b and num_cliques must be non-negative"),
+])
+def test_config_validates_sizes(field, value, message):
+    fields = dict(n_b=10, num_cliques=5, membership_prob=0.5) | {field: value}
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(**fields)
+
+
 def test_generate_cliques_is_deterministic():
     a, dropped_a = generate_cliques(50, 40, 0.1, seed=3)
     b, dropped_b = generate_cliques(50, 40, 0.1, seed=3)
-    assert [q.nodes for q in a] == [q.nodes for q in b]
+    assert cliques_of(a) == cliques_of(b)
     assert dropped_a == dropped_b
     c, _ = generate_cliques(50, 40, 0.1, seed=4)
-    assert [q.nodes for q in a] != [q.nodes for q in c]
+    assert cliques_of(a) != cliques_of(c)
 
 
 def test_generate_cliques_drops_tiny_members():
     cliques, dropped = generate_cliques(20, 200, 0.02, seed=0)
     # expected membership is 0.4 literals per clique, so most are dropped
     assert dropped > 100
-    assert all(len(q.nodes) >= 2 for q in cliques)
+    assert all(cliques.sizes() >= 2)
     assert len(cliques) + dropped == 200
 
 
 def test_generate_cliques_uses_positive_literals_only():
     cliques, _ = generate_cliques(30, 50, 0.2, seed=1)
-    for q in cliques:
-        assert max(q.nodes) < 30
+    for q, _ in cliques_of(cliques):
+        assert max(q) < 30
 
 
 def test_run_bench_small_sweep():

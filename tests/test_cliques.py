@@ -4,31 +4,33 @@ import itertools
 import numpy as np
 import pytest
 
-from cgcuts.cliques import CliqueFamily, detect_cliques_parallel
-from conftest import knapsack_indices, pbc_table
+from cgcuts.cliques import ORG, OTHER, detect_cliques_parallel
+from conftest import clique_table, cliques_of, knapsack_indices, pbc_table
 
 
-def others_of(harvest):
-    return [q for block in harvest.c_other_blocks for q in block.materialize()]
+def orgs_and_others(harvest):
+    """The original and the further cliques of a harvest, as sorted node
+    tuples in table order."""
+    rows = cliques_of(harvest)
+    return ([q for q, tag in rows if tag == ORG], [q for q, tag in rows if tag >= OTHER])
 
 
 def detect_one(coeffs, rhs):
     """(original clique or None, other cliques) of one knapsack whose term
     t is node t."""
-    harvest = detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0)
-    org = harvest.c_org[0] if harvest.c_org else None
-    return org, others_of(harvest)
+    orgs, others = orgs_and_others(detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0))
+    return (orgs[0] if orgs else None), others
 
 
 def test_worked_example_with_one_other_clique():
     org, others = detect_one([1, 2, 3, 4], 5)
-    assert org.nodes == (2, 3)
-    assert [q.nodes for q in others] == [(1, 3)]
+    assert org == (2, 3)
+    assert others == [(1, 3)]
 
 
 def test_all_pairs_conflicting_gives_full_clique():
     org, others = detect_one([3, 3, 3], 5)
-    assert org.nodes == (0, 1, 2)
+    assert org == (0, 1, 2)
     assert others == []
 
 
@@ -43,8 +45,21 @@ def test_unsorted_coefficients_rejected():
 
 
 def test_compact_block_materializes_suffix_cliques():
-    block = CliqueFamily(nodes=(10, 11, 12, 13), phi=2, entries=[(1, 3), (0, 3)])
-    assert [q.nodes for q in block.materialize()] == [(11, 13), (10, 13)]
+    # The knapsack (10, 11, 12, 13) with phi = 2 and entries (1, 3), (0, 3).
+    table = clique_table([(10, 11, 12, 13)], [(0, -1, 2), (0, 1, 3), (0, 0, 3)])
+    assert [q for q, _ in cliques_of(table)] == [(12, 13), (11, 13), (10, 13)]
+    lens, nodes = table.flat()
+    assert lens.tolist() == [2, 2, 2]
+    assert nodes.tolist() == [12, 13, 11, 13, 10, 13]
+
+
+def test_harvest_tags_each_knapsack_first_further_clique():
+    harvest = detect_cliques_parallel(pbc_table([([1, 2, 3, 4, 5], 5), ([3, 3, 3], 5)]), 1, 0)
+    assert cliques_of(harvest) == [((2, 3, 4), ORG), ((0, 1, 2), ORG),
+                                   ((1, 3, 4), OTHER), ((0, 4), OTHER + 1)]
+    # the counts the benchmark's tracer reads
+    assert len(harvest.c_org) == 2
+    assert [len(b.entries) for b in harvest.c_other_blocks] == [2]
 
 
 def brute_force_cliques(coeffs, rhs):
@@ -79,29 +94,27 @@ def test_detected_cliques_are_sound_and_maximal():
             assert not oracle or top_two <= rhs
             continue
         for q in [org] + others:
-            assert frozenset(q.nodes) in oracle
+            assert frozenset(q) in oracle
         # the two largest coefficients always sit in the original clique
-        assert {n - 2, n - 1} <= set(org.nodes)
+        assert {n - 2, n - 1} <= set(org)
 
 
 def test_other_cliques_have_unique_minimum_member():
     org, others = detect_one([1, 2, 3, 5, 6], 7)
-    assert org.nodes == (2, 3, 4)
+    assert org == (2, 3, 4)
     for q in others:
-        low = min(q.nodes)
-        assert low < min(org.nodes)
-        assert set(q.nodes) - {low} <= set(range(low + 1, 5))
+        low = min(q)
+        assert low < min(org)
+        assert set(q) - {low} <= set(range(low + 1, 5))
 
 
 def test_parallel_harvest_matches_serial_union():
     knapsacks = pbc_table([([1, 2, 3, 4], 5), ([3, 3, 3], 5), ([1, 2], 4)])
     for k in (1, 2, 4):
         for seed in (0, 1, 99):
-            harvest = detect_cliques_parallel(knapsacks, k, seed)
-            orgs = {q.nodes for q in harvest.c_org}
-            others = {q.nodes for q in others_of(harvest)}
-            assert orgs == {(2, 3), (0, 1, 2)}
-            assert others == {(1, 3)}
+            orgs, others = orgs_and_others(detect_cliques_parallel(knapsacks, k, seed))
+            assert set(orgs) == {(2, 3), (0, 1, 2)}
+            assert set(others) == {(1, 3)}
 
 
 def test_parallel_output_is_thread_invariant_on_random_input():
@@ -115,11 +128,7 @@ def test_parallel_output_is_thread_invariant_on_random_input():
     knapsacks = pbc_table(knapsacks)
     baseline = None
     for k in (1, 2, 4, 8):
-        harvest = detect_cliques_parallel(knapsacks, k, seed=5)
-        got = (
-            sorted(q.nodes for q in harvest.c_org),
-            sorted(q.nodes for q in others_of(harvest)),
-        )
+        got = sorted(cliques_of(detect_cliques_parallel(knapsacks, k, seed=5)))
         if baseline is None:
             baseline = got
         assert got == baseline

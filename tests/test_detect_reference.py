@@ -293,7 +293,8 @@ def test_tightening_reaches_the_next_row():
     res = detect(model)
     assert res.model.ub.tolist() == [1.0, 1.0, 2.0, 2.0]
     assert res.s_isp.source_row.tolist() == [1]
-    assert res.s_isp.node_sets() == [(0, 1)]
+    assert res.s_isp.indptr.tolist() == [0, 2]
+    assert sorted(res.s_isp.nodes.tolist()) == [0, 1]
     assert assert_same_detection(model)[0] == "ok"
 
 

@@ -7,11 +7,11 @@ import pytest
 
 import extend_reference as ref
 from cgcuts import extend, parallel
-from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP, Clique, CliqueTable
+from cgcuts.cliques import ISP, ORG, OSP
 from cgcuts.graph import build_graph_parallel
-from conftest import graph_from_edges
+from conftest import cliques_of, graph_from_edges, plain_table
 
-SOURCES = (SRC_OSP, SRC_ISP, SRC_KNAPSACK_ORG)
+SOURCES = (OSP, ISP, ORG)
 
 
 @pytest.fixture
@@ -54,35 +54,32 @@ def _random_case(rng):
     if rng.random() < 0.3:
         limits["max_pairs"] = int(rng.integers(0, 40))
     gstats = {}
-    g = build_graph_parallel(CliqueTable.plain([Clique(c) for c in cliques]), n_b, 1,
+    g = build_graph_parallel(plain_table(cliques), n_b, 1,
                              int(rng.integers(0, 100)), stats=gstats, **limits)
-    bases = [Clique(_sub_clique(rng, cliques[int(rng.integers(len(cliques)))]),
-                    source=SOURCES[int(rng.integers(3))])
+    bases = [(_sub_clique(rng, cliques[int(rng.integers(len(cliques)))]),
+              SOURCES[int(rng.integers(3))])
              for _ in range(int(rng.integers(0, 40)))]
     return g, bases, gstats
 
 
-def _items(qs):
-    return [(q.nodes, q.source) for q in qs]
-
-
 def assert_same_extension(bases, g, k, seed, **kw):
+    """`bases` are (sorted nodes, tag) pairs."""
     got_stats, want_stats = {}, {}
-    got = extend.extend_parallel(bases, g, k, seed, stats=got_stats, **kw)
+    table = plain_table([q for q, _ in bases], [t for _, t in bases])
+    got = extend.extend_parallel(table, g, k, seed, stats=got_stats, **kw)
     want = ref.extend_parallel(bases, g, k, seed, stats=want_stats, **kw)
-    assert _items(got[0]) == _items(want[0])
-    assert _items(got[1]) == _items(want[1])
+    assert cliques_of(got[0]) == want[0]
+    assert cliques_of(got[1]) == want[1]
     assert got_stats == want_stats
     return got_stats
 
 
 def assert_same_block(bases, g, budget, deadline=None):
     """One block of `bases`: the same results, stop and touches."""
-    flat = np.array([v for q in bases for v in q.nodes], dtype=g.indices.dtype)
-    lens = np.array([len(q) for q in bases], dtype=np.int64)
+    flat = np.array([v for q, _ in bases for v in q], dtype=g.indices.dtype)
+    lens = np.array([len(q) for q, _ in bases], dtype=np.int64)
     got = extend._extend_block((flat, lens, g.n_b, g.indptr, g.indices, budget, deadline))
-    want = ref._extend_block(([(q.nodes, q.source) for q in bases], g.n_b, g.indptr,
-                              g.indices, budget, deadline))
+    want = ref._extend_block((bases, g.n_b, g.indptr, g.indices, budget, deadline))
     assert got[3:] == (want[5], want[3], want[2], want[4])
     return got[3]
 
@@ -102,9 +99,9 @@ def _fuzz(seed, trials):
         stop = assert_same_block(bases, g, budget)
         fired["capped"] += gstats["pair_cap_hit"]
         fired["sampled"] += gstats["downsampled"] > 0
-        fired["non_clique"] += any(not _is_clique(q.nodes, g) for q in bases[:stop])
+        fired["non_clique"] += any(not _is_clique(q, g) for q, _ in bases[:stop])
         fired["budget"] += stats["ext_budget_hit"]
-        fired["grew"] += stats["ext_touches"] > sum(len(q) for q in bases)
+        fired["grew"] += stats["ext_touches"] > sum(len(q) for q, _ in bases)
     return fired
 
 
@@ -125,7 +122,7 @@ def test_budget_stop_inside_and_at_start_of_a_chunk(small_chunks):
     # touches. With chunks of 3, budget 8 stops inside the first chunk,
     # 9 and 12 at the start of the second and 13 inside it.
     g = graph_from_edges([(0, 1), (0, 2), (1, 2)], 3)
-    bases = [Clique((0,))] * 7
+    bases = [((0,), OSP)] * 7
     for budget, stop in ((8, 2), (9, 3), (12, 3), (13, 4)):
         assert assert_same_block(bases, g, budget) == stop
         stats = assert_same_extension(bases, g, 1, 0, per_worker_budget=budget)
@@ -137,7 +134,7 @@ def test_deadline_stops_at_the_same_base(monkeypatch):
     # d-th poll, which is base 256 * d.
     rng = np.random.default_rng(1303)
     g, _, _ = _random_case(rng)
-    bases = [Clique((int(v),)) for v in rng.integers(0, g.num_nodes, size=700)]
+    bases = [((int(v),), OSP) for v in rng.integers(0, g.num_nodes, size=700)]
     for deadline in (0, 1, 2, 3):
         for mod in (extend, ref):
             monkeypatch.setattr(mod, "time", Clock())
@@ -155,6 +152,6 @@ def test_candidates_die_at_the_last_member():
              (2, 5), (2, 6), (2, 7)]
     g = graph_from_edges(edges, 4)
     for k in (1, 2):
-        longs, others = extend.extend_parallel([Clique((0, 1, 2))], g, k, 0)
-        assert [q.nodes for q in longs] == [(0, 1, 2, 4)] and others == []
-        assert_same_extension([Clique((0, 1, 2))], g, k, 0)
+        longs, others = extend.extend_parallel(plain_table([(0, 1, 2)]), g, k, 0)
+        assert cliques_of(longs) == [((0, 1, 2, 4), OSP)] and len(others) == 0
+        assert_same_extension([((0, 1, 2), OSP)], g, k, 0)

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcuts.cliques import Clique, CliqueTable
 from cgcuts.graph import build_graph_parallel
+from conftest import clique_table, plain_table
 
 
 def dense_oracle(cliques, n_b, include_trivial=False):
     dim = 2 * n_b
     adj = np.zeros((dim, dim), dtype=bool)
     for q in cliques:
-        for u in q.nodes:
-            for v in q.nodes:
+        for u in q:
+            for v in q:
                 if u != v:
                     adj[u, v] = True
     if include_trivial:
@@ -36,19 +36,19 @@ def random_cliques(rng, n_b, count, max_len=6):
     for _ in range(count):
         t = int(rng.integers(2, min(max_len, 2 * n_b) + 1))
         nodes = rng.choice(2 * n_b, size=t, replace=False)
-        out.append(Clique(tuple(sorted(int(v) for v in nodes))))
+        out.append(tuple(sorted(int(v) for v in nodes)))
     return out
 
 
 def test_build_graph_single_pair():
-    g = build_graph_parallel(CliqueTable.plain([Clique((0, 1))]), 2, 1, seed=0)
+    g = build_graph_parallel(plain_table([(0, 1)]), 2, 1, seed=0)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 3)
     assert g.stored_nnz == 2 * (1 + 2)  # the pair and the 2 trivial edges
 
 
 def test_build_graph_triangle():
-    g = build_graph_parallel(CliqueTable.plain([Clique((0, 1, 2))]), 3, 1, seed=0)
+    g = build_graph_parallel(plain_table([(0, 1, 2)]), 3, 1, seed=0)
     edges = set(zip(*g.edges()))
     assert edges == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}
 
@@ -56,7 +56,7 @@ def test_build_graph_triangle():
 def test_build_graph_matches_dense_oracle():
     rng = np.random.default_rng(1)
     cliques = random_cliques(rng, 20, 50)
-    g = build_graph_parallel(CliqueTable.plain(cliques), 20, 1, seed=0)
+    g = build_graph_parallel(plain_table(cliques), 20, 1, seed=0)
     assert np.array_equal(
         as_dense(g), dense_oracle(cliques, 20, include_trivial=True)
     )
@@ -64,11 +64,11 @@ def test_build_graph_matches_dense_oracle():
 
 def test_build_graph_rejects_out_of_range_nodes():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph_parallel(CliqueTable.plain([Clique((0, 5))]), 2, 1, seed=0)
+        build_graph_parallel(plain_table([(0, 5)]), 2, 1, seed=0)
 
 
 def test_parallel_build_adds_trivial_edges():
-    g = build_graph_parallel(CliqueTable.plain([]), 3, k=1, seed=0)
+    g = build_graph_parallel(plain_table([]), 3, k=1, seed=0)
     assert set(zip(*g.edges())) == {(0, 3), (1, 4), (2, 5)}
     assert g.stored_nnz == 6
 
@@ -84,7 +84,7 @@ def test_parallel_build_equals_serial_for_any_k_and_seed(k, seed, data):
     m = data.draw(st.integers(min_value=0, max_value=25))
     rng = np.random.default_rng(seed + 1000)
     cliques = random_cliques(rng, n_b, m, max_len=5)
-    g = build_graph_parallel(CliqueTable.plain(cliques), n_b, k, seed)
+    g = build_graph_parallel(plain_table(cliques), n_b, k, seed)
     assert np.array_equal(
         as_dense(g), dense_oracle(cliques, n_b, include_trivial=True)
     )
@@ -93,24 +93,24 @@ def test_parallel_build_equals_serial_for_any_k_and_seed(k, seed, data):
 def test_parallel_build_k1_equals_k4():
     rng = np.random.default_rng(9)
     cliques = random_cliques(rng, 15, 60)
-    single = build_graph_parallel(CliqueTable.plain(cliques), 15, 1, seed=4)
-    assert build_graph_parallel(CliqueTable.plain(cliques), 15, 4, seed=4) == single
+    single = build_graph_parallel(plain_table(cliques), 15, 1, seed=4)
+    assert build_graph_parallel(plain_table(cliques), 15, 4, seed=4) == single
 
 
 def test_pair_expansion_counter():
-    cliques = [Clique((0, 1, 2)), Clique((3, 4))]
+    cliques = [(0, 1, 2), (3, 4)]
     stats = {}
-    build_graph_parallel(CliqueTable.plain(cliques), 3, 2, seed=0, stats=stats)
+    build_graph_parallel(plain_table(cliques), 3, 2, seed=0, stats=stats)
     assert stats["pairs_expanded"] == 3 + 1
     assert not stats["pair_cap_hit"]
     assert stats["downsampled"] == 0
 
 
 def test_downsampling_flag_and_edge_subset():
-    big = Clique(tuple(range(10)))
+    big = tuple(range(10))
     stats = {}
     g = build_graph_parallel(
-        CliqueTable.plain([big]), 5, 1, seed=0, max_clique_sample=4, stats=stats
+        plain_table([big]), 5, 1, seed=0, max_clique_sample=4, stats=stats
     )
     assert stats["downsampled"] == 1
     assert stats["pairs_expanded"] == 6  # C(4, 2)
@@ -126,7 +126,7 @@ def test_pair_cap_stops_later_cliques_and_stays_thread_invariant():
     for k in (1, 2, 4, 8):
         stats = {}
         g = build_graph_parallel(
-            CliqueTable.plain(cliques), 10, k, seed=7, max_pairs=20, stats=stats
+            plain_table(cliques), 10, k, seed=7, max_pairs=20, stats=stats
         )
         assert stats["pair_cap_hit"]
         assert stats["pairs_expanded"] <= 20
@@ -136,7 +136,7 @@ def test_pair_cap_stops_later_cliques_and_stays_thread_invariant():
 
 
 def test_neighbors_and_degree():
-    g = build_graph_parallel(CliqueTable.plain([Clique((0, 1, 2))]), 3, 1, seed=0)
+    g = build_graph_parallel(plain_table([(0, 1, 2)]), 3, 1, seed=0)
     assert g.neighbors(0) == [1, 2, 3]
     assert len(g.row(0)) == 3
     assert g.neighbors(4) == [1]
@@ -157,8 +157,8 @@ def test_blocks_take_whole_sequences(monkeypatch):
         rows += [(s, i, 16) for i in range(15)]
     for q in random_cliques(rng, n_b, 8):
         rows.append((len(sequences), -1, 0))
-        sequences.append(q.nodes)
-    table = CliqueTable.of(sequences, rows)
+        sequences.append(q)
+    table = clique_table(sequences, rows)
     blocks = []
 
     def spy(fn, args, k):

@@ -10,24 +10,21 @@ import numpy as np
 
 import cliques_reference
 import graph_reference as ref
-from cgcuts.cliques import (
-    Clique,
-    CliqueTable,
-    detect_cliques_parallel,
-)
+from cgcuts.cliques import detect_cliques_parallel
 from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
 from cgcuts.parallel import shuffle_partition
-from conftest import pbc_table
+from conftest import clique_table, pbc_table
 
 
 def _cliques(sequences, rows):
-    """The cliques of (seq, head, start) rows, written out."""
+    """The cliques of (seq, head, start) rows, written out as sorted node
+    tuples."""
     out = []
     for s, head, start in rows:
         nodes = sequences[s]
         members = ((nodes[head],) if head >= 0 else ()) + tuple(nodes[start:])
-        out.append(Clique(tuple(sorted(members))))
+        out.append(tuple(sorted(members)))
     return out
 
 
@@ -35,7 +32,7 @@ def assert_same_build(sequences, rows, n_b, k, seed, **limits):
     """`build_graph_parallel` on the table equals the reference on the
     written-out cliques; returns the stats."""
     got_stats, ref_stats = {}, {}
-    got = build_graph_parallel(CliqueTable.of(sequences, rows), n_b, k, seed,
+    got = build_graph_parallel(clique_table(sequences, rows), n_b, k, seed,
                                stats=got_stats, **limits)
     want = ref.build_graph_parallel(_cliques(sequences, rows), n_b, k, seed,
                                     stats=ref_stats, **limits)
@@ -132,7 +129,7 @@ def test_capped_original_clique_expands_from_another_suffix():
     seed = _seed_where(3, 1, 0)
     stats = assert_same_build(sequences, rows, 6, 1, seed, max_pairs=4)
     assert stats["pair_cap_hit"] and stats["pairs_expanded"] == 4
-    g = build_graph_parallel(CliqueTable.of(sequences, rows), 6, 1, seed,
+    g = build_graph_parallel(clique_table(sequences, rows), 6, 1, seed,
                              max_pairs=4)
     us, vs = g.edges()
     conflicts = {(u, v) for u, v in zip(us.tolist(), vs.tolist()) if v < 6}
@@ -161,12 +158,8 @@ def test_wide_knapsack_builds_in_memory_proportional_to_edges():
     # 1.24 MB; building both edge directions as int64 codes and sorting a
     # copy of them peaked at 13.5 MB.
     coeffs = list(range(1, 801))
-    harvest = detect_cliques_parallel(pbc_table([(coeffs, 800)]), 1, 0)
-    (family,) = harvest.families
-    table = CliqueTable.of(
-        [family.nodes],
-        [(0, -1, family.phi)] + [(0, i, s) for i, s in family.entries],
-    )
+    table = detect_cliques_parallel(pbc_table([(coeffs, 800)]), 1, 0)
+    assert len(table.seq_ptr) == 2  # one knapsack sequence
     stats = {}
     tracemalloc.start()
     try:

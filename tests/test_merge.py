@@ -3,12 +3,17 @@ import itertools
 
 import numpy as np
 
-from cgcuts.cliques import Clique
-from cgcuts.merge import removal_flags
+from cgcuts import merge
+from conftest import plain_table
 
 
 def cl(*nodes):
-    return Clique(tuple(sorted(nodes)))
+    return tuple(sorted(nodes))
+
+
+def removal_flags(pool, k, **kw):
+    """`merge.removal_flags` of a list of sorted node tuples."""
+    return merge.removal_flags(plain_table(pool), k, **kw)
 
 
 def kept(pool, k):
@@ -33,7 +38,7 @@ def test_dominates_equal_sets_both_ways():
 
 def test_merge_removes_dominated_clique():
     pool = [cl(0, 1), cl(0, 1, 2)]
-    assert [q.nodes for q in kept(pool, 1)] == [(0, 1, 2)]
+    assert kept(pool, 1) == [(0, 1, 2)]
 
 
 def test_merge_equal_sets_keep_first():
@@ -45,7 +50,7 @@ def test_merge_empty_pool():
 
 
 def naive_kept(cliques):
-    sets = [frozenset(q.nodes) for q in cliques]
+    sets = [frozenset(q) for q in cliques]
     kept = []
     for j, sj in enumerate(sets):
         dominated = any(
@@ -71,20 +76,20 @@ def test_merge_matches_naive_oracle():
     rng = np.random.default_rng(13)
     pool = random_pool(rng)
     expect = naive_kept(pool)
-    assert [q.nodes for q in kept(pool, 1)] == [pool[j].nodes for j in expect]
+    assert kept(pool, 1) == [pool[j] for j in expect]
 
 
 def test_merge_result_is_an_antichain_with_coverage():
     rng = np.random.default_rng(19)
     for _ in range(20):
         pool = random_pool(rng, literals=14, count=80)
-        kept_sets = [frozenset(q.nodes) for q in kept(pool, 2)]
+        kept_sets = [frozenset(q) for q in kept(pool, 2)]
         for i, a in enumerate(kept_sets):
             for j, b in enumerate(kept_sets):
                 if i != j:
                     assert not a < b
         for q in pool:
-            s = frozenset(q.nodes)
+            s = frozenset(q)
             assert any(s <= k for k in kept_sets)
 
 
@@ -114,7 +119,7 @@ def test_merge_work_is_thread_invariant_under_ties():
         assert np.array_equal(flags, baseline[0])
         assert counters["subset_work"] == baseline[1]
     expect = naive_kept(pool)
-    assert [q.nodes for q in kept(pool, 1)] == [pool[j].nodes for j in expect]
+    assert kept(pool, 1) == [pool[j] for j in expect]
 
 
 def test_merge_work_is_sub_quadratic():

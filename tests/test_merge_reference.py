@@ -8,7 +8,7 @@ import pytest
 
 import merge_reference as ref
 from cgcuts import merge, parallel
-from cgcuts.cliques import Clique
+from conftest import plain_table
 
 
 @pytest.fixture
@@ -33,8 +33,9 @@ class Clock:
 
 
 def assert_same_flags(pool, k, deadline=None):
+    """`pool` is a list of sorted node tuples."""
     got_c, want_c = {}, {}
-    got = merge.removal_flags(pool, k, counters=got_c, deadline=deadline)
+    got = merge.removal_flags(plain_table(pool), k, counters=got_c, deadline=deadline)
     want = ref.removal_flags(pool, k, counters=want_c, deadline=deadline)
     assert got.tolist() == want.tolist()
     assert got_c == want_c
@@ -51,12 +52,12 @@ def _random_pool(rng):
         if pool and r < 0.2:
             pool.append(pool[int(rng.integers(len(pool)))])
         elif pool and r < 0.4:
-            nodes = pool[int(rng.integers(len(pool)))].nodes
+            nodes = pool[int(rng.integers(len(pool)))]
             t = int(rng.integers(1, len(nodes) + 1))
-            pool.append(Clique(tuple(sorted(rng.choice(nodes, size=t, replace=False).tolist()))))
+            pool.append(tuple(sorted(rng.choice(nodes, size=t, replace=False).tolist())))
         else:
             t = int(rng.integers(1, min(literals, 7) + 1))
-            pool.append(Clique(tuple(sorted(rng.choice(literals, size=t, replace=False).tolist()))))
+            pool.append(tuple(sorted(rng.choice(literals, size=t, replace=False).tolist())))
     return pool
 
 
@@ -83,7 +84,7 @@ def test_deadline_stops_at_the_same_clique(monkeypatch):
     # poll, which is clique 256 * d, and the flags and work before it agree.
     monkeypatch.setattr(merge, "_CHUNK", 256)
     rng = np.random.default_rng(1403)
-    pool = [Clique(tuple(sorted(rng.choice(12, size=3, replace=False).tolist())))
+    pool = [tuple(sorted(rng.choice(12, size=3, replace=False).tolist()))
             for _ in range(700)]
     for deadline in (0, 1, 2, 3):
         for mod in (merge, ref):
@@ -99,8 +100,7 @@ def test_work_counts_candidates_up_to_the_first_dominator():
     # fails, the later copy {0, 1}, which cannot dominate it, and then
     # {0, 1, 3}, which does: 3 candidates of 2 members. The copy is
     # dominated by the earlier {0, 1} at its first candidate: 2 more.
-    pool = [Clique((0, 1)), Clique((1, 4, 5)), Clique((0, 1)), Clique((0, 1, 3)),
-            Clique((0, 8)), Clique((0, 9))]
+    pool = [(0, 1), (1, 4, 5), (0, 1), (0, 1, 3), (0, 8), (0, 9)]
     flags, counters = assert_same_flags(pool, 1)
     assert flags.tolist() == [True, False, True, False, False, False]
     assert counters["subset_work"] == 2 * 3 + 2
@@ -111,7 +111,7 @@ def test_merge_of_many_copies_stays_linear_in_time_and_memory():
     # the first at its first candidate, and the first is tested against all
     # of the others. A pass over every pair would hold 4e8 pairs.
     m, t = 20_000, 5
-    pool = [Clique(tuple(range(t)))] * m
+    pool = plain_table([tuple(range(t))] * m)
     counters = {}
     tracemalloc.start()
     try:

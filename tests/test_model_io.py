@@ -7,10 +7,6 @@ import pytest
 
 from cgcuts.literals import VarMap
 from cgcuts.model_io import (
-    DISP_CONSTRAINT,
-    DISP_USER_CUT,
-    CutPool,
-    CutRecord,
     MpsError,
     export_cut_pool,
     parse_mps,
@@ -19,7 +15,7 @@ from cgcuts.model_io import (
     write_mps,
 )
 
-from conftest import model_of_rows
+from conftest import cut_pool, model_of_rows
 
 PACKING_MPS = """\
 NAME tiny
@@ -147,12 +143,13 @@ def test_round_trip_is_a_fixed_point():
 
 
 def _pool(records, n_cols=3):
-    return CutPool(records=list(records), varmap=VarMap(range(n_cols)))
+    """Pool of (nodes, tag, is a constraint) records over n_cols binaries."""
+    return cut_pool(list(records), VarMap(range(n_cols)))
 
 
 def test_augmented_row_for_plain_clique():
     model = parse_mps(PACKING_MPS)
-    pool = _pool([CutRecord((0, 1), "org_long", DISP_CONSTRAINT)], n_cols=2)
+    pool = _pool([((0, 1), "org_long", True)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
     assert out.num_rows == 2
     cols, vals = out.row(1)
@@ -165,7 +162,7 @@ def test_augmented_row_for_plain_clique():
 def test_augmented_row_for_complemented_clique():
     # {x1, not-x2} becomes x1 - x2 <= 0
     model = parse_mps(PACKING_MPS)
-    pool = _pool([CutRecord((0, 3), "org_long", DISP_CONSTRAINT)], n_cols=2)
+    pool = _pool([((0, 3), "org_long", True)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
     cols, vals = out.row(1)
     assert cols.tolist() == [0, 1]
@@ -182,9 +179,9 @@ def test_augmented_with_empty_pool_is_identity():
 def test_augmented_adds_one_row_per_constraint_clique():
     model = parse_mps(PACKING_MPS)
     records = [
-        CutRecord((0, 1), "org_long", DISP_CONSTRAINT),
-        CutRecord((0, 2), "isp_long", DISP_CONSTRAINT),
-        CutRecord((1, 2), "org_other", DISP_USER_CUT),
+        ((0, 1), "org_long", True),
+        ((0, 2), "isp_long", True),
+        ((1, 2), "org_other", False),
     ]
     out = parse_mps(write_augmented_mps(model, _pool(records, n_cols=2)))
     assert out.num_rows == model.num_rows + 2
@@ -192,24 +189,21 @@ def test_augmented_adds_one_row_per_constraint_clique():
 
 def test_augmented_rejects_non_binary_columns():
     model = parse_mps(THREE_ROW_MPS)  # x2 is continuous
-    pool = CutPool(
-        records=[CutRecord((0, 1), "org_long", DISP_CONSTRAINT)],
-        varmap=VarMap([0, 1]),
-    )
+    pool = cut_pool([((0, 1), "org_long", True)], VarMap([0, 1]))
     with pytest.raises(MpsError, match="non-binary"):
         write_augmented_mps(model, pool)
 
 
 def test_export_line_format():
-    pool = _pool([CutRecord((0, 5), "org_other", DISP_USER_CUT)])
+    pool = _pool([((0, 5), "org_other", False)])
     assert export_cut_pool(pool) == "org_other 1 -3\n"
 
 
 def test_export_orders_by_tag_then_literals():
     records = [
-        CutRecord((0, 1), "other_long", DISP_USER_CUT),
-        CutRecord((0, 1), "osp_other", DISP_USER_CUT),
-        CutRecord((0, 2), "osp_other", DISP_USER_CUT),
+        ((0, 1), "other_long", False),
+        ((0, 1), "osp_other", False),
+        ((0, 2), "osp_other", False),
     ]
     out = export_cut_pool(_pool(records))
     assert out.splitlines() == [
@@ -221,8 +215,8 @@ def test_export_orders_by_tag_then_literals():
 
 def test_export_skips_constraints_and_is_deterministic():
     records = [
-        CutRecord((1, 2), "org_long", DISP_CONSTRAINT),
-        CutRecord((0, 2), "org_other", DISP_USER_CUT),
+        ((1, 2), "org_long", True),
+        ((0, 2), "org_other", False),
     ]
     a = export_cut_pool(_pool(records))
     b = export_cut_pool(_pool(reversed(records)))
@@ -315,11 +309,11 @@ def _wide_model(n: int, m: int, per_row: int, seed: int):
     )
     varmap = VarMap(sorted(model.binaries))
     records = [
-        CutRecord(tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, 6, replace=False))),
-                  "org_other", DISP_CONSTRAINT)
+        (tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, 6, replace=False))),
+         "org_other", True)
         for _ in range(m // 4)
     ]
-    return model, CutPool(records=records, varmap=varmap)
+    return model, cut_pool(records, varmap)
 
 
 def test_augmented_model_is_written_in_memory_proportional_to_its_text():

@@ -10,18 +10,14 @@ import mps_reference as ref
 from cgcuts import model_io
 from cgcuts.literals import VarMap
 from cgcuts.model_io import (
-    DISP_CONSTRAINT,
-    DISP_USER_CUT,
     TAGS,
-    CutPool,
-    CutRecord,
     MpsError,
     export_cut_pool,
     parse_mps,
     write_augmented_mps,
     write_mps,
 )
-from conftest import random_binary_model
+from conftest import cut_pool, random_binary_model
 
 BOUND_TAGS = ("LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI")
 
@@ -131,19 +127,16 @@ def random_mps(rng, n_cols: int, n_rows: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def random_pool(rng, model) -> CutPool:
-    """Records over the model's binaries, complemented literals included."""
+def random_pool(rng, model):
+    """(records, varmap): records over the model's binaries, complemented
+    literals included."""
     varmap = VarMap(sorted(model.binaries))
     records = []
     for _ in range(int(rng.integers(0, 12)) if varmap.n_b else 0):
         size = int(rng.integers(1, min(2 * varmap.n_b, 6) + 1))
         nodes = tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, size, replace=False)))
-        records.append(CutRecord(
-            nodes,
-            TAGS[int(rng.integers(0, len(TAGS)))],
-            DISP_CONSTRAINT if rng.random() < 0.5 else DISP_USER_CUT,
-        ))
-    return CutPool(records=records, varmap=varmap)
+        records.append((nodes, TAGS[int(rng.integers(0, len(TAGS)))], rng.random() < 0.5))
+    return records, varmap
 
 
 def assert_same_model(new, old):
@@ -153,10 +146,11 @@ def assert_same_model(new, old):
     assert (new.name, new.obj_name) == (old.name, old.obj_name)
 
 
-def assert_same_text(model, pool):
+def assert_same_text(model, records, varmap):
+    pool = cut_pool(records, varmap)
     assert write_mps(model) == ref.write_mps(model)
-    assert write_augmented_mps(model, pool) == ref.write_augmented_mps(model, pool)
-    assert export_cut_pool(pool) == ref.export_cut_pool(pool)
+    assert write_augmented_mps(model, pool) == ref.write_augmented_mps(model, records, varmap)
+    assert export_cut_pool(pool) == ref.export_cut_pool(records, varmap)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -166,7 +160,7 @@ def test_fuzzed_text_matches_reference(seed):
     expected = ref.parse_mps(text)
     model = parse_mps(text)
     assert_same_model(model, expected)
-    assert_same_text(model, random_pool(rng, model))
+    assert_same_text(model, *random_pool(rng, model))
 
 
 def test_fuzzed_text_matches_reference_in_small_slices(monkeypatch):
@@ -177,7 +171,7 @@ def test_fuzzed_text_matches_reference_in_small_slices(monkeypatch):
         rng = np.random.default_rng(1500 + seed)
         text = random_mps(rng, n_cols=int(rng.integers(1, 40)), n_rows=int(rng.integers(1, 12)))
         model = parse_mps(text)
-        assert_same_text(model, random_pool(rng, model))
+        assert_same_text(model, *random_pool(rng, model))
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -188,14 +182,14 @@ def test_fuzzed_text_over_many_chunks(seed):
     expected = ref.parse_mps(text)
     model = parse_mps(text)
     assert_same_model(model, expected)
-    assert_same_text(model, random_pool(rng, model))
+    assert_same_text(model, *random_pool(rng, model))
 
 
 def test_built_models_write_like_reference():
     rng = np.random.default_rng(11)
     for _ in range(30):
         model = random_binary_model(rng)
-        assert_same_text(model, random_pool(rng, model))
+        assert_same_text(model, *random_pool(rng, model))
 
 
 def test_later_bound_line_wins():

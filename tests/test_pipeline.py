@@ -10,11 +10,11 @@ import pytest
 
 import cgcuts
 from cgcuts.cli import main
-from cgcuts.cliques import SRC_ISP, SRC_KNAPSACK_ORG, SRC_OSP
+from cgcuts.model_io import TAGS
 from cgcuts import model_io
 from cgcuts.model_io import MpsError, parse_mps, parse_mps_file, write_mps
 from cgcuts.pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
-from conftest import make_model, random_binary_model
+from conftest import cliques_of, make_model, random_binary_model
 
 PACKING = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0], binary=[0, 1])
 
@@ -51,9 +51,9 @@ def test_limits_from_json(tmp_path):
 def test_packing_instance_restores_strengthened_row():
     base, pool, plan, stats = run_pipeline_model(PACKING)
     assert base.num_rows == 0  # the packing row was pulled out
-    assert len(plan.replacements) == 1
-    assert plan.replacements[0].nodes == (0, 1)
-    assert pool.by_disposition("user_cut") == []
+    assert plan.replacements == 1
+    assert cliques_of(pool.table) == [((0, 1), TAGS.index("osp_long"))]
+    assert pool.constraint.tolist() == [True]
     assert stats.rows_removed == 1
     assert not any(stats.flags.values())
 
@@ -61,10 +61,8 @@ def test_packing_instance_restores_strengthened_row():
 def test_knapsack_instance_routes_cliques():
     base, pool, plan, stats = run_pipeline_model(KNAPSACK6)
     assert base.num_rows == 1  # knapsack row is retained
-    constraints = pool.by_disposition("model_constraint")
-    users = pool.by_disposition("user_cut")
-    assert [(r.nodes, r.tag) for r in constraints] == [((2, 3), "org_long")]
-    assert [(r.nodes, r.tag) for r in users] == [((1, 3), "other_long")]
+    routed = [(q, TAGS[t], c) for (q, t), c in zip(cliques_of(pool.table), pool.constraint)]
+    assert routed == [((2, 3), "org_long", True), ((1, 3), "other_long", False)]
     counts = stats.tag_counts
     for tag, c in counts.items():
         assert c["added"] + c["user"] == c["total"]
@@ -108,7 +106,7 @@ def test_knapsack_size_limit_flag():
         KNAPSACK6, limits=Limits(max_knapsack_vars=3)
     )
     assert stats.flags["knapsack_size_skipped"]
-    assert pool.records == []
+    assert len(pool.table) == 0
 
 
 def test_graph_cap_and_sampling_flags():
@@ -154,7 +152,7 @@ def test_extension_budget_flag():
     )
     assert stats.flags["extension_budget_hit"]
     # outputs remain structurally valid
-    assert all(len(r.nodes) >= 2 for r in pool.records)
+    assert all(pool.table.sizes() >= 2)
 
 
 def test_binding_extension_budget_keeps_every_packing_row():
@@ -173,7 +171,7 @@ def test_binding_extension_budget_keeps_every_packing_row():
                 model, limits=Limits(per_thread_ext_nnz=budget), k=k
             )
             assert stats.rows_removed == 5
-            assert len(plan.replacements) == stats.rows_removed
+            assert plan.replacements == stats.rows_removed
         assert stats.flags["extension_budget_hit"] is False
 
 
@@ -191,16 +189,17 @@ def test_extended_cliques_go_to_their_base_source_pools():
         [1.0, 0.0, 5.0, 4.0, 4.0],
         binary=range(9),
     )
-    prefix = {SRC_OSP: "osp", SRC_ISP: "isp", SRC_KNAPSACK_ORG: "org"}
+    # each base's source: osp {0, 1}, isp {2, 3 complemented}, org {5, 6}
+    base = {(0, 1): "osp", (2, 12): "isp", (5, 6): "org"}
     for k in (1, 2):
-        _, _, plan, stats = run_pipeline_model(model, k=k)
-        routed = [(q, "osp_long") for q in plan.replacements]
-        routed += plan.as_constraints + plan.as_user_cuts
-        extended = [(q, tag) for q, tag in routed if q.source in prefix]
-        assert {tag for _, tag in extended} >= {"osp_long", "osp_other",
-                                                "isp_long", "org_long"}
-        for q, tag in extended:
-            assert tag.startswith(prefix[q.source] + "_"), (q, tag)
+        _, pool, _, stats = run_pipeline_model(model, k=k)
+        tags = set()
+        for q, t in cliques_of(pool.table):
+            sources = {src for b, src in base.items() if set(b) <= set(q)}
+            if TAGS[t].startswith(("osp", "isp", "org")):
+                assert sources == {TAGS[t].split("_")[0]}, (q, TAGS[t])
+                tags.add(TAGS[t])
+        assert tags >= {"osp_long", "osp_other", "isp_long", "org_long"}
         assert not stats.flags["extension_budget_hit"]
 
 
@@ -301,6 +300,12 @@ def test_cli_rejects_unknown_limits_key(tmp_path, capsys):
     path.write_text(json.dumps({"max_knapsack_vars": 7, "no_such_limit": 1}))
     assert_cli_rejects(tmp_path, capsys, ["--limits", str(path)],
                        "no_such_limit")
+
+
+def test_cli_rejects_missing_limits_file(tmp_path, capsys):
+    # Reading the limits raised FileNotFoundError, a traceback with exit 1.
+    assert_cli_rejects(tmp_path, capsys, ["--limits", str(tmp_path / "none.json")],
+                       "invalid limits: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize("limits, extra, message", [
@@ -437,6 +442,31 @@ def test_cli_bench_rejects_bad_thread_counts(capsys, counts):
         main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", counts])
     assert exc.value.code == 2
     assert "--thread-counts must be positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--reps", "0"], "repetitions must be at least 1"),
+    (["--reps", "-2"], "repetitions must be at least 1"),
+    (["--n-b", "-1"], "n_b and num_cliques must be non-negative"),
+    (["--cliques", "-1"], "n_b and num_cliques must be non-negative"),
+])
+def test_cli_bench_rejects_bad_sizes_in_one_line(capsys, extra, message):
+    # No repetitions reached shifted_geomean of an empty list, and a
+    # negative size NumPy's array constructor: tracebacks with exit 1.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", "1", *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [["--n-b", "0"], ["--cliques", "0"]])
+def test_cli_bench_notes_empty_input(capsys, extra):
+    with pytest.warns(UserWarning, match="no k=4"):
+        rc = main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", "1",
+                   "--reps", "1", *extra])
+    assert rc == 0
+    assert "# no usable cliques generated; nothing to time" in capsys.readouterr().out
 
 
 def test_cli_threads_belongs_to_presolve_only(capsys):

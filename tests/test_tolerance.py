@@ -41,7 +41,7 @@ def test_exact_decimal_sum_at_large_magnitude_is_not_a_conflict():
     assert claims(model) == (0, 0, 0)
     assert knapsack_indices([a, b], rhs) == (None, [])
     _, pool, plan, _ = run_pipeline_model(model)
-    assert pool.records == [] and plan.constraint_rows() == 0
+    assert len(pool.table) == 0 and plan.constraint_rows() == 0
     # with both fixed at 1, the activity equals the rhs: not infeasible
     assert claims(pair_row(a, b, rhs, fixed=True)) == (0, 0, 0)
 

@@ -2,15 +2,14 @@
 import numpy as np
 import pytest
 
-from cgcuts.cliques import Clique
 from cgcuts.model_io import TAGS
 from cgcuts.triage import triage
-from conftest import make_model
+from conftest import make_model, plain_table
 
 
 def cliques_of_size(count, size, offset=0):
     return [
-        Clique(tuple(range(offset + i * size, offset + (i + 1) * size)))
+        tuple(range(offset + i * size, offset + (i + 1) * size))
         for i in range(count)
     ]
 
@@ -30,10 +29,21 @@ def model_with(nnz, rows):
     return m
 
 
-def empty_pools(**overrides):
-    pools = {tag: [] for tag in TAGS}
-    pools.update(overrides)
-    return pools
+def empty_pools(**pools):
+    """The pool of {tag: cliques}, sorted by (tag, members) as the pipeline
+    sorts it."""
+    cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
+    table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
+    return table.take(table.order())
+
+
+def routed(plan, pool):
+    """The tags of the constraints besides the replacements, and of the
+    user cuts, in pool order."""
+    tags = [TAGS[t] for t in pool.tag.tolist()]
+    constraints = [t for t, c in zip(tags, plan.constraint.tolist())
+                   if c and t != "osp_long"]
+    return constraints, [tags[i] for i in plan.as_user_cuts.tolist()]
 
 
 def test_worked_ratio_example():
@@ -45,10 +55,10 @@ def test_worked_ratio_example():
         other_long=cliques_of_size(1, 5, offset=200),
     )
     plan = triage(pools, model)
-    added_tags = [tag for _, tag in plan.as_constraints]
+    added_tags, cut_tags = routed(plan, pools)
     assert added_tags.count("org_long") == 6
     assert added_tags.count("isp_long") == 4
-    assert [tag for _, tag in plan.as_user_cuts] == ["other_long"]
+    assert cut_tags == ["other_long"]
     assert plan.clq_nnz == 50
     assert plan.budget_demotions == 0
 
@@ -56,24 +66,24 @@ def test_worked_ratio_example():
 def test_empty_pools_give_empty_plan():
     model = model_with(nnz=10, rows=2)
     plan = triage(empty_pools(), model)
-    assert plan.replacements == []
-    assert plan.as_constraints == [] and plan.as_user_cuts == []
+    assert plan.replacements == 0
+    assert plan.constraint_rows() == 0 and len(plan.as_user_cuts) == 0
     assert plan.clq_nnz == 0 and plan.model_nnz == 10
 
 
 def test_ratio_boundary_is_inclusive():
     model = model_with(nnz=10, rows=5)
     plan = triage(empty_pools(org_long=cliques_of_size(2, 5)), model)
-    assert len(plan.as_constraints) == 2  # 10/10 == 1 still passes
+    assert plan.constraint_rows() == 2  # 10/10 == 1 still passes
     over = triage(empty_pools(org_long=cliques_of_size(2, 6)), model)
-    assert over.as_constraints == []
+    assert over.constraint_rows() == 0
     assert len(over.as_user_cuts) == 2
 
 
 def test_row_doubling_budget_demotes_overflow():
     model = model_with(nnz=30, rows=3)
     plan = triage(empty_pools(org_long=cliques_of_size(5, 2)), model)
-    assert len(plan.as_constraints) == 3  # budget: 2 * 3 rows total
+    assert plan.constraint_rows() == 3  # budget: 2 * 3 rows total
     assert len(plan.as_user_cuts) == 2
     assert plan.budget_demotions == 2
 
@@ -87,9 +97,8 @@ def test_replacements_are_exempt_from_the_budget():
         ),
         model,
     )
-    assert len(plan.replacements) == 6
+    assert plan.replacements == 6
     # budget is 2 * (2 rows + 6 replacements) = 16 total rows
-    assert len(plan.as_constraints) == 6
     assert plan.constraint_rows() == 12
 
 
@@ -102,8 +111,8 @@ def test_other_tags_always_become_user_cuts():
         other_other=cliques_of_size(1, 3, offset=30),
     )
     plan = triage(pools, model)
-    assert plan.as_constraints == []
-    assert sorted(tag for _, tag in plan.as_user_cuts) == sorted(
+    assert plan.constraint_rows() == 0
+    assert sorted(routed(plan, pools)[1]) == sorted(
         ["osp_other"] * 2 + ["isp_other", "org_other", "other_other"]
     )
 
@@ -116,14 +125,13 @@ def test_other_long_rule_includes_accumulated_nnz():
     )
     plan = triage(pools, model)
     # org_long: 8 <= 12 passes; other_long: 8 + 5 > 12 fails
-    assert [tag for _, tag in plan.as_constraints] == ["org_long"] * 2
-    assert [tag for _, tag in plan.as_user_cuts] == ["other_long"]
+    assert routed(plan, pools) == (["org_long"] * 2, ["other_long"])
 
 
 def test_unknown_tag_rejected():
     model = model_with(nnz=10, rows=2)
     with pytest.raises(ValueError, match="unknown pool tags"):
-        triage({"mystery": []}, model)
+        triage(plain_table([(0, 1)], len(TAGS)), model)
 
 
 def test_every_clique_lands_in_exactly_one_bucket():
@@ -132,23 +140,19 @@ def test_every_clique_lands_in_exactly_one_bucket():
         model = model_with(
             nnz=int(rng.integers(5, 60)), rows=int(rng.integers(1, 8))
         )
-        pools = empty_pools()
+        pools = {}
         total = 0
         for tag in TAGS:
             count = int(rng.integers(0, 5))
             size = int(rng.integers(2, 6))
             pools[tag] = cliques_of_size(count, size, offset=total * 10)
             total += count
-        plan = triage(pools, model)
-        routed = (
-            len(plan.replacements)
-            + len(plan.as_constraints)
-            + len(plan.as_user_cuts)
-        )
-        assert routed == total
+        pool = empty_pools(**pools)
+        plan = triage(pool, model)
+        assert len(plan.constraint) == total
+        assert plan.constraint_rows() + len(plan.as_user_cuts) == total
         # the doubling budget is never exceeded
-        post = model.num_rows + len(plan.replacements)
-        assert post + len(plan.as_constraints) <= 2 * post
-        assert plan.clq_nnz == sum(
-            len(q.nodes) for q, _ in plan.as_constraints
-        )
+        post = model.num_rows + plan.replacements
+        assert post + plan.constraint_rows() - plan.replacements <= 2 * post
+        rule = plan.constraint & (pool.tag != TAGS.index("osp_long"))
+        assert plan.clq_nnz == int(pool.sizes()[rule].sum())
