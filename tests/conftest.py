@@ -45,6 +45,23 @@ def cliques_of(table):
     return [(tuple(table.members(c).tolist()), int(table.tag[c])) for c in range(len(table))]
 
 
+def tag_pool(pools):
+    """The pool of {tag name: cliques}, sorted by (tag, members) as the
+    pipeline sorts it."""
+    cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
+    table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
+    return table.take(table.order())
+
+
+def routed(plan, pool):
+    """The tag names of a triage plan's constraints besides the osp_long
+    replacements, and of its user cuts, in pool order."""
+    tags = [TAGS[t] for t in pool.tag.tolist()]
+    constraints = [t for t, c in zip(tags, plan.constraint.tolist())
+                   if c and t != "osp_long"]
+    return constraints, [tags[i] for i in plan.as_user_cuts.tolist()]
+
+
 def cut_pool(records, varmap):
     """CutPool of (nodes, tag name, is a constraint) records, sorted as the
     pipeline sorts its pool."""

@@ -41,7 +41,8 @@ def _scan(nodes, row):
 
 
 def _grow(clq, cands: list[int], g: ConflictGraph):
-    """Grow the (nodes, tag) clique `clq` greedily by its common neighbours `cands`.
+    """Grow the (nodes, tag) clique `clq` greedily by its common neighbours
+    `cands`.
 
     Candidates are processed in ascending node order; a candidate joins
     every bucket it is fully adjacent to, or opens a new one. Ties for the

@@ -27,6 +27,8 @@ from conftest import (
     pbc_table,
     plain_table,
     random_binary_model,
+    routed,
+    tag_pool,
 )
 
 
@@ -273,19 +275,7 @@ def _uniform_cliques(count, size, offset=0):
     ]
 
 
-def _pool(pools):
-    """The pool of {tag: cliques}, sorted as the pipeline sorts it."""
-    cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
-    table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
-    return table.take(table.order())
 
-
-def _routed(plan, pool):
-    """The tags of the constraints besides the replacements, and of the
-    user cuts, in pool order."""
-    tags = [TAGS[t] for t in pool.tag.tolist()]
-    return ([t for t, c in zip(tags, plan.constraint.tolist()) if c and t != "osp_long"],
-            [tags[i] for i in plan.as_user_cuts.tolist()])
 
 
 def _model_with(nnz, rows):
@@ -305,16 +295,16 @@ def test_criterion_07_triage_arithmetic():
     pools["org_long"] = _uniform_cliques(6, 5)
     pools["isp_long"] = _uniform_cliques(4, 5, offset=100)
     pools["other_long"] = _uniform_cliques(1, 5, offset=200)
-    pool = _pool(pools)
+    pool = tag_pool(pools)
     plan = triage(pool, _model_with(nnz=40, rows=10))
-    tags, cut_tags = _routed(plan, pool)
+    tags, cut_tags = routed(plan, pool)
     assert tags.count("org_long") == 6 and tags.count("isp_long") == 4
     assert cut_tags == ["other_long"]
     assert plan.clq_nnz == 50
 
     budget_pools = {tag: [] for tag in TAGS}
     budget_pools["org_long"] = _uniform_cliques(5, 2)
-    budget_plan = triage(_pool(budget_pools), _model_with(nnz=30, rows=3))
+    budget_plan = triage(tag_pool(budget_pools), _model_with(nnz=30, rows=3))
     assert budget_plan.constraint_rows() == 3
     assert budget_plan.budget_demotions == 2
 
@@ -328,7 +318,7 @@ def test_criterion_07_triage_arithmetic():
             fuzz[tag] = _uniform_cliques(
                 int(rng.integers(0, 6)), int(rng.integers(2, 7))
             )
-        plan = triage(_pool(fuzz), model)
+        plan = triage(tag_pool(fuzz), model)
         post = model.num_rows + plan.replacements
         assert post + plan.constraint_rows() - plan.replacements <= 2 * post
     report(7, "ratio example routes 30/20 in and 5 out, budget example "

@@ -4,7 +4,7 @@ import pytest
 
 from cgcuts.model_io import TAGS
 from cgcuts.triage import triage
-from conftest import make_model, plain_table
+from conftest import make_model, plain_table, routed, tag_pool
 
 
 def cliques_of_size(count, size, offset=0):
@@ -30,20 +30,7 @@ def model_with(nnz, rows):
 
 
 def empty_pools(**pools):
-    """The pool of {tag: cliques}, sorted by (tag, members) as the pipeline
-    sorts it."""
-    cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
-    table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
-    return table.take(table.order())
-
-
-def routed(plan, pool):
-    """The tags of the constraints besides the replacements, and of the
-    user cuts, in pool order."""
-    tags = [TAGS[t] for t in pool.tag.tolist()]
-    constraints = [t for t, c in zip(tags, plan.constraint.tolist())
-                   if c and t != "osp_long"]
-    return constraints, [tags[i] for i in plan.as_user_cuts.tolist()]
+    return tag_pool(pools)
 
 
 def test_worked_ratio_example():
@@ -147,7 +134,7 @@ def test_every_clique_lands_in_exactly_one_bucket():
             size = int(rng.integers(2, 6))
             pools[tag] = cliques_of_size(count, size, offset=total * 10)
             total += count
-        pool = empty_pools(**pools)
+        pool = tag_pool(pools)
         plan = triage(pool, model)
         assert len(plan.constraint) == total
         assert plan.constraint_rows() + len(plan.as_user_cuts) == total
