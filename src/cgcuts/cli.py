@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 
 from .model_io import MpsError
@@ -121,4 +122,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    status = main()
+    # What is alive now lives until the exit: frozen, it is skipped by the
+    # interpreter's final collections. (Not in `main`, which tests call.)
+    gc.freeze()
+    raise SystemExit(status)

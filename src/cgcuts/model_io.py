@@ -7,7 +7,6 @@ the I/O layer).
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -821,15 +820,34 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
 
 
 def export_cut_pool(pool: CutPool) -> str:
-    """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
+    """One line per user cut: `<tag> <signed-index>+`, deterministic order.
+
+    A line's pieces are its tag's head and its members' signed 1-based
+    column indices, each followed by a space or, the last, a newline. Each
+    text is made once and picked by index arrays, `_SLICE_LINES` lines at a
+    time, as `_write` does.
+    """
     cuts = pool.table.take(np.flatnonzero(~pool.constraint))
     lens, nodes = cuts.flat()
-    # Each node's signed 1-based column index as text, made once.
-    label = functools.cache(lambda node: str(pool.varmap.signed_index(node)))
-    words = list(map(label, nodes.tolist()))
-    ends = np.cumsum(lens).tolist()
-    lines = [f"{TAGS[t]} {' '.join(words[e - n:e])}"
-             for t, e, n in zip(cuts.tag.tolist(), ends, lens.tolist())]
-    if lines:
-        lines.append("")  # the closing newline, without a copy of the text
-    return "\n".join(lines)
+    n_b = pool.varmap.n_b
+    if len(nodes) and not 0 <= nodes.min() <= nodes.max() < 2 * n_b:
+        raise ValueError(f"clique node out of range for n_b={n_b}")
+    seen = np.zeros(2 * n_b, dtype=bool)
+    seen[nodes] = True
+    used = np.flatnonzero(seen)
+    col = np.asarray(pool.varmap.cols, dtype=np.int64) + 1
+    signed = np.concatenate([col, -col])[used].tolist()
+    # The heads "<tag> ", then "<tag> \n" for a line without members, and
+    # each literal in use with a space, then with a newline.
+    text = np.array([f"{t} " for t in TAGS] + [f"{t} \n" for t in TAGS]
+                    + [f"{w} " for w in signed] + [f"{w}\n" for w in signed],
+                    dtype=object)
+    ptr = _indptr(lens + 1)  # line c is pieces ptr[c]:ptr[c + 1], its head first
+    idx = np.insert((np.cumsum(seen) - 1)[nodes] + 2 * len(TAGS), _indptr(lens)[:-1],
+                    cuts.tag + len(TAGS) * (lens == 0))
+    idx[ptr[1:][lens > 0] - 1] += len(used)
+    out = []
+    for lo in range(0, len(lens), _SLICE_LINES):
+        hi = min(lo + _SLICE_LINES, len(lens))
+        out.append("".join(text[idx[ptr[lo]:ptr[hi]]].tolist()))
+    return "".join(out)

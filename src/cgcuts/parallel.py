@@ -4,7 +4,9 @@ block map.
 All shuffles use NumPy's PCG64 generator so a given (count, k, seed) always
 yields the same permutation. Workers receive immutable inputs and hand back
 single-owner partial results; each stage combines them in the calling
-process.
+process. The calling process is one of the workers: it runs a map's first
+block itself while the pool runs the others (work-first), so k blocks need
+only k - 1 pool workers, and the pool is capped at the cores but one.
 """
 from __future__ import annotations
 
@@ -69,19 +71,36 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def map_blocks(fn, block_args, k: int) -> list:
-    """Apply `fn` to each block argument, on up to k workers.
+    """Apply `fn` to each block argument, on up to k workers; the results
+    come back in block order.
 
-    Runs in this process when k = 1 or there is at most one block; otherwise
-    on the persistent `fork` process pool, which has at least min(k, blocks)
-    workers, so `fn` must be a picklable top-level function. Callers pass at
-    most k blocks. Results come back in block order.
+    Runs in this process when k = 1 or there is at most one block.
+    Otherwise this process runs block 0 while the persistent `fork` pool,
+    of at least min(k - 1, blocks - 1, cores - 1) workers and one at the
+    least, runs the others, so `fn` must be a picklable top-level function.
+    The blocks are the caller's split, so the output does not depend on the
+    pool's size. When a block raises, the other blocks are cancelled or
+    awaited first, so the pool is idle for the next call.
     """
     block_args = list(block_args)
-    workers = min(k, len(block_args))
-    if workers <= 1:
+    if k <= 1 or len(block_args) <= 1:
         return [fn(a) for a in block_args]
-    return list(_get_pool(workers).map(fn, block_args))
+    workers = min(k - 1, len(block_args) - 1, max(available_cores() - 1, 1))
+    futures = [_get_pool(workers).submit(fn, a) for a in block_args[1:]]
+    try:
+        return [fn(block_args[0])] + [f.result() for f in futures]
+    except BaseException:
+        from concurrent.futures import wait
+
+        for f in futures:
+            f.cancel()
+        wait(futures)
+        raise
 
 
 def available_cores() -> int:
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -199,6 +199,12 @@ def test_export_line_format():
     assert export_cut_pool(pool) == "org_other 1 -3\n"
 
 
+def test_export_rejects_nodes_outside_the_varmap():
+    pool = cut_pool([((0, 4), "org_other", False)], VarMap([0, 1]))
+    with pytest.raises(ValueError, match="out of range"):
+        export_cut_pool(pool)
+
+
 def test_export_orders_by_tag_then_literals():
     records = [
         ((0, 1), "other_long", False),
