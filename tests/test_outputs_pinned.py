@@ -2,6 +2,9 @@
 every benchmark shape, and of the cut pool that the time-limit pass-through
 exports after each stage.
 
+A binding extension budget is pinned too: its outputs, like every other,
+must not depend on the thread count.
+
 A refactor must keep every output byte for byte, so these digests do not
 change with the code. They change only when the generated input does, which
 happens when NumPy's random generator changes its stream; the input digest
@@ -43,6 +46,24 @@ PINNED = {
     ),
 }
 
+#: Per shape, (augmented model, cut pool) with an extension budget of 100
+#: touches, which binds on every shape.
+BUDGET = pipeline.Limits(per_thread_ext_nnz=100)
+PINNED_BUDGET = {
+    "general-int": (
+        "296e2ac7411e917ff083226243009c1d3888c4fb7a18bbf3a9b4e79d0bdefdf1",
+        "7951813b68e9cd4f2d361ce5f5ec502573222e2dbe499abaf268cb5012655e9b",
+    ),
+    "knapsack-wide": (
+        "170dc714c0df1a7ea244ed69a4fb4eda8276ec473cceeae3a235ae1611a779eb",
+        "18c12d4b2fd41e894ac01163348776aa5309e457f27448a69efe931a91bb8e19",
+    ),
+    "mixed-short": (
+        "bff9b80a290100a1f8fd0be29b95aeb0ebf0b270285d1a91a00d378fe55c3324",
+        "3ee55210dd8f93a4bd64ea72ed134ef43c8c722b98d6d45b7408fe82252e817b",
+    ),
+}
+
 #: Per shape, the cut pool exported when the deadline fires at its 2nd, 3rd,
 #: 4th and 5th check: after clique detect, graph build, extension and merge.
 PINNED_PASSTHROUGH = {
@@ -81,7 +102,7 @@ def _input(shape: str) -> str:
 
 
 def test_every_shape_is_pinned():
-    assert set(PINNED) == set(gen.SHAPES) == set(PINNED_PASSTHROUGH)
+    assert set(PINNED) == set(gen.SHAPES) == set(PINNED_PASSTHROUGH) == set(PINNED_BUDGET)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -90,6 +111,16 @@ def test_outputs_match_pinned_digests(shape, k):
     base, pool, _, _ = pipeline.run_pipeline_model(parse_mps(_input(shape)), k=k)
     assert (_sha(write_augmented_mps(base, pool)), _sha(export_cut_pool(pool))) \
         == PINNED[shape][1:]
+
+
+@pytest.mark.parametrize("k", [1])
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_binding_budget_outputs_match_pinned_digests(shape, k):
+    base, pool, _, stats = pipeline.run_pipeline_model(parse_mps(_input(shape)),
+                                                       limits=BUDGET, k=k)
+    assert stats.flags["extension_budget_hit"]
+    assert (_sha(write_augmented_mps(base, pool)), _sha(export_cut_pool(pool))) \
+        == PINNED_BUDGET[shape]
 
 
 @pytest.mark.parametrize("check", [2, 3, 4, 5])
