@@ -78,13 +78,25 @@ class BenchReport:
         return buf.getvalue()
 
 
+#: Cells of the membership matrix drawn at once (16 MB of float64).
+_SLICE_CELLS = 1 << 21
+
+
 def generate_cliques(n_b: int, num_cliques: int, p: float, seed: int):
     """Random cliques over the positive literals, as a plain `CliqueTable`
-    of tag 0; returns (table, dropped)."""
-    member = np.random.default_rng(seed).random((num_cliques, n_b)) < p
-    lens = member.sum(axis=1)
-    keep = lens >= 2
-    return CliqueTable.plain(lens[keep], np.nonzero(member[keep])[1], 0), int((~keep).sum())
+    of tag 0; returns (table, dropped). The membership matrix is drawn a
+    slice of rows at a time from one generator, whose stream, and so the
+    cliques, do not depend on the slice size."""
+    rng = np.random.default_rng(seed)
+    rows = max(_SLICE_CELLS // max(n_b, 1), 1)
+    lens, nodes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, num_cliques, rows):
+        member = rng.random((min(rows, num_cliques - lo), n_b)) < p
+        member = member[member.sum(axis=1) >= 2]
+        lens.append(member.sum(axis=1))
+        nodes.append(np.nonzero(member)[1])
+    lens = np.concatenate(lens)
+    return CliqueTable.plain(lens, np.concatenate(nodes), 0), num_cliques - len(lens)
 
 
 def _sorted_cliques(table: CliqueTable):
@@ -109,7 +121,7 @@ def _run_stages(cliques: CliqueTable, n_b: int, k: int, seed: int, limits: Limit
     t1 = time.perf_counter()
     longs, others = extend_parallel(
         cliques, g, k, seed,
-        per_worker_budget=limits.per_thread_ext_nnz,
+        budget=limits.per_thread_ext_nnz,
     )
     times["extension"] = time.perf_counter() - t1
     t2 = time.perf_counter()

@@ -69,6 +69,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "presolve" and args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     limits = _limits(parser, args)
     if args.command == "presolve":
         out_model = args.out_model or args.model + ".aug.mps"

@@ -19,7 +19,7 @@ from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_partition
 from .presolve import _indptr, _ranges, _segment_positions, _within
 
-#: Bases scanned at once; the deadline is polled once per chunk.
+#: Bases scanned at once; the budget and the deadline are checked once per chunk.
 _CHUNK = 256
 
 
@@ -108,55 +108,43 @@ def _cliques(members, lens, ids, g: ConflictGraph) -> np.ndarray:
 def _extend_block(args):
     """Extend one block's bases, given as flat sorted `nodes` and `lens`.
 
-    Bases are taken in order until the running sum of touches reaches
-    `budget`, or the deadline has passed at a chunk start. Returns (the
-    cliques of the bases that grew, as flat nodes, lengths and the position
-    of their base, each base's longest first; the stop position, which is
-    the first base not taken; touches; budget hit; deadline hit).
+    Chunks are scanned while the block's own touches are below `budget`
+    and the deadline has not passed at the chunk start, so a block may scan
+    up to one chunk past the budget; the caller's cut discards that work.
+    Returns (the cliques of the bases that grew, as flat nodes, lengths and
+    the position of their base, each base's longest first; each base's
+    touches, inf for a base not scanned).
     """
     nodes, lens, n_b, indptr, indices, budget, deadline = args
     g = ConflictGraph(n_b, indptr, indices)
-    budget = np.inf if budget is None else budget
     ptr = _indptr(lens).tolist()
     out_nodes, out_lens, owner = [], [], []
-    touches, stop = 0, len(lens)
-    budget_hit = deadline_hit = False
+    touches, spent = np.full(len(lens), np.inf), 0.0
     for lo in range(0, len(lens), _CHUNK):
-        if touches >= budget:
-            budget_hit, stop = True, lo
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            deadline_hit, stop = True, lo
+        if spent >= budget or (deadline is not None and time.monotonic() >= deadline):
             break
         t = lens[lo:lo + _CHUNK]
         members = nodes[ptr[lo]:ptr[lo + len(t)]]
         pair_base, pair_node = _candidates(members, t, g)
         bounds = np.flatnonzero(np.diff(pair_base, prepend=-1, append=len(t)))
         ids = pair_base[bounds[:-1]]
-        steps = t.astype(np.int64)  # touches per base
+        touches[lo:lo + len(t)] = t
         pair_node = pair_node.tolist()
         for i, a, b, clique in zip(ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
                                    _cliques(members, t, ids, g).tolist()):
-            if touches + steps[:i].sum() >= budget:
-                break
             if not clique:
                 # capped/down-sampled graphs can miss base edges; pass the
                 # base through unchanged rather than extending blind
                 continue
             base = tuple(nodes[ptr[lo + i]:ptr[lo + i + 1]].tolist())
-            longest, grown, steps[i] = _grow(base, pair_node[a:b], g)
+            longest, grown, touches[lo + i] = _grow(base, pair_node[a:b], g)
             for q in [longest] + grown:
                 out_nodes += q
                 out_lens.append(len(q))
                 owner.append(lo + i)
-        ends = touches + np.cumsum(steps)
-        cut = int(np.searchsorted(ends, budget)) + 1
-        if cut < len(t):
-            budget_hit, stop, touches = True, lo + cut, int(ends[cut - 1])
-            break
-        touches = int(ends[-1])
+        spent += touches[lo:lo + len(t)].sum()
     return (np.array(out_nodes, dtype=np.int64), np.array(out_lens, dtype=np.int64),
-            np.array(owner, dtype=np.int64), stop, touches, budget_hit, deadline_hit)
+            np.array(owner, dtype=np.int64), touches)
 
 
 def extend_parallel(
@@ -165,31 +153,41 @@ def extend_parallel(
     k: int,
     seed: int,
     *,
-    per_worker_budget: int | None = None,
+    budget: int | None = None,
     deadline: float | None = None,
     stats: dict | None = None,
 ):
     """Shuffle-partition the bases and extend each block on its own worker.
 
-    Each worker stops once it has touched `per_worker_budget` adjacency
-    entries (or the monotonic `deadline` passes); the budget is granted once
-    per worker for the whole call. Returns (longs, others), two plain
-    tables: `longs` holds every base, in block order, as its longest
-    extension or as it is when it did not grow or lies past the stop, with
-    the base's tag t; `others` holds the other extensions, with tag t + 1.
+    `budget` is the adjacency-touch budget of the whole call, spent in the
+    seeded shuffle order: a base is extended when its block scanned it
+    before the monotonic `deadline` passed and the bases before it in that
+    order touched fewer than `budget` entries in total. This is the k = 1
+    rule at every k, so the output does not depend on k. Returns (longs,
+    others), two plain tables: `longs` holds every base, in shuffle order,
+    as its longest extension or as it is when it did not grow or lies past
+    the cut, with the base's tag t; `others` holds the other extensions,
+    with tag t + 1.
     """
+    budget = np.inf if budget is None else budget
     lens, nodes = bases.flat()
     ptr = _indptr(lens)
     part = shuffle_partition(len(bases), k, seed)
     block_args = [
         (nodes[_segment_positions(ptr, idx)].astype(g.indices.dtype), lens[idx], g.n_b,
-         g.indptr, g.indices, per_worker_budget, deadline)
+         g.indptr, g.indices, budget, deadline)
         for idx in part.blocks
     ]
     results = map_blocks(_extend_block, block_args, k)
+    touches = np.concatenate([r[3] for r in results])
+    spent = np.concatenate(([0.0], np.cumsum(touches)))  # before each base
+    cut = int(np.count_nonzero((spent[:-1] < budget) & (touches < np.inf)))
     out_nodes, out_lens = (np.concatenate([r[j] for r in results]) for j in range(2))
     offset = _indptr([len(idx) for idx in part.blocks])
     owner = np.concatenate([r[2] + o for r, o in zip(results, offset.tolist())])
+    kept = int(np.searchsorted(owner, cut))  # the grown bases before the cut
+    owner, out_lens = owner[:kept], out_lens[:kept]
+    out_nodes = out_nodes[:out_lens.sum()]
     longest = np.diff(owner, prepend=-1) != 0  # the first clique of a grown base
     # Each base's clique is a run of [base members, extension members]:
     # its own or, for a grown base, its longest extension's.
@@ -200,9 +198,10 @@ def extend_parallel(
     runs = np.concatenate([nodes, out_nodes])[_ranges(at, at + long_lens)]
     rest = ~longest
     if stats is not None:
-        stats["ext_budget_hit"] = any(r[5] for r in results)
-        stats["ext_touches"] = sum(r[4] for r in results)
-        stats["deadline_hit"] = any(r[6] for r in results)
+        stopped = cut < len(touches)
+        stats["ext_budget_hit"] = bool(stopped and spent[cut] >= budget)
+        stats["ext_touches"] = int(spent[cut])
+        stats["deadline_hit"] = stopped and not stats["ext_budget_hit"]
     return (CliqueTable.plain(long_lens, runs, bases.tag[order]),
             CliqueTable.plain(out_lens[rest], out_nodes[np.repeat(rest, out_lens)],
                               bases.tag[order[owner[rest]]] + 1))

@@ -25,8 +25,6 @@ if TYPE_CHECKING:
 class Partition:
     order: np.ndarray  # permutation of range(count)
     blocks: list[np.ndarray]  # k consecutive slices of `order`
-    k: int
-    seed: int
 
 
 def shuffle_partition(count: int, k: int, seed: int) -> Partition:
@@ -36,7 +34,7 @@ def shuffle_partition(count: int, k: int, seed: int) -> Partition:
     rng = np.random.default_rng(seed)
     order = rng.permutation(count)
     blocks = np.array_split(order, k)
-    return Partition(order=order, blocks=blocks, k=k, seed=seed)
+    return Partition(order=order, blocks=blocks)
 
 
 # The persistent pool, by its worker count. It outlives a run so that callers
@@ -76,8 +74,8 @@ def map_blocks(fn, block_args, k: int) -> list:
 
     Runs in this process when k = 1 or there is at most one block.
     Otherwise this process runs block 0 while the persistent `fork` pool,
-    of at least min(k - 1, blocks - 1, cores - 1) workers and one at the
-    least, runs the others, so `fn` must be a picklable top-level function.
+    of at least min(`clamp_threads(k)`, blocks) - 1 workers, runs the
+    others, so `fn` must be a picklable top-level function.
     The blocks are the caller's split, so the output does not depend on the
     pool's size. When a block raises, the other blocks are cancelled or
     awaited first, so the pool is idle for the next call.
@@ -85,7 +83,7 @@ def map_blocks(fn, block_args, k: int) -> list:
     block_args = list(block_args)
     if k <= 1 or len(block_args) <= 1:
         return [fn(a) for a in block_args]
-    workers = min(k - 1, len(block_args) - 1, max(available_cores() - 1, 1))
+    workers = min(clamp_threads(k), len(block_args)) - 1
     futures = [_get_pool(workers).submit(fn, a) for a in block_args[1:]]
     try:
         return [fn(block_args[0])] + [f.result() for f in futures]
@@ -96,6 +94,12 @@ def map_blocks(fn, block_args, k: int) -> list:
             f.cancel()
         wait(futures)
         raise
+
+
+def clamp_threads(k: int) -> int:
+    """k, capped at the blocks that can run at once: the pool's workers,
+    the cores but one and one at the least, plus the calling process."""
+    return min(k, max(available_cores() - 1, 1) + 1)
 
 
 def available_cores() -> int:

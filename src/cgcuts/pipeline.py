@@ -23,6 +23,7 @@ from .extend import extend_parallel
 from .graph import build_graph_parallel
 from .merge import removal_flags
 from .model_io import CutPool, MipModel, TAGS
+from .parallel import clamp_threads
 from .presolve import detect
 from .triage import triage
 
@@ -31,11 +32,12 @@ from .triage import triage
 class Limits:
     """Stage limits; all strictly positive, the counts integers.
 
-    `per_thread_ext_nnz` is the adjacency-touch budget of each extension
-    worker for the whole extension stage, shared by the osp, isp and org
-    bases. `max_graph_nnz` caps the graph build's pair budget, the sum of
-    t(t-1)/2 over the cliques it takes, not the number of edge codes it
-    generates.
+    `per_thread_ext_nnz` is the adjacency-touch budget of the whole
+    extension stage, not of each thread: it is shared by the osp, isp and
+    org bases and spent in the seeded shuffle order, so the outputs do not
+    depend on the thread count. `max_graph_nnz` caps the graph build's pair
+    budget, the sum of t(t-1)/2 over the cliques it takes, not the number
+    of edge codes it generates.
     """
 
     max_knapsack_vars: int = 5000
@@ -105,9 +107,12 @@ def run_pipeline_model(
 
     Returns (augmented model, cut pool, triage plan or None, RunStats).
     On time-limit expiry the original model is passed through unchanged and
-    whatever pool exists so far is exported as user cuts.
+    whatever pool exists so far is exported as user cuts. Each stage splits
+    into no more blocks than can run at once, `clamp_threads(k)`, which
+    `RunStats.threads` records; the outputs do not depend on it.
     """
     limits = limits or Limits()
+    k = clamp_threads(k)
     stats = RunStats(threads=k, seed=seed, flags=_fresh_flags())
     deadline = _Deadline(limits.time_limit_s)
 
@@ -173,7 +178,7 @@ def run_pipeline_model(
         graph,
         k,
         seed,
-        per_worker_budget=limits.per_thread_ext_nnz,
+        budget=limits.per_thread_ext_nnz,
         deadline=deadline.expires,
         stats=estats,
     ))

@@ -1,11 +1,11 @@
-"""Per-base clique extension, kept as the oracle for
-`cgcuts.extend.extend_parallel`.
+"""Serial per-base clique extension, kept as the oracle for
+`cgcuts.extend.extend_parallel` at every k.
 
-Each base is scanned on its own: one sort of its members' CSR rows gives
-both whether it is a clique and its common neighbours. Bases past a budget
-or deadline stop come back unchanged. A clique is a (sorted nodes, tag)
-pair: the longest extension of a base keeps its tag t, the others take
-t + 1.
+The bases are scanned one at a time in the seeded shuffle order, and one
+sort of each base's members' CSR rows gives both whether it is a clique
+and its common neighbours. Bases past a budget or deadline stop come back
+unchanged. A clique is a (sorted nodes, tag) pair: the longest extension
+of a base keeps its tag t, the others take t + 1.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from cgcuts.graph import ConflictGraph
-from cgcuts.parallel import map_blocks, shuffle_partition
+from cgcuts.parallel import shuffle_partition
 
 
 def _row_reader(g: ConflictGraph):
@@ -78,75 +78,52 @@ def _grow(clq, cands: list[int], g: ConflictGraph):
     return longest, others, touched
 
 
-def _extend_block(args):
-    clique_items, n_b, indptr, indices, budget, deadline = args
-    g = ConflictGraph(n_b, indptr, indices)
-    row = _row_reader(g)
-    longs, others = [], []
-    touches = 0
-    budget_hit = False
-    deadline_hit = False
-    for step, clq in enumerate(clique_items):
-        nodes = clq[0]
-        if budget is not None and touches >= budget:
-            budget_hit = True
-            break
-        if deadline is not None and step % 256 == 0 and time.monotonic() >= deadline:
-            deadline_hit = True
-            break
-        is_clique, cands = _scan(nodes, row)
-        if not is_clique:
-            # capped/down-sampled graphs can miss base edges; pass the
-            # base through unchanged rather than extending blind
-            touches += len(nodes)
-            longs.append(clq)
-            continue
-        longest, grown, touched = _grow(clq, cands.tolist(), g)
-        touches += touched
-        longs.append(longest)
-        others.extend(grown)
-    else:
-        step = len(clique_items)
-    longs.extend(clique_items[step:])
-    return longs, others, budget_hit, touches, deadline_hit, step
+def extend_one(clq, row, g: ConflictGraph):
+    """(longest extension, other extensions, touches) of the (nodes, tag)
+    base `clq`; a base that is not a clique comes back as it is."""
+    is_clique, cands = _scan(clq[0], row)
+    if not is_clique:
+        # capped/down-sampled graphs can miss base edges; pass the
+        # base through unchanged rather than extending blind
+        return clq, [], len(clq[0])
+    return _grow(clq, cands.tolist(), g)
 
 
-def extend_parallel(
+def extend(
     cliques,
     g: ConflictGraph,
-    k: int,
     seed: int,
     *,
-    per_worker_budget: int | None = None,
+    budget: int | None = None,
     deadline: float | None = None,
     stats: dict | None = None,
 ):
-    """Shuffle-partition the (nodes, tag) cliques and extend each on its own
-    worker.
+    """Extend the (nodes, tag) cliques one at a time, in the order of
+    `shuffle_partition(len(cliques), 1, seed)`.
 
-    Each worker stops once it has touched `per_worker_budget` adjacency
-    entries (or the monotonic `deadline` passes); the budget is granted once
-    per worker for the whole call, and the bases past the stop come back
+    Stops before the first base at which the running sum of touches has
+    reached `budget`, or at a base whose position is a multiple of 256 once
+    the monotonic `deadline` has passed; the bases past the stop come back
     unextended. Returns (longest list, others list).
     """
     cliques = list(cliques)
-    part = shuffle_partition(len(cliques), k, seed)
-    block_args = [
-        ([cliques[i] for i in idx], g.n_b, g.indptr, g.indices, per_worker_budget, deadline)
-        for idx in part.blocks
-    ]
-    results = map_blocks(_extend_block, block_args, k)
-    longs: list = []
-    others: list = []
-    budget_hit = False
-    deadline_hit = False
-    touches = 0
-    for bl, bo, bh, bt, dh, _ in results:
-        longs.extend(bl)
-        others.extend(bo)
-        budget_hit = budget_hit or bh
-        deadline_hit = deadline_hit or dh
-        touches += bt
+    cliques = [cliques[i] for i in shuffle_partition(len(cliques), 1, seed).order]
+    row = _row_reader(g)
+    longs, others = [], []
+    touches, stop = 0, len(cliques)
+    budget_hit = deadline_hit = False
+    for step, clq in enumerate(cliques):
+        if budget is not None and touches >= budget:
+            budget_hit, stop = True, step
+            break
+        if deadline is not None and step % 256 == 0 and time.monotonic() >= deadline:
+            deadline_hit, stop = True, step
+            break
+        longest, grown, touched = extend_one(clq, row, g)
+        touches += touched
+        longs.append(longest)
+        others.extend(grown)
+    longs.extend(cliques[stop:])
     if stats is not None:
         stats["ext_budget_hit"] = budget_hit
         stats["ext_touches"] = touches

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cgcuts import bench
 from cgcuts.bench import (
     BenchConfig,
     BenchReport,
@@ -13,6 +14,7 @@ from cgcuts.bench import (
     warn_if_slow,
 )
 from cgcuts.parallel import available_cores
+from cgcuts.pipeline import Limits
 from conftest import cliques_of
 
 
@@ -66,6 +68,13 @@ def test_generate_cliques_is_deterministic():
     assert cliques_of(a) != cliques_of(c)
 
 
+def test_generate_cliques_in_row_slices_equals_one_slice(monkeypatch):
+    want = generate_cliques(50, 40, 0.1, seed=3)
+    monkeypatch.setattr(bench, "_SLICE_CELLS", 3 * 50)  # three rows at a time
+    got = generate_cliques(50, 40, 0.1, seed=3)
+    assert cliques_of(got[0]) == cliques_of(want[0]) and got[1] == want[1]
+
+
 def test_generate_cliques_drops_tiny_members():
     cliques, dropped = generate_cliques(20, 200, 0.02, seed=0)
     # expected membership is 0.4 literals per clique, so most are dropped
@@ -91,6 +100,14 @@ def test_run_bench_small_sweep():
         for stage in ("graph_build", "extension", "merge", "total"):
             assert (k, stage) in stages
     assert report.speedup(ks[0]) == pytest.approx(1.0)
+
+
+def test_run_bench_with_a_binding_budget():
+    # The budget binds, and every k must still extend the same bases.
+    cfg = BenchConfig(n_b=400, num_cliques=2000, membership_prob=0.02,
+                      threads=(1, 2), repetitions=1, seed=0)
+    report = run_bench(cfg, limits=Limits(per_thread_ext_nnz=20000))
+    assert {r["k"] for r in report.rows} == {1, 2}
 
 
 def test_run_bench_caps_threads_to_host():

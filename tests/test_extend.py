@@ -173,7 +173,7 @@ def test_worker_budget_stops_early_and_flags():
     g = TRIANGLE
     bases = [((0,), ORG)] * 50
     stats = {}
-    longs, others = extend_all(bases, g, 1, seed=0, per_worker_budget=5, stats=stats)
+    longs, others = extend_all(bases, g, 1, seed=0, budget=5, stats=stats)
     assert stats["ext_budget_hit"]
     # each base touches 4 entries, so the third starts at 8 >= 5 and stops;
     # every base past the stop comes back unextended, with its tag

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from cgcuts import pipeline
+from cgcuts import cliques, extend, graph, merge, parallel, pipeline
 from cgcuts.model_io import TAGS, export_cut_pool, parse_mps, write_augmented_mps
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -113,7 +113,7 @@ def test_outputs_match_pinned_digests(shape, k):
         == PINNED[shape][1:]
 
 
-@pytest.mark.parametrize("k", [1])
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("shape", sorted(gen.SHAPES))
 def test_binding_budget_outputs_match_pinned_digests(shape, k):
     base, pool, _, stats = pipeline.run_pipeline_model(parse_mps(_input(shape)),
@@ -121,6 +121,25 @@ def test_binding_budget_outputs_match_pinned_digests(shape, k):
     assert stats.flags["extension_budget_hit"]
     assert (_sha(write_augmented_mps(base, pool)), _sha(export_cut_pool(pool))) \
         == PINNED_BUDGET[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_blocks_are_clamped_to_what_can_run_at_once(monkeypatch, shape):
+    # On two cores k = 8 runs as k = 2: the pool's one worker and this
+    # process. The spy runs the blocks here, so no pool is forked.
+    monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+    blocks = []
+
+    def spy(fn, args, k):
+        blocks.append(len(args))
+        return [fn(a) for a in args]
+
+    for mod in (cliques, graph, extend, merge):
+        monkeypatch.setattr(mod, "map_blocks", spy)
+    base, pool, _, stats = pipeline.run_pipeline_model(parse_mps(_input(shape)), k=8)
+    assert (_sha(write_augmented_mps(base, pool)), _sha(export_cut_pool(pool))) \
+        == PINNED[shape][1:]
+    assert stats.threads == 2 and blocks == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("check", [2, 3, 4, 5])

@@ -290,6 +290,10 @@ def test_cli_rejects_zero_threads(tmp_path, capsys):
                        "--threads must be at least 1")
 
 
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    assert_cli_rejects(tmp_path, capsys, ["--seed", "-1"], "--seed must be non-negative")
+
+
 def test_cli_rejects_negative_time_limit(tmp_path, capsys):
     assert_cli_rejects(tmp_path, capsys, ["--time-limit", "-1"],
                        "time_limit_s must be strictly positive")
@@ -449,10 +453,12 @@ def test_cli_bench_rejects_bad_thread_counts(capsys, counts):
     (["--reps", "-2"], "repetitions must be at least 1"),
     (["--n-b", "-1"], "n_b and num_cliques must be non-negative"),
     (["--cliques", "-1"], "n_b and num_cliques must be non-negative"),
+    (["--seed", "-1"], "--seed must be non-negative"),
 ])
 def test_cli_bench_rejects_bad_sizes_in_one_line(capsys, extra, message):
-    # No repetitions reached shifted_geomean of an empty list, and a
-    # negative size NumPy's array constructor: tracebacks with exit 1.
+    # No repetitions reached shifted_geomean of an empty list, a negative
+    # size NumPy's array constructor and a negative seed its generator:
+    # tracebacks with exit 1.
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", "1", *extra])
     assert exc.value.code == 2
