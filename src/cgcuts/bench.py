@@ -20,7 +20,7 @@ from .cliques import CliqueTable
 from .extend import extend_parallel
 from .graph import build_graph_parallel
 from .merge import removal_flags
-from .parallel import available_cores
+from .parallel import clamp_threads
 from .pipeline import Limits
 
 STAGES = ("graph_build", "extension", "merge", "total")
@@ -143,17 +143,17 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
     versus k=1."""
     limits = limits or Limits()
     report = BenchReport()
-    cores = available_cores()
     threads = []
     for k in cfg.threads:
-        if k > cores:
+        if clamp_threads(k) != k:
             report.capped_threads = True
-            k = cores
+            k = clamp_threads(k)
         if k not in threads:
             threads.append(k)
     if report.capped_threads:
         report.notes.append(
-            f"host has {cores} cores; requested thread counts were capped"
+            f"requested thread counts were capped at {max(threads)}, "
+            "the blocks this host can run at once"
         )
     if 1 not in threads:
         threads.insert(0, 1)

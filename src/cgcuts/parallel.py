@@ -5,20 +5,18 @@ All shuffles use NumPy's PCG64 generator so a given (count, k, seed) always
 yields the same permutation. Workers receive immutable inputs and hand back
 single-owner partial results; each stage combines them in the calling
 process. The calling process is one of the workers: it runs a map's first
-block itself while the pool runs the others (work-first), so k blocks need
-only k - 1 pool workers, and the pool is capped at the cores but one.
+block itself while forked worker processes run the others (work-first), so
+k blocks need only k - 1 workers, and they are capped at the cores but one.
 """
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
+import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -37,68 +35,122 @@ def shuffle_partition(count: int, k: int, seed: int) -> Partition:
     return Partition(order=order, blocks=blocks)
 
 
-# The persistent pool, by its worker count. It outlives a run so that callers
-# can still inspect the workers (e.g. their peak RSS) after it returns. A
-# request for more workers shuts it down before a larger pool is forked, so
-# at most one pool is alive; a request for fewer reuses it, because each
-# block is one task and at most that many run at once.
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+class _Worker:
+    """A forked process that applies a function to shares of blocks: it
+    reads `(fn, args)` from one pipe and writes `(True, results)` or
+    `(False, (exception, traceback))` to the other, until the first closes."""
+
+    def __init__(self):
+        (down_r, down_w), (up_r, up_w) = os.pipe(), os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:  # hold no parent end, or a worker would miss its EOF
+                for fd in [down_w, up_r] + [f.fileno() for w in _WORKERS for f in (w.down, w.up)]:
+                    os.close(fd)
+                _serve(open(down_r, "rb"), open(up_w, "wb"))
+            finally:
+                os._exit(0)  # at EOF, and never through the parent's atexit
+        os.close(down_r)
+        os.close(up_w)
+        self.down, self.up = open(down_w, "wb"), open(up_r, "rb")
+
+    def submit(self, fn, args: list):
+        with contextlib.suppress(BrokenPipeError):  # it died; `result` reports it
+            pickle.dump((fn, args), self.down, pickle.HIGHEST_PROTOCOL)
+            self.down.flush()
+
+    def result(self) -> list:
+        try:
+            ok, value = pickle.load(self.up)
+        except Exception as exc:  # the rest of the reply is out of step
+            _drop(self)
+            raise RuntimeError(f"worker process {self.pid} died or sent an unreadable reply") from exc
+        if ok:
+            return value
+        exc, tb = value
+        exc.__cause__ = RuntimeError(f"in worker process {self.pid}:\n{tb}")
+        raise exc
 
 
-def _shutdown_pools(wait: bool = False):
-    for pool in _POOLS.values():
-        pool.shutdown(wait=wait, cancel_futures=True)
-    _POOLS.clear()
+def _serve(down, up):
+    while True:
+        fn, args = pickle.load(down)  # raises EOFError once the parent closes
+        try:
+            reply = True, [fn(a) for a in args]
+        except Exception as exc:  # an interrupt ends the worker instead
+            import traceback
+
+            tb = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(repr(exc))
+            reply = False, (exc, tb)
+        pickle.dump(reply, up, pickle.HIGHEST_PROTOCOL)
+        up.flush()
+
+
+# The live workers. They outlive a map, so the next map reuses them and
+# callers can still inspect them (e.g. their peak RSS) after a run.
+_WORKERS: list[_Worker] = []
+
+
+def _drop(w: _Worker):
+    _WORKERS.remove(w)
+    for f in (w.down, w.up):
+        with contextlib.suppress(BrokenPipeError):  # data left for a dead worker
+            f.close()  # the worker reads EOF and exits
+    os.waitpid(w.pid, 0)
+
+
+def _shutdown_pools():
+    while _WORKERS:
+        _drop(_WORKERS[-1])
 
 
 atexit.register(_shutdown_pools)
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    for size, pool in _POOLS.items():
-        if size >= workers:
-            return pool
-    # Imported here: a k = 1 run starts no pool and need not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _shutdown_pools(wait=True)
-    ctx = multiprocessing.get_context("fork")
-    pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=ctx)
-    return pool
-
-
 def map_blocks(fn, block_args, k: int) -> list:
-    """Apply `fn` to each block argument, on up to k workers; the results
+    """Apply `fn` to each block argument, on up to k processes; the results
     come back in block order.
 
     Runs in this process when k = 1 or there is at most one block.
-    Otherwise this process runs block 0 while the persistent `fork` pool,
-    of at least min(`clamp_threads(k)`, blocks) - 1 workers, runs the
-    others, so `fn` must be a picklable top-level function.
-    The blocks are the caller's split, so the output does not depend on the
-    pool's size. When a block raises, the other blocks are cancelled or
-    awaited first, so the pool is idle for the next call.
+    Otherwise this process runs block 0 while min(`clamp_threads(k)`,
+    blocks) - 1 forked workers, forking more if fewer are alive, run one
+    consecutive share each of the others, so `fn` must be a picklable
+    top-level function. The blocks are the caller's split, so the output
+    does not depend on the number of workers. Every reply is read before
+    the first error in block order is raised, so the workers are idle for
+    the next call; an interrupt while shares are out ends every worker.
     """
     block_args = list(block_args)
     if k <= 1 or len(block_args) <= 1:
         return [fn(a) for a in block_args]
-    workers = min(clamp_threads(k), len(block_args)) - 1
-    futures = [_get_pool(workers).submit(fn, a) for a in block_args[1:]]
+    n = min(clamp_threads(k), len(block_args)) - 1
+    while len(_WORKERS) < n:
+        _WORKERS.append(_Worker())
+    workers, rest = _WORKERS[:n], block_args[1:]
+    results, error = [], None
     try:
-        return [fn(block_args[0])] + [f.result() for f in futures]
+        for i, w in enumerate(workers):
+            w.submit(fn, rest[len(rest) * i // n:len(rest) * (i + 1) // n])
+        for part in [lambda: [fn(block_args[0])]] + [w.result for w in workers]:
+            try:
+                results += part()
+            except Exception as exc:
+                error = error or exc
     except BaseException:
-        from concurrent.futures import wait
-
-        for f in futures:
-            f.cancel()
-        wait(futures)
+        _shutdown_pools()
         raise
+    if error is not None:
+        raise error
+    return results
 
 
 def clamp_threads(k: int) -> int:
-    """k, capped at the blocks that can run at once: the pool's workers,
-    the cores but one and one at the least, plus the calling process."""
+    """k, capped at the blocks that can run at once: the workers, the cores
+    but one and one at the least, plus the calling process."""
     return min(k, max(available_cores() - 1, 1) + 1)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts import bench
+from cgcuts import bench, parallel
 from cgcuts.bench import (
     BenchConfig,
     BenchReport,
@@ -13,7 +13,7 @@ from cgcuts.bench import (
     shifted_geomean,
     warn_if_slow,
 )
-from cgcuts.parallel import available_cores
+from cgcuts.parallel import available_cores, clamp_threads
 from cgcuts.pipeline import Limits
 from conftest import cliques_of
 
@@ -117,7 +117,19 @@ def test_run_bench_caps_threads_to_host():
     report = run_bench(cfg)
     assert report.capped_threads
     assert any("capped" in note for note in report.notes)
-    assert max(r["k"] for r in report.rows) <= cores
+    assert max(r["k"] for r in report.rows) == clamp_threads(cores + 5)
+
+
+def test_run_bench_caps_threads_like_the_pipeline(monkeypatch):
+    # On one core the pipeline keeps k = 2: the calling process and one
+    # worker. `cgcuts bench` must measure the same k.
+    monkeypatch.setattr(parallel, "available_cores", lambda: 1)
+    cfg = BenchConfig(n_b=30, num_cliques=30, membership_prob=0.1,
+                      threads=(1, 2, 4), repetitions=1, seed=0)
+    report = run_bench(cfg)
+    assert report.capped_threads
+    assert any("capped at 2" in note for note in report.notes)
+    assert {r["k"] for r in report.rows} == {1, 2}
 
 
 def test_run_bench_notes_dropped_cliques():

@@ -17,12 +17,12 @@ SOURCES = (OSP, ISP, ORG)
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """`extend._CHUNK` = 3, also in the pool's workers, which are forked
+    """`extend._CHUNK` = 3, also in the workers, which are forked
     again so that they see it."""
     monkeypatch.setattr(extend, "_CHUNK", 3)
-    parallel._shutdown_pools(wait=True)
+    parallel._shutdown_pools()
     yield
-    parallel._shutdown_pools(wait=True)
+    parallel._shutdown_pools()
 
 
 class Clock:

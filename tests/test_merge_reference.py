@@ -13,12 +13,12 @@ from conftest import plain_table
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """`merge._CHUNK` = 5, also in the pool's workers, which are forked
+    """`merge._CHUNK` = 5, also in the workers, which are forked
     again so that they see it."""
     monkeypatch.setattr(merge, "_CHUNK", 5)
-    parallel._shutdown_pools(wait=True)
+    parallel._shutdown_pools()
     yield
-    parallel._shutdown_pools(wait=True)
+    parallel._shutdown_pools()
 
 
 class Clock:

@@ -1,5 +1,8 @@
 """Shared fork-join substrate: shuffles, partitions and the block map."""
-import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,32 +60,49 @@ def test_map_blocks_k1_equals_pool():
 
 
 @pytest.fixture
-def no_pool():
-    parallel._shutdown_pools(wait=True)
+def no_workers():
+    parallel._shutdown_pools()
     yield
-    parallel._shutdown_pools(wait=True)
+    parallel._shutdown_pools()
 
 
-def test_map_blocks_keeps_one_pool_alive(no_pool, monkeypatch):
+def _pids():
+    return [w.pid for w in parallel._WORKERS]
+
+
+def _alive(pid):
+    return os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_map_blocks_keeps_one_set_of_workers(no_workers, monkeypatch):
     # The calling process runs block 0, so k blocks need k - 1 workers.
     monkeypatch.setattr(parallel, "available_cores", lambda: 8)
     blocks = [[1], [2], [3]]
     map_blocks(_square_all, blocks[:2], k=2)
-    assert len(multiprocessing.active_children()) == 1
+    [first] = _pids()
     assert map_blocks(_square_all, blocks, k=3) == [[1], [4], [9]]
-    # the k = 2 worker is gone, the k = 3 workers stay for inspection
-    assert len(multiprocessing.active_children()) == 2
-    # a smaller count reuses the live pool
+    # k = 3 forks one more worker beside the k = 2 one; both stay alive
+    pids = _pids()
+    assert len(pids) == 2 and pids[0] == first
+    assert all(_alive(pid) for pid in pids)
+    # a smaller count reuses the live workers
     assert map_blocks(_square_all, blocks[:2], k=2) == [[1], [4]]
-    assert len(multiprocessing.active_children()) == 2
+    assert _pids() == pids
 
 
-def test_map_blocks_caps_the_pool_at_the_cores(no_pool, monkeypatch):
+def test_map_blocks_caps_the_workers_at_the_cores(no_workers, monkeypatch):
     monkeypatch.setattr(parallel, "available_cores", lambda: 2)
     blocks = [[b] for b in range(8)]
     assert map_blocks(_square_all, blocks, k=8) == [[b * b] for b in range(8)]
-    assert list(parallel._POOLS) == [1]
-    assert len(multiprocessing.active_children()) == 1
+    assert len(_pids()) == 1 and _alive(_pids()[0])
 
 
 def _square_or_raise(block):
@@ -92,14 +112,91 @@ def _square_or_raise(block):
 
 
 @pytest.mark.parametrize("at", [0, 2])
-def test_map_blocks_error_leaves_the_pool_usable(no_pool, at):
+def test_map_blocks_error_leaves_the_workers_usable(no_workers, monkeypatch, at):
+    # Four blocks on three workers: block 0 is the calling process's, and
+    # block 2 is the second worker's share.
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
     blocks = [[1], [2], [3], [4]]
     bad = blocks[:at] + [["boom"]] + blocks[at + 1:]
-    with pytest.raises(ValueError, match="boom"):
+    with pytest.raises(ValueError, match="boom") as info:
         map_blocks(_square_or_raise, bad, k=4)
-    pools = dict(parallel._POOLS)
+    if at:  # the worker's traceback is chained as the cause
+        assert "_square_or_raise" in str(info.value.__cause__)
+    pids = _pids()
+    assert len(pids) == 3
     assert map_blocks(_square_all, blocks, k=4) == [[1], [4], [9], [16]]
-    assert parallel._POOLS == pools
+    assert _pids() == pids
+
+
+def test_map_blocks_replaces_a_killed_worker(no_workers):
+    blocks = [[1], [2]]
+    map_blocks(_square_all, blocks, k=2)
+    [pid] = _pids()
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=f"worker process {pid} died"):
+        map_blocks(_square_all, blocks, k=2)
+    assert _pids() == [] and _reaped(pid)
+    assert map_blocks(_square_all, blocks, k=2) == [[1], [4]]
+    assert _pids() != [pid]
+
+
+class _TwoArgError(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise_two_arg(block):
+    if block:
+        raise _TwoArgError(block, 0)
+    return block
+
+
+def test_map_blocks_unpicklable_error_comes_back_as_its_repr(no_workers):
+    with pytest.raises(RuntimeError, match=r"_TwoArgError\(\[2\]\)"):
+        map_blocks(_raise_two_arg, [[], [2]], k=2)
+    assert map_blocks(_square_all, [[1], [2]], k=2) == [[1], [4]]
+
+
+class _Abort(BaseException):
+    pass
+
+
+def _abort(block):
+    raise _Abort
+
+
+def test_map_blocks_interrupt_reaps_every_worker(no_workers):
+    map_blocks(_square_all, [[1], [2]], k=2)
+    pids = _pids()
+    with pytest.raises(_Abort):
+        map_blocks(_abort, [[1], [2]], k=2)
+    assert _pids() == [] and all(_reaped(pid) for pid in pids)
+
+
+def test_shutdown_reaps_every_worker(no_workers, monkeypatch):
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    map_blocks(_square_all, [[1], [2], [3], [4]], k=4)
+    pids = _pids()
+    assert len(pids) == 3
+    parallel._shutdown_pools()
+    assert _pids() == [] and all(_reaped(pid) for pid in pids)
+
+
+def test_no_worker_outlives_its_process():
+    code = (
+        "from cgcuts import parallel\n"
+        "assert parallel.map_blocks(abs, [-1, -2], 2) == [1, 2]\n"
+        "print(parallel._WORKERS[0].pid)\n"
+    )
+    root = os.path.dirname(os.path.dirname(parallel.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(out.stdout), 0)
 
 
 def test_available_cores_reads_the_affinity_mask(monkeypatch):

@@ -337,16 +337,18 @@ def test_limits_accept_integer_counts_and_real_seconds():
         Limits(max_knapsack_vars=7.0)
 
 
-def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path):
-    # A k = 1 run starts no process pool and runs no benchmark, so a fresh
-    # interpreter need not import either.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path, threads):
+    # A k = 1 run forks no worker and a k = 2 run forks one on two pipes;
+    # neither loads a process-pool module, and neither runs a benchmark.
     src = tmp_path / "in.mps"
     src.write_text(write_mps(KNAPSACK6))
     code = (
         "import sys\n"
         "from cgcuts import cli\n"
-        f"assert cli.main(['presolve', {str(src)!r}]) == 0\n"
-        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+        f"assert cli.main(['presolve', {str(src)!r}, '--threads', '{threads}']) == 0\n"
+        "from cgcuts import parallel\n"
+        "print(len(parallel._WORKERS), sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
     )
     root = os.path.dirname(os.path.dirname(cgcuts.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
@@ -357,7 +359,7 @@ def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-1] == f"{threads - 1} []"
 
 
 def test_cli_bench_writes_csv(tmp_path):
