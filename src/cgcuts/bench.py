@@ -1,27 +1,26 @@
 """Synthetic benchmark on the Bernoulli clique model.
 
 Each of m cliques draws every positive literal independently with
-probability p; cliques with fewer than two members are dropped. The graph
-build, extension and merge stages are timed at each thread count and
-aggregated with the shifted geometric mean.
+probability p; cliques with fewer than two members are dropped. The
+cliques are the rows of a set-packing MIP, and `run_pipeline_model` runs on
+it at each thread count under the given limits. Its own graph build,
+extension and merge times are aggregated with the shifted geometric mean.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cliques import CliqueTable
-from .extend import extend_parallel
-from .graph import build_graph_parallel
-from .merge import removal_flags
+from .model_io import SENSE_LE, MipModel, export_cut_pool, write_augmented_mps
 from .parallel import clamp_threads
-from .pipeline import Limits
+from .pipeline import Limits, run_pipeline_model
 
 STAGES = ("graph_build", "extension", "merge", "total")
 
@@ -99,48 +98,30 @@ def generate_cliques(n_b: int, num_cliques: int, p: float, seed: int):
     return CliqueTable.plain(lens, np.concatenate(nodes), 0), num_cliques - len(lens)
 
 
-def _sorted_cliques(table: CliqueTable):
-    """The cliques' members in sorted order: equal for equal multisets."""
-    lens, nodes = table.take(table.order()).flat()
-    return lens.tolist(), nodes.tolist()
-
-
-def _run_stages(cliques: CliqueTable, n_b: int, k: int, seed: int, limits: Limits):
-    out = {}
-    times = {}
-    t0 = time.perf_counter()
-    g = build_graph_parallel(
-        cliques,
-        n_b,
-        k,
-        seed,
-        max_clique_sample=limits.max_clique_sample,
-        max_pairs=limits.max_graph_nnz,
+def packing_model(cliques: CliqueTable, n_b: int) -> MipModel:
+    """One row `sum x_j <= 1` per clique over n_b binary columns: column j
+    is node j, as the pipeline's `VarMap` is the sorted binaries."""
+    lens, cols = cliques.flat()
+    m = len(lens)
+    return MipModel(
+        [f"x{j}" for j in range(n_b)], [f"c{i}" for i in range(m)],
+        np.concatenate([[0], np.cumsum(lens)]), cols, np.ones(len(cols)),
+        [SENSE_LE] * m, np.ones(m), np.zeros(n_b), np.zeros(n_b), np.ones(n_b),
+        set(range(n_b)),
     )
-    times["graph_build"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    longs, others = extend_parallel(
-        cliques, g, k, seed,
-        budget=limits.per_thread_ext_nnz,
-    )
-    times["extension"] = time.perf_counter() - t1
-    t2 = time.perf_counter()
-    pool = CliqueTable.concat([longs, others])
-    pool = pool.take(pool.order())
-    flags = removal_flags(pool, k)
-    times["merge"] = time.perf_counter() - t2
-    times["total"] = time.perf_counter() - t0
-    out["graph"] = g
-    out["longs"] = _sorted_cliques(longs)
-    out["others"] = _sorted_cliques(others)
-    out["kept"] = _sorted_cliques(pool.take(np.flatnonzero(~flags)))
-    return times, out
 
 
 def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
-    """Time the clique stages at each thread count; assert that every k
-    produces the same outputs; report shifted-geomean times and speedups
-    versus k=1."""
+    """Run `run_pipeline_model` on the set-packing MIP of the generated
+    cliques at each thread count; report the shifted-geomean seconds of its
+    graph build, extension and merge and their sum, `total` (which leaves
+    out detect, clique detect, triage and the sort before merge), with
+    speedups versus k=1. A stage that some run did not reach (the time
+    limit stopped it) is not reported; every limit flag that fired is
+    noted. Raises AssertionError when the augmented model or the cut pool
+    differs between two k; runs that hit the time limit, whose outputs
+    depend on the clock, are not compared.
+    """
     limits = limits or Limits()
     report = BenchReport()
     threads = []
@@ -171,30 +152,41 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
         report.notes.append("no usable cliques generated; nothing to time")
         return report
 
-    baseline_out = None
-    sgm_by_k: dict[int, dict[str, float]] = {}
+    model = packing_model(cliques, cfg.n_b)
+    baseline = None  # (k, digests) of the first run within the time limit
+    fired: dict[str, set[int]] = {}
+    runs: dict[int, list[dict]] = {k: [] for k in threads}  # stage_seconds
     for k in threads:
-        stage_times: dict[str, list[float]] = {s: [] for s in STAGES}
-        for rep in range(cfg.repetitions):
-            times, out = _run_stages(cliques, cfg.n_b, k, cfg.seed, limits)
-            for s in STAGES:
-                stage_times[s].append(times[s])
-            if baseline_out is None:
-                baseline_out = out
-            else:
-                if out["graph"] != baseline_out["graph"]:
-                    raise AssertionError(f"graph differs between k=1 and k={k}")
-                for key in ("longs", "others", "kept"):
-                    if out[key] != baseline_out[key]:
-                        raise AssertionError(
-                            f"{key} differ between k=1 and k={k}"
-                        )
-        sgm_by_k[k] = {s: shifted_geomean(stage_times[s]) for s in STAGES}
+        for _ in range(cfg.repetitions):
+            out_model, pool, _, stats = run_pipeline_model(model, limits, k, cfg.seed)
+            runs[k].append(stats.stage_seconds)
+            for flag in (f for f, hit in stats.flags.items() if hit):
+                fired.setdefault(flag, set()).add(k)
+            if stats.flags["time_limit_hit"]:
+                continue
+            digests = [hashlib.sha256(text.encode()).digest() for text in
+                       (write_augmented_mps(out_model, pool), export_cut_pool(pool))]
+            if baseline is None:
+                baseline = k, digests
+            elif digests != baseline[1]:
+                raise AssertionError(f"outputs differ between k={baseline[0]} and k={k}")
+    for flag, ks in fired.items():
+        report.notes.append(f"{flag} fired at k={','.join(map(str, sorted(ks)))}")
 
-    base = sgm_by_k[threads[0]]
+    every_run = [r for rs in runs.values() for r in rs]
+    ran = [s for s in STAGES[:-1] if all(s in r for r in every_run)]
+    if len(ran) < len(STAGES) - 1:
+        report.notes.append("not timed, as the time limit stopped a run before them: "
+                            + ", ".join(s for s in STAGES[:-1] if s not in ran))
+    for r in every_run:
+        r["total"] = sum(r[s] for s in ran)
+    if ran:
+        ran.append("total")
+    base: dict[str, float] = {}
     for k in threads:
-        for s in STAGES:
-            sgm = sgm_by_k[k][s]
+        for s in ran:
+            sgm = shifted_geomean(r[s] for r in runs[k])
+            base.setdefault(s, sgm)
             speedup = base[s] / sgm if sgm > 0 else float("inf")
             report.rows.append({"k": k, "stage": s, "sgm": sgm, "speedup": speedup})
     return report

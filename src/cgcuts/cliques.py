@@ -1,10 +1,10 @@
 """Maximal clique detection from conflicting knapsack constraints, and the
 clique table that every stage reads, from the harvest to the writers.
 
-`detect_cliques_parallel` shuffle-partitions the knapsack table over k
-workers (k = 1 runs in this process); each worker binary-searches every
-coefficient-sorted knapsack for its original clique and the further maximal
-cliques. A knapsack's cliques are kept in a compact suffix form over its
+`detect_cliques_parallel` cuts the knapsack table into contiguous slices
+for k workers (k = 1 runs in this process); each worker binary-searches
+every coefficient-sorted knapsack for its original clique and the further
+maximal cliques. A knapsack's cliques are kept in a compact suffix form over its
 coefficient-ordered nodes, because materializing all of them can take
 quadratic memory, and `CliqueTable` keeps that form. Members are written
 out, sorted per clique, only where a stage needs them (`CliqueTable.flat`):
@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model_io import TAGS, stable_order
-from .parallel import map_blocks, shuffle_partition
+from .parallel import map_blocks
 from .presolve import PbcTable, _distinct, _indptr, _ranges, _segment_positions, scaled_tol
 
 #: The tags (indices into `model_io.TAGS`) of the cliques of original and
@@ -155,13 +155,15 @@ class CliqueTable:
 
 def _detect_block(args):
     """Phi (-1 for none), the number of entries and the (i, sigma) entries,
-    by falling i, of each knapsack of a block (`indptr`, sorted `coeffs`,
-    `rhs`), in array passes over the whole block. With t = rhs + tol, a
-    knapsack conflicts when a[-2] + a[-1] > t; phi is the smallest p with
-    a[p] + a[p + 1] > t, a sum that grows with p, so phi counts the p below
-    it. From i = phi - 1 down, sigma is bisect_right(a, t - a[i]), at least
-    i + 1, up to the first i with sigma = n or a[i] + a[sigma] <= t."""
+    by falling i, of each knapsack of a block (`indptr`, which may start
+    past 0, sorted `coeffs`, `rhs`), in array passes over the whole block.
+    With t = rhs + tol, a knapsack conflicts when a[-2] + a[-1] > t; phi is
+    the smallest p with a[p] + a[p + 1] > t, a sum that grows with p, so
+    phi counts the p below it. From i = phi - 1 down, sigma is
+    bisect_right(a, t - a[i]), at least i + 1, up to the first i with
+    sigma = n or a[i] + a[sigma] <= t."""
     indptr, c, rhs = args
+    indptr = indptr - indptr[0]
     n = np.diff(indptr)
     seg = np.repeat(np.arange(len(n)), n)
     inner = seg[1:] == seg[:-1]
@@ -193,24 +195,25 @@ def _detect_block(args):
     return np.where(hit, phi, -1), np.bincount(k[keep], minlength=len(n)), i[keep], sigma[keep]
 
 
-def detect_cliques_parallel(s_ck: PbcTable, k: int, seed: int) -> CliqueTable:
-    """Shuffle-partition the knapsack table and run detection per block.
+def detect_cliques_parallel(s_ck: PbcTable, k: int) -> CliqueTable:
+    """Run detection on at most k contiguous slices of the knapsack table,
+    of about equal total length.
 
     The workers see only the coefficients; the table takes its sequences
-    from `s_ck` here: one per knapsack with cliques, in its coefficient
-    order, holding its original clique (tag ORG), then all further cliques
-    (OTHER for each knapsack's first, OTHER + 1 for the rest). The clique
-    set is identical for every k and seed; only the order of the knapsacks
-    follows the shuffle.
+    from `s_ck` here: one per knapsack with cliques, in table order and
+    coefficient order, holding its original clique (tag ORG), then all
+    further cliques (OTHER for each knapsack's first, OTHER + 1 for the
+    rest). The table is the same for every k.
     """
-    part = shuffle_partition(len(s_ck), k, seed)
-    blocks = [s_ck.take(idx) for idx in part.blocks]
-    results = map_blocks(
-        _detect_block, [(b.indptr, b.coeffs, b.rhs) for b in blocks], k
-    )
+    ptr = s_ck.indptr
+    cuts = np.searchsorted(ptr, ptr[-1] * np.arange(1, k) // k)
+    ends = _distinct(np.r_[cuts[cuts > 0], len(s_ck)]).tolist()  # one slice if empty
+    results = map_blocks(_detect_block, [
+        (ptr[a:b + 1], s_ck.coeffs[ptr[a]:ptr[b]], s_ck.rhs[a:b])
+        for a, b in zip([0] + ends[:-1], ends)], k)
     phi, count, i, sigma = (np.concatenate([r[j] for r in results]) for j in range(4))
     hit = phi >= 0  # a knapsack without cliques has no entries either
-    family = s_ck.take(part.order[hit])
+    family = s_ck.take(np.flatnonzero(hit))
     f, count = len(family), count[hit]
     first = np.zeros(len(i), dtype=bool)
     first[_indptr(count)[:-1][count > 0]] = True

@@ -637,7 +637,7 @@ _SLICE_LINES = 1 << 13
 
 
 def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):
         return str(int(v))
     return repr(float(v))
 

@@ -144,7 +144,7 @@ def run_pipeline_model(
 
     harvest = timed(
         "clique_detect",
-        lambda: detect_cliques_parallel(s_ck, k, seed),
+        lambda: detect_cliques_parallel(s_ck, k),
     )
     table = CliqueTable.concat(packing + [harvest])
     table = table.take(table.order())

@@ -295,7 +295,7 @@ def parse_mps(text: str) -> MipModel:
 
 
 def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):
         return str(int(v))
     return repr(float(v))
 

@@ -48,7 +48,7 @@ def test_criterion_01_knapsack_oracle_equivalence():
         n = int(rng.integers(2, 13))
         coeffs = sorted(int(a) for a in rng.integers(1, 15, size=n))
         rhs = int(rng.integers(coeffs[-1], coeffs[-1] + coeffs[-2] + 2))
-        harvest = cliques_of(detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1, 0))
+        harvest = cliques_of(detect_cliques_parallel(pbc_table([(coeffs, rhs)]), 1))
         orgs = [q for q, tag in harvest if tag == ORG]
         org = orgs[0] if orgs else None
         others = [q for q, tag in harvest if tag >= OTHER]

@@ -13,8 +13,11 @@ from cgcuts.bench import (
     shifted_geomean,
     warn_if_slow,
 )
+from cgcuts.cliques import CliqueTable
+from cgcuts.model_io import CutPool
 from cgcuts.parallel import available_cores, clamp_threads
-from cgcuts.pipeline import Limits
+from cgcuts.pipeline import Limits, run_pipeline_model
+from cgcuts.presolve import detect
 from conftest import cliques_of
 
 
@@ -108,6 +111,66 @@ def test_run_bench_with_a_binding_budget():
                       threads=(1, 2), repetitions=1, seed=0)
     report = run_bench(cfg, limits=Limits(per_thread_ext_nnz=20000))
     assert {r["k"] for r in report.rows} == {1, 2}
+
+
+def test_run_bench_notes_a_skipped_merge():
+    cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
+                      threads=(1, 2), repetitions=1, seed=0)
+    report = run_bench(cfg, limits=Limits(max_merge_cliques=1))
+    assert "merge_skipped fired at k=1,2" in report.notes
+    assert {r["stage"] for r in report.rows} == set(bench.STAGES)
+
+
+def test_run_bench_reports_no_stage_the_time_limit_stopped():
+    cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
+                      threads=(1, 2), repetitions=2, seed=0)
+    report = run_bench(cfg, limits=Limits(time_limit_s=1e-9))
+    assert "time_limit_hit fired at k=1,2" in report.notes
+    assert any("graph_build, extension, merge" in note for note in report.notes)
+    assert report.rows == [] and report.speedup(1) is None
+
+
+def test_run_bench_times_the_pipelines_own_stages(monkeypatch):
+    seen = []
+
+    def timed(model, limits, k, seed):
+        out = run_pipeline_model(model, limits, k, seed)
+        seen.append(dict(out[3].stage_seconds))
+        return out
+
+    monkeypatch.setattr(bench, "run_pipeline_model", timed)
+    cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
+                      threads=(1,), repetitions=1, seed=0)
+    report = run_bench(cfg)
+    sgm = {r["stage"]: r["sgm"] for r in report.rows}
+    (stages,) = seen
+    want = {s: shifted_geomean([stages[s]]) for s in bench.STAGES[:-1]}
+    want["total"] = shifted_geomean([sum(stages[s] for s in bench.STAGES[:-1])])
+    assert sgm == pytest.approx(want)
+
+
+def test_run_bench_raises_on_a_k_dependent_output(monkeypatch):
+    def k_dependent(model, limits, k, seed):
+        out_model, pool, plan, stats = run_pipeline_model(model, limits, k, seed)
+        keep = np.arange(len(pool.table) - (k > 1))
+        pool = CutPool(pool.table.take(keep), pool.constraint[keep], pool.varmap)
+        return out_model, pool, plan, stats
+
+    monkeypatch.setattr(bench, "run_pipeline_model", k_dependent)
+    cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
+                      threads=(1, 2), repetitions=1, seed=0)
+    with pytest.raises(AssertionError, match="between k=1 and k=2"):
+        run_bench(cfg)
+
+
+def test_packing_model_puts_node_j_in_column_j():
+    cliques, _ = generate_cliques(30, 20, 0.2, seed=2)
+    model = bench.packing_model(cliques, 30)
+    det = detect(model)
+    assert det.varmap.cols == list(range(30))
+    assert len(det.s_osp) == len(cliques) and model.num_rows == len(cliques)
+    assert sorted(cliques_of(CliqueTable.plain(det.s_osp.lengths(), det.s_osp.nodes, 0))) \
+        == sorted(cliques_of(cliques))
 
 
 def test_run_bench_caps_threads_to_host():

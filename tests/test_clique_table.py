@@ -75,7 +75,7 @@ def test_seeded_knapsack_harvests():
             n = int(rng.integers(2, 9))
             coeffs = sorted(float(a) for a in rng.integers(1, 6, size=n))
             knapsacks.append((coeffs, float(rng.integers(int(coeffs[-1]), 10))))
-        table = detect_cliques_parallel(pbc_table(knapsacks), int(rng.integers(1, 4)), 0)
+        table = detect_cliques_parallel(pbc_table(knapsacks), int(rng.integers(1, 4)))
         assert_written_out(table)
         assert_sorted(table)
         assert_sorted(CliqueTable.concat([table, table.take(table.order()), table]))

@@ -158,7 +158,7 @@ def test_wide_knapsack_builds_in_memory_proportional_to_edges():
     # 1.24 MB; building both edge directions as int64 codes and sorting a
     # copy of them peaked at 13.5 MB.
     coeffs = list(range(1, 801))
-    table = detect_cliques_parallel(pbc_table([(coeffs, 800)]), 1, 0)
+    table = detect_cliques_parallel(pbc_table([(coeffs, 800)]), 1)
     assert len(table.seq_ptr) == 2  # one knapsack sequence
     stats = {}
     tracemalloc.start()

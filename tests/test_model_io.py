@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mps_reference
+from cgcuts.cli import main
 from cgcuts.literals import VarMap
 from cgcuts.model_io import (
     MpsError,
@@ -270,6 +272,30 @@ def test_nan_bound_is_rejected_and_infinite_bounds_are_kept():
                       .replace(" UP BND  x2  1", " UP BND  x2  1e400"))
     assert model.lb.tolist() == [-math.inf, 0.0]
     assert model.ub.tolist() == [math.inf, math.inf]
+
+
+#: x1 fixed at +inf by one LO line, x2 at -inf by MI then UP.
+INF_FIXED_MPS = PACKING_MPS.replace(
+    " UP BND  x1  1\n UP BND  x2  1\n",
+    " LO BND  x1  1e400\n MI BND  x2\n UP BND  x2  -1e400\n",
+)
+
+
+def test_columns_fixed_at_infinity_round_trip():
+    model = parse_mps(INF_FIXED_MPS)
+    assert model.lb.tolist() == model.ub.tolist() == [math.inf, -math.inf]
+    text = write_mps(model)
+    assert " FX BND  x1  inf\n FX BND  x2  -inf\n" in text
+    assert parse_mps(text).signature() == model.signature()
+    assert mps_reference.write_mps(model) == text
+
+
+def test_presolve_of_columns_fixed_at_infinity_exits_0(tmp_path):
+    src = tmp_path / "inf.mps"
+    src.write_text(INF_FIXED_MPS)
+    assert main(["presolve", str(src), "--out-model", str(tmp_path / "a.mps"),
+                 "--out-cuts", str(tmp_path / "a.cuts")]) == 0
+    assert "FX BND  x1  inf" in (tmp_path / "a.mps").read_text()
 
 
 def test_crossing_bounds_name_the_last_bound_line():
