@@ -192,12 +192,15 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
     return report
 
 
-def warn_if_slow(report: BenchReport, k: int = 4, threshold: float = 1.5):
-    """Informational check of the k-fold speedup; warns instead of failing."""
-    speedup = report.speedup(k)
-    if speedup is None:
-        warnings.warn(f"no k={k} measurement available (capped host?)")
+def warn_if_slow(report: BenchReport, threshold: float = 1.0):
+    """Informational check of the total speedup at the largest k swept:
+    warns, instead of failing, when it is below `threshold`, by default
+    when that k is slower than k = 1. A sweep of k = 1 alone has nothing
+    to check."""
+    k = max((row["k"] for row in report.rows), default=1)
+    if k == 1:
         return
+    speedup = report.speedup(k)
     if speedup < threshold:
         warnings.warn(
             f"total speedup at k={k} is {speedup:.2f}x (< {threshold}x); "

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cliques import CliqueTable
-from .parallel import map_blocks, shuffle_partition
+from .parallel import _mix, map_blocks, shuffle_partition
 from .presolve import _ranges
 
 
@@ -216,13 +216,14 @@ def build_graph_parallel(
     Down-sampling and the cumulative pair cap are decided in a seeded
     shuffle of the cliques, so the result is identical for every k; the
     chosen cliques then go to k blocks of whole sequences (`_by_sequence`),
-    each expanded on its own worker:
-    a clique longer than `max_clique_sample` is sampled from its sorted
-    nodes and expanded as a plain clique, and the cliques are taken while
-    the sum of their t(t-1)/2 stays within `max_pairs`. That sum is the
-    pair budget `pairs_expanded`, not the number of codes generated. The
-    trivial edges are not cliques of the input, so they neither count toward
-    `max_pairs` nor appear in `pairs_expanded`.
+    each expanded on its own worker: a clique c longer than
+    `max_clique_sample` keeps its members of smallest hash
+    `_mix(member, _mix(c, seed))`, so that its sample depends on neither k
+    nor the other cliques, and is expanded as a plain clique; the cliques
+    are taken while the sum of their t(t-1)/2 stays within `max_pairs`.
+    That sum is the pair budget `pairs_expanded`, not the number of codes
+    generated. The trivial edges are not cliques of the input, so they
+    neither count toward `max_pairs` nor appear in `pairs_expanded`.
     """
     nodes = table.seq_nodes
     if len(nodes) and (nodes.min() < 0 or nodes.max() >= 2 * n_b):
@@ -234,11 +235,10 @@ def build_graph_parallel(
     chosen = len(budget) if max_pairs is None else int(
         np.searchsorted(budget, max_pairs, side="right"))
     sampled = part.order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
-    rng = np.random.default_rng(seed)
     samples = []
-    for c in sampled.tolist():
+    for c, key in zip(sampled.tolist(), _mix(sampled, seed)):
         members = table.members(c)
-        pick = rng.choice(len(members), size=max_clique_sample, replace=False)
+        pick = np.argsort(_mix(members, key))[:max_clique_sample]
         samples.append(members[np.sort(pick)])
     table = _with_samples(table, sampled, samples)
     block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, part.order[:chosen], k)]

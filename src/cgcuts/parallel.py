@@ -1,8 +1,9 @@
 """Shared fork-join substrate: seeded shuffle, even partitioning and the
 block map.
 
-All shuffles use NumPy's PCG64 generator so a given (count, k, seed) always
-yields the same permutation. Workers receive immutable inputs and hand back
+Every seeded order is a keyed hash, `_mix`, of the items' indices, so a
+given (count, seed) always yields the same permutation, whatever k, and no
+generator stream is kept. Workers receive immutable inputs and hand back
 single-owner partial results; each stage combines them in the calling
 process. The calling process is one of the workers: it runs a map's first
 block itself while forked worker processes run the others (work-first), so
@@ -25,12 +26,36 @@ class Partition:
     blocks: list[np.ndarray]  # k consecutive slices of `order`
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x, seed) -> np.ndarray:
+    """Value x of the SplitMix64 stream seeded with `seed`, for each x of
+    the non-negative integer array `x`, as a uint64 array: a counter-based
+    hash (Steele, Lea and Flood, 2014), one-to-one in x for a given seed.
+    Every operand is a uint64, so NumPy 1.x and 2.x wrap alike."""
+    z = np.array(x, dtype=np.uint64, ndmin=1)
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def shuffle_partition(count: int, k: int, seed: int) -> Partition:
-    """Uniform seeded permutation split into k blocks, sizes within 1."""
+    """Seeded permutation, the order of `_mix` over range(count), split into
+    k blocks, sizes within 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(count)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    order = np.argsort(_mix(np.arange(count), seed), kind="stable")
     blocks = np.array_split(order, k)
     return Partition(order=order, blocks=blocks)
 

@@ -4,7 +4,8 @@
 Every clique is expanded into all of its pairs, one small array per
 clique, so the work is the sum of t(t-1)/2 over the cliques rather than
 O(edges). Down-sampling and the pair cap are decided clique by clique in
-the shuffled order.
+the shuffled order; a sample is a clique's nodes of smallest SplitMix64
+hash, computed here in Python ints.
 """
 from __future__ import annotations
 
@@ -49,11 +50,25 @@ def _pair_index(length: int):
     return np.triu_indices(length, k=1)
 
 
-def _sample_clique(nodes: np.ndarray, limit: int, rng) -> np.ndarray:
+_MASK = (1 << 64) - 1
+
+
+def splitmix64(x: int, seed: int) -> int:
+    """Value x of the SplitMix64 stream seeded with `seed`, in Python ints
+    (Steele, Lea and Flood, 2014)."""
+    z = ((x + 1) * 0x9E3779B97F4A7C15 + seed) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _sample_clique(nodes: np.ndarray, limit: int, c: int, seed: int) -> np.ndarray:
+    """Clique c's `limit` nodes of smallest hash under the key (c, seed)."""
     if limit is None or len(nodes) <= limit:
         return nodes
-    pick = rng.choice(len(nodes), size=limit, replace=False)
-    return nodes[np.sort(pick)]
+    key = splitmix64(c, seed)
+    pick = sorted(range(len(nodes)), key=lambda i: splitmix64(int(nodes[i]), key))
+    return nodes[sorted(pick[:limit])]
 
 
 def _build_block(args):
@@ -85,14 +100,13 @@ def build_graph_parallel(cliques, n_b: int, k: int, seed: int, *,
     the n_b trivial variable/complement edges."""
     cliques = list(cliques)
     part = shuffle_partition(len(cliques), k, seed)
-    rng = np.random.default_rng(seed)
     chosen = [None] * len(cliques)
     total_pairs = 0
     downsampled = 0
     capped = False
     for i in part.order:
         nodes = _clique_nodes(cliques[i], n_b)
-        sampled = _sample_clique(nodes, max_clique_sample, rng)
+        sampled = _sample_clique(nodes, max_clique_sample, int(i), seed)
         downsampled += len(sampled) < len(nodes)
         t = len(sampled)
         pairs = t * (t - 1) // 2

@@ -216,20 +216,21 @@ def test_report_csv_layout():
 
 
 def test_warn_if_slow_paths():
+    # Only the largest k swept is checked.
     import warnings
 
-    fast = BenchReport(rows=[
-        {"k": 4, "stage": "total", "sgm": 0.1, "speedup": 3.0},
-    ])
+    def sweep(*speedups):
+        return BenchReport(rows=[{"k": k, "stage": "total", "sgm": 0.1, "speedup": s}
+                                 for k, s in zip((1, 2, 4), speedups)])
+
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        warn_if_slow(fast)
-    assert record == []
-
-    slow = BenchReport(rows=[
-        {"k": 4, "stage": "total", "sgm": 0.1, "speedup": 1.1},
-    ])
-    with pytest.warns(UserWarning, match="speedup"):
-        warn_if_slow(slow)
-    with pytest.warns(UserWarning, match="no k=4"):
+        warn_if_slow(sweep(1.0, 1.2))  # k = 2 swept, no k = 4 asked for
+        warn_if_slow(sweep(1.0, 0.8, 1.1))  # only the largest k is checked
+        warn_if_slow(sweep(1.0))  # k = 1 alone: nothing to check
         warn_if_slow(BenchReport())
+    assert record == []
+    with pytest.warns(UserWarning, match="speedup at k=2 is 0.90x"):
+        warn_if_slow(sweep(1.0, 0.9))
+    with pytest.warns(UserWarning, match="speedup at k=4 is 1.10x"):
+        warn_if_slow(sweep(1.0, 2.0, 1.1), threshold=1.5)

@@ -14,7 +14,7 @@ from cgcuts.cliques import detect_cliques_parallel
 from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
 from cgcuts.parallel import shuffle_partition
-from conftest import clique_table, pbc_table
+from conftest import clique_table, pbc_table, plain_table
 
 
 def _cliques(sequences, rows):
@@ -149,6 +149,37 @@ def test_sampled_family_member_is_expanded_as_its_sample():
                                       max_clique_sample=4)
             assert stats["downsampled"] == 1
             assert stats["pairs_expanded"] == 6 + 6
+
+
+def _sample_of(g, nodes) -> set:
+    """The nodes of `nodes` that have a conflict edge within `nodes`."""
+    us, vs = g.edges()
+    inside = np.isin(us, nodes) & np.isin(vs, nodes)
+    return set(us[inside].tolist()) | set(vs[inside].tolist())
+
+
+def test_down_sample_is_pinned():
+    # Clique 0 = {0, ..., 9} keeps its 4 nodes of smallest hash under the
+    # key (0, seed 0).
+    g = build_graph_parallel(plain_table([range(10)]), 10, 1, 0, max_clique_sample=4)
+    assert _sample_of(g, np.arange(10)) == {2, 5, 7, 8}
+    assert ref._sample_clique(np.arange(10), 4, 0, 0).tolist() == [2, 5, 7, 8]
+
+
+def test_sample_depends_on_neither_k_nor_the_other_samples():
+    # Clique 0 on nodes 0..11, alone or followed by five more cliques on
+    # disjoint nodes, all of them sampled: its sample stays the same.
+    first = [range(12)]
+    more = [range(12 + 6 * i, 18 + 6 * i) for i in range(5)]
+    for seed in range(5):
+        want = set(ref._sample_clique(np.arange(12), 4, 0, seed).tolist())
+        for cliques in (first, first + more):
+            for k in (1, 2, 4):
+                stats = {}
+                g = build_graph_parallel(plain_table(cliques), 24, k, seed,
+                                         max_clique_sample=4, stats=stats)
+                assert stats["downsampled"] == len(cliques)
+                assert _sample_of(g, np.arange(12)) == want
 
 
 def test_wide_knapsack_builds_in_memory_proportional_to_edges():

@@ -3,10 +3,12 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import graph_reference
 from cgcuts import parallel
 from cgcuts.parallel import map_blocks, shuffle_partition
 
@@ -45,6 +47,29 @@ def test_partition_covers_all_items_disjointly():
 def test_partition_rejects_bad_k():
     with pytest.raises(ValueError):
         shuffle_partition(3, 0, seed=0)
+
+
+def test_partition_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        shuffle_partition(3, 1, seed=-1)
+
+
+def test_shuffle_order_is_pinned():
+    part = shuffle_partition(10, 3, seed=0)
+    assert part.order.tolist() == [2, 4, 6, 8, 5, 1, 7, 0, 9, 3]
+    assert [b.tolist() for b in part.blocks] == [[2, 4, 6, 8], [5, 1, 7], [0, 9, 3]]
+
+
+def test_mix_is_the_splitmix64_stream():
+    # 6457827717110365317 is the first value of SplitMix64 seeded with
+    # 1234567, the published test value of its reference code.
+    assert parallel._mix(np.arange(1), 1234567).tolist() == [6457827717110365317]
+    x = np.array([0, 1, 5, 2**32, 2**63 - 1, 2**64 - 2], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning: every operand wraps
+        for seed in (0, 7, np.uint64(2**64 - 1)):
+            assert parallel._mix(x, seed).tolist() == [
+                graph_reference.splitmix64(v, int(seed)) for v in x.tolist()]
 
 
 def _square_all(block):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,43 @@ def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path, threads):
     assert out.stdout.splitlines()[-1] == f"{threads - 1} []"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_presolve_never_imports_numpy_random(tmp_path, threads):
+    # Every seeded order is a counter hash, so no run pays the time and
+    # memory of importing `numpy.random`; down-sampling binds here too.
+    # NumPy 1.x imports it with `numpy` itself: nothing to guard then.
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    models = [str(tmp_path / f"{shape}.mps") for shape in sorted(gen.SHAPES)]
+    for shape, model in zip(sorted(gen.SHAPES), models):
+        with open(model, "w") as fh:
+            fh.write(gen.generate(shape, 3, 0.2).mps)
+    limits = tmp_path / "limits.json"
+    limits.write_text('{"max_clique_sample": 3}')
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit(print('eager'))\n"
+        "from cgcuts import cli\n"
+        "for model in sys.argv[1:]:\n"
+        f"    assert cli.main(['presolve', model, '--threads', '{threads}',\n"
+        f"                     '--limits', {str(limits)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(cgcuts.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *models], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert out.returncode == 0, out.stderr
+    if out.stdout.splitlines()[-1] == "eager":
+        pytest.skip("this NumPy imports numpy.random with numpy itself")
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_bench_writes_csv(tmp_path):
     csv_path = tmp_path / "bench.csv"
     rc = main([
@@ -470,7 +508,8 @@ def test_cli_bench_rejects_bad_sizes_in_one_line(capsys, extra, message):
 
 @pytest.mark.parametrize("extra", [["--n-b", "0"], ["--cliques", "0"]])
 def test_cli_bench_notes_empty_input(capsys, extra):
-    with pytest.warns(UserWarning, match="no k=4"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing was timed, so nothing is slow
         rc = main(["bench", "--n-b", "40", "--cliques", "30", "--thread-counts", "1",
                    "--reps", "1", *extra])
     assert rc == 0
