@@ -14,25 +14,28 @@ sequences, and its worker expands, per sequence, the pairs of
 S[min start:] once (the suffixes are nested, so this is the union of their
 suffix pairs), plus one star S[head] x S[start:] per clique with a head.
 Plain cliques are their own sequence with no head, so they take the same
-rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v), written
-into one int64 array `_SLICE_PAIRS` pairs at a time, so that the node
-arrays behind them stay small, then sorted in place and deduplicated (k = 1
-runs in this process). The partial arrays and the n_b variable/complement
-edges are sorted runs: one stable sort merges them, and equal neighbours
-are dropped once more.
+rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v), below
+(2*n_b)**2: int32 when that fits (n_b up to 23,170), else int64
+(`code_type`). A block writes them into one array `_SLICE_PAIRS` pairs at
+a time, so that the node arrays behind them stay small, then sorts it in
+place and deduplicates it (k = 1 runs in this process); a worker sends
+back its codes at that width. The partial arrays and the n_b
+variable/complement edges are sorted runs: one stable sort merges them,
+and equal neighbours are dropped once more.
 
 The CSR is built from the distinct codes alone: the row lengths are the
 per-end counts of the codes, each row's upper entries (v > u) are the
 codes' high ends in code order, and its lower entries are the low ends of
 the codes re-keyed v*(2*n_b)+u and sorted in the memory the high ends
-used. The two directions are never both held as int64 codes, so a build
-peaks at a small multiple of its codes plus the CSR.
+used. The two directions are never both held as codes, so a build peaks
+at a small multiple of its codes plus the CSR.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .cliques import CliqueTable
+from .model_io import code_type
 from .parallel import _mix, map_blocks, shuffle_partition
 from .presolve import _ranges
 
@@ -98,7 +101,7 @@ def _dedup(codes: np.ndarray, kind: str | None = None) -> np.ndarray:
 
 def _trivial_codes(n_b: int) -> np.ndarray:
     """Codes of the n_b variable/complement edges (j, j + n_b)."""
-    j = np.arange(n_b, dtype=np.int64)
+    j = np.arange(n_b, dtype=code_type((2 * n_b) ** 2))
     return j * (2 * n_b) + (j + n_b)
 
 
@@ -119,17 +122,18 @@ def _from_codes(n_b: int, parts: list[np.ndarray]) -> ConflictGraph:
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(n_low + n_up, out=indptr[1:])
     # Each row holds its lower entries (columns below the row), then its
-    # upper ones: a mask of the lower slots places both in one pass each.
-    lower = np.repeat(np.tile(np.array([True, False]), dim), counts)
-    index_type = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(len(lower), dtype=index_type)
-    indices[~lower] = high  # by (row, column), as the codes are sorted
+    # upper ones: a mask of the upper slots, inverted in place, places both
+    # in one pass each.
+    mask = np.repeat(np.tile(np.array([False, True]), dim), counts)
+    indices = np.empty(len(mask), dtype=code_type(dim))
+    indices[mask] = high  # by (row, column), as the codes are sorted
     high *= dim
     high += codes  # re-keyed v*dim + u: sorted, it orders the lower entries
     del codes
     high.sort()
     high %= dim
-    indices[lower] = high
+    np.logical_not(mask, out=mask)
+    indices[mask] = high
     return ConflictGraph(n_b, indptr, indices)
 
 
@@ -153,8 +157,8 @@ def _build_block(args):
     b = np.concatenate([np.repeat(ptr[1:], ptr[1:] - shortest),
                         ptr[table.seq + 1][star]])
     ends = np.cumsum(b - a)
-    codes = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
     dim, i, done = 2 * n_b, 0, 0
+    codes = np.empty(int(ends[-1]) if len(ends) else 0, dtype=code_type(dim * dim))
     while done < len(codes):  # stars i..j-1, at least one, per slice
         j = max(int(np.searchsorted(ends, done + _SLICE_PAIRS, side="right")), i + 1)
         u = np.repeat(nodes[h[i:j]], b[i:j] - a[i:j])

@@ -23,12 +23,11 @@ class VarMap:
     def __init__(self, cols):
         self.cols = list(cols)
         self.n_b = len(self.cols)
-        self._pos = {c: i for i, c in enumerate(self.cols)}
-        if len(self._pos) != self.n_b:
+        if len(set(self.cols)) != self.n_b:
             raise ValueError("duplicate columns in variable map")
 
     def node(self, lit: Literal) -> int:
-        pos = self._pos[lit.col]
+        pos = self.cols.index(lit.col)
         return pos + self.n_b if lit.complemented else pos
 
     def literal(self, node: int) -> Literal:

@@ -8,8 +8,9 @@ cliques, at least as long as it, that hold its rarest member. The cliques
 are split into contiguous index ranges, one per worker. A block tests
 `_CHUNK` cliques at a time, each against windows of 1, 2, 4, ... of its
 candidates until one holds a dominator: S_j <= S_i when each of j's
-members is found in the sorted clique*N + node codes. A round tests at most
-twice what a one-by-one scan would, never every pair at once.
+members is found in the sorted clique*N + node codes, which are int32
+when m*N fits (`code_type`), else int64. A round tests at most twice what
+a one-by-one scan would, never every pair at once.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import time
 import numpy as np
 
 from .cliques import CliqueTable
+from .model_io import code_type
 from .parallel import map_blocks
 from .presolve import _indptr, _ranges, _within
 
@@ -28,9 +30,11 @@ _CHUNK = 4096
 
 def _merge_block(args):
     nodes, lens, pivots, starts, ids, j_lo, j_hi, deadline = args
-    nodes, ids = nodes.astype(np.int64), ids.astype(np.int64)
+    n = len(starts) - 1
+    code = code_type(len(lens) * n)
+    nodes, ids = nodes.astype(code, copy=False), ids.astype(code, copy=False)
     first = _indptr(lens)
-    codes = np.repeat(np.arange(len(lens)) * (len(starts) - 1), lens) + nodes
+    codes = np.repeat(np.arange(len(lens), dtype=code) * n, lens) + nodes
     removed = np.zeros(j_hi - j_lo, dtype=bool)
     work = 0
     deadline_hit = False
@@ -50,7 +54,7 @@ def _merge_block(args):
             pair, i, jp = pair[keep], i[keep], j[pair[keep]]
             count = np.bincount(pair, minlength=len(j))
             rank = seen[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
-            q = np.repeat(i * (len(starts) - 1), lens[jp]) + nodes[_ranges(first[jp], first[jp + 1])]
+            q = np.repeat(i * n, lens[jp]) + nodes[_ranges(first[jp], first[jp + 1])]
             missing = np.repeat(np.arange(len(pair)), lens[jp])[~_within(codes, q)]
             hits = np.flatnonzero((np.bincount(missing, minlength=len(pair)) == 0)
                                   & ((lens[i] > lens[jp]) | (i < jp)))
@@ -95,7 +99,7 @@ def removal_flags(
     # Pivot of each clique: its member in the fewest cliques, the first in
     # sorted node order on a tie (lexsort is stable in the position).
     pivots = flat[np.lexsort((counts[flat], owner))[np.cumsum(lens) - lens]]
-    small = np.int32 if max(len(counts), m) <= np.iinfo(np.int32).max else np.int64
+    small = code_type(max(len(counts), m))
     flat, ids, pivots = flat.astype(small), ids.astype(small), pivots.astype(small)
     bounds = np.linspace(0, m, k + 1).astype(int)
     block_args = [

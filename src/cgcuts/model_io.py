@@ -172,6 +172,12 @@ def _indptr(lens: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def code_type(bound: int) -> type:
+    """`np.int32` when integer codes below `bound` fit in it (bound at most
+    2**31 - 1), else `np.int64`."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """`arange(starts[i], stops[i])` for every i, one after the other."""
     lens = stops - starts
@@ -634,6 +640,9 @@ def parse_mps_file(path) -> MipModel:
 #: Lines formatted per slice of the writer: each slice's pieces are joined
 #: and dropped before the next slice is made.
 _SLICE_LINES = 1 << 13
+#: Pieces formatted per slice of the cut pool, whose lines have as many
+#: pieces as their cuts have members.
+_SLICE_PIECES = 1 << 15
 
 
 def _fmt(v: float) -> str:
@@ -824,8 +833,10 @@ def export_cut_pool(pool: CutPool) -> str:
 
     A line's pieces are its tag's head and its members' signed 1-based
     column indices, each followed by a space or, the last, a newline. Each
-    text is made once and picked by index arrays, `_SLICE_LINES` lines at a
-    time, as `_write` does.
+    text is made once and picked by int32 index arrays, in slices of whole
+    lines of at most `_SLICE_PIECES` pieces (one line when a line has
+    more), so that a pool of long cuts never holds all of its pieces at
+    once; the slices are joined into one text.
     """
     cuts = pool.table.take(np.flatnonzero(~pool.constraint))
     lens, nodes = cuts.flat()
@@ -843,11 +854,13 @@ def export_cut_pool(pool: CutPool) -> str:
                     + [f"{w} " for w in signed] + [f"{w}\n" for w in signed],
                     dtype=object)
     ptr = _indptr(lens + 1)  # line c is pieces ptr[c]:ptr[c + 1], its head first
-    idx = np.insert((np.cumsum(seen) - 1)[nodes] + 2 * len(TAGS), _indptr(lens)[:-1],
+    rank = np.cumsum(seen, dtype=np.int32) - 1
+    idx = np.insert(rank[nodes] + 2 * len(TAGS), _indptr(lens)[:-1],
                     cuts.tag + len(TAGS) * (lens == 0))
     idx[ptr[1:][lens > 0] - 1] += len(used)
-    out = []
-    for lo in range(0, len(lens), _SLICE_LINES):
-        hi = min(lo + _SLICE_LINES, len(lens))
+    out, lo = [], 0
+    while lo < len(lens):  # whole lines, at least one, per slice
+        hi = max(int(np.searchsorted(ptr, ptr[lo] + _SLICE_PIECES, side="right")) - 1, lo + 1)
         out.append("".join(text[idx[ptr[lo]:ptr[hi]]].tolist()))
+        lo = hi
     return "".join(out)

@@ -7,12 +7,14 @@ writes every clique out pair by pair."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import cliques_reference
 import graph_reference as ref
 from cgcuts.cliques import detect_cliques_parallel
 from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
+from cgcuts.model_io import code_type
 from cgcuts.parallel import shuffle_partition
 from conftest import clique_table, pbc_table, plain_table
 
@@ -84,6 +86,8 @@ def _fuzz(seed: int, trials: int) -> dict:
     fired = {"sampled": 0, "capped": 0, "plain": 0}
     for trial in range(trials):
         n_b = int(rng.integers(8, 40))
+        if trial % 10 == 0:  # either side of the int32 code boundary
+            n_b = (23_170, 23_171)[trial // 10 % 2]
         sequences, rows = _random_input(rng, n_b)
         limits = {}
         if rng.random() < 0.5:
@@ -201,3 +205,27 @@ def test_wide_knapsack_builds_in_memory_proportional_to_edges():
     assert stats["pairs_expanded"] == 80_200 + 10_666_600
     assert g.stored_nnz == 2 * (160_000 + 800)
     assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("n_b, width", [(23_170, np.int32), (23_171, np.int64)])
+def test_builds_on_both_sides_of_the_code_boundary(monkeypatch, n_b, width):
+    # Edge codes lie below (2 * n_b)**2: 2,147,395,600 for n_b = 23,170
+    # fits in int32, 2,147,580,964 for n_b = 23,171 does not. Random
+    # families and cliques, plus one clique on the two highest nodes, which
+    # gives the largest code and, re-keyed, the largest lower entry.
+    assert code_type((2 * n_b) ** 2) is width
+    seen = set()
+    dedup = graph._dedup
+
+    def spy(codes, kind=None):
+        seen.add(codes.dtype.type)
+        return dedup(codes, kind)
+
+    monkeypatch.setattr(graph, "_dedup", spy)
+    rng = np.random.default_rng(911)
+    for trial in range(6):
+        sequences, rows = _random_input(rng, n_b)
+        rows.append((len(sequences), -1, 0))
+        sequences.append((0, 2 * n_b - 2, 2 * n_b - 1))
+        assert_same_build(sequences, rows, n_b, 1 + trial % 2, trial)
+    assert seen == {width}

@@ -8,6 +8,7 @@ import pytest
 
 import merge_reference as ref
 from cgcuts import merge, parallel
+from cgcuts.model_io import code_type
 from conftest import plain_table
 
 
@@ -122,3 +123,40 @@ def test_merge_of_many_copies_stays_linear_in_time_and_memory():
     assert flags.tolist() == [False] + [True] * (m - 1)
     assert counters["subset_work"] == t * (m - 1) * 2
     assert peak < 12 * (m * t * 8), peak
+
+
+def test_code_width_switches_at_the_merge_boundary():
+    # Membership codes clique * N + node lie below m * N.
+    assert code_type(2**31 - 1) is np.int32
+    assert code_type(2**31) is np.int64
+
+
+@pytest.mark.parametrize("m, width", [(46_339, np.int32), (46_341, np.int64)])
+def test_matches_frozenset_loop_on_both_sides_of_the_code_boundary(monkeypatch, m, width):
+    # The literals of n_b = 23,171, the highest one in use, so N = 46,342
+    # and m * N is 2,147,441,938 (int32 codes) or 2,147,534,622 (int64).
+    # The last clique, whose codes are the highest, dominates the first.
+    n = 2 * 23_171
+    rng = np.random.default_rng(1404)
+    pool = [(0, n - 1)]
+    while len(pool) < m - 1:
+        r = rng.random()
+        if r < 0.3:  # a copy or a sub-clique of an earlier clique
+            nodes = pool[int(rng.integers(len(pool)))]
+            t = int(rng.integers(1, len(nodes) + 1))
+            pool.append(tuple(sorted(rng.choice(nodes, size=t, replace=False).tolist())))
+        else:
+            t = int(rng.integers(1, 6))
+            pool.append(tuple(sorted(rng.choice(n, size=t, replace=False).tolist())))
+    pool.append((0, 1, n - 1))
+    seen = set()
+    within = merge._within
+
+    def spy(codes, q):
+        seen.update({codes.dtype.type, q.dtype.type})
+        return within(codes, q)
+
+    monkeypatch.setattr(merge, "_within", spy)
+    flags, _ = assert_same_flags(pool, 1)
+    assert seen == {width}
+    assert flags[0] and flags.sum() > m // 5
