@@ -62,7 +62,10 @@ class MipModel:
     A is held once, in compressed sparse row form: row i has the columns
     `cols[indptr[i]:indptr[i + 1]]` (int64, ascending) with the nonzero
     coefficients `vals` at the same positions (float64). `row(i)` gives
-    both as views.
+    both as views. `integers` is I as one sorted int64 array of distinct
+    column ids; any iterable of ids is normalized to it, one outside
+    [0, num_cols) raises a `ValueError`, and an array already in that form
+    is kept as it is, so models that share I share the array.
     """
 
     col_names: list[str]
@@ -75,10 +78,27 @@ class MipModel:
     obj: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    integers: set[int]
+    integers: np.ndarray
     name: str = "MODEL"
     obj_name: str = "OBJ"
     minimize: bool = True
+
+    def __post_init__(self):
+        ints = self.integers
+        if not isinstance(ints, np.ndarray):
+            ints = np.fromiter(ints, np.int64)
+        self.integers = ints = ints.astype(np.int64, copy=False)
+        if len(ints) and not 0 <= ints.min() <= ints.max() < self.num_cols:
+            bad = ints[(ints < 0) | (ints >= self.num_cols)][0]
+            raise ValueError(f"integer column {bad} out of range for {self.num_cols} columns")
+        if np.any(ints[1:] <= ints[:-1]):  # unsorted or repeated
+            self.integers = np.flatnonzero(self.integer_mask())
+
+    def integer_mask(self) -> np.ndarray:
+        """Per column, whether it is integer."""
+        mask = np.zeros(self.num_cols, dtype=bool)
+        mask[self.integers] = True
+        return mask
 
     @property
     def num_rows(self) -> int:
@@ -98,9 +118,9 @@ class MipModel:
         return self.cols[a:b], self.vals[a:b]
 
     @property
-    def binaries(self) -> set[int]:
-        """Columns j with j integer, l_j = 0 and u_j = 1."""
-        return {j for j in self.integers if self.lb[j] == 0.0 and self.ub[j] == 1.0}
+    def binaries(self) -> np.ndarray:
+        """Columns j with j integer, l_j = 0 and u_j = 1, ascending."""
+        return binary_cols(self.integers, self.lb, self.ub)
 
     def signature(self):
         """Name-independent numeric tuple; equal signatures = equal models."""
@@ -108,15 +128,22 @@ class MipModel:
                      + tuple(sorted(zip(*(x.tolist() for x in self.row(i)))))
                      for i in range(self.num_rows))
         obj, lb, ub = (tuple(map(float, x)) for x in (self.obj, self.lb, self.ub))
-        return (self.num_rows, self.num_cols, rows, obj, lb, ub, frozenset(self.integers),
+        return (self.num_rows, self.num_cols, rows, obj, lb, ub, tuple(self.integers.tolist()),
                 self.minimize)
+
+
+def binary_cols(integers: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The columns of the sorted array `integers` whose bounds `lb`, `ub`
+    are [0, 1], ascending."""
+    return integers[(lb[integers] == 0.0) & (ub[integers] == 1.0)]
 
 
 @dataclass
 class CutPool:
     """The clique pool, sorted by (tag, members) as `CliqueTable.order`
     sorts it, and per clique whether it is a model constraint (else a user
-    cut), over the nodes of `varmap`."""
+    cut), over the nodes of `varmap`: its `cols` is detection's sorted int64
+    array of the binary columns, which the writers read as it is."""
 
     table: CliqueTable
     constraint: np.ndarray
@@ -307,7 +334,7 @@ class _Reader:
         self.row_id: dict[str, int] = {}  # name -> row id, _OBJ or _FREE
         self.col_order: list[str] = []
         self.col_idx: dict[str, int] = {}
-        self.integers: set[int] = set()
+        self.integers = [np.empty(0, np.int64)]  # per slice, integer column ids
         self.integer = False  # between INTORG and INTEND markers
         # Keyed by row id; an objective constant lands on _OBJ, never read.
         self.rhs_val: dict[int, float] = {}
@@ -392,7 +419,7 @@ class _Reader:
         at = at[good]
         ids = self._col_ids(tok[off[at]])
         ints = ids[np.array(states)[np.searchsorted(flips, at, "right")]]
-        self.integers.update(ints[np.diff(ints, prepend=-1) != 0].tolist())
+        self.integers.append(ints[np.diff(ints, prepend=-1) != 0])
         self.entries.append((np.repeat(ids, npair), rids, vals))
 
     def _col_ids(self, names: np.ndarray) -> np.ndarray:
@@ -449,7 +476,7 @@ class _Reader:
         _raise_first(errors)
         val = np.full(len(line), math.nan)
         val[at] = vals
-        self.integers.update(col[code >= _BOUND_CODE["BV"]].tolist())
+        self.integers.append(col[code >= _BOUND_CODE["BV"]])
         self.bnd.append((col, code, val, line))
 
     # Assembly --------------------------------------------------------------
@@ -607,7 +634,7 @@ def parse_mps(text: str) -> MipModel:
         obj=obj,
         lb=lbs,
         ub=ubs,
-        integers=rd.integers,
+        integers=np.concatenate(rd.integers),
         name=rd.name,
         obj_name=rd.obj_name or "OBJ",
         minimize=rd.minimize,
@@ -704,12 +731,6 @@ def _bound_lines(names: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> list[str]
     return _lines(len(col), (heads, kind), (names, col), (text, val))
 
 
-def _is_int(model: MipModel, cols: np.ndarray) -> np.ndarray:
-    """Whether each column is in `model.integers`."""
-    ints = np.fromiter(model.integers, np.int64, len(model.integers))
-    return np.isin(cols, ints)
-
-
 def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     """Free-format MPS of `model`'s columns with the given rows, whose
     nonzeros are (cols, vals, row_of) in row order.
@@ -743,7 +764,7 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     # Marker lines take the entry layout with names of their own: INTORG
     # before each column where integrality switches on, INTEND where it
     # switches off and after the last column when that is integer.
-    is_int = _is_int(model, np.arange(n))
+    is_int = model.integer_mask()
     switch = np.flatnonzero(np.diff(is_int, append=False, prepend=False))
     marker = np.arange(len(switch))
     at = np.concatenate([[0], np.cumsum(count)])[switch]
@@ -785,8 +806,8 @@ def _clique_rows(table: CliqueTable, varmap: VarMap, model: MipModel):
     (col, coeff), and the right-hand sides."""
     lens, nodes = table.flat()
     n_b = varmap.n_b
-    vcols = np.asarray(varmap.cols, dtype=np.int64)
-    binary = _is_int(model, vcols) & ~(model.lb[vcols] < 0.0) & ~(model.ub[vcols] > 1.0)
+    vcols = varmap.cols
+    binary = model.integer_mask()[vcols] & ~(model.lb[vcols] < 0.0) & ~(model.ub[vcols] > 1.0)
     comp = nodes >= n_b
     pos = np.where(comp, nodes - n_b, nodes)
     ok = (nodes >= 0) & (nodes < 2 * n_b)
@@ -846,7 +867,7 @@ def export_cut_pool(pool: CutPool) -> str:
     seen = np.zeros(2 * n_b, dtype=bool)
     seen[nodes] = True
     used = np.flatnonzero(seen)
-    col = np.asarray(pool.varmap.cols, dtype=np.int64) + 1
+    col = pool.varmap.cols + 1
     signed = np.concatenate([col, -col])[used].tolist()
     # The heads "<tag> ", then "<tag> \n" for a line without members, and
     # each literal in use with a space, then with a newline.

@@ -237,6 +237,8 @@ def run_pipeline(
     base_model, pool, plan, stats = run_pipeline_model(
         model, limits=limits, k=k, seed=seed
     )
+    # Freed before emit, unless the time-limit pass-through returned it.
+    del model
     t0 = time.perf_counter()
     if out_model is not None:
         with open(out_model, "w") as fh:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .literals import VarMap
-from .model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, _indptr, _ranges, stable_order
+from .model_io import (SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, _indptr, _ranges, binary_cols,
+                       stable_order)
 
 #: Conservative comparison tolerance: a conflict is only asserted when
 #: a_i + a_j > rhs + TOL * max(1, a_i + a_j, |rhs|), so float noise can never
@@ -126,6 +127,13 @@ class PbcTable:
 
 @dataclass
 class DetectionResult:
+    """What `detect` gives the pipeline: the model left after strengthening
+    (bounds tightened and fixed, osp rows removed; it shares the input's
+    `integers` array and, where no row was dropped, its CSR arrays), the
+    osp, isp and ck tables, the fixings as (column, value), and `varmap`
+    over the binary columns, whose `cols` is the sorted int64 array that
+    the tables' nodes index."""
+
     model: MipModel
     s_osp: PbcTable
     s_isp: PbcTable
@@ -188,7 +196,7 @@ def _submodel(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub) -> MipModel
         obj=model.obj.copy(),
         lb=lb,
         ub=ub,
-        integers=set(model.integers),
+        integers=model.integers,
         name=model.name,
         obj_name=model.obj_name,
         minimize=model.minimize,
@@ -364,9 +372,7 @@ def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
 def _strengthened(model: MipModel, rows: _Rows):
     """(lb, ub, ids of the rows kept) after `_strengthen`."""
     lb, ub = model.lb.copy(), model.ub.copy()
-    is_int = np.zeros(model.num_cols, dtype=bool)
-    is_int[list(model.integers)] = True
-    _strengthen(rows, lb, ub, is_int)
+    _strengthen(rows, lb, ub, model.integer_mask())
     return lb, ub, np.flatnonzero(np.diff(rows.indptr) >= 2)
 
 
@@ -430,16 +436,10 @@ def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray):
     ), size[keep]
 
 
-def _binary_cols(integers, lb, ub) -> np.ndarray:
-    ints = np.fromiter(integers, np.int64, len(integers))
-    return np.sort(ints[(lb[ints] == 0.0) & (ub[ints] == 1.0)])
-
-
 def rewrite_rows(model: MipModel) -> PbcTable:
     """The <=-forms of the model's rows as pure binary constraints, in
-    (row, LE then GE) order, over the nodes of `VarMap(sorted(binaries))`."""
-    return _rewrite(_Rows.of(model), model.lb, model.ub,
-                    _binary_cols(model.integers, model.lb, model.ub))[0]
+    (row, LE then GE) order, over the nodes of `VarMap(model.binaries)`."""
+    return _rewrite(_Rows.of(model), model.lb, model.ub, model.binaries)[0]
 
 
 def classify_rows(model: MipModel) -> DetectionResult:
@@ -461,7 +461,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     exceed the rhs), a singleton (a fixing when its coefficient exceeds the
     rhs) or inert. The tables' `source_row` is the row's entry in `ids`.
     """
-    bins = _binary_cols(model.integers, lb, ub)
+    bins = binary_cols(model.integers, lb, ub)
     n_b = len(bins)
     pbc, size = _rewrite(rows, lb, ub, bins)
 
@@ -511,7 +511,7 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
         s_isp=pbc.take(np.flatnonzero(packing & ~osp)),
         s_ck=pbc.take(np.flatnonzero(ck)),
         fixings=list(zip(fcol.tolist(), fval.tolist())),
-        varmap=VarMap(bins.tolist()),
+        varmap=VarMap(bins),
         work=int(rows.indptr[-1]),
     )
 

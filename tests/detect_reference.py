@@ -196,7 +196,7 @@ def classify_rows(m: MipModel) -> Detection:
     """The classification loop of `detect`, on a model taken as already
     strengthened."""
     m = copy.deepcopy(m)
-    binaries = m.binaries
+    binaries = set(m.binaries.tolist())
     varmap = VarMap(sorted(binaries))
     s_osp, s_isp, s_ck = [], [], []
     fixings: list[tuple[int, int]] = []

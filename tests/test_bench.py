@@ -167,7 +167,7 @@ def test_packing_model_puts_node_j_in_column_j():
     cliques, _ = generate_cliques(30, 20, 0.2, seed=2)
     model = bench.packing_model(cliques, 30)
     det = detect(model)
-    assert det.varmap.cols == list(range(30))
+    assert det.varmap.cols.tolist() == list(range(30))
     assert len(det.s_osp) == len(cliques) and model.num_rows == len(cliques)
     assert sorted(cliques_of(CliqueTable.plain(det.s_osp.lengths(), det.s_osp.nodes, 0))) \
         == sorted(cliques_of(cliques))

@@ -253,7 +253,7 @@ def test_fuzz_covers_the_listed_cases():
                           "fractional integer bound"], 0)
     for _ in range(400):
         model = random_mip(rng)
-        general = sorted(model.integers - model.binaries)
+        general = np.setdiff1d(model.integers, model.binaries)
         hits["fractional integer bound"] += bool(
             np.any(model.lb[general] % 1) or np.any(model.ub[general] % 1))
         try:

@@ -1,4 +1,5 @@
 """MPS parsing, writing and cut-pool serialization."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 import mps_reference
 from cgcuts.cli import main
-from cgcuts.literals import VarMap
+from cgcuts.literals import Literal, VarMap
 from cgcuts.model_io import (
     MpsError,
     export_cut_pool,
@@ -16,8 +17,9 @@ from cgcuts.model_io import (
     write_augmented_mps,
     write_mps,
 )
+from cgcuts.presolve import detect
 
-from conftest import cut_pool, model_of_rows
+from conftest import cut_pool, make_model, model_of_rows
 
 PACKING_MPS = """\
 NAME tiny
@@ -43,7 +45,7 @@ def test_parse_smallest_packing_instance():
     assert model.num_rows == 1
     assert model.num_cols == 2
     assert model.nnz == 2
-    assert model.binaries == {0, 1}
+    assert model.binaries.tolist() == [0, 1]
     assert model.senses == ["L"]
     assert model.rhs[0] == 1.0
 
@@ -91,8 +93,8 @@ def test_parse_hand_checked_file():
     assert model.obj.tolist() == [2.0, -1.0, 0.0, 0.0]
     assert model.lb.tolist() == [0.0, 0.0, -math.inf, 2.0]
     assert model.ub.tolist() == [1.0, 6.0, math.inf, 2.0]
-    assert model.integers == {0}
-    assert model.binaries == {0}
+    assert model.integers.tolist() == [0]
+    assert model.binaries.tolist() == [0]
     cols, vals = model.row(0)
     assert cols.tolist() == [0, 1, 3]
     assert vals.tolist() == [3.0, 1.5, 4.0]
@@ -101,7 +103,7 @@ def test_parse_hand_checked_file():
 def test_parse_bv_bound_marks_binary():
     text = PACKING_MPS.replace(" UP BND  x1  1", " BV BND  x1")
     model = parse_mps(text)
-    assert model.binaries == {0, 1}
+    assert model.binaries.tolist() == [0, 1]
 
 
 def test_parse_ranges_expand_to_paired_rows():
@@ -194,6 +196,45 @@ def test_augmented_rejects_non_binary_columns():
     pool = cut_pool([((0, 1), "org_long", True)], VarMap([0, 1]))
     with pytest.raises(MpsError, match="non-binary"):
         write_augmented_mps(model, pool)
+
+
+def test_integers_are_one_sorted_array_that_detection_shares():
+    model = make_model(4, [{0: 3.0, 1: 2.0, 3: 2.0}], ["L"], [4.0], binary=[0, 1])
+    model = dataclasses.replace(model, integers=[3, 1, 3, 0])
+    assert model.integers.dtype == np.int64
+    assert model.integers.tolist() == [0, 1, 3]
+    assert model.binaries.tolist() == [0, 1]
+    assert detect(model).model.integers is model.integers
+
+
+@pytest.mark.parametrize("integers, bad", [({0, 1, -1}, -1), ({7}, 7)])
+def test_model_rejects_integer_ids_outside_its_columns(integers, bad):
+    # Column -1 would read as the last column, and 7 fail in strengthening.
+    with pytest.raises(ValueError, match=f"integer column {bad} out of range"):
+        make_model(3, [{0: 1.0, 1: 1.0}], ["L"], [1.0], integers=integers,
+                   ub=[1.0, 1.0, 1.0])
+
+
+def test_varmap_is_a_view_over_the_sorted_columns():
+    for cols in ([2, 5, 9], np.array([2, 5, 9])):
+        varmap = VarMap(cols)
+        assert varmap.cols.dtype == np.int64 and varmap.cols.tolist() == [2, 5, 9]
+        assert len(varmap) == varmap.n_b == 3
+        assert [varmap.node(Literal(j)) for j in (2, 5, 9)] == [0, 1, 2]
+        assert varmap.node(Literal(9, True)) == 5
+        assert varmap.literal(4) == Literal(5, True) and varmap.literal(0) == Literal(2)
+        assert [varmap.signed_index(v) for v in range(6)] == [3, 6, 10, -3, -6, -10]
+    for missing in (0, 3, 10):
+        with pytest.raises(ValueError, match="not in the variable map"):
+            varmap.node(Literal(missing))
+    with pytest.raises(ValueError, match="out of range"):
+        varmap.literal(6)
+
+
+@pytest.mark.parametrize("cols", [[0, 1, 1], [0, 2, 1]])
+def test_varmap_rejects_duplicate_or_unsorted_columns(cols):
+    with pytest.raises(ValueError, match="ascending and distinct"):
+        VarMap(cols)
 
 
 def test_export_line_format():
@@ -315,9 +356,9 @@ def test_unbounded_integer_column_is_a_general_integer():
     # An INTORG column without bounds reads as lb = 0, ub = inf: integer,
     # but not binary.
     model = parse_mps(PACKING_MPS.replace(" UP BND  x2  1\n", ""))
-    assert model.integers == {0, 1}
+    assert model.integers.tolist() == [0, 1]
     assert (model.lb[1], model.ub[1]) == (0.0, math.inf)
-    assert model.binaries == {0}
+    assert model.binaries.tolist() == [0]
 
 
 def _wide_model(n: int, m: int, per_row: int, seed: int):
@@ -339,7 +380,7 @@ def _wide_model(n: int, m: int, per_row: int, seed: int):
         ub=np.choose(kind, [1.0, 20.0, 50.5]),
         integers={int(j) for j in np.flatnonzero(kind < 2)},
     )
-    varmap = VarMap(sorted(model.binaries))
+    varmap = VarMap(model.binaries)
     records = [
         (tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, 6, replace=False))),
          "org_other", True)

@@ -17,10 +17,11 @@ differs.
 import hashlib
 import os
 import sys
+import weakref
 
 import pytest
 
-from cgcuts import cliques, extend, graph, merge, parallel, pipeline
+from cgcuts import cliques, extend, graph, merge, model_io, parallel, pipeline
 from cgcuts.model_io import TAGS, export_cut_pool, parse_mps, write_augmented_mps
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -173,3 +174,34 @@ def test_time_limit_passthrough_after_each_stage(monkeypatch, shape, check):
         assert all(0 < abs(int(j)) <= model.num_cols for j in indices)
     tags = {tag for tag, c in stats.tag_counts.items() if c["total"]}
     assert {line.split()[0] for line in cuts.splitlines()} == tags
+
+
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_passthrough_keeps_the_parsed_model_for_emit(tmp_path, monkeypatch, shape):
+    # The deadline fires at its 3rd check, after graph build: the file-level
+    # run emits the parsed model itself, so it is still alive at emit.
+    src = tmp_path / "model.mps"
+    src.write_text(_input(shape))
+    calls, parsed, alive = [], [], []
+    parse, write = model_io.parse_mps_file, model_io.write_augmented_mps
+
+    def expired(self):
+        calls.append(None)
+        return len(calls) >= 3
+
+    def parse_spy(path):
+        out = parse(path)
+        parsed.append(weakref.ref(out))
+        return out
+
+    def write_spy(base, pool):
+        alive.append(base is parsed[0]())
+        return write(base, pool)
+
+    monkeypatch.setattr(pipeline._Deadline, "expired", expired)
+    monkeypatch.setattr(model_io, "parse_mps_file", parse_spy)
+    monkeypatch.setattr(model_io, "write_augmented_mps", write_spy)
+    stats = pipeline.run_pipeline(src, out_model=tmp_path / "aug.mps",
+                                  out_cuts=tmp_path / "pool.cuts")
+    assert stats.flags["time_limit_hit"] and alive == [True]
+    assert _sha((tmp_path / "pool.cuts").read_text()) == PINNED_PASSTHROUGH[shape][1]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ def test_merge_skip_flag():
         model, limits=Limits(max_merge_cliques=1)
     )
     assert stats.flags["merge_skipped"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("model, removed", [pytest.param(PACKING, 1, id="removes-a-row"),
+                                             pytest.param(KNAPSACK6, 0, id="removes-none")])
+def test_parsed_model_is_freed_before_emit(tmp_path, monkeypatch, k, model, removed):
+    # Detection removes PACKING's one row and none of KNAPSACK6's; either
+    # way the parsed model must be gone, without a garbage collection, by
+    # the time the augmented model is written.
+    src = tmp_path / "model.mps"
+    src.write_text(write_mps(model))
+    parse, write = model_io.parse_mps_file, model_io.write_augmented_mps
+    parsed, alive = [], []
+
+    def parse_spy(path):
+        out = parse(path)
+        parsed.append(weakref.ref(out))
+        return out
+
+    def write_spy(base, pool):
+        alive.append(parsed[0]() is not None)
+        return write(base, pool)
+
+    monkeypatch.setattr(model_io, "parse_mps_file", parse_spy)
+    monkeypatch.setattr(model_io, "write_augmented_mps", write_spy)
+    stats = run_pipeline(src, k=k, out_model=tmp_path / "aug.mps",
+                         out_cuts=tmp_path / "pool.cuts")
+    assert stats.rows_removed == removed and not stats.flags["time_limit_hit"]
+    assert alive == [False]
 
 
 def test_time_limit_degrades_to_passthrough(tmp_path):
