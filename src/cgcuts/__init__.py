@@ -3,7 +3,6 @@
 from .cliques import CliqueTable, detect_cliques_parallel
 from .extend import extend_parallel
 from .graph import ConflictGraph, build_graph_parallel
-from .literals import Literal, VarMap
 from .merge import removal_flags
 from .model_io import (
     CutPool,

@@ -100,7 +100,7 @@ def generate_cliques(n_b: int, num_cliques: int, p: float, seed: int):
 
 def packing_model(cliques: CliqueTable, n_b: int) -> MipModel:
     """One row `sum x_j <= 1` per clique over n_b binary columns: column j
-    is node j, as the pipeline's `VarMap` is the sorted binaries."""
+    is node j, as detection's binary columns are the sorted binaries."""
     lens, cols = cliques.flat()
     m = len(lens)
     return MipModel(

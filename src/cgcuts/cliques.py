@@ -143,7 +143,7 @@ class CliqueTable:
         )
 
     # The harvest's counts as the benchmark's tracer (perfbench/spans.py)
-    # reads them; these go when it reads the tags (ROADMAP item 7).
+    # reads them; these go when it reads the tags (ROADMAP item 1).
     @property
     def c_org(self) -> np.ndarray:
         return np.flatnonzero(self.tag == ORG)

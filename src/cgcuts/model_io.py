@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .literals import VarMap
 
 if TYPE_CHECKING:
     from .cliques import CliqueTable
@@ -62,10 +60,13 @@ class MipModel:
     A is held once, in compressed sparse row form: row i has the columns
     `cols[indptr[i]:indptr[i + 1]]` (int64, ascending) with the nonzero
     coefficients `vals` at the same positions (float64). `row(i)` gives
-    both as views. `integers` is I as one sorted int64 array of distinct
-    column ids; any iterable of ids is normalized to it, one outside
-    [0, num_cols) raises a `ValueError`, and an array already in that form
-    is kept as it is, so models that share I share the array.
+    both as views. `senses` holds each row's sense as one "<U1" array;
+    any iterable of senses is normalized to it, and a sense other than
+    SENSE_LE, SENSE_GE or SENSE_EQ raises a `ValueError`. `integers` is I
+    as one sorted int64 array of distinct column ids; any iterable of ids
+    is normalized to it, one outside [0, num_cols) raises a `ValueError`,
+    and an array already in that form is kept as it is, so models that
+    share I share the array.
     """
 
     col_names: list[str]
@@ -73,7 +74,7 @@ class MipModel:
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    senses: list[str]  # SENSE_LE / SENSE_GE / SENSE_EQ per row
+    senses: np.ndarray
     rhs: np.ndarray
     obj: np.ndarray
     lb: np.ndarray
@@ -84,6 +85,15 @@ class MipModel:
     minimize: bool = True
 
     def __post_init__(self):
+        senses = self.senses
+        senses = np.asarray(senses if isinstance(senses, np.ndarray) else list(senses), dtype=str)
+        # Checked before narrowing to "<U1", which would read "LE" as "L".
+        bad = np.flatnonzero((senses != SENSE_LE) & (senses != SENSE_GE) & (senses != SENSE_EQ))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"row {self.row_names[i]!r} has sense {str(senses[i])!r}, "
+                             "not L, G or E")
+        self.senses = senses.astype("<U1", copy=False)
         ints = self.integers
         if not isinstance(ints, np.ndarray):
             ints = np.fromiter(ints, np.int64)
@@ -93,6 +103,19 @@ class MipModel:
             raise ValueError(f"integer column {bad} out of range for {self.num_cols} columns")
         if np.any(ints[1:] <= ints[:-1]):  # unsorted or repeated
             self.integers = np.flatnonzero(self.integer_mask())
+
+    def take_rows(self, rows: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> MipModel:
+        """This model with only the rows `rows` (ascending and distinct) and
+        the bounds `lb`, `ub`. It shares every other array and list; when
+        every row is kept, also `indptr`, `cols` and `vals`."""
+        indptr, cols, vals = self.indptr, self.cols, self.vals
+        if len(rows) < self.num_rows:
+            pos = _ranges(indptr[rows], indptr[rows + 1])
+            indptr, cols, vals = _indptr(np.diff(indptr)[rows]), cols[pos], vals[pos]
+        names = self.row_names
+        return replace(self, row_names=[names[i] for i in rows.tolist()], indptr=indptr,
+                       cols=cols, vals=vals, senses=self.senses[rows], rhs=self.rhs[rows],
+                       lb=lb, ub=ub)
 
     def integer_mask(self) -> np.ndarray:
         """Per column, whether it is integer."""
@@ -124,7 +147,8 @@ class MipModel:
 
     def signature(self):
         """Name-independent numeric tuple; equal signatures = equal models."""
-        rows = tuple((self.senses[i], float(self.rhs[i]))
+        senses = self.senses.tolist()
+        rows = tuple((senses[i], float(self.rhs[i]))
                      + tuple(sorted(zip(*(x.tolist() for x in self.row(i)))))
                      for i in range(self.num_rows))
         obj, lb, ub = (tuple(map(float, x)) for x in (self.obj, self.lb, self.ub))
@@ -142,12 +166,13 @@ def binary_cols(integers: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndar
 class CutPool:
     """The clique pool, sorted by (tag, members) as `CliqueTable.order`
     sorts it, and per clique whether it is a model constraint (else a user
-    cut), over the nodes of `varmap`: its `cols` is detection's sorted int64
-    array of the binary columns, which the writers read as it is."""
+    cut), over the nodes of `binaries`: detection's sorted int64 array of
+    the binary columns (see `DetectionResult`), which the writers read as
+    it is."""
 
     table: CliqueTable
     constraint: np.ndarray
-    varmap: VarMap
+    binaries: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +579,7 @@ class _Reader:
         if len(src) > m:
             pos = _ranges(indptr[src], indptr[src + 1])
             indptr, cols, vals = _indptr(np.diff(indptr)[src]), cols[pos], vals[pos]
-        return names.tolist(), sense.tolist(), rhs, indptr, cols, vals
+        return names.tolist(), sense, rhs, indptr, cols, vals
 
 
 def parse_mps(text: str) -> MipModel:
@@ -745,7 +770,7 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
         out.append("OBJSENSE\n    MAX\n")
     out.append(f"ROWS\n N  {model.obj_name}\n")
     every = np.arange(m)
-    out += _lines(m, " ", (np.array(senses, dtype=object), every), "  ",
+    out += _lines(m, " ", (senses.astype(object), every), "  ",
                   (np.array(names, dtype=object), every))
 
     # Per column: its objective entry (when nonzero or the column has no
@@ -800,22 +825,28 @@ def write_mps(model: MipModel) -> str:
                   model.vals, _row_of(model.indptr))
 
 
-def _clique_rows(table: CliqueTable, varmap: VarMap, model: MipModel):
-    """Every clique as the row sum x+ - sum x- <= 1 - q, in one batch:
-    (cols, coeffs, clique index) of all nonzeros, each row sorted by
-    (col, coeff), and the right-hand sides."""
+def _check_nodes(nodes: np.ndarray, n_b: int) -> None:
+    """Raise a `ValueError` if a clique node is outside [0, 2 n_b)."""
+    if len(nodes) and not 0 <= nodes.min() <= nodes.max() < 2 * n_b:
+        raise ValueError(f"clique node out of range for n_b={n_b}")
+
+
+def _clique_rows(table: CliqueTable, vcols: np.ndarray, model: MipModel):
+    """Every clique over the nodes of the binary columns `vcols` as the row
+    sum x+ - sum x- <= 1 - q, in one batch: (cols, coeffs, clique index) of
+    all nonzeros, each row sorted by (col, coeff), and the right-hand
+    sides."""
     lens, nodes = table.flat()
-    n_b = varmap.n_b
-    vcols = varmap.cols
+    n_b = len(vcols)
+    _check_nodes(nodes, n_b)
     binary = model.integer_mask()[vcols] & ~(model.lb[vcols] < 0.0) & ~(model.ub[vcols] > 1.0)
     comp = nodes >= n_b
     pos = np.where(comp, nodes - n_b, nodes)
-    ok = (nodes >= 0) & (nodes < 2 * n_b)
-    ok[ok] = binary[pos[ok]]
-    if not ok.all():
-        lit = varmap.literal(int(nodes[np.argmin(ok)]))  # raises when out of range
-        raise MpsError(f"clique references non-binary column {model.col_names[lit.col]!r}")
     cols = vcols[pos]
+    ok = binary[pos]
+    if not ok.all():
+        raise MpsError(f"clique references non-binary column "
+                       f"{model.col_names[cols[np.argmin(ok)]]!r}")
     vals = np.where(comp, -1.0, 1.0)
     rec = np.repeat(np.arange(len(lens)), lens)
     order = np.lexsort((vals, cols, rec))
@@ -828,7 +859,7 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     CLQ000001, CLQ000002, ... (prefixed with X while the name is taken)."""
     constraints = np.count_nonzero(pool.constraint)
     clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(
-        pool.table.take(np.flatnonzero(pool.constraint)), pool.varmap, model)
+        pool.table.take(np.flatnonzero(pool.constraint)), pool.binaries, model)
     names = list(model.row_names)
     taken = set(names)
     for i in range(1, constraints + 1):
@@ -841,7 +872,7 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
     return _write(
         model,
         names,
-        list(model.senses) + [SENSE_LE] * constraints,
+        np.concatenate([model.senses, np.full(constraints, SENSE_LE)]),
         np.concatenate([model.rhs, clq_rhs]),
         np.concatenate([model.cols, clq_cols]),
         np.concatenate([model.vals, clq_vals]),
@@ -861,13 +892,12 @@ def export_cut_pool(pool: CutPool) -> str:
     """
     cuts = pool.table.take(np.flatnonzero(~pool.constraint))
     lens, nodes = cuts.flat()
-    n_b = pool.varmap.n_b
-    if len(nodes) and not 0 <= nodes.min() <= nodes.max() < 2 * n_b:
-        raise ValueError(f"clique node out of range for n_b={n_b}")
+    n_b = len(pool.binaries)
+    _check_nodes(nodes, n_b)
     seen = np.zeros(2 * n_b, dtype=bool)
     seen[nodes] = True
     used = np.flatnonzero(seen)
-    col = pool.varmap.cols + 1
+    col = pool.binaries + 1
     signed = np.concatenate([col, -col])[used].tolist()
     # The heads "<tag> ", then "<tag> \n" for a line without members, and
     # each literal in use with a space, then with a newline.

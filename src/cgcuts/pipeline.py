@@ -126,7 +126,7 @@ def run_pipeline_model(
         stats.flags["time_limit_hit"] = True
         cut = np.zeros(len(pool), dtype=bool)
         _fill_tag_counts(stats, pool, cut)
-        return model, CutPool(pool, cut, detection.varmap), None, stats
+        return model, CutPool(pool, cut, detection.binaries), None, stats
 
     detection = timed("detect", lambda: detect(model))
     stats.fixings = len(detection.fixings)
@@ -158,7 +158,7 @@ def run_pipeline_model(
         "graph_build",
         lambda: build_graph_parallel(
             table,
-            detection.varmap.n_b,
+            len(detection.binaries),
             k,
             seed,
             max_clique_sample=limits.max_clique_sample,
@@ -207,7 +207,7 @@ def run_pipeline_model(
 
     plan = timed("triage", lambda: triage(pool, detection.model))
     _fill_tag_counts(stats, pool, plan.constraint)
-    return detection.model, CutPool(pool, plan.constraint, detection.varmap), plan, stats
+    return detection.model, CutPool(pool, plan.constraint, detection.binaries), plan, stats
 
 
 def _fill_tag_counts(stats: RunStats, pool: CliqueTable, constraint: np.ndarray):

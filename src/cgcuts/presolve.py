@@ -1,9 +1,9 @@
 """One-round row detection: bound strengthening, pure-binary rewriting and
 classification into set packing / conflicting knapsack / singleton / inert.
 
-Every step reads the model's CSR rows as they are (`_Rows` adds the rhs
-and senses) and works in NumPy passes. Rows must not store a column twice
-or a zero coefficient; `parse_mps` never produces either.
+Every step reads the `MipModel`'s CSR rows, rhs and senses as they are
+and works in NumPy passes. Rows must not store a column twice or a zero
+coefficient; `parse_mps` never produces either.
 
 Strengthening keeps the semantics of a loop over the rows: a bound
 tightened by row i is used by row i + 1. One speculative pass evaluates
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .literals import VarMap
 from .model_io import (SENSE_EQ, SENSE_GE, SENSE_LE, MipModel, _indptr, _ranges, binary_cols,
                        stable_order)
 
@@ -82,7 +81,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 @dataclass
 class PbcTable:
     """Pure binary constraints sum_t coeffs[t] * node_t <= rhs, one per
-    segment of `indptr`, over conflict-graph nodes (see `VarMap`).
+    segment of `indptr`, over conflict-graph nodes (see `DetectionResult`).
 
     Within a constraint the terms are sorted by coefficient, ties by model
     column, and every coefficient is positive. `detect` stores the nodes as
@@ -128,79 +127,43 @@ class PbcTable:
 @dataclass
 class DetectionResult:
     """What `detect` gives the pipeline: the model left after strengthening
-    (bounds tightened and fixed, osp rows removed; it shares the input's
-    `integers` array and, where no row was dropped, its CSR arrays), the
-    osp, isp and ck tables, the fixings as (column, value), and `varmap`
-    over the binary columns, whose `cols` is the sorted int64 array that
-    the tables' nodes index."""
+    (bounds tightened and fixed, osp rows removed; see `MipModel.take_rows`
+    for what it shares with the input), the osp, isp and ck tables, the
+    fixings as (column, value), and `binaries`, the binary columns as one
+    sorted int64 array. The tables' nodes index it: with n_b =
+    len(binaries), node j < n_b is column binaries[j] and node n_b + j its
+    complement (1 - x)."""
 
     model: MipModel
     s_osp: PbcTable
     s_isp: PbcTable
     s_ck: PbcTable
     fixings: list[tuple[int, int]]
-    varmap: VarMap
+    binaries: np.ndarray
     work: int = 0  # stored-coefficient touches, for the O(NNZ) check
 
 
-class _Rows:
-    """Rows as one CSR table: `indptr`, `cols`, `vals`, `rhs`, `sense`."""
-
-    def __init__(self, indptr, cols, vals, rhs, sense):
-        self.indptr, self.cols, self.vals = indptr, cols, vals
-        self.rhs, self.sense = rhs, sense
-
-    @classmethod
-    def of(cls, model: MipModel) -> "_Rows":
-        zero = np.flatnonzero(model.vals == 0)
-        if len(zero):
-            row = int(np.searchsorted(model.indptr, zero[0], side="right")) - 1
-            raise ValueError(f"row {row} stores a zero coefficient")
-        return cls(model.indptr, model.cols, model.vals, np.asarray(model.rhs, dtype=np.float64),
-                   np.array(model.senses, dtype="<U1"))
-
-    def take(self, rows: np.ndarray) -> "_Rows":
-        if len(rows) == len(self.rhs):  # ascending and distinct: every row
-            return self
-        pos = _segment_positions(self.indptr, rows)
-        return _Rows(_indptr(self.indptr[rows + 1] - self.indptr[rows]),
-                     self.cols[pos], self.vals[pos], self.rhs[rows],
-                     self.sense[rows])
-
-    def forms(self, le: np.ndarray, ge: np.ndarray):
-        """The <=-forms of the rows, in (row, LE then GE) order: rows with
-        `le` set give their LE form, rows with `ge` set their GE form (the
-        negated row). Returns each form's row, order key (2 * row + 1 for a
-        second form) and sign, and each entry's position and form."""
-        count = le.astype(np.int64) + ge
-        row = np.repeat(np.arange(len(count)), count)
-        second = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        sign = np.where((second == 1) | ~le[row], -1.0, 1.0)
-        pos = _segment_positions(self.indptr, row)
-        form = np.repeat(np.arange(len(row)), self.indptr[row + 1] - self.indptr[row])
-        return row, 2 * row + second, sign, pos, form
+def _forms(indptr: np.ndarray, le: np.ndarray, ge: np.ndarray):
+    """The <=-forms of the rows of the CSR layout `indptr`, in (row, LE then
+    GE) order: rows with `le` set give their LE form, rows with `ge` set
+    their GE form (the negated row). Returns each form's row, order key
+    (2 * row + 1 for a second form) and sign, and each entry's position and
+    form."""
+    count = le.astype(np.int64) + ge
+    row = np.repeat(np.arange(len(count)), count)
+    second = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    sign = np.where((second == 1) | ~le[row], -1.0, 1.0)
+    pos = _segment_positions(indptr, row)
+    form = np.repeat(np.arange(len(row)), indptr[row + 1] - indptr[row])
+    return row, 2 * row + second, sign, pos, form
 
 
-def _submodel(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub) -> MipModel:
-    """`model` with the bounds `lb`, `ub` and only its rows `ids`, which
-    `rows` holds."""
-    names, senses = model.row_names, model.senses
-    return MipModel(
-        col_names=list(model.col_names),
-        row_names=[names[i] for i in ids.tolist()],
-        indptr=rows.indptr,
-        cols=rows.cols,
-        vals=rows.vals,
-        senses=[senses[i] for i in ids.tolist()],
-        rhs=model.rhs[ids],
-        obj=model.obj.copy(),
-        lb=lb,
-        ub=ub,
-        integers=model.integers,
-        name=model.name,
-        obj_name=model.obj_name,
-        minimize=model.minimize,
-    )
+def _check_nonzero(model: MipModel) -> None:
+    """Raise a `ValueError` if a row of `model` stores a zero coefficient."""
+    zero = np.flatnonzero(model.vals == 0)
+    if len(zero):
+        row = int(np.searchsorted(model.indptr, zero[0], side="right")) - 1
+        raise ValueError(f"row {row} stores a zero coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +177,7 @@ def _first_error(errors: list[tuple[int, int, str]]):
         raise InfeasibleError(row, message)
 
 
-def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
+def _strengthen(model: MipModel, lb: np.ndarray, ub: np.ndarray,
                 is_int: np.ndarray) -> None:
     """Tighten `lb`/`ub` in place as the row loop would, and raise the
     error of the first offending row, as the row loop would.
@@ -226,8 +189,8 @@ def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
     such a form is final, and the bounds the final forms move are written
     at once. Only the forms downstream of a move then run level by level.
     """
-    lens = np.diff(rows.indptr)
-    sense, rhs = rows.sense, rows.rhs
+    lens = np.diff(model.indptr)
+    sense, rhs = model.senses, model.rhs
     errors = []  # (2 * row + form within the row, row, message)
 
     ok = np.where(sense == SENSE_LE, rhs >= -TOL,
@@ -239,14 +202,14 @@ def _strengthen(rows: _Rows, lb: np.ndarray, ub: np.ndarray,
 
     # A singleton row is one form, a fold of its bound b / a.
     multi = lens >= 2
-    f_row, f_key, sign, pos, form = rows.forms(
-        (multi & (sense != SENSE_GE)) | (lens == 1), multi & (sense != SENSE_LE))
+    f_row, f_key, sign, pos, form = _forms(
+        model.indptr, (multi & (sense != SENSE_GE)) | (lens == 1), multi & (sense != SENSE_LE))
     fold = lens[f_row] == 1
     f_b = sign * rhs[f_row]
     f_len = lens[f_row]
     f_ptr = _indptr(f_len)
-    col = rows.cols[pos]
-    a = rows.vals[pos] * sign[form]
+    col = model.cols[pos]
+    a = model.vals[pos] * sign[form]
     fold_lo, fold_hi = _fold_bounds(sense[f_row[form]], a, f_b[form], fold[form])
     next_form = _schedule(col, form, f_row)
 
@@ -369,11 +332,12 @@ def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
             np.flatnonzero(row_bad), new_lo > new_hi + TOL)
 
 
-def _strengthened(model: MipModel, rows: _Rows):
+def _strengthened(model: MipModel):
     """(lb, ub, ids of the rows kept) after `_strengthen`."""
+    _check_nonzero(model)
     lb, ub = model.lb.copy(), model.ub.copy()
-    _strengthen(rows, lb, ub, model.integer_mask())
-    return lb, ub, np.flatnonzero(np.diff(rows.indptr) >= 2)
+    _strengthen(model, lb, ub, model.integer_mask())
+    return lb, ub, np.flatnonzero(np.diff(model.indptr) >= 2)
 
 
 def strengthen_bounds_once(model: MipModel) -> MipModel:
@@ -382,37 +346,37 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
     Empty rows are checked and dropped; singleton rows are folded into the
     variable bounds and dropped. No iteration to a fixpoint.
     """
-    rows = _Rows.of(model)
-    lb, ub, keep = _strengthened(model, rows)
-    return _submodel(model, rows.take(keep), keep, lb, ub)
+    lb, ub, keep = _strengthened(model)
+    return model.take_rows(keep, lb, ub)
 
 
 # ---------------------------------------------------------------------------
 # Pure binary rewriting and classification
 
 
-def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray):
-    """Every <=-form of every row onto the literals of the binary columns
-    `bins`: a negative binary coefficient is complemented and the infimum
-    of the non-binary part is moved to the right-hand side. Forms whose
-    infimum is unbounded give no constraint. Returns the table and, per
-    constraint, the magnitude of what its rhs sums: |rhs| plus the absolute
-    values of the terms moved into it."""
+def _rewrite(model: MipModel, bins: np.ndarray):
+    """Every <=-form of every row of `model` onto the literals of its binary
+    columns `bins`: a negative binary coefficient is complemented and the
+    infimum of the non-binary part is moved to the right-hand side. Forms
+    whose infimum is unbounded give no constraint. Returns the table and,
+    per constraint, the magnitude of what its rhs sums: |rhs| plus the
+    absolute values of the terms moved into it."""
     n_b = len(bins)
+    lb, ub = model.lb, model.ub
     pos = np.full(len(lb), -1, dtype=np.int64)
     pos[bins] = np.arange(n_b)
-    f_row, _, sign, epos, form = rows.forms(rows.sense != SENSE_GE,
-                                            rows.sense != SENSE_LE)
+    sense = model.senses
+    f_row, _, sign, epos, form = _forms(model.indptr, sense != SENSE_GE, sense != SENSE_LE)
     nf = len(f_row)
-    col = rows.cols[epos]
-    a = rows.vals[epos] * sign[form]
+    col = model.cols[epos]
+    a = model.vals[epos] * sign[form]
     binary = pos[col] >= 0
     inf_j = np.where(a > 0, a * lb[col], a * ub[col])
     # What the row loop subtracts from its shift, term by term (0.0 for a
     # positive binary: subtracting it leaves the shift as it is).
     d = np.where(binary, np.where(a > 0, 0.0, a), inf_j)
     bounded = np.bincount(form[~binary & (inf_j == -_INF)], minlength=nf) == 0
-    f_len = np.diff(rows.indptr)[f_row]
+    f_len = np.diff(model.indptr)[f_row]
     f_ptr = _indptr(f_len)
     shift = np.zeros(nf)
     for length in _distinct(f_len[bounded & (f_len > 0)]).tolist():
@@ -426,33 +390,33 @@ def _rewrite(rows: _Rows, lb, ub, bins: np.ndarray):
     t_order = np.lexsort((compl, col[t], coeff, form[t]))
     t, compl, coeff = t[t_order], compl[t_order], coeff[t_order]
     keep = np.flatnonzero(bounded)
-    size = np.abs(rows.rhs[f_row]) + np.bincount(form, weights=np.abs(d), minlength=nf)
+    size = np.abs(model.rhs[f_row]) + np.bincount(form, weights=np.abs(d), minlength=nf)
     return PbcTable(
         _indptr(np.bincount(form[t], minlength=nf)[keep]),
         (pos[col[t]] + n_b * compl).astype(np.int32),
         coeff,
-        (sign * rows.rhs[f_row] + shift)[keep],
+        (sign * model.rhs[f_row] + shift)[keep],
         f_row[keep],
     ), size[keep]
 
 
 def rewrite_rows(model: MipModel) -> PbcTable:
     """The <=-forms of the model's rows as pure binary constraints, in
-    (row, LE then GE) order, over the nodes of `VarMap(model.binaries)`."""
-    return _rewrite(_Rows.of(model), model.lb, model.ub, model.binaries)[0]
+    (row, LE then GE) order, over the nodes of `model.binaries`."""
+    _check_nonzero(model)
+    return _rewrite(model, model.binaries)[0]
 
 
 def classify_rows(model: MipModel) -> DetectionResult:
     """Rewrite and classify the rows of a model taken as already
     strengthened (see `_classify`)."""
-    return _classify(model, _Rows.of(model), np.arange(model.num_rows),
-                     model.lb, model.ub)
+    _check_nonzero(model)
+    return _classify(model, np.arange(model.num_rows))
 
 
-def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
-              ) -> DetectionResult:
-    """Rewrite and classify `rows`, which are the rows `ids` of `model`,
-    under the bounds `lb`, `ub`.
+def _classify(model: MipModel, ids: np.ndarray) -> DetectionResult:
+    """Rewrite and classify the rows of `model`, which are the rows `ids`
+    of the input model.
 
     A LE or GE row over binaries only whose coefficients are all positive
     and equal within TOL is an original set packing (osp) row and leaves
@@ -461,9 +425,9 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     exceed the rhs), a singleton (a fixing when its coefficient exceeds the
     rhs) or inert. The tables' `source_row` is the row's entry in `ids`.
     """
-    bins = binary_cols(model.integers, lb, ub)
+    bins = binary_cols(model.integers, model.lb, model.ub)
     n_b = len(bins)
-    pbc, size = _rewrite(rows, lb, ub, bins)
+    pbc, size = _rewrite(model, bins)
 
     n = pbc.lengths()
     c, r = pbc.coeffs, pbc.rhs
@@ -477,8 +441,8 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
     seg = np.repeat(np.arange(len(pbc)), n)
     complemented = np.bincount(seg[pbc.nodes >= n_b], minlength=len(pbc))
     src = pbc.source_row
-    osp = (packing & (rows.sense[src] != SENSE_EQ) & (complemented == 0)
-           & (n == np.diff(rows.indptr)[src]))
+    osp = (packing & (model.senses[src] != SENSE_EQ) & (complemented == 0)
+           & (n == np.diff(model.indptr)[src]))
     ck = ~packing & (n >= 2) & (last + second > r + tol)
 
     infeasible = (n <= 1) & (r < -tol)
@@ -499,26 +463,25 @@ def _classify(model: MipModel, rows: _Rows, ids: np.ndarray, lb, ub
         errors.append((i, int(src[i]), f"row {int(src[i])} fixes col {j} both ways"))
     _first_error(errors)
 
-    lb, ub = lb.copy(), ub.copy()
+    lb, ub = model.lb.copy(), model.ub.copy()
     lb[fcol] = ub[fcol] = fval
-    removed = np.zeros(len(rows.rhs), dtype=bool)
+    removed = np.zeros(model.num_rows, dtype=bool)
     removed[src[osp]] = True
     kept = np.flatnonzero(~removed)
     pbc.source_row = ids[src]
     return DetectionResult(
-        model=_submodel(model, rows.take(kept), ids[kept], lb, ub),
+        model=model.take_rows(kept, lb, ub),
         s_osp=pbc.take(np.flatnonzero(osp)),
         s_isp=pbc.take(np.flatnonzero(packing & ~osp)),
         s_ck=pbc.take(np.flatnonzero(ck)),
         fixings=list(zip(fcol.tolist(), fval.tolist())),
-        varmap=VarMap(bins),
-        work=int(rows.indptr[-1]),
+        binaries=bins,
+        work=model.nnz,
     )
 
 
 def detect(model: MipModel) -> DetectionResult:
     """Single-pass detection of set packing and conflicting knapsack rows:
     `strengthen_bounds_once`, then `classify_rows`."""
-    rows = _Rows.of(model)
-    lb, ub, keep = _strengthened(model, rows)
-    return _classify(model, rows.take(keep), keep, lb, ub)
+    lb, ub, keep = _strengthened(model)
+    return _classify(model.take_rows(keep, lb, ub), keep)

@@ -12,6 +12,40 @@ from cgcuts.model_io import TAGS, CutPool, MipModel
 from cgcuts.presolve import PbcTable
 
 
+@dataclasses.dataclass(frozen=True, order=True)
+class Literal:
+    """A binary column or its complement."""
+
+    col: int
+    complemented: bool = False
+
+
+def node_of(binaries, lit: Literal) -> int:
+    """The conflict-graph node of `lit` over the sorted binary columns
+    `binaries`: column binaries[j] is node j and its complement n_b + j."""
+    n_b = len(binaries)
+    pos = int(np.searchsorted(binaries, lit.col))
+    if pos == n_b or binaries[pos] != lit.col:
+        raise ValueError(f"column {lit.col} is not a binary column")
+    return pos + n_b if lit.complemented else pos
+
+
+def literal_of(binaries, node: int) -> Literal:
+    """The literal of conflict-graph `node` over the sorted binary columns
+    `binaries` (see `node_of`)."""
+    n_b = len(binaries)
+    if not 0 <= node < 2 * n_b:
+        raise ValueError(f"node {node} out of range for n_b={n_b}")
+    return Literal(int(binaries[node % n_b]), node >= n_b)
+
+
+def signed_index(binaries, node: int) -> int:
+    """1-based signed column index of `node`: +j for x_j, -j for its
+    complement."""
+    lit = literal_of(binaries, node)
+    return -(lit.col + 1) if lit.complemented else lit.col + 1
+
+
 def graph_from_edges(edges, n_b):
     """CSR graph over 2*n_b nodes holding exactly `edges`: unlike
     `build_graph_parallel`, it adds no variable/complement edges."""
@@ -62,13 +96,14 @@ def routed(plan, pool):
     return constraints, [tags[i] for i in plan.as_user_cuts.tolist()]
 
 
-def cut_pool(records, varmap):
-    """CutPool of (nodes, tag name, is a constraint) records, sorted as the
-    pipeline sorts its pool."""
+def cut_pool(records, binaries):
+    """CutPool of (nodes, tag name, is a constraint) records over the
+    sorted binary columns `binaries`, sorted as the pipeline sorts its
+    pool."""
     table = plain_table([r[0] for r in records], [TAGS.index(r[1]) for r in records])
     constraint = np.array([r[2] for r in records], dtype=bool)
     order = table.order()
-    return CutPool(table.take(order), constraint[order], varmap)
+    return CutPool(table.take(order), constraint[order], np.asarray(binaries, dtype=np.int64))
 
 
 def pbc_table(constraints):

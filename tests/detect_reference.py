@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cgcuts.literals import Literal, VarMap
 from cgcuts.model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 from cgcuts.presolve import TOL, InfeasibleError, scaled_tol
 
-from conftest import model_of_rows
+from conftest import Literal, model_of_rows
 
 _INF = math.inf
 
@@ -53,7 +52,7 @@ class Detection:
     s_isp: list[PureBinaryConstraint]
     s_ck: list[PureBinaryConstraint]
     fixings: list[tuple[int, int]]
-    varmap: VarMap
+    binaries: np.ndarray
     work: int
 
 
@@ -197,7 +196,7 @@ def classify_rows(m: MipModel) -> Detection:
     strengthened."""
     m = copy.deepcopy(m)
     binaries = set(m.binaries.tolist())
-    varmap = VarMap(sorted(binaries))
+    bins = np.array(sorted(binaries), dtype=np.int64)
     s_osp, s_isp, s_ck = [], [], []
     fixings: list[tuple[int, int]] = []
     keep = []
@@ -252,7 +251,7 @@ def classify_rows(m: MipModel) -> Detection:
             keep.append(i)
 
     m = _rows_of(m, keep)
-    return Detection(m, s_osp, s_isp, s_ck, fixings, varmap, work)
+    return Detection(m, s_osp, s_isp, s_ck, fixings, bins, work)
 
 
 def detect(model: MipModel) -> Detection:

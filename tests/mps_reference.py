@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from cgcuts.literals import VarMap
 from cgcuts.model_io import SENSE_GE, SENSE_LE, TAGS, MipModel, MpsError
 
-from conftest import model_of_rows
+from conftest import literal_of, model_of_rows, signed_index
 
 _INF = math.inf
 
@@ -370,12 +369,12 @@ def write_mps(model: MipModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _clique_row(nodes, varmap: VarMap, model: MipModel):
+def _clique_row(nodes, binaries, model: MipModel):
     """Turn a clique into (cols, coeffs, rhs): sum x+ - sum x- <= 1 - q."""
     pairs = []
     q = 0
     for node in nodes:
-        lit = varmap.literal(node)
+        lit = literal_of(binaries, node)
         j = lit.col
         if j not in model.integers or model.lb[j] < 0.0 or model.ub[j] > 1.0:
             raise MpsError(
@@ -399,14 +398,14 @@ def _sorted(records, constraint: bool):
                    if con == constraint))
 
 
-def write_augmented_mps(model: MipModel, records, varmap: VarMap) -> str:
+def write_augmented_mps(model: MipModel, records, binaries) -> str:
     """Original rows plus one <= row per constraint clique."""
-    names, senses = list(model.row_names), list(model.senses)
+    names, senses = list(model.row_names), model.senses.tolist()
     rows = [model.row(i) for i in range(model.num_rows)]
     taken = set(names)
     rhs = []
     for i, (_, nodes) in enumerate(_sorted(records, True)):
-        cols, vals, b = _clique_row(nodes, varmap, model)
+        cols, vals, b = _clique_row(nodes, binaries, model)
         rname = f"CLQ{i + 1:06d}"
         while rname in taken:
             rname = "X" + rname
@@ -420,10 +419,10 @@ def write_augmented_mps(model: MipModel, records, varmap: VarMap) -> str:
         rhs=np.concatenate([model.rhs, np.array(rhs, dtype=np.float64)])))
 
 
-def export_cut_pool(records, varmap: VarMap) -> str:
+def export_cut_pool(records, binaries) -> str:
     """One line per user cut: `<tag> <signed-index>+`, deterministic order."""
     lines = []
     for tag, nodes in _sorted(records, False):
-        signed = " ".join(str(varmap.signed_index(n)) for n in nodes)
+        signed = " ".join(str(signed_index(binaries, n)) for n in nodes)
         lines.append(f"{TAGS[tag]} {signed}")
     return "\n".join(lines) + ("\n" if lines else "")

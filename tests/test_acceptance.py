@@ -23,6 +23,7 @@ from cgcuts.triage import triage
 from conftest import (
     cliques_of,
     feasible_binary_points,
+    literal_of,
     make_model,
     pbc_table,
     plain_table,
@@ -209,8 +210,8 @@ def test_criterion_04_merge_oracle_equivalence():
 # --- 5: end-to-end cut validity by exhaustive enumeration ------------------
 
 
-def _literal_value(points, node, n_b, varmap):
-    lit = varmap.literal(node)
+def _literal_value(points, node, n_b, binaries):
+    lit = literal_of(binaries, node)
     col = lit.col
     vals = points[:, col]
     return 1.0 - vals if lit.complemented else vals
@@ -230,11 +231,11 @@ def test_criterion_05_no_feasible_point_violates_emitted_cuts():
             continue
         if len(feasible) == 0:
             continue
-        n_b = pool.varmap.n_b
+        n_b = len(pool.binaries)
         for nodes, tag in cliques_of(pool.table):
             total = np.zeros(len(feasible))
             for node in nodes:
-                total += _literal_value(feasible, node, n_b, pool.varmap)
+                total += _literal_value(feasible, node, n_b, pool.binaries)
             assert np.all(total <= 1.0 + 1e-9), (nodes, tag, model.signature())
             checked += 1
     assert checked > 0

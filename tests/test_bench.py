@@ -153,7 +153,7 @@ def test_run_bench_raises_on_a_k_dependent_output(monkeypatch):
     def k_dependent(model, limits, k, seed):
         out_model, pool, plan, stats = run_pipeline_model(model, limits, k, seed)
         keep = np.arange(len(pool.table) - (k > 1))
-        pool = CutPool(pool.table.take(keep), pool.constraint[keep], pool.varmap)
+        pool = CutPool(pool.table.take(keep), pool.constraint[keep], pool.binaries)
         return out_model, pool, plan, stats
 
     monkeypatch.setattr(bench, "run_pipeline_model", k_dependent)
@@ -167,7 +167,7 @@ def test_packing_model_puts_node_j_in_column_j():
     cliques, _ = generate_cliques(30, 20, 0.2, seed=2)
     model = bench.packing_model(cliques, 30)
     det = detect(model)
-    assert det.varmap.cols.tolist() == list(range(30))
+    assert det.binaries.tolist() == list(range(30))
     assert len(det.s_osp) == len(cliques) and model.num_rows == len(cliques)
     assert sorted(cliques_of(CliqueTable.plain(det.s_osp.lengths(), det.s_osp.nodes, 0))) \
         == sorted(cliques_of(cliques))

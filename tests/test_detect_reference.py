@@ -16,7 +16,7 @@ from cgcuts.presolve import (
     detect,
     strengthen_bounds_once,
 )
-from conftest import make_model
+from conftest import make_model, node_of
 
 # Column kinds of the fuzzed models.
 BINARY, INTEGER, BOUNDED, NO_LOWER, NO_UPPER, FREE = range(6)
@@ -26,10 +26,10 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-def _ref_table(pbcs, varmap, rows):
+def _ref_table(pbcs, binaries, rows):
     """The reference's constraints, each row mapped through `rows`."""
     return [
-        ([varmap.node(lit) for lit, _ in p.terms],
+        ([node_of(binaries, lit) for lit, _ in p.terms],
          _bits([a for _, a in p.terms]), _bits([p.rhs])[0], rows[p.source_row])
         for p in pbcs
     ]
@@ -45,7 +45,7 @@ def _table(table):
 
 
 def _model_key(m):
-    return (m.row_names, m.senses, _bits(m.rhs), _bits(m.lb), _bits(m.ub),
+    return (m.row_names, m.senses.tolist(), _bits(m.rhs), _bits(m.lb), _bits(m.ub),
             [(c.tolist(), _bits(v)) for c, v in map(m.row, range(m.num_rows))])
 
 
@@ -67,7 +67,7 @@ def assert_same_detection(model):
         def run(m):
             res = fn(m)
             res.s_osp, res.s_isp, res.s_ck = (
-                _ref_table(p, res.varmap, rows)
+                _ref_table(p, res.binaries, rows)
                 for p in (res.s_osp, res.s_isp, res.s_ck))
             return res
         return run

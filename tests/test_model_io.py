@@ -8,7 +8,6 @@ import pytest
 
 import mps_reference
 from cgcuts.cli import main
-from cgcuts.literals import Literal, VarMap
 from cgcuts.model_io import (
     MpsError,
     export_cut_pool,
@@ -46,13 +45,13 @@ def test_parse_smallest_packing_instance():
     assert model.num_cols == 2
     assert model.nnz == 2
     assert model.binaries.tolist() == [0, 1]
-    assert model.senses == ["L"]
+    assert model.senses.tolist() == ["L"]
     assert model.rhs[0] == 1.0
 
 
 def test_parse_sense_passthrough():
     model = parse_mps(PACKING_MPS.replace(" L  c1", " G  c1"))
-    assert model.senses == ["G"]
+    assert model.senses.tolist() == ["G"]
     le = parse_mps(PACKING_MPS)
     assert model.signature()[2][0][1:] == le.signature()[2][0][1:]
 
@@ -88,7 +87,7 @@ def test_parse_hand_checked_file():
     model = parse_mps(THREE_ROW_MPS)
     assert (model.num_rows, model.num_cols, model.nnz) == (3, 4, 7)
     assert model.col_names == ["x1", "x2", "x3", "x4"]
-    assert model.senses == ["L", "G", "E"]
+    assert model.senses.tolist() == ["L", "G", "E"]
     assert model.rhs.tolist() == [10.0, 1.0, 0.0]
     assert model.obj.tolist() == [2.0, -1.0, 0.0, 0.0]
     assert model.lb.tolist() == [0.0, 0.0, -math.inf, 2.0]
@@ -122,7 +121,7 @@ ENDATA
 """
     model = parse_mps(text)
     assert model.num_rows == 2
-    assert model.senses == ["L", "G"]
+    assert model.senses.tolist() == ["L", "G"]
     assert model.rhs.tolist() == [8.0, 5.0]
 
 
@@ -148,7 +147,7 @@ def test_round_trip_is_a_fixed_point():
 
 def _pool(records, n_cols=3):
     """Pool of (nodes, tag, is a constraint) records over n_cols binaries."""
-    return cut_pool(list(records), VarMap(range(n_cols)))
+    return cut_pool(list(records), range(n_cols))
 
 
 def test_augmented_row_for_plain_clique():
@@ -193,7 +192,7 @@ def test_augmented_adds_one_row_per_constraint_clique():
 
 def test_augmented_rejects_non_binary_columns():
     model = parse_mps(THREE_ROW_MPS)  # x2 is continuous
-    pool = cut_pool([((0, 1), "org_long", True)], VarMap([0, 1]))
+    pool = cut_pool([((0, 1), "org_long", True)], [0, 1])
     with pytest.raises(MpsError, match="non-binary"):
         write_augmented_mps(model, pool)
 
@@ -207,6 +206,27 @@ def test_integers_are_one_sorted_array_that_detection_shares():
     assert detect(model).model.integers is model.integers
 
 
+def test_detection_shares_the_rows_when_it_drops_none():
+    # Two conflicting knapsacks: strengthening and classification keep both.
+    model = make_model(3, [{0: 3.0, 1: 2.0, 2: 2.0}, {0: 1.0, 1: 1.0, 2: 4.0}], ["L", "G"],
+                       [4.0, 1.0], binary=[0, 1, 2])
+    out = detect(model)
+    assert out.model.num_rows == 2 and len(out.s_ck) == 1
+    assert out.model.indptr is model.indptr
+    assert out.model.cols is model.cols
+    assert out.model.vals is model.vals
+    # An osp row leaves the model, so its rows are copied.
+    dropped = detect(dataclasses.replace(model, vals=np.ones(6), rhs=np.ones(2)))
+    assert dropped.model.num_rows == 1 and dropped.model.cols is not model.cols
+
+
+@pytest.mark.parametrize("sense", ["X", "l", "LE"])
+def test_model_rejects_a_sense_other_than_l_g_or_e(sense):
+    # "LE" would read as "L" once narrowed to one character.
+    with pytest.raises(ValueError, match=f"row 'c2' has sense '{sense}', not L, G or E"):
+        make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L", sense], [1.0, 1.0], binary=[0, 1])
+
+
 @pytest.mark.parametrize("integers, bad", [({0, 1, -1}, -1), ({7}, 7)])
 def test_model_rejects_integer_ids_outside_its_columns(integers, bad):
     # Column -1 would read as the last column, and 7 fail in strengthening.
@@ -215,26 +235,14 @@ def test_model_rejects_integer_ids_outside_its_columns(integers, bad):
                    ub=[1.0, 1.0, 1.0])
 
 
-def test_varmap_is_a_view_over_the_sorted_columns():
-    for cols in ([2, 5, 9], np.array([2, 5, 9])):
-        varmap = VarMap(cols)
-        assert varmap.cols.dtype == np.int64 and varmap.cols.tolist() == [2, 5, 9]
-        assert len(varmap) == varmap.n_b == 3
-        assert [varmap.node(Literal(j)) for j in (2, 5, 9)] == [0, 1, 2]
-        assert varmap.node(Literal(9, True)) == 5
-        assert varmap.literal(4) == Literal(5, True) and varmap.literal(0) == Literal(2)
-        assert [varmap.signed_index(v) for v in range(6)] == [3, 6, 10, -3, -6, -10]
-    for missing in (0, 3, 10):
-        with pytest.raises(ValueError, match="not in the variable map"):
-            varmap.node(Literal(missing))
-    with pytest.raises(ValueError, match="out of range"):
-        varmap.literal(6)
-
-
-@pytest.mark.parametrize("cols", [[0, 1, 1], [0, 2, 1]])
-def test_varmap_rejects_duplicate_or_unsorted_columns(cols):
-    with pytest.raises(ValueError, match="ascending and distinct"):
-        VarMap(cols)
+def test_writers_map_node_j_to_binary_column_j():
+    model = make_model(10, [], [], [], binary=[2, 5, 9])
+    records = [((0, 1, 2, 3, 4, 5), "org_other", False), ((1, 3), "org_long", True)]
+    pool = cut_pool(records, [2, 5, 9])
+    assert export_cut_pool(pool) == "org_other 3 6 10 -3 -6 -10\n"
+    out = parse_mps(write_augmented_mps(model, pool))
+    cols, vals = out.row(0)
+    assert cols.tolist() == [2, 5] and vals.tolist() == [-1.0, 1.0] and out.rhs[0] == 0.0
 
 
 def test_export_line_format():
@@ -242,10 +250,24 @@ def test_export_line_format():
     assert export_cut_pool(pool) == "org_other 1 -3\n"
 
 
-def test_export_rejects_nodes_outside_the_varmap():
-    pool = cut_pool([((0, 4), "org_other", False)], VarMap([0, 1]))
-    with pytest.raises(ValueError, match="out of range"):
-        export_cut_pool(pool)
+@pytest.mark.parametrize("constraint", [True, False], ids=["augmented", "cuts"])
+def test_writers_reject_nodes_outside_the_binary_columns(constraint):
+    # The pool's binary columns are x1 and x2: nodes 0..3. The augmented
+    # writer writes the constraints and export_cut_pool the user cuts.
+    model = parse_mps(THREE_ROW_MPS)  # x2 is continuous
+
+    def write(nodes):
+        pool = cut_pool([(nodes, "org_other", constraint)], [0, 1])
+        return write_augmented_mps(model, pool) if constraint else export_cut_pool(pool)
+
+    for nodes in ((0, 4), (1, 9)):
+        with pytest.raises(ValueError, match=r"clique node out of range for n_b=2"):
+            write(nodes)
+    if constraint:
+        with pytest.raises(MpsError, match="clique references non-binary column 'x2'"):
+            write((0, 3))
+    else:
+        assert write((0, 3)) == "org_other 1 -2\n"
 
 
 def test_export_orders_by_tag_then_literals():
@@ -380,13 +402,12 @@ def _wide_model(n: int, m: int, per_row: int, seed: int):
         ub=np.choose(kind, [1.0, 20.0, 50.5]),
         integers={int(j) for j in np.flatnonzero(kind < 2)},
     )
-    varmap = VarMap(model.binaries)
     records = [
-        (tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, 6, replace=False))),
+        (tuple(sorted(int(v) for v in rng.choice(2 * len(model.binaries), 6, replace=False))),
          "org_other", True)
         for _ in range(m // 4)
     ]
-    return model, cut_pool(records, varmap)
+    return model, cut_pool(records, model.binaries)
 
 
 def test_augmented_model_is_written_in_memory_proportional_to_its_text():

@@ -8,7 +8,6 @@ import pytest
 
 import mps_reference as ref
 from cgcuts import model_io
-from cgcuts.literals import VarMap
 from cgcuts.model_io import (
     TAGS,
     MpsError,
@@ -128,15 +127,16 @@ def random_mps(rng, n_cols: int, n_rows: int) -> str:
 
 
 def random_pool(rng, model):
-    """(records, varmap): records over the model's binaries, complemented
-    literals included."""
-    varmap = VarMap(sorted(model.binaries))
+    """(records, binaries): records over the model's binary columns,
+    complemented literals included."""
+    binaries = model.binaries
+    n_b = len(binaries)
     records = []
-    for _ in range(int(rng.integers(0, 12)) if varmap.n_b else 0):
-        size = int(rng.integers(1, min(2 * varmap.n_b, 6) + 1))
-        nodes = tuple(sorted(int(v) for v in rng.choice(2 * varmap.n_b, size, replace=False)))
+    for _ in range(int(rng.integers(0, 12)) if n_b else 0):
+        size = int(rng.integers(1, min(2 * n_b, 6) + 1))
+        nodes = tuple(sorted(int(v) for v in rng.choice(2 * n_b, size, replace=False)))
         records.append((nodes, TAGS[int(rng.integers(0, len(TAGS)))], rng.random() < 0.5))
-    return records, varmap
+    return records, binaries
 
 
 def assert_same_model(new, old):
@@ -146,11 +146,11 @@ def assert_same_model(new, old):
     assert (new.name, new.obj_name) == (old.name, old.obj_name)
 
 
-def assert_same_text(model, records, varmap):
-    pool = cut_pool(records, varmap)
+def assert_same_text(model, records, binaries):
+    pool = cut_pool(records, binaries)
     assert write_mps(model) == ref.write_mps(model)
-    assert write_augmented_mps(model, pool) == ref.write_augmented_mps(model, records, varmap)
-    assert export_cut_pool(pool) == ref.export_cut_pool(records, varmap)
+    assert write_augmented_mps(model, pool) == ref.write_augmented_mps(model, records, binaries)
+    assert export_cut_pool(pool) == ref.export_cut_pool(records, binaries)
 
 
 @pytest.mark.parametrize("seed", range(60))

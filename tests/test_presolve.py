@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts.literals import Literal, VarMap
 from cgcuts.presolve import (
     InfeasibleError,
     classify_rows,
@@ -13,17 +12,19 @@ from cgcuts.presolve import (
     strengthen_bounds_once,
 )
 from conftest import (
+    Literal,
     feasible_binary_points,
+    literal_of,
     make_model,
     pbc_table,
     random_binary_model,
 )
 
 
-def terms(table, i, varmap):
+def terms(table, i, binaries):
     """Constraint i of `table` as (Literal, coefficient) pairs."""
     a, b = table.indptr[i], table.indptr[i + 1]
-    return [(varmap.literal(int(v)), float(c))
+    return [(literal_of(binaries, int(v)), float(c))
             for v, c in zip(table.nodes[a:b], table.coeffs[a:b])]
 
 
@@ -105,8 +106,8 @@ def test_to_pbc_complements_negative_binaries():
     model = make_model(2, [{0: 2.0, 1: -3.0}], ["L"], [-1.0], binary=[0, 1])
     out = rewrite_rows(model)
     assert out.rhs.tolist() == [2.0]  # -1 - 0 + 3
-    assert terms(out, 0, VarMap([0, 1])) == [(Literal(0, False), 2.0),
-                                             (Literal(1, True), 3.0)]
+    assert terms(out, 0, [0, 1]) == [(Literal(0, False), 2.0),
+                                     (Literal(1, True), 3.0)]
 
 
 def test_to_pbc_identity_on_pure_binary_row():
@@ -114,7 +115,7 @@ def test_to_pbc_identity_on_pure_binary_row():
     out = rewrite_rows(model)
     assert out.rhs.tolist() == [1.0]
     assert [(lit.col, lit.complemented, a)
-            for lit, a in terms(out, 0, VarMap([0, 1]))] == [
+            for lit, a in terms(out, 0, [0, 1])] == [
         (0, False, 1.0),
         (1, False, 1.0),
     ]
@@ -140,8 +141,8 @@ def test_rewrite_negates_ge_rows():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["G"], [1.0], binary=[0, 1])
     out = rewrite_rows(model)
     assert out.rhs.tolist() == [1.0]
-    assert terms(out, 0, VarMap([0, 1])) == [(Literal(0, True), 1.0),
-                                             (Literal(1, True), 1.0)]
+    assert terms(out, 0, [0, 1]) == [(Literal(0, True), 1.0),
+                                     (Literal(1, True), 1.0)]
 
 
 # --- classification ----------------------------------------------------------
@@ -195,8 +196,8 @@ def test_detect_classifies_rewritten_knapsack():
     assert len(res.s_ck) == 1
     assert res.model.num_rows == 1
     assert res.s_ck.rhs.tolist() == [4.0]
-    assert terms(res.s_ck, 0, res.varmap) == [(Literal(0, False), 2.0),
-                                             (Literal(1, True), 3.0)]
+    assert terms(res.s_ck, 0, res.binaries) == [(Literal(0, False), 2.0),
+                                                (Literal(1, True), 3.0)]
 
 
 def test_detect_strengthening_preempts_forced_complement():
