@@ -1,8 +1,9 @@
 """Maximal clique detection from conflicting knapsack constraints, and the
 clique table that every stage reads, from the harvest to the writers.
 
-`detect_cliques_parallel` cuts the knapsack table into contiguous slices
-for k workers (k = 1 runs in this process); each worker binary-searches
+`detect_cliques_parallel` cuts the knapsack table into at most k
+contiguous blocks by `parallel.split`, a knapsack's work being its length
+(k = 1 runs in this process); each worker binary-searches
 every coefficient-sorted knapsack for its original clique and the further
 maximal cliques. A knapsack's cliques are kept in a compact suffix form over its
 coefficient-ordered nodes, because materializing all of them can take
@@ -18,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model_io import TAGS, stable_order
-from .parallel import map_blocks
+from .parallel import map_blocks, split
 from .presolve import PbcTable, _distinct, _indptr, _ranges, _segment_positions, scaled_tol
 
 #: The tags (indices into `model_io.TAGS`) of the cliques of original and
@@ -196,8 +197,8 @@ def _detect_block(args):
 
 
 def detect_cliques_parallel(s_ck: PbcTable, k: int) -> CliqueTable:
-    """Run detection on at most k contiguous slices of the knapsack table,
-    of about equal total length.
+    """Run detection on the non-empty blocks of the knapsack table that
+    `split` cuts by length (one empty slice when the table is empty).
 
     The workers see only the coefficients; the table takes its sequences
     from `s_ck` here: one per knapsack with cliques, in table order and
@@ -206,11 +207,10 @@ def detect_cliques_parallel(s_ck: PbcTable, k: int) -> CliqueTable:
     rest). The table is the same for every k.
     """
     ptr = s_ck.indptr
-    cuts = np.searchsorted(ptr, ptr[-1] * np.arange(1, k) // k)
-    ends = _distinct(np.r_[cuts[cuts > 0], len(s_ck)]).tolist()  # one slice if empty
+    bounds = split(np.diff(ptr), k).tolist()
+    slices = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, 0)]
     results = map_blocks(_detect_block, [
-        (ptr[a:b + 1], s_ck.coeffs[ptr[a]:ptr[b]], s_ck.rhs[a:b])
-        for a, b in zip([0] + ends[:-1], ends)], k)
+        (ptr[a:b + 1], s_ck.coeffs[ptr[a]:ptr[b]], s_ck.rhs[a:b]) for a, b in slices], k)
     phi, count, i, sigma = (np.concatenate([r[j] for r in results]) for j in range(4))
     hit = phi >= 0  # a knapsack without cliques has no entries either
     family = s_ck.take(np.flatnonzero(hit))

@@ -2,11 +2,12 @@
 
 Each base clique is grown by the literals adjacent to all of its members;
 candidates are bucketed greedily so one call can yield several extended
-cliques, of which the longest is singled out. A block scans `_CHUNK` bases
-at a time: the CSR row of each base's member of least degree gives its
-candidates, and the other members, by ascending degree, drop those not in
-their rows. Only a base with candidates is checked for being a clique: one
-without comes back as it is.
+cliques, of which the longest is singled out. `parallel.split` cuts the
+bases' seeded shuffle order into blocks by count. A block scans `_CHUNK`
+bases at a time: the CSR row of each base's member of least degree gives
+its candidates, and the other members, by ascending degree, drop those not
+in their rows. Only a base with candidates is checked for being a clique:
+one without comes back as it is.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cliques import CliqueTable
 from .graph import ConflictGraph
-from .parallel import map_blocks, shuffle_partition
+from .parallel import map_blocks, shuffle_order, split
 from .presolve import _indptr, _ranges, _segment_positions, _within
 
 #: Bases scanned at once; the budget and the deadline are checked once per chunk.
@@ -157,7 +158,7 @@ def extend_parallel(
     deadline: float | None = None,
     stats: dict | None = None,
 ):
-    """Shuffle-partition the bases and extend each block on its own worker.
+    """Extend each block of the bases' shuffle order (`split` by count) on its own worker.
 
     `budget` is the adjacency-touch budget of the whole call, spent in the
     seeded shuffle order: a base is extended when its block scanned it
@@ -172,26 +173,24 @@ def extend_parallel(
     budget = np.inf if budget is None else budget
     lens, nodes = bases.flat()
     ptr = _indptr(lens)
-    part = shuffle_partition(len(bases), k, seed)
-    block_args = [
-        (nodes[_segment_positions(ptr, idx)].astype(g.indices.dtype), lens[idx], g.n_b,
-         g.indptr, g.indices, budget, deadline)
-        for idx in part.blocks
-    ]
+    order = shuffle_order(len(bases), seed)
+    bounds = split(np.ones(len(bases)), k).tolist()
+    blocks = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, 0)]
+    block_args = [(nodes[_segment_positions(ptr, order[a:b])].astype(g.indices.dtype),
+                   lens[order[a:b]], g.n_b, g.indptr, g.indices, budget, deadline)
+                  for a, b in blocks]
     results = map_blocks(_extend_block, block_args, k)
     touches = np.concatenate([r[3] for r in results])
     spent = np.concatenate(([0.0], np.cumsum(touches)))  # before each base
     cut = int(np.count_nonzero((spent[:-1] < budget) & (touches < np.inf)))
     out_nodes, out_lens = (np.concatenate([r[j] for r in results]) for j in range(2))
-    offset = _indptr([len(idx) for idx in part.blocks])
-    owner = np.concatenate([r[2] + o for r, o in zip(results, offset.tolist())])
+    owner = np.concatenate([r[2] + a for r, (a, _) in zip(results, blocks)])
     kept = int(np.searchsorted(owner, cut))  # the grown bases before the cut
     owner, out_lens = owner[:kept], out_lens[:kept]
     out_nodes = out_nodes[:out_lens.sum()]
     longest = np.diff(owner, prepend=-1) != 0  # the first clique of a grown base
     # Each base's clique is a run of [base members, extension members]:
     # its own or, for a grown base, its longest extension's.
-    order = part.order
     long_lens, at = lens[order], ptr[order]
     long_lens[owner[longest]] = out_lens[longest]
     at[owner[longest]] = len(nodes) + _indptr(out_lens)[:-1][longest]

@@ -9,19 +9,19 @@ in the rows of both its ends. Memory is O(n_b + edges).
 cliques share its coefficient-ordered node sequence S: the original clique
 is S[phi:] and each further one {S[i]} | S[sigma:]. Writing every further
 clique out pair by pair would cost the sum of their t(t-1)/2 pairs, far
-more than the edges they make. A block holds all chosen cliques of its
-sequences, and its worker expands, per sequence, the pairs of
-S[min start:] once (the suffixes are nested, so this is the union of their
-suffix pairs), plus one star S[head] x S[start:] per clique with a head.
-Plain cliques are their own sequence with no head, so they take the same
-rule. The codes are upper-triangle edge codes u*(2*n_b)+v (u < v), below
-(2*n_b)**2: int32 when that fits (n_b up to 23,170), else int64
-(`code_type`). A block writes them into one array `_SLICE_PAIRS` pairs at
-a time, so that the node arrays behind them stay small, then sorts it in
-place and deduplicates it (k = 1 runs in this process); a worker sends
-back its codes at that width. The partial arrays and the n_b
-variable/complement edges are sorted runs: one stable sort merges them,
-and equal neighbours are dropped once more.
+more than the edges they make. `parallel.split` cuts the sequences into
+blocks by the pairs each expands; a block holds all chosen cliques of its
+sequences, and its worker expands, per sequence, the pairs of S[min start:]
+once (the suffixes are nested, so this is the union of their suffix pairs),
+plus one star S[head] x S[start:] per clique with a head. Plain cliques are
+their own sequence with no head, so they take the same rule. The codes are
+upper-triangle edge codes u*(2*n_b)+v (u < v), below (2*n_b)**2: int32 when
+that fits (n_b up to 23,170), else int64 (`code_type`). A block writes them
+into one array `_SLICE_PAIRS` pairs at a time, so that the node arrays
+behind them stay small, then sorts it in place and deduplicates it (k = 1
+runs in this process); a worker sends back its codes at that width. The
+partial arrays and the n_b variable/complement edges are sorted runs: one
+stable sort merges them, and equal neighbours are dropped once more.
 
 The CSR is built from the distinct codes alone: the row lengths are the
 per-end counts of the codes, each row's upper entries (v > u) are the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .cliques import CliqueTable
 from .model_io import code_type
-from .parallel import _mix, map_blocks, shuffle_partition
+from .parallel import _mix, map_blocks, shuffle_order, split
 from .presolve import _ranges
 
 
@@ -186,10 +186,9 @@ def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
 
 
 def _by_sequence(table: CliqueTable, ids: np.ndarray, k: int) -> list[np.ndarray]:
-    """The cliques `ids` in k blocks of whole sequences, so that no two
-    blocks expand one sequence's suffix: in sequence order, a sequence goes
-    to the block where the middle of its pairs falls, its pairs being those
-    `_build_block` expands (its suffix pairs and its stars)."""
+    """The cliques `ids` in the non-empty blocks of whole sequences that
+    `split` cuts by the pairs `_build_block` expands (suffix pairs and
+    stars), so that no two blocks expand one sequence's suffix."""
     ptr, seq = table.seq_ptr, table.seq[ids]
     first = ptr[seq] + table.start[ids]
     shortest = ptr[1:].copy()
@@ -197,11 +196,9 @@ def _by_sequence(table: CliqueTable, ids: np.ndarray, k: int) -> list[np.ndarray
     span = ptr[1:] - shortest
     star = np.where(table.head[ids] >= 0, ptr[seq + 1] - first, 0)
     pairs = span * (span - 1) // 2 + np.bincount(seq, star, len(span)).astype(np.int64)
-    cum = np.cumsum(pairs)
-    total = int(cum[-1]) if len(cum) else 0
-    block = np.minimum((2 * cum - pairs) * k // max(2 * total, 1), k - 1)[seq]
-    order = np.argsort(block, kind="stable")
-    return np.split(ids[order], np.searchsorted(block[order], np.arange(1, k)))
+    order = np.argsort(seq, kind="stable")
+    cuts = np.searchsorted(seq[order], split(pairs, k)).tolist()
+    return [ids[order[a:b]] for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def build_graph_parallel(
@@ -219,9 +216,9 @@ def build_graph_parallel(
 
     Down-sampling and the cumulative pair cap are decided in a seeded
     shuffle of the cliques, so the result is identical for every k; the
-    chosen cliques then go to k blocks of whole sequences (`_by_sequence`),
-    each expanded on its own worker: a clique c longer than
-    `max_clique_sample` keeps its members of smallest hash
+    chosen cliques then go to at most k blocks of whole sequences, split by
+    their pairs (`_by_sequence`), each expanded on its own worker: a clique
+    c longer than `max_clique_sample` keeps its members of smallest hash
     `_mix(member, _mix(c, seed))`, so that its sample depends on neither k
     nor the other cliques, and is expanded as a plain clique; the cliques
     are taken while the sum of their t(t-1)/2 stays within `max_pairs`.
@@ -232,20 +229,20 @@ def build_graph_parallel(
     nodes = table.seq_nodes
     if len(nodes) and (nodes.min() < 0 or nodes.max() >= 2 * n_b):
         raise ValueError(f"clique node out of range for n_b={n_b}")
-    part = shuffle_partition(len(table), k, seed)
-    sizes = table.sizes()[part.order]
+    order = shuffle_order(len(table), seed)
+    sizes = table.sizes()[order]
     t = sizes if max_clique_sample is None else np.minimum(sizes, max_clique_sample)
     budget = np.cumsum(t * (t - 1) // 2)
     chosen = len(budget) if max_pairs is None else int(
         np.searchsorted(budget, max_pairs, side="right"))
-    sampled = part.order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
+    sampled = order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
     samples = []
     for c, key in zip(sampled.tolist(), _mix(sampled, seed)):
         members = table.members(c)
         pick = np.argsort(_mix(members, key))[:max_clique_sample]
         samples.append(members[np.sort(pick)])
     table = _with_samples(table, sampled, samples)
-    block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, part.order[:chosen], k)]
+    block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, order[:chosen], k)]
     results = map_blocks(_build_block, block_args, k)
     del block_args
     if stats is not None:

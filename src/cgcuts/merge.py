@@ -4,13 +4,13 @@ A clique whose literal set is contained in another's is dominated: it is
 redundant and removed. A clique's dominators contain each of its members,
 so the candidates are found in a node -> clique-id index (CSR over the
 literal nodes, built once per call): a clique is tested only against the
-cliques, at least as long as it, that hold its rarest member. The cliques
-are split into contiguous index ranges, one per worker. A block tests
-`_CHUNK` cliques at a time, each against windows of 1, 2, 4, ... of its
-candidates until one holds a dominator: S_j <= S_i when each of j's
-members is found in the sorted clique*N + node codes, which are int32
-when m*N fits (`code_type`), else int64. A round tests at most twice what
-a one-by-one scan would, never every pair at once.
+cliques, at least as long as it, that hold its rarest member.
+`parallel.split` cuts the cliques into index ranges by count, one per
+worker. A block tests `_CHUNK` cliques at a time, each against windows of
+1, 2, 4, ... of its candidates until one holds a dominator: S_j <= S_i when
+each of j's members is found in the sorted clique*N + node codes, which are
+int32 when m*N fits (`code_type`), else int64. A round tests at most twice
+what a one-by-one scan would, never every pair at once.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .cliques import CliqueTable
 from .model_io import code_type
-from .parallel import map_blocks
+from .parallel import map_blocks, split
 from .presolve import _indptr, _ranges, _within
 
 #: Cliques tested at once; the deadline is polled once per chunk. Smaller
@@ -101,13 +101,9 @@ def removal_flags(
     pivots = flat[np.lexsort((counts[flat], owner))[np.cumsum(lens) - lens]]
     small = code_type(max(len(counts), m))
     flat, ids, pivots = flat.astype(small), ids.astype(small), pivots.astype(small)
-    bounds = np.linspace(0, m, k + 1).astype(int)
-    block_args = [
-        (flat, lens, pivots, starts, ids, int(bounds[t]), int(bounds[t + 1]),
-         deadline)
-        for t in range(k)
-        if bounds[t] < bounds[t + 1]
-    ]
+    bounds = split(np.ones(m), k).tolist()
+    block_args = [(flat, lens, pivots, starts, ids, a, b, deadline)
+                  for a, b in zip(bounds, bounds[1:]) if a < b]
     results = map_blocks(_merge_block, block_args, k)
     flags = np.concatenate([r for r, _, _ in results])
     if counters is not None:

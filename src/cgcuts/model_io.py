@@ -62,11 +62,11 @@ class MipModel:
     coefficients `vals` at the same positions (float64). `row(i)` gives
     both as views. `senses` holds each row's sense as one "<U1" array;
     any iterable of senses is normalized to it, and a sense other than
-    SENSE_LE, SENSE_GE or SENSE_EQ raises a `ValueError`. `integers` is I
-    as one sorted int64 array of distinct column ids; any iterable of ids
-    is normalized to it, one outside [0, num_cols) raises a `ValueError`,
-    and an array already in that form is kept as it is, so models that
-    share I share the array.
+    SENSE_LE, SENSE_GE or SENSE_EQ raises a `ValueError`, as does a field
+    without one entry per row, column or nonzero. `integers` is I as one
+    sorted int64 array of distinct column ids; any iterable of ids is
+    normalized to it, one outside [0, num_cols) raises a `ValueError`, and
+    an array already in that form is kept, so models that share I share it.
     """
 
     col_names: list[str]
@@ -86,7 +86,13 @@ class MipModel:
 
     def __post_init__(self):
         senses = self.senses
-        senses = np.asarray(senses if isinstance(senses, np.ndarray) else list(senses), dtype=str)
+        self.senses = senses = np.asarray(senses if isinstance(senses, np.ndarray)
+                                          else list(senses), dtype=str)
+        m, n, nnz = self.num_rows, self.num_cols, int(self.indptr[-1])
+        for name, want in zip(("row_names", "senses", "rhs", "obj", "lb", "ub", "cols", "vals"),
+                              (m, m, m, n, n, n, nnz, nnz)):
+            if len(getattr(self, name)) != want:
+                raise ValueError(f"{name} holds {len(getattr(self, name))} entries, not {want}")
         # Checked before narrowing to "<U1", which would read "LE" as "L".
         bad = np.flatnonzero((senses != SENSE_LE) & (senses != SENSE_GE) & (senses != SENSE_EQ))
         if len(bad):

@@ -1,13 +1,14 @@
-"""Shared fork-join substrate: seeded shuffle, even partitioning and the
-block map.
+"""Shared fork-join substrate: seeded order, block split and block map.
 
 Every seeded order is a keyed hash, `_mix`, of the items' indices, so a
 given (count, seed) always yields the same permutation, whatever k, and no
-generator stream is kept. Workers receive immutable inputs and hand back
-single-owner partial results; each stage combines them in the calling
-process. The calling process is one of the workers: it runs a map's first
-block itself while forked worker processes run the others (work-first), so
-k blocks need only k - 1 workers, and they are capped at the cores but one.
+generator stream is kept. Every parallel stage cuts its items into
+contiguous blocks by their work with `split` and maps the non-empty ones.
+Workers receive immutable inputs and hand back single-owner partial
+results; each stage combines them in the calling process. The calling
+process is one of the workers: it runs a map's first block itself while
+forked worker processes run the others (work-first), so k blocks need only
+k - 1 workers, and they are capped at the cores but one.
 """
 from __future__ import annotations
 
@@ -15,15 +16,8 @@ import atexit
 import contextlib
 import os
 import pickle
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class Partition:
-    order: np.ndarray  # permutation of range(count)
-    blocks: list[np.ndarray]  # k consecutive slices of `order`
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -48,16 +42,23 @@ def _mix(x, seed) -> np.ndarray:
     return z
 
 
-def shuffle_partition(count: int, k: int, seed: int) -> Partition:
-    """Seeded permutation, the order of `_mix` over range(count), split into
-    k blocks, sizes within 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def shuffle_order(count: int, seed: int) -> np.ndarray:
+    """Seeded permutation of range(count): the order of `_mix` over it."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    order = np.argsort(_mix(np.arange(count), seed), kind="stable")
-    blocks = np.array_split(order, k)
-    return Partition(order=order, blocks=blocks)
+    return np.argsort(_mix(np.arange(count), seed), kind="stable")
+
+
+def split(work, k: int) -> np.ndarray:
+    """The k + 1 bounds of k contiguous blocks of the items of non-negative
+    integer `work`: block b, items bounds[b]:bounds[b + 1], holds each item
+    whose work's middle falls in the b-th k-th of the total; it may be empty."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    work = np.asarray(work, dtype=np.int64)
+    cum = np.cumsum(work)
+    block = np.minimum((2 * cum - work) * k // max(2 * int(work.sum()), 1), k - 1)
+    return np.searchsorted(block, np.arange(k + 1))
 
 
 class _Worker:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from cgcuts.graph import ConflictGraph
-from cgcuts.parallel import shuffle_partition
+from cgcuts.parallel import shuffle_order
 
 
 def _row_reader(g: ConflictGraph):
@@ -99,7 +99,7 @@ def extend(
     stats: dict | None = None,
 ):
     """Extend the (nodes, tag) cliques one at a time, in the order of
-    `shuffle_partition(len(cliques), 1, seed)`.
+    `shuffle_order(len(cliques), seed)`.
 
     Stops before the first base at which the running sum of touches has
     reached `budget`, or at a base whose position is a multiple of 256 once
@@ -107,7 +107,7 @@ def extend(
     unextended. Returns (longest list, others list).
     """
     cliques = list(cliques)
-    cliques = [cliques[i] for i in shuffle_partition(len(cliques), 1, seed).order]
+    cliques = [cliques[i] for i in shuffle_order(len(cliques), seed)]
     row = _row_reader(g)
     longs, others = [], []
     touches, stop = 0, len(cliques)

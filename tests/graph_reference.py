@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from cgcuts.graph import ConflictGraph
-from cgcuts.parallel import map_blocks, shuffle_partition
+from cgcuts.parallel import map_blocks, shuffle_order
 
 
 def _encode(lo, hi, n_b: int) -> np.ndarray:
@@ -99,12 +99,12 @@ def build_graph_parallel(cliques, n_b: int, k: int, seed: int, *,
     """Union of the pair expansions of all cliques, sorted node tuples, plus
     the n_b trivial variable/complement edges."""
     cliques = list(cliques)
-    part = shuffle_partition(len(cliques), k, seed)
+    order = shuffle_order(len(cliques), seed)
     chosen = [None] * len(cliques)
     total_pairs = 0
     downsampled = 0
     capped = False
-    for i in part.order:
+    for i in order:
         nodes = _clique_nodes(cliques[i], n_b)
         sampled = _sample_clique(nodes, max_clique_sample, int(i), seed)
         downsampled += len(sampled) < len(nodes)
@@ -116,7 +116,7 @@ def build_graph_parallel(cliques, n_b: int, k: int, seed: int, *,
             chosen[i] = sampled
     block_args = [
         ([chosen[i] for i in idx if chosen[i] is not None], n_b)
-        for idx in part.blocks
+        for idx in np.array_split(order, k)
     ]
     results = map_blocks(_build_block, block_args, k)
     if stats is not None:

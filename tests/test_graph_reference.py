@@ -15,7 +15,7 @@ from cgcuts.cliques import detect_cliques_parallel
 from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
 from cgcuts.model_io import code_type
-from cgcuts.parallel import shuffle_partition
+from cgcuts.parallel import shuffle_order
 from conftest import clique_table, pbc_table, plain_table
 
 
@@ -119,8 +119,8 @@ def _seed_where(count: int, first: int, last: int) -> int:
     """A seed whose shuffle of `count` cliques puts clique `first` first
     and `last` last."""
     return next(s for s in range(1000)
-                if shuffle_partition(count, 1, s).order[0] == first
-                and shuffle_partition(count, 1, s).order[-1] == last)
+                if shuffle_order(count, s)[0] == first
+                and shuffle_order(count, s)[-1] == last)
 
 
 def test_capped_original_clique_expands_from_another_suffix():

@@ -227,6 +227,25 @@ def test_model_rejects_a_sense_other_than_l_g_or_e(sense):
         make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L", sense], [1.0, 1.0], binary=[0, 1])
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("row_names", ["c1"], 2), ("senses", ["L"], 2), ("rhs", [1.0] * 3, 2),
+    ("obj", [0.0] * 3, 2), ("lb", [0.0], 2), ("ub", [], 2),
+    ("cols", [0, 1, 0], 4), ("vals", [1.0] * 5, 4),
+])
+def test_model_rejects_a_field_of_the_wrong_length(field, value, want):
+    # Two rows over two columns with four nonzeros: a short field would
+    # raise an IndexError only once `detect` or a writer reads past its end.
+    model = make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L", "L"], [1.0, 1.0], binary=[0, 1])
+    value = value if field in ("row_names", "senses") else np.asarray(value)
+    with pytest.raises(ValueError, match=f"^{field} holds {len(value)} entries, not {want}$"):
+        dataclasses.replace(model, **{field: value})
+
+
+def test_model_with_fewer_senses_than_rows_is_rejected_when_built():
+    with pytest.raises(ValueError, match="^senses holds 1 entries, not 2$"):
+        make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L"], [1.0, 1.0], binary=[0, 1])
+
+
 @pytest.mark.parametrize("integers, bad", [({0, 1, -1}, -1), ({7}, 7)])
 def test_model_rejects_integer_ids_outside_its_columns(integers, bad):
     # Column -1 would read as the last column, and 7 fail in strengthening.

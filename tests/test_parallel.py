@@ -1,4 +1,4 @@
-"""Shared fork-join substrate: shuffles, partitions and the block map."""
+"""Shared fork-join substrate: the seeded order, the block split and the block map."""
 import os
 import signal
 import subprocess
@@ -10,54 +10,73 @@ import pytest
 
 import graph_reference
 from cgcuts import parallel
-from cgcuts.parallel import map_blocks, shuffle_partition
+from cgcuts.parallel import map_blocks, shuffle_order, split
 
 
-def test_partition_sizes_within_one():
-    part = shuffle_partition(10, 3, seed=0)
-    assert sorted(len(b) for b in part.blocks) == [3, 3, 4]
+def _blocks(bounds):
+    return [list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def test_partition_more_threads_than_items():
-    part = shuffle_partition(5, 8, seed=0)
-    assert sorted((len(b) for b in part.blocks), reverse=True) == [
-        1, 1, 1, 1, 1, 0, 0, 0,
-    ]
+@pytest.mark.parametrize("work, k", [
+    ([3, 1, 4, 1, 5, 9, 2, 6], 3), ([1] * 10, 3), ([0, 0, 5, 0, 0], 2),
+    ([0] * 4, 3), ([2, 7], 5), ([], 4), ([1, 100, 1, 1], 3), ([5], 1),
+])
+def test_split_puts_each_item_in_one_block_in_order(work, k):
+    bounds = split(work, k)
+    assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == len(work)
+    assert np.all(np.diff(bounds) >= 0)  # contiguous blocks, in item order
+    assert sum(_blocks(bounds), []) == list(range(len(work)))
+    assert np.count_nonzero(np.diff(bounds)) <= k
 
 
-def test_partition_single_block_is_permutation():
-    part = shuffle_partition(7, 1, seed=3)
-    assert sorted(part.blocks[0].tolist()) == list(range(7))
+def test_split_places_an_item_by_the_middle_of_its_work():
+    # middles 1.5, 3.5 and 5 of 6 fall in the thirds [0, 2), [2, 4), [4, 6)
+    assert _blocks(split([3, 1, 2], 3)) == [[0], [1], [2]]
+    assert _blocks(split([1] * 10, 3)) == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
 
 
-def test_partition_is_deterministic_per_seed():
-    a = shuffle_partition(50, 4, seed=9)
-    b = shuffle_partition(50, 4, seed=9)
-    c = shuffle_partition(50, 4, seed=10)
-    assert np.array_equal(a.order, b.order)
-    assert not np.array_equal(a.order, c.order)
+def test_split_zero_work_items_follow_their_neighbours():
+    assert _blocks(split([0, 0, 5, 0, 0], 2)) == [[0, 1], [2, 3, 4]]
+    assert _blocks(split([0, 0, 0], 3)) == [[0, 1, 2], [], []]
 
 
-def test_partition_covers_all_items_disjointly():
-    part = shuffle_partition(23, 5, seed=1)
-    seen = np.concatenate(part.blocks)
-    assert sorted(seen.tolist()) == list(range(23))
+def test_split_more_blocks_than_items():
+    assert _blocks(split([1, 1], 5)) == [[], [0], [], [1], []]
+    assert _blocks(split([], 3)) == [[], [], []]
 
 
-def test_partition_rejects_bad_k():
-    with pytest.raises(ValueError):
-        shuffle_partition(3, 0, seed=0)
+def test_split_one_item_holding_most_of_the_work():
+    # the heavy item's block is the one its middle falls in: it holds that
+    # item alone, or with the light items before it
+    assert _blocks(split([1, 100, 1, 1], 3)) == [[0], [1], [2, 3]]
+    assert _blocks(split([1, 100, 1, 1], 2)) == [[0, 1], [2, 3]]
+    # its middle, 52 of 102, is in the second third: the third is empty
+    assert _blocks(split([1, 1, 100], 3)) == [[0, 1], [2], []]
 
 
-def test_partition_rejects_negative_seed():
+def test_split_rejects_bad_k():
+    with pytest.raises(ValueError, match="k"):
+        split([1, 2], 0)
+
+
+def test_shuffle_order_is_a_permutation():
+    assert sorted(shuffle_order(23, seed=1).tolist()) == list(range(23))
+    assert len(shuffle_order(0, seed=1)) == 0
+
+
+def test_shuffle_order_is_deterministic_per_seed():
+    a = shuffle_order(50, seed=9)
+    assert np.array_equal(a, shuffle_order(50, seed=9))
+    assert not np.array_equal(a, shuffle_order(50, seed=10))
+
+
+def test_shuffle_order_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
-        shuffle_partition(3, 1, seed=-1)
+        shuffle_order(3, seed=-1)
 
 
 def test_shuffle_order_is_pinned():
-    part = shuffle_partition(10, 3, seed=0)
-    assert part.order.tolist() == [2, 4, 6, 8, 5, 1, 7, 0, 9, 3]
-    assert [b.tolist() for b in part.blocks] == [[2, 4, 6, 8], [5, 1, 7], [0, 9, 3]]
+    assert shuffle_order(10, seed=0).tolist() == [2, 4, 6, 8, 5, 1, 7, 0, 9, 3]
 
 
 def test_mix_is_the_splitmix64_stream():

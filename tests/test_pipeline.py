@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cgcuts
+from cgcuts import cliques, extend, graph, merge, parallel
 from cgcuts.cli import main
 from cgcuts.model_io import TAGS
 from cgcuts import model_io
@@ -368,12 +369,32 @@ def test_limits_accept_integer_counts_and_real_seconds():
         Limits(max_knapsack_vars=7.0)
 
 
+def test_a_map_of_one_item_forks_no_worker(monkeypatch):
+    # One knapsack, one base and one extended clique: every map has one
+    # non-empty block at k = 2, and only non-empty blocks are dispatched.
+    monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+    blocks = []
+
+    def spy(fn, args, k):
+        blocks.append(len(args))
+        return parallel.map_blocks(fn, args, k)
+
+    for mod in (cliques, graph, extend, merge):
+        monkeypatch.setattr(mod, "map_blocks", spy)
+    run_pipeline_model(KNAPSACK6, k=2)
+    assert blocks == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_serial_presolve_loads_no_pool_or_bench_module(tmp_path, threads):
     # A k = 1 run forks no worker and a k = 2 run forks one on two pipes;
     # neither loads a process-pool module, and neither runs a benchmark.
+    # Two knapsacks make two blocks at k = 2, so a worker has work.
     src = tmp_path / "in.mps"
-    src.write_text(write_mps(KNAPSACK6))
+    knapsack = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
+    src.write_text(write_mps(make_model(
+        10, [knapsack, {j + 6: a for j, a in knapsack.items()}], ["L", "L"], [5.0, 5.0],
+        binary=range(10))))
     code = (
         "import sys\n"
         "from cgcuts import cli\n"
