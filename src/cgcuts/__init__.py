@@ -15,15 +15,7 @@ from .model_io import (
     write_mps,
 )
 from .pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
-from .presolve import (
-    DetectionResult,
-    InfeasibleError,
-    PbcTable,
-    classify_rows,
-    detect,
-    rewrite_rows,
-    strengthen_bounds_once,
-)
+from .presolve import DetectionResult, InfeasibleError, PbcTable, detect
 from .triage import TriagePlan, triage
 
 __version__ = "0.1.0"

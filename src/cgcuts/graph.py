@@ -56,32 +56,12 @@ class ConflictGraph:
     def stored_nnz(self) -> int:
         return len(self.indices)  # both symmetric entries count
 
-    def edges(self):
-        """(us, vs) of every edge with u < v, sorted by (u, v)."""
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                         np.diff(self.indptr))
-        upper = self.indices > rows
-        return rows[upper], self.indices[upper]
-
     def row(self, u: int) -> np.ndarray:
         """Sorted neighbours of `u` (a view into `indices`)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.row(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
     def neighbors(self, u: int) -> list[int]:
         return self.row(u).tolist()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConflictGraph)
-            and self.n_b == other.n_b
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
 
 
 #: Pairs written per slice of a block's codes; bounds the node arrays made

@@ -151,16 +151,6 @@ class MipModel:
         """Columns j with j integer, l_j = 0 and u_j = 1, ascending."""
         return binary_cols(self.integers, self.lb, self.ub)
 
-    def signature(self):
-        """Name-independent numeric tuple; equal signatures = equal models."""
-        senses = self.senses.tolist()
-        rows = tuple((senses[i], float(self.rhs[i]))
-                     + tuple(sorted(zip(*(x.tolist() for x in self.row(i)))))
-                     for i in range(self.num_rows))
-        obj, lb, ub = (tuple(map(float, x)) for x in (self.obj, self.lb, self.ub))
-        return (self.num_rows, self.num_cols, rows, obj, lb, ub, tuple(self.integers.tolist()),
-                self.minimize)
-
 
 def binary_cols(integers: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """The columns of the sorted array `integers` whose bounds `lb`, `ub`

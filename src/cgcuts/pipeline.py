@@ -89,14 +89,6 @@ def _fresh_flags() -> dict:
     }
 
 
-class _Deadline:
-    def __init__(self, seconds: float):
-        self.expires = time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        return time.monotonic() >= self.expires
-
-
 def run_pipeline_model(
     model: MipModel,
     limits: Limits | None = None,
@@ -114,7 +106,7 @@ def run_pipeline_model(
     limits = limits or Limits()
     k = clamp_threads(k)
     stats = RunStats(threads=k, seed=seed, flags=_fresh_flags())
-    deadline = _Deadline(limits.time_limit_s)
+    deadline = time.monotonic() + limits.time_limit_s  # checked between stages
 
     def timed(name: str, fn):
         t0 = time.perf_counter()
@@ -133,7 +125,7 @@ def run_pipeline_model(
     stats.rows_removed = model.num_rows - detection.model.num_rows
     packing = [CliqueTable.plain(s.lengths(), s.nodes, tag)
                for s, tag in ((detection.s_osp, OSP), (detection.s_isp, ISP))]
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         return passthrough(CliqueTable.plain([], [], OSP))
 
     s_ck = detection.s_ck.take(
@@ -150,7 +142,7 @@ def run_pipeline_model(
     table = table.take(table.order())
     n_bases = int(np.searchsorted(table.tag, OTHER))
     others = table.take(np.arange(n_bases, len(table)))
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         return passthrough(others)
 
     gstats: dict = {}
@@ -169,7 +161,7 @@ def run_pipeline_model(
     stats.pairs_expanded = gstats.get("pairs_expanded", 0)
     stats.flags["graph_nnz_capped"] = bool(gstats.get("pair_cap_hit"))
     stats.flags["clique_downsampled"] = gstats.get("downsampled", 0) > 0
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         return passthrough(others)
 
     estats: dict = {}
@@ -179,14 +171,14 @@ def run_pipeline_model(
         k,
         seed,
         budget=limits.per_thread_ext_nnz,
-        deadline=deadline.expires,
+        deadline=deadline,
         stats=estats,
     ))
     if estats.get("ext_budget_hit"):
         stats.flags["extension_budget_hit"] = True
     extended = CliqueTable.concat([longs, grown])
     extended = extended.take(extended.order())
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         return passthrough(CliqueTable.concat([extended, others]))
 
     def run_merge():
@@ -194,15 +186,13 @@ def run_pipeline_model(
             stats.flags["merge_skipped"] = True
             return extended
         counters: dict = {}
-        flags = removal_flags(
-            extended, k, counters=counters, deadline=deadline.expires,
-        )
+        flags = removal_flags(extended, k, counters=counters, deadline=deadline)
         if counters.get("deadline_hit"):
             return extended
         return extended.take(np.flatnonzero(~flags))
 
     pool = CliqueTable.concat([timed("merge", run_merge), others])
-    if deadline.expired():
+    if time.monotonic() >= deadline:
         return passthrough(pool)
 
     plan = timed("triage", lambda: triage(pool, detection.model))

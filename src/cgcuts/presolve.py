@@ -55,6 +55,9 @@ class InfeasibleError(Exception):
         super().__init__(message or f"row {row} is infeasible")
         self.row = row
 
+    def __reduce__(self):  # the default rebuilds it from the message alone
+        return type(self), (self.row, str(self))
+
 
 def _within(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Whether each value of `q` occurs in the sorted array `sorted_values`."""
@@ -140,7 +143,6 @@ class DetectionResult:
     s_ck: PbcTable
     fixings: list[tuple[int, int]]
     binaries: np.ndarray
-    work: int = 0  # stored-coefficient touches, for the O(NNZ) check
 
 
 def _forms(indptr: np.ndarray, le: np.ndarray, ge: np.ndarray):
@@ -333,21 +335,13 @@ def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
 
 
 def _strengthened(model: MipModel):
-    """(lb, ub, ids of the rows kept) after `_strengthen`."""
+    """(lb, ub, ids of the rows kept) after one round of `_strengthen`, no
+    fixpoint: empty rows are checked and singleton rows folded into the
+    bounds, and both are dropped."""
     _check_nonzero(model)
     lb, ub = model.lb.copy(), model.ub.copy()
     _strengthen(model, lb, ub, model.integer_mask())
     return lb, ub, np.flatnonzero(np.diff(model.indptr) >= 2)
-
-
-def strengthen_bounds_once(model: MipModel) -> MipModel:
-    """One pass of single-row activity-based bound tightening.
-
-    Empty rows are checked and dropped; singleton rows are folded into the
-    variable bounds and dropped. No iteration to a fixpoint.
-    """
-    lb, ub, keep = _strengthened(model)
-    return model.take_rows(keep, lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +392,6 @@ def _rewrite(model: MipModel, bins: np.ndarray):
         (sign * model.rhs[f_row] + shift)[keep],
         f_row[keep],
     ), size[keep]
-
-
-def rewrite_rows(model: MipModel) -> PbcTable:
-    """The <=-forms of the model's rows as pure binary constraints, in
-    (row, LE then GE) order, over the nodes of `model.binaries`."""
-    _check_nonzero(model)
-    return _rewrite(model, model.binaries)[0]
-
-
-def classify_rows(model: MipModel) -> DetectionResult:
-    """Rewrite and classify the rows of a model taken as already
-    strengthened (see `_classify`)."""
-    _check_nonzero(model)
-    return _classify(model, np.arange(model.num_rows))
 
 
 def _classify(model: MipModel, ids: np.ndarray) -> DetectionResult:
@@ -476,12 +456,11 @@ def _classify(model: MipModel, ids: np.ndarray) -> DetectionResult:
         s_ck=pbc.take(np.flatnonzero(ck)),
         fixings=list(zip(fcol.tolist(), fval.tolist())),
         binaries=bins,
-        work=model.nnz,
     )
 
 
 def detect(model: MipModel) -> DetectionResult:
     """Single-pass detection of set packing and conflicting knapsack rows:
-    `strengthen_bounds_once`, then `classify_rows`."""
+    `_strengthened`, then `_classify` of the rows it keeps."""
     lb, ub, keep = _strengthened(model)
     return _classify(model.take_rows(keep, lb, ub), keep)

@@ -22,7 +22,6 @@ class TriagePlan:
     constraint: np.ndarray  # per pool clique: a model constraint, else a user cut
     replacements: int  # the osp_long constraints, outside the budget
     clq_nnz: int
-    model_nnz: int
     budget_demotions: int = 0
 
     def constraint_rows(self) -> int:
@@ -63,4 +62,4 @@ def triage(pool: CliqueTable, model: MipModel) -> TriagePlan:
         rows_now += admitted
         clq_nnz += int(size[lo:lo + admitted].sum())
         demotions += hi - lo - admitted
-    return TriagePlan(constraint, replacements, clq_nnz, model.nnz, demotions)
+    return TriagePlan(constraint, replacements, clq_nnz, demotions)

@@ -58,6 +58,24 @@ def graph_from_edges(edges, n_b):
     return ConflictGraph(n_b, indptr, indices)
 
 
+def graph_edges(g):
+    """(us, vs) of every edge of the graph `g` with u < v, sorted by (u, v)."""
+    rows = np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(g.indptr))
+    upper = g.indices > rows
+    return rows[upper], g.indices[upper]
+
+
+def has_edge(g, u, v) -> bool:
+    """Whether the graph `g` holds the edge (u, v)."""
+    return bool(np.any(g.row(u) == v))
+
+
+def same_graph(a, b) -> bool:
+    """Whether the graphs `a` and `b` have the same nodes and CSR arrays."""
+    return (a.n_b == b.n_b and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices))
+
+
 def clique_table(sequences, rows, tags=0):
     """CliqueTable of node `sequences` and one (seq, head, start) row per
     clique, with `tags` (one for all, or one per clique)."""
@@ -136,6 +154,18 @@ def model_of_rows(rows, like=None, **fields):
                             + [np.empty(0)]),
         **fields,
     )
+
+
+def signature(model):
+    """Name-independent numeric tuple of `model`; equal signatures are
+    equal models."""
+    senses = model.senses.tolist()
+    rows = tuple((senses[i], float(model.rhs[i]))
+                 + tuple(sorted(zip(*(x.tolist() for x in model.row(i)))))
+                 for i in range(model.num_rows))
+    obj, lb, ub = (tuple(map(float, x)) for x in (model.obj, model.lb, model.ub))
+    return (model.num_rows, model.num_cols, rows, obj, lb, ub,
+            tuple(model.integers.tolist()), model.minimize)
 
 
 def knapsack_indices(coeffs, rhs):

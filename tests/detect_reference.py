@@ -1,7 +1,7 @@
 """Row-at-a-time detection: the reference for `cgcuts.presolve`.
 
 These are the straightforward per-row, per-nonzero versions of
-`strengthen_bounds_once` and `detect`: a loop over the rows that tightens
+`presolve._strengthened` and `detect`: a loop over the rows that tightens
 one bound at a time, and a list of `(Literal, coefficient)` terms per pure
 binary constraint. The array-pass versions in `cgcuts.presolve` must give
 bit-identical bounds, kept rows, fixings and tables, and the same
@@ -53,7 +53,6 @@ class Detection:
     s_ck: list[PureBinaryConstraint]
     fixings: list[tuple[int, int]]
     binaries: np.ndarray
-    work: int
 
 
 def _round_inward(lo: float, hi: float, is_int: bool) -> tuple[float, float]:
@@ -200,7 +199,6 @@ def classify_rows(m: MipModel) -> Detection:
     s_osp, s_isp, s_ck = [], [], []
     fixings: list[tuple[int, int]] = []
     keep = []
-    work = 0
 
     def apply_fixing(lit: Literal, row: int):
         j = lit.col
@@ -214,7 +212,6 @@ def classify_rows(m: MipModel) -> Detection:
         cols, vals = m.row(i)
         sense = m.senses[i]
         b = float(m.rhs[i])
-        work += len(cols)
         removed = False
         if sense in (SENSE_LE, SENSE_GE):
             fcols, fvals, fb = next(_le_forms(cols, vals, b, sense))
@@ -251,7 +248,7 @@ def classify_rows(m: MipModel) -> Detection:
             keep.append(i)
 
     m = _rows_of(m, keep)
-    return Detection(m, s_osp, s_isp, s_ck, fixings, bins, work)
+    return Detection(m, s_osp, s_isp, s_ck, fixings, bins)
 
 
 def detect(model: MipModel) -> Detection:

@@ -1,5 +1,5 @@
 """The array-pass detection against the row loop in `detect_reference`:
-bit-identical bounds, kept rows, fixings, work and tables, and the same
+bit-identical bounds, kept rows, fixings and tables, and the same
 `InfeasibleError` row and message; plus pinning cases that fail under a
 design that reads the input bounds in every row, reports the first error
 of the first level, or sums activities with `np.add.reduceat`."""
@@ -10,12 +10,7 @@ import pytest
 
 import detect_reference as ref
 from cgcuts import presolve
-from cgcuts.presolve import (
-    InfeasibleError,
-    classify_rows,
-    detect,
-    strengthen_bounds_once,
-)
+from cgcuts.presolve import InfeasibleError, _classify, _strengthened, detect
 from conftest import make_model, node_of
 
 # Column kinds of the fuzzed models.
@@ -54,12 +49,12 @@ def _outcome(fn, model, table):
         res = fn(model)
     except InfeasibleError as exc:
         return ("infeasible", exc.row, str(exc))
-    return ("ok", _model_key(res.model), res.fixings, res.work,
+    return ("ok", _model_key(res.model), res.fixings,
             [table(getattr(res, name)) for name in ("s_osp", "s_isp", "s_ck")])
 
 
 def assert_same_detection(model):
-    """`detect` and `classify_rows` agree with the row loop bit for bit;
+    """`detect` and `_classify` agree with the row loop bit for bit;
     returns the outcome of `detect`. The reference's `detect` counts rows
     after strengthening, which keeps the rows with two or more entries;
     `detect` reports input rows, so the reference's rows are mapped back."""
@@ -75,7 +70,7 @@ def assert_same_detection(model):
     kept = np.flatnonzero(np.diff(model.indptr) >= 2).tolist()
     got = _outcome(detect, model, _table)
     assert got == _outcome(ref_tables(ref.detect, kept), model, lambda t: t)
-    assert (_outcome(classify_rows, model, _table)
+    assert (_outcome(lambda m: _classify(m, np.arange(m.num_rows)), model, _table)
             == _outcome(ref_tables(ref.classify_rows, range(model.num_rows)),
                         model, lambda t: t))
     return got
@@ -223,9 +218,9 @@ def test_a_chain_without_tightening_settles_in_one_pass(calls):
     # moves, so the speculative pass alone is final.
     model = make_model(201, [{i: 1.0, i + 1: 1.0} for i in range(200)], ["L"] * 200,
                        [2.0] * 200, binary=range(201))
-    out = strengthen_bounds_once(model)
+    lb, ub, _ = _strengthened(model)
     assert calls == [200]
-    assert _bits(out.lb) == _bits(model.lb) and _bits(out.ub) == _bits(model.ub)
+    assert _bits(lb) == _bits(model.lb) and _bits(ub) == _bits(model.ub)
     # a move in row 100 (x_100 = x_101 = 0) sends only the 99 rows after
     # it through the levels, one row each
     model.rhs[100] = 0.0
@@ -305,7 +300,7 @@ def test_source_row_is_the_input_row():
                        [1.0, 5.0], binary=range(3))
     res = detect(model)
     assert res.s_ck.source_row.tolist() == [1]
-    assert classify_rows(model).s_ck.source_row.tolist() == [1]
+    assert _classify(model, np.arange(2)).s_ck.source_row.tolist() == [1]
     assert assert_same_detection(model)[0] == "ok"
 
 
@@ -316,7 +311,7 @@ def test_first_infeasible_row_wins_over_an_earlier_level():
         5, [{0: 1.0, 1: 1.0}, {1: 1.0, 2: 1.0}, {3: 1.0, 4: 1.0}],
         ["L", "L", "L"], [5.0, -1.0, -1.0])
     with pytest.raises(InfeasibleError) as exc:
-        strengthen_bounds_once(model)
+        _strengthened(model)
     assert exc.value.row == 1
     assert str(exc.value) == "row 1 is infeasible"
     assert assert_same_detection(model) == ("infeasible", 1, "row 1 is infeasible")
@@ -333,7 +328,7 @@ def test_activity_is_a_pairwise_sum():
     b = float(contrib.sum()) + 5.0
     model = make_model(12, [dict(enumerate(coeffs))], ["L"], [b],
                        lb=lb, ub=np.full(12, 100.0))
-    ub = strengthen_bounds_once(model).ub
+    ub = _strengthened(model)[1]
     expected = (b - (contrib.sum() - contrib)) / coeffs
     by_reduceat = (b - (np.add.reduceat(contrib, [0])[0] - contrib)) / coeffs
     assert _bits(ub) == _bits(expected)

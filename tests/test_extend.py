@@ -6,11 +6,11 @@ import numpy as np
 from cgcuts.cliques import ISP, ORG, OSP
 from cgcuts.extend import extend_parallel
 from cgcuts.graph import build_graph_parallel
-from conftest import cliques_of, graph_from_edges, plain_table
+from conftest import cliques_of, graph_from_edges, has_edge, plain_table
 
 
 def is_clique(nodes, g):
-    return all(g.has_edge(u, v) for u, v in itertools.combinations(nodes, 2))
+    return all(has_edge(g, u, v) for u, v in itertools.combinations(nodes, 2))
 
 
 def extend_all(bases, g, k, seed, **kw):
@@ -118,7 +118,7 @@ def random_clique_of(rng, g, max_len=3):
     base = [int(rng.integers(0, dim))]
     for v in rng.permutation(dim):
         v = int(v)
-        if v not in base and all(g.has_edge(v, u) for u in base):
+        if v not in base and all(has_edge(g, v, u) for u in base):
             base.append(v)
             if len(base) >= max_len:
                 break

@@ -10,7 +10,7 @@ import extend_reference as ref
 from cgcuts import extend, parallel
 from cgcuts.cliques import ISP, ORG, OSP
 from cgcuts.graph import build_graph_parallel
-from conftest import cliques_of, graph_from_edges, plain_table
+from conftest import cliques_of, graph_from_edges, has_edge, plain_table
 
 SOURCES = (OSP, ISP, ORG)
 
@@ -102,7 +102,7 @@ def assert_same_block(bases, g, budget, deadline=None):
 
 
 def _is_clique(nodes, g):
-    return all(g.has_edge(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
+    return all(has_edge(g, u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:])
 
 
 def _fuzz(seed, trials):

@@ -16,7 +16,7 @@ from cgcuts import graph
 from cgcuts.graph import build_graph_parallel
 from cgcuts.model_io import code_type
 from cgcuts.parallel import shuffle_order
-from conftest import clique_table, pbc_table, plain_table
+from conftest import clique_table, graph_edges, pbc_table, plain_table
 
 
 def _cliques(sequences, rows):
@@ -135,7 +135,7 @@ def test_capped_original_clique_expands_from_another_suffix():
     assert stats["pair_cap_hit"] and stats["pairs_expanded"] == 4
     g = build_graph_parallel(clique_table(sequences, rows), 6, 1, seed,
                              max_pairs=4)
-    us, vs = g.edges()
+    us, vs = graph_edges(g)
     conflicts = {(u, v) for u, v in zip(us.tolist(), vs.tolist()) if v < 6}
     assert conflicts == {(2, 4), (2, 5), (4, 5), (1, 5)}
 
@@ -157,7 +157,7 @@ def test_sampled_family_member_is_expanded_as_its_sample():
 
 def _sample_of(g, nodes) -> set:
     """The nodes of `nodes` that have a conflict edge within `nodes`."""
-    us, vs = g.edges()
+    us, vs = graph_edges(g)
     inside = np.isin(us, nodes) & np.isin(vs, nodes)
     return set(us[inside].tolist()) | set(vs[inside].tolist())
 

@@ -16,7 +16,7 @@ from cgcuts.model_io import (
     write_augmented_mps,
     write_mps,
 )
-from conftest import cut_pool, random_binary_model
+from conftest import cut_pool, random_binary_model, signature
 
 BOUND_TAGS = ("LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI")
 
@@ -140,7 +140,7 @@ def random_pool(rng, model):
 
 
 def assert_same_model(new, old):
-    assert new.signature() == old.signature()
+    assert signature(new) == signature(old)
     assert new.col_names == old.col_names
     assert new.row_names == old.row_names
     assert (new.name, new.obj_name) == (old.name, old.obj_name)

@@ -17,12 +17,15 @@ differs.
 import hashlib
 import os
 import sys
+import time
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
 from cgcuts import cliques, extend, graph, merge, model_io, parallel, pipeline
 from cgcuts.model_io import TAGS, export_cut_pool, parse_mps, write_augmented_mps
+from conftest import signature
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -147,25 +150,34 @@ def test_blocks_are_clamped_to_what_can_run_at_once(monkeypatch, shape):
     assert stats.threads == 2 and blocks == [2, 2, 2, 2]
 
 
+def _expire_at(monkeypatch, check):
+    """Make the pipeline's `check`-th deadline check find the time limit
+    passed; returns the list of its clock readings, the first of which
+    sets the deadline. Extension and merge read their own clock."""
+    calls = []
+
+    def monotonic():
+        calls.append(None)
+        return time.monotonic() + (1e9 if len(calls) > check else 0.0)
+
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(
+        monotonic=monotonic, perf_counter=time.perf_counter))
+    return calls
+
+
 @pytest.mark.parametrize("check", [2, 3, 4, 5])
 @pytest.mark.parametrize("shape", sorted(gen.SHAPES))
 def test_time_limit_passthrough_after_each_stage(monkeypatch, shape, check):
     text = _input(shape)
-    calls = []
-
-    def expired(self):
-        calls.append(None)
-        return len(calls) >= check
-
-    monkeypatch.setattr(pipeline._Deadline, "expired", expired)
+    calls = _expire_at(monkeypatch, check)
     model = parse_mps(text)
     base, pool, plan, stats = pipeline.run_pipeline_model(model, k=1)
-    assert len(calls) == check
+    assert len(calls) == 1 + check
     assert stats.flags["time_limit_hit"] and plan is None
     assert base is model
     # The augmented model is the input with no row added, and every pool
     # line is a known tag followed by signed 1-based column indices.
-    assert parse_mps(write_augmented_mps(base, pool)).signature() == model.signature()
+    assert signature(parse_mps(write_augmented_mps(base, pool))) == signature(model)
     cuts = export_cut_pool(pool)
     assert _sha(cuts) == PINNED_PASSTHROUGH[shape][check - 2]
     for line in cuts.splitlines():
@@ -182,12 +194,8 @@ def test_passthrough_keeps_the_parsed_model_for_emit(tmp_path, monkeypatch, shap
     # run emits the parsed model itself, so it is still alive at emit.
     src = tmp_path / "model.mps"
     src.write_text(_input(shape))
-    calls, parsed, alive = [], [], []
+    parsed, alive = [], []
     parse, write = model_io.parse_mps_file, model_io.write_augmented_mps
-
-    def expired(self):
-        calls.append(None)
-        return len(calls) >= 3
 
     def parse_spy(path):
         out = parse(path)
@@ -198,7 +206,7 @@ def test_passthrough_keeps_the_parsed_model_for_emit(tmp_path, monkeypatch, shap
         alive.append(base is parsed[0]())
         return write(base, pool)
 
-    monkeypatch.setattr(pipeline._Deadline, "expired", expired)
+    _expire_at(monkeypatch, 3)
     monkeypatch.setattr(model_io, "parse_mps_file", parse_spy)
     monkeypatch.setattr(model_io, "write_augmented_mps", write_spy)
     stats = pipeline.run_pipeline(src, out_model=tmp_path / "aug.mps",

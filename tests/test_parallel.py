@@ -10,7 +10,9 @@ import pytest
 
 import graph_reference
 from cgcuts import parallel
+from cgcuts.model_io import MpsError
 from cgcuts.parallel import map_blocks, shuffle_order, split
+from cgcuts.presolve import InfeasibleError
 
 
 def _blocks(bounds):
@@ -200,6 +202,28 @@ def test_map_blocks_unpicklable_error_comes_back_as_its_repr(no_workers):
     with pytest.raises(RuntimeError, match=r"_TwoArgError\(\[2\]\)"):
         map_blocks(_raise_two_arg, [[], [2]], k=2)
     assert map_blocks(_square_all, [[1], [2]], k=2) == [[1], [4]]
+
+
+def _raise_model_error(block):
+    if block == "infeasible":
+        raise InfeasibleError(3, "row 3 is infeasible")
+    if block == "mps":
+        exc = MpsError("bad bound", line=7)
+        exc.path = "model.mps"
+        raise exc
+    return block
+
+
+@pytest.mark.parametrize("kind, error, text, attrs", [
+    ("infeasible", InfeasibleError, "row 3 is infeasible", {"row": 3}),
+    ("mps", MpsError, "line 7: bad bound", {"line": 7, "path": "model.mps"}),
+])
+def test_map_blocks_error_keeps_its_text_and_attributes(no_workers, kind, error, text, attrs):
+    # At k = 2 block 1 runs in the worker, so its error crosses a pipe.
+    for k in (1, 2):
+        with pytest.raises(error) as info:
+            map_blocks(_raise_model_error, ["", kind], k=k)
+        assert (type(info.value), str(info.value), vars(info.value)) == (error, text, attrs)
 
 
 class _Abort(BaseException):

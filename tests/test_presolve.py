@@ -4,13 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts.presolve import (
-    InfeasibleError,
-    classify_rows,
-    detect,
-    rewrite_rows,
-    strengthen_bounds_once,
-)
+from cgcuts.presolve import InfeasibleError, _classify, _rewrite, _strengthened, detect
 from conftest import (
     Literal,
     feasible_binary_points,
@@ -29,82 +23,86 @@ def terms(table, i, binaries):
 
 
 def classes(coeff_list, rhs):
-    """What `classify_rows` makes of sum coeff_j x_j <= rhs over binaries:
+    """What `_classify` makes of sum coeff_j x_j <= rhs over binaries:
     the tables that hold the row, or the fixings it implies."""
     n = len(coeff_list)
     model = make_model(n, [dict(enumerate(coeff_list))], ["L"], [rhs],
                        binary=range(n))
-    res = classify_rows(model)
+    res = _classify(model, np.arange(1))
     found = {name for name in ("s_osp", "s_isp", "s_ck")
              if len(getattr(res, name))}
     return found, res.fixings
 
 
-# --- strengthen_bounds_once ------------------------------------------------
+# --- strengthening -----------------------------------------------------------
+# `_strengthened` gives (lb, ub, ids of the rows kept).
 
 
 def test_singleton_row_fixes_binary_and_is_removed():
     model = make_model(1, [{0: 2.0}], ["L"], [1.0], binary=[0])
-    out = strengthen_bounds_once(model)
-    assert out.num_rows == 0
-    assert out.ub[0] == 0.0
+    _, ub, keep = _strengthened(model)
+    assert len(keep) == 0
+    assert ub[0] == 0.0
 
 
 def test_activity_bound_tightens_continuous_upper():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0],
                        binary=[0], ub=[1.0, 5.0])
-    out = strengthen_bounds_once(model)
-    assert out.ub[1] == 1.0
-    assert out.num_rows == 1
+    _, ub, keep = _strengthened(model)
+    assert ub[1] == 1.0
+    assert len(keep) == 1
 
 
 def test_all_infinite_activity_changes_nothing():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0],
                        lb=[-math.inf, -math.inf])
-    out = strengthen_bounds_once(model)
-    assert out.lb.tolist() == model.lb.tolist()
-    assert out.ub.tolist() == model.ub.tolist()
+    lb, ub, _ = _strengthened(model)
+    assert lb.tolist() == model.lb.tolist()
+    assert ub.tolist() == model.ub.tolist()
 
 
 def test_integer_bounds_round_inward():
     model = make_model(1, [{0: 2.0}], ["L"], [3.0], integers=[0],
                        ub=[10.0])
-    out = strengthen_bounds_once(model)
-    assert out.ub[0] == 1.0  # floor(3/2)
+    assert _strengthened(model)[1][0] == 1.0  # floor(3/2)
 
 
 def test_ge_rows_tighten_lower_bounds():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["G"], [4.0],
                        ub=[2.0, 5.0])
-    out = strengthen_bounds_once(model)
-    assert out.lb[1] == 2.0  # 4 - max contribution 2 of x1
+    assert _strengthened(model)[0][1] == 2.0  # 4 - max contribution 2 of x1
 
 
 def test_infeasible_row_raises():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [-1.0])
     with pytest.raises(InfeasibleError):
-        strengthen_bounds_once(model)
+        _strengthened(model)
 
 
 def test_infeasible_empty_row_raises():
     model = make_model(1, [[]], ["G"], [2.0])
     with pytest.raises(InfeasibleError):
-        strengthen_bounds_once(model)
+        _strengthened(model)
 
 
 def test_feasible_empty_row_is_dropped():
     model = make_model(1, [[]], ["L"], [1.0])
-    assert strengthen_bounds_once(model).num_rows == 0
+    assert len(_strengthened(model)[2]) == 0
 
 
-# --- rewrite_rows ----------------------------------------------------------
-# The test_to_pbc_* names are those of the per-row rewrite that rewrite_rows
+# --- rewriting -------------------------------------------------------------
+# The test_to_pbc_* names are those of the per-row rewrite that `_rewrite`
 # now does for all rows at once.
+
+
+def rewrite(model):
+    """`_rewrite`'s table of `model` over its binary columns."""
+    return _rewrite(model, model.binaries)[0]
 
 
 def test_to_pbc_complements_negative_binaries():
     model = make_model(2, [{0: 2.0, 1: -3.0}], ["L"], [-1.0], binary=[0, 1])
-    out = rewrite_rows(model)
+    out = rewrite(model)
     assert out.rhs.tolist() == [2.0]  # -1 - 0 + 3
     assert terms(out, 0, [0, 1]) == [(Literal(0, False), 2.0),
                                      (Literal(1, True), 3.0)]
@@ -112,7 +110,7 @@ def test_to_pbc_complements_negative_binaries():
 
 def test_to_pbc_identity_on_pure_binary_row():
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0], binary=[0, 1])
-    out = rewrite_rows(model)
+    out = rewrite(model)
     assert out.rhs.tolist() == [1.0]
     assert [(lit.col, lit.complemented, a)
             for lit, a in terms(out, 0, [0, 1])] == [
@@ -124,14 +122,14 @@ def test_to_pbc_identity_on_pure_binary_row():
 def test_to_pbc_unbounded_infimum_gives_nothing():
     model = make_model(2, [{0: 2.0, 1: 1.5}], ["L"], [4.0],
                        binary=[0], lb=[0.0, -math.inf])
-    assert len(rewrite_rows(model)) == 0
+    assert len(rewrite(model)) == 0
 
 
 def test_to_pbc_absorbs_bounded_continuous_part():
     # 2 x1 + y <= 4 with y in [1, 3] -> 2 x1 <= 3
     model = make_model(2, [{0: 2.0, 1: 1.0}], ["L"], [4.0],
                        binary=[0], lb=[0.0, 1.0], ub=[1.0, 3.0])
-    out = rewrite_rows(model)
+    out = rewrite(model)
     assert out.rhs.tolist() == [3.0]
     assert out.lengths().tolist() == [1]
 
@@ -139,7 +137,7 @@ def test_to_pbc_absorbs_bounded_continuous_part():
 def test_rewrite_negates_ge_rows():
     # x1 + x2 >= 1 is -x1 - x2 <= -1, that is (1-x1) + (1-x2) <= 1
     model = make_model(2, [{0: 1.0, 1: 1.0}], ["G"], [1.0], binary=[0, 1])
-    out = rewrite_rows(model)
+    out = rewrite(model)
     assert out.rhs.tolist() == [1.0]
     assert terms(out, 0, [0, 1]) == [(Literal(0, True), 1.0),
                                      (Literal(1, True), 1.0)]
@@ -240,17 +238,6 @@ def test_detect_splits_equality_rows():
     res = detect(model)
     assert res.model.num_rows == 1
     assert len(res.s_isp) == 2
-
-
-def test_detect_work_is_linear_in_nnz():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        model = random_binary_model(rng)
-        try:
-            res = detect(model)
-        except InfeasibleError:
-            continue
-        assert res.work <= model.nnz
 
 
 def test_detect_preserves_binary_feasible_set():

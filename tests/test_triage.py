@@ -55,7 +55,7 @@ def test_empty_pools_give_empty_plan():
     plan = triage(empty_pools(), model)
     assert plan.replacements == 0
     assert plan.constraint_rows() == 0 and len(plan.as_user_cuts) == 0
-    assert plan.clq_nnz == 0 and plan.model_nnz == 10
+    assert plan.clq_nnz == 0
 
 
 def test_ratio_boundary_is_inclusive():
