@@ -9,7 +9,7 @@ maximal cliques. A knapsack's cliques are kept in a compact suffix form over its
 coefficient-ordered nodes, because materializing all of them can take
 quadratic memory, and `CliqueTable` keeps that form. Members are written
 out, sorted per clique, only where a stage needs them (`CliqueTable.flat`):
-extension, merge, the pool order and the writers.
+graph build's samples, extension, merge, the pool order and the writers.
 """
 from __future__ import annotations
 
@@ -80,12 +80,6 @@ class CliqueTable:
     def sizes(self) -> np.ndarray:
         seq_len = self.seq_ptr[self.seq + 1] - self.seq_ptr[self.seq]
         return seq_len - self.start + (self.head >= 0)
-
-    def members(self, c: int) -> np.ndarray:
-        """The nodes of clique c, ascending."""
-        nodes = self.seq_nodes[self.seq_ptr[self.seq[c]]:self.seq_ptr[self.seq[c] + 1]]
-        head = nodes[self.head[c]:self.head[c] + 1] if self.head[c] >= 0 else nodes[:0]
-        return np.sort(np.concatenate([head, nodes[self.start[c]:]]))
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, nodes), both int64: every clique's members, ascending,

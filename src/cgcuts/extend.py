@@ -36,7 +36,7 @@ def _grow(base: tuple[int, ...], cands: list[int], g: ConflictGraph):
     touched = len(base) + len(cands)
     buckets: list[list[int]] = []  # creation order
     for u in cands:
-        adjacent = set(g.neighbors(u))
+        adjacent = set(g.row(u).tolist())
         joined = False
         for members in buckets:
             touched += len(members)

@@ -37,7 +37,7 @@ import numpy as np
 from .cliques import CliqueTable
 from .model_io import code_type
 from .parallel import _mix, map_blocks, shuffle_order, split
-from .presolve import _ranges
+from .presolve import _indptr, _ranges
 
 
 class ConflictGraph:
@@ -59,9 +59,6 @@ class ConflictGraph:
     def row(self, u: int) -> np.ndarray:
         """Sorted neighbours of `u` (a view into `indices`)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
-    def neighbors(self, u: int) -> list[int]:
-        return self.row(u).tolist()
 
 
 #: Pairs written per slice of a block's codes; bounds the node arrays made
@@ -151,16 +148,16 @@ def _build_block(args):
     return _dedup(codes)
 
 
-def _with_samples(table: CliqueTable, ids: np.ndarray, samples) -> CliqueTable:
-    """`table` with clique ids[j] replaced by the plain clique samples[j]."""
-    lens = np.array([len(s) for s in samples], dtype=np.int64)
+def _with_samples(table: CliqueTable, ids: np.ndarray, lens, nodes) -> CliqueTable:
+    """`table` with clique ids[j] replaced by the plain clique of the j-th
+    run of `lens[j]` `nodes`."""
     seq, head, start = table.seq.copy(), table.head.copy(), table.start.copy()
     seq[ids] = len(table.seq_ptr) - 1 + np.arange(len(ids))
     head[ids] = -1
     start[ids] = 0
     return CliqueTable(
         np.concatenate([table.seq_ptr, table.seq_ptr[-1] + np.cumsum(lens)]),
-        np.concatenate([table.seq_nodes, *samples]),
+        np.concatenate([table.seq_nodes, nodes.astype(table.seq_nodes.dtype)]),
         seq, head, start, table.tag,
     )
 
@@ -216,12 +213,14 @@ def build_graph_parallel(
     chosen = len(budget) if max_pairs is None else int(
         np.searchsorted(budget, max_pairs, side="right"))
     sampled = order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
-    samples = []
-    for c, key in zip(sampled.tolist(), _mix(sampled, seed)):
-        members = table.members(c)
-        pick = np.argsort(_mix(members, key))[:max_clique_sample]
-        samples.append(members[np.sort(pick)])
-    table = _with_samples(table, sampled, samples)
+    if len(sampled):  # each keeps its members of smallest hash, in member order
+        lens, members = table.take(sampled).flat()
+        by_hash = np.lexsort((_mix(members, np.repeat(_mix(sampled, seed), lens)),
+                              np.repeat(np.arange(len(lens)), lens)))
+        place = np.arange(len(members)) - np.repeat(_indptr(lens)[:-1], lens)
+        keep = np.sort(by_hash[place < max_clique_sample])
+        table = _with_samples(table, sampled, np.full_like(lens, max_clique_sample),
+                              members[keep])
     block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, order[:chosen], k)]
     results = map_blocks(_build_block, block_args, k)
     del block_args

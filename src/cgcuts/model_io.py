@@ -1,7 +1,10 @@
 """MPS model input/output and cut-pool serialization.
 
-Free- and fixed-format MPS files are accepted; RANGES rows are expanded
-into paired <= / >= rows at parse time. Coefficients are 64-bit floats and
+The reader splits each line into whitespace-separated fields, as free MPS
+does, not by fixed columns: names hold no spaces, and every RHS, RANGES
+and BOUNDS line names its set. A fixed-format file that meets both reads
+the same; one that leaves a set name blank is rejected at that line.
+RANGES rows are expanded into paired <= / >= rows at parse time. Coefficients are 64-bit floats and
 model equality is exact bit equality on the parsed tuple (no tolerance at
 the I/O layer).
 """
@@ -140,16 +143,6 @@ class MipModel:
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, coefficients) of row i."""
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return self.cols[a:b], self.vals[a:b]
-
-    @property
-    def binaries(self) -> np.ndarray:
-        """Columns j with j integer, l_j = 0 and u_j = 1, ascending."""
-        return binary_cols(self.integers, self.lb, self.ub)
 
 
 def binary_cols(integers: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:

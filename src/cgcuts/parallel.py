@@ -29,7 +29,9 @@ def _mix(x, seed) -> np.ndarray:
     """Value x of the SplitMix64 stream seeded with `seed`, for each x of
     the non-negative integer array `x`, as a uint64 array: a counter-based
     hash (Steele, Lea and Flood, 2014), one-to-one in x for a given seed.
-    Every operand is a uint64, so NumPy 1.x and 2.x wrap alike."""
+    `seed` is one integer, or a uint64 array of x's shape that gives each
+    x its own seed. Every operand is a uint64, so NumPy 1.x and 2.x wrap
+    alike."""
     z = np.array(x, dtype=np.uint64, ndmin=1)
     z += np.uint64(1)
     z *= _GAMMA

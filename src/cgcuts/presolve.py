@@ -212,7 +212,6 @@ def _strengthen(model: MipModel, lb: np.ndarray, ub: np.ndarray,
     f_ptr = _indptr(f_len)
     col = model.cols[pos]
     a = model.vals[pos] * sign[form]
-    fold_lo, fold_hi = _fold_bounds(sense[f_row[form]], a, f_b[form], fold[form])
     next_form = _schedule(col, form, f_row)
 
     def evaluate(forms, e):
@@ -220,8 +219,8 @@ def _strengthen(model: MipModel, lb: np.ndarray, ub: np.ndarray,
         entries that move a bound and their new bounds, the infeasible
         forms and the entries that force an empty domain."""
         t, lo, hi, infeasible, empty = _evaluate(
-            fold[forms], f_b[forms], f_len[forms], col[e], a[e], fold_lo[e],
-            fold_hi[e], lb, ub, is_int)
+            fold[forms], sense[f_row[forms]], f_b[forms], f_len[forms], col[e], a[e], lb, ub,
+            is_int)
         j = col[e[t]]
         moved = (lo > lb[j]) | (hi < ub[j])
         return e[t[moved]], lo[moved], hi[moved], forms[infeasible], e[t[empty]]
@@ -266,16 +265,6 @@ def _downstream(start: np.ndarray, next_form: np.ndarray, f_ptr: np.ndarray):
     return reached
 
 
-def _fold_bounds(sense, a, b, fold):
-    """The bounds (lo, hi) that each entry of a singleton row sets, -inf and
-    inf on other entries: b / a as both for EQ, as the upper for LE with
-    a > 0 or GE with a < 0, else as the lower."""
-    v = b / a
-    eq = sense == SENSE_EQ
-    upper = eq | ((sense == SENSE_LE) == (a > 0))
-    return np.where(fold & (eq | ~upper), v, -_INF), np.where(fold & upper, v, _INF)
-
-
 def _schedule(col, form, f_row):
     """Link each entry to the next form that reads its column (-1 if
     none)."""
@@ -291,9 +280,11 @@ def _schedule(col, form, f_row):
     return next_form
 
 
-def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
+def _evaluate(fold, sense, b, flen, col, a, lb, ub, is_int):
     """What a set of forms does to the bounds, each form reading `lb` and
-    `ub` as they are; nothing is written.
+    `ub` as they are; nothing is written. A fold, the one form of a
+    singleton row of `sense`, sets b / a: as both bounds for EQ, as the
+    upper for LE with a > 0 or GE with a < 0, else as the lower.
 
     Returns the entries that act, their new bounds (lower, upper), the
     infeasible forms and which acting entries force an empty domain. Within
@@ -316,10 +307,11 @@ def _evaluate(fold, b, flen, col, a, fold_lo, fold_hi, lb, ub, is_int):
     size = np.bincount(loc[fin], weights=np.abs(finite), minlength=len(fold))
     row_bad = ~fold & (n_inf == 0) & (fsum > b + scaled_tol(b, size))
     act = e_fold | (~row_bad[loc] & ((n_inf[loc] == 0) | ((n_inf[loc] == 1) & inf)))
-    rest = np.where(inf, fsum[loc], fsum[loc] - contrib)
+    rest = np.where(inf | e_fold, fsum[loc], fsum[loc] - contrib)  # 0 for a fold
     bound = (b[loc] - rest) / a
-    lo = np.where(e_fold, fold_lo, np.where(a < 0, bound, -_INF))
-    hi = np.where(e_fold, fold_hi, np.where(a > 0, bound, _INF))
+    eq, flip = ((fold & (sense == s))[loc] for s in (SENSE_EQ, SENSE_GE))
+    lo = np.where(eq | ((a < 0) != flip), bound, -_INF)
+    hi = np.where(eq | ((a > 0) != flip), bound, _INF)
 
     t = np.flatnonzero(act)
     j, lo, hi = col[t], lo[t], hi[t]

@@ -20,9 +20,6 @@ from .model_io import TAGS, MipModel
 @dataclass
 class TriagePlan:
     constraint: np.ndarray  # per pool clique: a model constraint, else a user cut
-    replacements: int  # the osp_long constraints, outside the budget
-    clq_nnz: int
-    budget_demotions: int = 0
 
     def constraint_rows(self) -> int:
         return int(np.count_nonzero(self.constraint))
@@ -47,12 +44,11 @@ def triage(pool: CliqueTable, model: MipModel) -> TriagePlan:
     size = pool.sizes()
     bounds = np.searchsorted(tag, np.arange(len(TAGS) + 1)).tolist()
     constraint = tag == OSP
-    replacements = bounds[OSP + 1] - bounds[OSP]
     # Row budget: the post-detect rows plus the one-for-one replacements may
     # at most double.
-    rows_now = model.num_rows + replacements
+    rows_now = model.num_rows + bounds[OSP + 1] - bounds[OSP]
     max_total_rows = 2 * rows_now
-    clq_nnz = demotions = 0
+    clq_nnz = 0
     for t in (ORG, ISP, OTHER):
         lo, hi = bounds[t], bounds[t + 1]
         if (clq_nnz if t == OTHER else 0) + int(size[lo:hi].sum()) > model.nnz:
@@ -61,5 +57,4 @@ def triage(pool: CliqueTable, model: MipModel) -> TriagePlan:
         constraint[lo:lo + admitted] = True
         rows_now += admitted
         clq_nnz += int(size[lo:lo + admitted].sum())
-        demotions += hi - lo - admitted
-    return TriagePlan(constraint, replacements, clq_nnz, demotions)
+    return TriagePlan(constraint)

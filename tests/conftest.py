@@ -8,7 +8,7 @@ import numpy as np
 
 from cgcuts.cliques import CliqueTable, _detect_block
 from cgcuts.graph import ConflictGraph
-from cgcuts.model_io import TAGS, CutPool, MipModel
+from cgcuts.model_io import TAGS, CutPool, MipModel, binary_cols
 from cgcuts.presolve import PbcTable
 
 
@@ -92,9 +92,16 @@ def plain_table(cliques, tags=0):
     return CliqueTable.plain([len(q) for q in cliques], [v for q in cliques for v in q], tags)
 
 
+def members_of(table, c) -> np.ndarray:
+    """The nodes of clique `c` of `table`, ascending."""
+    nodes = table.seq_nodes[table.seq_ptr[table.seq[c]]:table.seq_ptr[table.seq[c] + 1]]
+    head = nodes[table.head[c]:table.head[c] + 1] if table.head[c] >= 0 else nodes[:0]
+    return np.sort(np.concatenate([head, nodes[table.start[c]:]]))
+
+
 def cliques_of(table):
     """(sorted members, tag) of each clique of `table`, in table order."""
-    return [(tuple(table.members(c).tolist()), int(table.tag[c])) for c in range(len(table))]
+    return [(tuple(members_of(table, c).tolist()), int(table.tag[c])) for c in range(len(table))]
 
 
 def tag_pool(pools):
@@ -103,6 +110,18 @@ def tag_pool(pools):
     cliques = [(q, TAGS.index(tag)) for tag, qs in pools.items() for q in qs]
     table = plain_table([q for q, _ in cliques], [t for _, t in cliques])
     return table.take(table.order())
+
+
+def replacements(pool) -> int:
+    """The osp_long cliques of the sorted pool table `pool`: triage makes
+    each a model constraint, outside the row budget."""
+    return int(np.count_nonzero(pool.tag == TAGS.index("osp_long")))
+
+
+def clq_nnz(plan, pool) -> int:
+    """The nonzeros of the constraints a triage plan admits from `pool`
+    besides the osp_long replacements."""
+    return int(pool.sizes()[plan.constraint & (pool.tag != TAGS.index("osp_long"))].sum())
 
 
 def routed(plan, pool):
@@ -156,12 +175,23 @@ def model_of_rows(rows, like=None, **fields):
     )
 
 
+def row_of(model, i) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, coefficients) of row `i` of `model`."""
+    a, b = model.indptr[i], model.indptr[i + 1]
+    return model.cols[a:b], model.vals[a:b]
+
+
+def binaries_of(model) -> np.ndarray:
+    """The columns of `model` that are integer with bounds [0, 1], ascending."""
+    return binary_cols(model.integers, model.lb, model.ub)
+
+
 def signature(model):
     """Name-independent numeric tuple of `model`; equal signatures are
     equal models."""
     senses = model.senses.tolist()
     rows = tuple((senses[i], float(model.rhs[i]))
-                 + tuple(sorted(zip(*(x.tolist() for x in model.row(i)))))
+                 + tuple(sorted(zip(*(x.tolist() for x in row_of(model, i)))))
                  for i in range(model.num_rows))
     obj, lb, ub = (tuple(map(float, x)) for x in (model.obj, model.lb, model.ub))
     return (model.num_rows, model.num_cols, rows, obj, lb, ub,
@@ -219,7 +249,7 @@ def feasible_binary_points(model):
     ok &= np.all(pts >= model.lb - 1e-9, axis=1)
     ok &= np.all(pts <= model.ub + 1e-9, axis=1)
     for i in range(model.num_rows):
-        cols, vals = model.row(i)
+        cols, vals = row_of(model, i)
         act = pts[:, cols] @ vals
         b = model.rhs[i]
         if model.senses[i] == "L":

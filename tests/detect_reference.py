@@ -18,7 +18,7 @@ import numpy as np
 from cgcuts.model_io import SENSE_EQ, SENSE_GE, SENSE_LE, MipModel
 from cgcuts.presolve import TOL, InfeasibleError, scaled_tol
 
-from conftest import Literal, model_of_rows
+from conftest import Literal, binaries_of, model_of_rows, row_of
 
 _INF = math.inf
 
@@ -66,7 +66,7 @@ def _round_inward(lo: float, hi: float, is_int: bool) -> tuple[float, float]:
 
 def _rows_of(m: MipModel, keep: list[int]) -> MipModel:
     """`m` with only the rows `keep`."""
-    return model_of_rows([m.row(i) for i in keep], like=m,
+    return model_of_rows([row_of(m, i) for i in keep], like=m,
                          row_names=[m.row_names[i] for i in keep],
                          senses=[m.senses[i] for i in keep],
                          rhs=m.rhs[keep] if keep else m.rhs[:0])
@@ -111,7 +111,7 @@ def strengthen_bounds_once(model: MipModel) -> MipModel:
                 tighten(j, bound, None, row)
 
     for i in range(m.num_rows):
-        cols, vals = m.row(i)
+        cols, vals = row_of(m, i)
         sense = m.senses[i]
         b = float(m.rhs[i])
         if len(cols) == 0:
@@ -194,7 +194,7 @@ def classify_rows(m: MipModel) -> Detection:
     """The classification loop of `detect`, on a model taken as already
     strengthened."""
     m = copy.deepcopy(m)
-    binaries = set(m.binaries.tolist())
+    binaries = set(binaries_of(m).tolist())
     bins = np.array(sorted(binaries), dtype=np.int64)
     s_osp, s_isp, s_ck = [], [], []
     fixings: list[tuple[int, int]] = []
@@ -209,7 +209,7 @@ def classify_rows(m: MipModel) -> Detection:
         fixings.append((j, value))
 
     for i in range(m.num_rows):
-        cols, vals = m.row(i)
+        cols, vals = row_of(m, i)
         sense = m.senses[i]
         b = float(m.rhs[i])
         removed = False

@@ -56,7 +56,7 @@ def _grow(clq, cands: list[int], g: ConflictGraph):
         return clq, [], touched
     buckets: list[list[int]] = []  # creation order
     for u in cands:
-        adjacent = set(g.neighbors(u))
+        adjacent = set(g.row(u).tolist())
         joined = False
         for members in buckets:
             touched += len(members)

@@ -15,7 +15,7 @@ import numpy as np
 
 from cgcuts.model_io import SENSE_GE, SENSE_LE, TAGS, MipModel, MpsError
 
-from conftest import literal_of, model_of_rows, signed_index
+from conftest import literal_of, model_of_rows, row_of, signed_index
 
 _INF = math.inf
 
@@ -313,7 +313,7 @@ def write_mps(model: MipModel) -> str:
     # Row entries grouped per column.
     per_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(model.num_cols)}
     for i in range(model.num_rows):
-        cols, vals = model.row(i)
+        cols, vals = row_of(model, i)
         rname = model.row_names[i]
         for j, v in zip(cols, vals):
             per_col[int(j)].append((rname, float(v)))
@@ -401,7 +401,7 @@ def _sorted(records, constraint: bool):
 def write_augmented_mps(model: MipModel, records, binaries) -> str:
     """Original rows plus one <= row per constraint clique."""
     names, senses = list(model.row_names), model.senses.tolist()
-    rows = [model.row(i) for i in range(model.num_rows)]
+    rows = [row_of(model, i) for i in range(model.num_rows)]
     taken = set(names)
     rhs = []
     for i, (_, nodes) in enumerate(_sorted(records, True)):

@@ -21,6 +21,7 @@ from cgcuts.pipeline import Limits, run_pipeline, run_pipeline_model
 from cgcuts.presolve import InfeasibleError
 from cgcuts.triage import triage
 from conftest import (
+    clq_nnz,
     cliques_of,
     feasible_binary_points,
     graph_edges,
@@ -30,6 +31,7 @@ from conftest import (
     pbc_table,
     plain_table,
     random_binary_model,
+    replacements,
     routed,
     signature,
     tag_pool,
@@ -304,13 +306,13 @@ def test_criterion_07_triage_arithmetic():
     tags, cut_tags = routed(plan, pool)
     assert tags.count("org_long") == 6 and tags.count("isp_long") == 4
     assert cut_tags == ["other_long"]
-    assert plan.clq_nnz == 50
+    assert clq_nnz(plan, pool) == 50
 
     budget_pools = {tag: [] for tag in TAGS}
     budget_pools["org_long"] = _uniform_cliques(5, 2)
     budget_plan = triage(tag_pool(budget_pools), _model_with(nnz=30, rows=3))
     assert budget_plan.constraint_rows() == 3
-    assert budget_plan.budget_demotions == 2
+    assert budget_plan.as_user_cuts.tolist() == [3, 4]
 
     rng = np.random.default_rng(707)
     for _ in range(300):
@@ -322,9 +324,10 @@ def test_criterion_07_triage_arithmetic():
             fuzz[tag] = _uniform_cliques(
                 int(rng.integers(0, 6)), int(rng.integers(2, 7))
             )
-        plan = triage(tag_pool(fuzz), model)
-        post = model.num_rows + plan.replacements
-        assert post + plan.constraint_rows() - plan.replacements <= 2 * post
+        fuzz_pool = tag_pool(fuzz)
+        plan = triage(fuzz_pool, model)
+        post = model.num_rows + replacements(fuzz_pool)
+        assert post + plan.constraint_rows() - replacements(fuzz_pool) <= 2 * post
     report(7, "ratio example routes 30/20 in and 5 out, budget example "
               "demotes 2 of 5, fuzzing never exceeds the doubled row count")
 

@@ -1,5 +1,5 @@
 """The clique table's write-out and its (tag, members) order, against
-`CliqueTable.members` and Python's `sorted()` of (tag, tuple) keys, on
+`conftest.members_of` and Python's `sorted()` of (tag, tuple) keys, on
 suffix-form tables with heads, duplicates, prefixes, single-node and empty
 cliques."""
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgcuts.cliques import CliqueTable, detect_cliques_parallel
-from conftest import clique_table, pbc_table, plain_table
+from conftest import clique_table, members_of, pbc_table, plain_table
 
 
 @st.composite
@@ -36,11 +36,11 @@ def assert_written_out(table):
     assert lens.tolist() == table.sizes().tolist()
     ends = np.cumsum(lens).tolist()
     for c, (end, n) in enumerate(zip(ends, lens.tolist())):
-        assert nodes[end - n:end].tolist() == table.members(c).tolist()
+        assert nodes[end - n:end].tolist() == members_of(table, c).tolist()
 
 
 def assert_sorted(table):
-    keys = [(int(table.tag[c]), tuple(table.members(c).tolist())) for c in range(len(table))]
+    keys = [(int(table.tag[c]), tuple(members_of(table, c).tolist())) for c in range(len(table))]
     assert table.order().tolist() == sorted(range(len(table)), key=keys.__getitem__)
 
 

@@ -11,7 +11,7 @@ import pytest
 import detect_reference as ref
 from cgcuts import presolve
 from cgcuts.presolve import InfeasibleError, _classify, _strengthened, detect
-from conftest import make_model, node_of
+from conftest import binaries_of, make_model, node_of, row_of
 
 # Column kinds of the fuzzed models.
 BINARY, INTEGER, BOUNDED, NO_LOWER, NO_UPPER, FREE = range(6)
@@ -41,7 +41,7 @@ def _table(table):
 
 def _model_key(m):
     return (m.row_names, m.senses.tolist(), _bits(m.rhs), _bits(m.lb), _bits(m.ub),
-            [(c.tolist(), _bits(v)) for c, v in map(m.row, range(m.num_rows))])
+            [(c.tolist(), _bits(v)) for c, v in (row_of(m, i) for i in range(m.num_rows))])
 
 
 def _outcome(fn, model, table):
@@ -205,7 +205,7 @@ def test_fuzzed_chains_match_row_loop(calls):
         moved = (tight.lb != model.lb) | (tight.ub != model.ub)
         lens = np.diff(model.indptr)
         for i in range(model.num_rows):
-            cols = model.row(i)[0]
+            cols = row_of(model, i)[0]
             if moved[cols].any():
                 hits["fold moved"] += lens[i] == 1
                 hits["ge moved"] += model.senses[i] != "L" and lens[i] >= 2
@@ -248,7 +248,7 @@ def test_fuzz_covers_the_listed_cases():
                           "fractional integer bound"], 0)
     for _ in range(400):
         model = random_mip(rng)
-        general = np.setdiff1d(model.integers, model.binaries)
+        general = np.setdiff1d(model.integers, binaries_of(model))
         hits["fractional integer bound"] += bool(
             np.any(model.lb[general] % 1) or np.any(model.ub[general] % 1))
         try:
@@ -262,10 +262,10 @@ def test_fuzz_covers_the_listed_cases():
         hits["ck"] += bool(res.s_ck)
         hits["isp"] += bool(res.s_isp)
         hits["no pbc"] += any(
-            ref._pbc_from_terms(c, v, 0.0, res.model, res.model.binaries, 0) is None
-            for c, v in map(res.model.row, range(res.model.num_rows)))
+            ref._pbc_from_terms(c, v, 0.0, res.model, binaries_of(res.model), 0) is None
+            for c, v in (row_of(res.model, i) for i in range(res.model.num_rows)))
         hits["eq"] += "E" in model.senses
-        for cols, vals in map(model.row, range(model.num_rows)):
+        for cols, vals in (row_of(model, i) for i in range(model.num_rows)):
             low = np.where(vals > 0, vals * model.lb[cols], vals * model.ub[cols])
             hits["two infinite"] += int(np.isinf(low).sum() == 2)
             if len(cols) >= 9:

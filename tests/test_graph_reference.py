@@ -186,6 +186,28 @@ def test_sample_depends_on_neither_k_nor_the_other_samples():
                 assert _sample_of(g, np.arange(12)) == want
 
 
+def test_samples_expanded_in_different_blocks_are_the_reference_samples(monkeypatch):
+    # Two cliques over the limit, on disjoint nodes and with equal pairs
+    # once sampled: at k >= 2 each goes to a block of its own, which must
+    # expand the reference's sample of that clique.
+    cliques = [np.arange(10), np.arange(10, 22)]
+    blocks, real = [], graph.map_blocks
+
+    def spy(fn, block_args, k):
+        blocks.extend(table for table, _ in block_args)
+        return real(fn, block_args, k)
+
+    monkeypatch.setattr(graph, "map_blocks", spy)
+    for seed in range(5):
+        want = [ref._sample_clique(q, 4, c, seed).tolist() for c, q in enumerate(cliques)]
+        for k in (2, 4):
+            blocks.clear()
+            g = build_graph_parallel(plain_table(cliques), 22, k, seed, max_clique_sample=4)
+            assert sorted(t.seq_nodes.tolist() for t in blocks) == sorted(want)
+            for q, sample in zip(cliques, want):
+                assert _sample_of(g, q) == set(sample)
+
+
 def test_wide_knapsack_builds_in_memory_proportional_to_edges():
     # Coefficients 1..800 and rhs 800: the further cliques hold 10,666,600
     # pairs, the graph 160,000 conflict edges (a + b >= 801). Written out

@@ -18,7 +18,7 @@ from cgcuts.model_io import (
 )
 from cgcuts.presolve import detect
 
-from conftest import cut_pool, make_model, model_of_rows, signature
+from conftest import binaries_of, cut_pool, make_model, model_of_rows, row_of, signature
 
 PACKING_MPS = """\
 NAME tiny
@@ -44,7 +44,7 @@ def test_parse_smallest_packing_instance():
     assert model.num_rows == 1
     assert model.num_cols == 2
     assert model.nnz == 2
-    assert model.binaries.tolist() == [0, 1]
+    assert binaries_of(model).tolist() == [0, 1]
     assert model.senses.tolist() == ["L"]
     assert model.rhs[0] == 1.0
 
@@ -93,8 +93,8 @@ def test_parse_hand_checked_file():
     assert model.lb.tolist() == [0.0, 0.0, -math.inf, 2.0]
     assert model.ub.tolist() == [1.0, 6.0, math.inf, 2.0]
     assert model.integers.tolist() == [0]
-    assert model.binaries.tolist() == [0]
-    cols, vals = model.row(0)
+    assert binaries_of(model).tolist() == [0]
+    cols, vals = row_of(model, 0)
     assert cols.tolist() == [0, 1, 3]
     assert vals.tolist() == [3.0, 1.5, 4.0]
 
@@ -102,7 +102,7 @@ def test_parse_hand_checked_file():
 def test_parse_bv_bound_marks_binary():
     text = PACKING_MPS.replace(" UP BND  x1  1", " BV BND  x1")
     model = parse_mps(text)
-    assert model.binaries.tolist() == [0, 1]
+    assert binaries_of(model).tolist() == [0, 1]
 
 
 def test_parse_ranges_expand_to_paired_rows():
@@ -155,7 +155,7 @@ def test_augmented_row_for_plain_clique():
     pool = _pool([((0, 1), "org_long", True)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
     assert out.num_rows == 2
-    cols, vals = out.row(1)
+    cols, vals = row_of(out, 1)
     assert cols.tolist() == [0, 1]
     assert vals.tolist() == [1.0, 1.0]
     assert out.senses[1] == "L"
@@ -167,7 +167,7 @@ def test_augmented_row_for_complemented_clique():
     model = parse_mps(PACKING_MPS)
     pool = _pool([((0, 3), "org_long", True)], n_cols=2)
     out = parse_mps(write_augmented_mps(model, pool))
-    cols, vals = out.row(1)
+    cols, vals = row_of(out, 1)
     assert cols.tolist() == [0, 1]
     assert vals.tolist() == [1.0, -1.0]
     assert out.rhs[1] == 0.0
@@ -202,7 +202,7 @@ def test_integers_are_one_sorted_array_that_detection_shares():
     model = dataclasses.replace(model, integers=[3, 1, 3, 0])
     assert model.integers.dtype == np.int64
     assert model.integers.tolist() == [0, 1, 3]
-    assert model.binaries.tolist() == [0, 1]
+    assert binaries_of(model).tolist() == [0, 1]
     assert detect(model).model.integers is model.integers
 
 
@@ -260,7 +260,7 @@ def test_writers_map_node_j_to_binary_column_j():
     pool = cut_pool(records, [2, 5, 9])
     assert export_cut_pool(pool) == "org_other 3 6 10 -3 -6 -10\n"
     out = parse_mps(write_augmented_mps(model, pool))
-    cols, vals = out.row(0)
+    cols, vals = row_of(out, 0)
     assert cols.tolist() == [2, 5] and vals.tolist() == [-1.0, 1.0] and out.rhs[0] == 0.0
 
 
@@ -380,6 +380,20 @@ def test_presolve_of_columns_fixed_at_infinity_exits_0(tmp_path):
     assert "FX BND  x1  inf" in (tmp_path / "a.mps").read_text()
 
 
+def test_presolve_rejects_a_blank_rhs_set_name(tmp_path, capsys):
+    # Fields are read whitespace-separated, not by fixed column: a
+    # fixed-format RHS line that leaves its set name blank holds only the
+    # row and the value, so it is malformed input at its line, 11.
+    src = tmp_path / "blank.mps"
+    src.write_text(PACKING_MPS.replace("    RHS  c1  1\n", "        c1  1\n"))
+    out = tmp_path / "a.mps"
+    assert main(["presolve", str(src), "--out-model", str(out),
+                 "--out-cuts", str(tmp_path / "a.cuts")]) == 2
+    assert capsys.readouterr().err == (
+        f"{src}: line 11: RHS line needs set name and row/value pairs\n")
+    assert not out.exists()
+
+
 def test_crossing_bounds_name_the_last_bound_line():
     # LO 5 then UP 3 on x1: the error names x1 and the UP line, 14.
     text = PACKING_MPS.replace(" UP BND  x1  1\n", " LO BND  x1  5\n UP BND  x1  3\n")
@@ -399,7 +413,7 @@ def test_unbounded_integer_column_is_a_general_integer():
     model = parse_mps(PACKING_MPS.replace(" UP BND  x2  1\n", ""))
     assert model.integers.tolist() == [0, 1]
     assert (model.lb[1], model.ub[1]) == (0.0, math.inf)
-    assert model.binaries.tolist() == [0]
+    assert binaries_of(model).tolist() == [0]
 
 
 def _wide_model(n: int, m: int, per_row: int, seed: int):
@@ -422,11 +436,12 @@ def _wide_model(n: int, m: int, per_row: int, seed: int):
         integers={int(j) for j in np.flatnonzero(kind < 2)},
     )
     records = [
-        (tuple(sorted(int(v) for v in rng.choice(2 * len(model.binaries), 6, replace=False))),
+        (tuple(sorted(int(v) for v in rng.choice(2 * len(binaries_of(model)), 6,
+                                                 replace=False))),
          "org_other", True)
         for _ in range(m // 4)
     ]
-    return model, cut_pool(records, model.binaries)
+    return model, cut_pool(records, binaries_of(model))
 
 
 def test_augmented_model_is_written_in_memory_proportional_to_its_text():

@@ -16,7 +16,7 @@ from cgcuts.model_io import (
     write_augmented_mps,
     write_mps,
 )
-from conftest import cut_pool, random_binary_model, signature
+from conftest import binaries_of, cut_pool, random_binary_model, signature
 
 BOUND_TAGS = ("LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI")
 
@@ -129,7 +129,7 @@ def random_mps(rng, n_cols: int, n_rows: int) -> str:
 def random_pool(rng, model):
     """(records, binaries): records over the model's binary columns,
     complemented literals included."""
-    binaries = model.binaries
+    binaries = binaries_of(model)
     n_b = len(binaries)
     records = []
     for _ in range(int(rng.integers(0, 12)) if n_b else 0):

@@ -93,6 +93,20 @@ def test_mix_is_the_splitmix64_stream():
                 graph_reference.splitmix64(v, int(seed)) for v in x.tolist()]
 
 
+def test_mix_with_a_seed_array_is_the_scalar_calls():
+    # One seed per element, as graph build hashes each sampled clique's
+    # members under that clique's own key.
+    x = np.array([0, 3, 3, 9, 2**40, 7], dtype=np.int64)
+    seeds = np.array([0, 1, 2**64 - 1, 5, 5, 2**63], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parallel._mix(x, seeds)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [int(parallel._mix(v, s)[0]) for v, s in zip(x, seeds)]
+    assert got.tolist() == [graph_reference.splitmix64(int(v), int(s))
+                            for v, s in zip(x, seeds)]
+
+
 def _square_all(block):
     return [x * x for x in block]
 

@@ -18,7 +18,8 @@ from cgcuts.model_io import TAGS
 from cgcuts import model_io
 from cgcuts.model_io import MpsError, parse_mps, parse_mps_file, write_mps
 from cgcuts.pipeline import Limits, RunStats, run_pipeline, run_pipeline_model
-from conftest import cliques_of, make_model, random_binary_model, signature
+from conftest import (cliques_of, make_model, random_binary_model, replacements, row_of,
+                      signature)
 
 PACKING = make_model(2, [{0: 1.0, 1: 1.0}], ["L"], [1.0], binary=[0, 1])
 
@@ -67,9 +68,8 @@ def test_limits_from_json(tmp_path):
 
 
 def test_packing_instance_restores_strengthened_row():
-    base, pool, plan, stats = run_pipeline_model(PACKING)
+    base, pool, _, stats = run_pipeline_model(PACKING)
     assert base.num_rows == 0  # the packing row was pulled out
-    assert plan.replacements == 1
     assert cliques_of(pool.table) == [((0, 1), TAGS.index("osp_long"))]
     assert pool.constraint.tolist() == [True]
     assert stats.rows_removed == 1
@@ -96,7 +96,7 @@ def test_file_outputs_and_stats(tmp_path):
     stats = run_pipeline(src, out_model=out_model, out_cuts=out_cuts)
     aug = parse_mps_file(out_model)
     assert aug.num_rows == 2
-    cols, vals = aug.row(1)
+    cols, vals = row_of(aug, 1)
     assert cols.tolist() == [2, 3] and vals.tolist() == [1.0, 1.0]
     assert aug.rhs[1] == 1.0
     assert out_cuts.read_text() == "other_long 2 4\n"
@@ -185,11 +185,11 @@ def test_binding_extension_budget_keeps_every_packing_row():
     )
     for k in (1, 2):
         for budget in (1, 4, 1_250_000):
-            _, _, plan, stats = run_pipeline_model(
+            _, pool, _, stats = run_pipeline_model(
                 model, limits=Limits(per_thread_ext_nnz=budget), k=k
             )
             assert stats.rows_removed == 5
-            assert plan.replacements == stats.rows_removed
+            assert replacements(pool.table) == stats.rows_removed
         assert stats.flags["extension_budget_hit"] is False
 
 

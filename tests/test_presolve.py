@@ -7,11 +7,13 @@ import pytest
 from cgcuts.presolve import InfeasibleError, _classify, _rewrite, _strengthened, detect
 from conftest import (
     Literal,
+    binaries_of,
     feasible_binary_points,
     literal_of,
     make_model,
     pbc_table,
     random_binary_model,
+    row_of,
 )
 
 
@@ -97,7 +99,7 @@ def test_feasible_empty_row_is_dropped():
 
 def rewrite(model):
     """`_rewrite`'s table of `model` over its binary columns."""
-    return _rewrite(model, model.binaries)[0]
+    return _rewrite(model, binaries_of(model))[0]
 
 
 def test_to_pbc_complements_negative_binaries():
@@ -255,7 +257,7 @@ def test_detect_preserves_binary_feasible_set():
         for pt in before:
             assert np.all(pt >= out.lb - 1e-9) and np.all(pt <= out.ub + 1e-9)
             for i in range(out.num_rows):
-                cols, vals = out.row(i)
+                cols, vals = row_of(out, i)
                 act = pt[cols] @ vals
                 if out.senses[i] == "L":
                     assert act <= out.rhs[i] + 1e-9

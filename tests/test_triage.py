@@ -4,7 +4,7 @@ import pytest
 
 from cgcuts.model_io import TAGS
 from cgcuts.triage import triage
-from conftest import make_model, plain_table, routed, tag_pool
+from conftest import clq_nnz, make_model, plain_table, replacements, routed, tag_pool
 
 
 def cliques_of_size(count, size, offset=0):
@@ -46,16 +46,16 @@ def test_worked_ratio_example():
     assert added_tags.count("org_long") == 6
     assert added_tags.count("isp_long") == 4
     assert cut_tags == ["other_long"]
-    assert plan.clq_nnz == 50
-    assert plan.budget_demotions == 0
+    assert clq_nnz(plan, pools) == 50
 
 
 def test_empty_pools_give_empty_plan():
     model = model_with(nnz=10, rows=2)
-    plan = triage(empty_pools(), model)
-    assert plan.replacements == 0
+    pools = empty_pools()
+    plan = triage(pools, model)
+    assert replacements(pools) == 0
     assert plan.constraint_rows() == 0 and len(plan.as_user_cuts) == 0
-    assert plan.clq_nnz == 0
+    assert clq_nnz(plan, pools) == 0
 
 
 def test_ratio_boundary_is_inclusive():
@@ -71,20 +71,17 @@ def test_row_doubling_budget_demotes_overflow():
     model = model_with(nnz=30, rows=3)
     plan = triage(empty_pools(org_long=cliques_of_size(5, 2)), model)
     assert plan.constraint_rows() == 3  # budget: 2 * 3 rows total
-    assert len(plan.as_user_cuts) == 2
-    assert plan.budget_demotions == 2
+    assert plan.as_user_cuts.tolist() == [3, 4]  # the overflow, in pool order
 
 
 def test_replacements_are_exempt_from_the_budget():
     model = model_with(nnz=30, rows=2)
-    plan = triage(
-        empty_pools(
-            osp_long=cliques_of_size(6, 2),
-            org_long=cliques_of_size(6, 2, offset=50),
-        ),
-        model,
+    pools = empty_pools(
+        osp_long=cliques_of_size(6, 2),
+        org_long=cliques_of_size(6, 2, offset=50),
     )
-    assert plan.replacements == 6
+    plan = triage(pools, model)
+    assert replacements(pools) == 6
     # budget is 2 * (2 rows + 6 replacements) = 16 total rows
     assert plan.constraint_rows() == 12
 
@@ -139,7 +136,5 @@ def test_every_clique_lands_in_exactly_one_bucket():
         assert len(plan.constraint) == total
         assert plan.constraint_rows() + len(plan.as_user_cuts) == total
         # the doubling budget is never exceeded
-        post = model.num_rows + plan.replacements
-        assert post + plan.constraint_rows() - plan.replacements <= 2 * post
-        rule = plan.constraint & (pool.tag != TAGS.index("osp_long"))
-        assert plan.clq_nnz == int(pool.sizes()[rule].sum())
+        post = model.num_rows + replacements(pool)
+        assert post + plan.constraint_rows() - replacements(pool) <= 2 * post
