@@ -20,7 +20,7 @@ import numpy as np
 
 from .model_io import TAGS, stable_order
 from .parallel import map_blocks, split
-from .presolve import PbcTable, _distinct, _indptr, _ranges, _segment_positions, scaled_tol
+from .presolve import PbcTable, _distinct, _indptr, _ranges, scaled_tol
 
 #: The tags (indices into `model_io.TAGS`) of the cliques of original and
 #: inferred set packing rows, of the knapsacks' original cliques and of
@@ -130,7 +130,7 @@ class CliqueTable:
         used = _distinct(self.seq[idx])
         return CliqueTable(
             _indptr(self.seq_ptr[used + 1] - self.seq_ptr[used]),
-            self.seq_nodes[_segment_positions(self.seq_ptr, used)],
+            self.seq_nodes[_ranges(self.seq_ptr[used], self.seq_ptr[used + 1])],
             np.searchsorted(used, self.seq[idx]).astype(np.int32),
             self.head[idx],
             self.start[idx],
@@ -191,8 +191,8 @@ def _detect_block(args):
 
 
 def detect_cliques_parallel(s_ck: PbcTable, k: int) -> CliqueTable:
-    """Run detection on the non-empty blocks of the knapsack table that
-    `split` cuts by length (one empty slice when the table is empty).
+    """Run detection on the blocks of the knapsack table that `split` cuts
+    by length.
 
     The workers see only the coefficients; the table takes its sequences
     from `s_ck` here: one per knapsack with cliques, in table order and
@@ -201,10 +201,9 @@ def detect_cliques_parallel(s_ck: PbcTable, k: int) -> CliqueTable:
     rest). The table is the same for every k.
     """
     ptr = s_ck.indptr
-    bounds = split(np.diff(ptr), k).tolist()
-    slices = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, 0)]
     results = map_blocks(_detect_block, [
-        (ptr[a:b + 1], s_ck.coeffs[ptr[a]:ptr[b]], s_ck.rhs[a:b]) for a, b in slices], k)
+        (ptr[a:b + 1], s_ck.coeffs[ptr[a]:ptr[b]], s_ck.rhs[a:b])
+        for a, b in split(np.diff(ptr), k)], k)
     phi, count, i, sigma = (np.concatenate([r[j] for r in results]) for j in range(4))
     hit = phi >= 0  # a knapsack without cliques has no entries either
     family = s_ck.take(np.flatnonzero(hit))

@@ -18,7 +18,7 @@ import numpy as np
 from .cliques import CliqueTable
 from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_order, split
-from .presolve import _indptr, _ranges, _segment_positions, _within
+from .presolve import _indptr, _ranges, _within
 
 #: Bases scanned at once; the budget and the deadline are checked once per chunk.
 _CHUNK = 256
@@ -174,10 +174,10 @@ def extend_parallel(
     lens, nodes = bases.flat()
     ptr = _indptr(lens)
     order = shuffle_order(len(bases), seed)
-    bounds = split(np.ones(len(bases)), k).tolist()
-    blocks = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, 0)]
-    block_args = [(nodes[_segment_positions(ptr, order[a:b])].astype(g.indices.dtype),
-                   lens[order[a:b]], g.n_b, g.indptr, g.indices, budget, deadline)
+    long_lens, at = lens[order], ptr[order]  # the bases in shuffle order
+    blocks = split(np.ones(len(bases)), k)
+    block_args = [(nodes[_ranges(at[a:b], at[a:b] + long_lens[a:b])].astype(g.indices.dtype),
+                   long_lens[a:b], g.n_b, g.indptr, g.indices, budget, deadline)
                   for a, b in blocks]
     results = map_blocks(_extend_block, block_args, k)
     touches = np.concatenate([r[3] for r in results])
@@ -191,7 +191,6 @@ def extend_parallel(
     longest = np.diff(owner, prepend=-1) != 0  # the first clique of a grown base
     # Each base's clique is a run of [base members, extension members]:
     # its own or, for a grown base, its longest extension's.
-    long_lens, at = lens[order], ptr[order]
     long_lens[owner[longest]] = out_lens[longest]
     at[owner[longest]] = len(nodes) + _indptr(out_lens)[:-1][longest]
     runs = np.concatenate([nodes, out_nodes])[_ranges(at, at + long_lens)]

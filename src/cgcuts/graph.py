@@ -35,9 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cliques import CliqueTable
-from .model_io import code_type
+from .model_io import _check_nodes, code_type
 from .parallel import _mix, map_blocks, shuffle_order, split
-from .presolve import _indptr, _ranges
+from .presolve import _distinct, _indptr, _ranges
 
 
 class ConflictGraph:
@@ -66,16 +66,6 @@ class ConflictGraph:
 _SLICE_PAIRS = 1 << 16
 
 
-def _dedup(codes: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """Sorted distinct values of `codes`, which is sorted in place by
-    `np.sort`'s algorithm `kind`."""
-    codes.sort(kind=kind)
-    keep = np.empty(len(codes), dtype=bool)
-    keep[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
-
-
 def _trivial_codes(n_b: int) -> np.ndarray:
     """Codes of the n_b variable/complement edges (j, j + n_b)."""
     j = np.arange(n_b, dtype=code_type((2 * n_b) ** 2))
@@ -89,7 +79,7 @@ def _from_codes(n_b: int, parts: list[np.ndarray]) -> ConflictGraph:
     codes = np.concatenate(parts)
     parts.clear()
     # The parts are sorted runs, which a stable sort merges in linear time.
-    codes = _dedup(codes, kind="stable")
+    codes = _distinct(codes, kind="stable")
     high = codes % dim
     codes //= dim
     n_low = np.bincount(high, minlength=dim)
@@ -145,7 +135,7 @@ def _build_block(args):
         out *= dim
         out += np.maximum(u, v)
         i, done = j, int(ends[j - 1])
-    return _dedup(codes)
+    return _distinct(codes)
 
 
 def _with_samples(table: CliqueTable, ids: np.ndarray, lens, nodes) -> CliqueTable:
@@ -175,7 +165,7 @@ def _by_sequence(table: CliqueTable, ids: np.ndarray, k: int) -> list[np.ndarray
     pairs = span * (span - 1) // 2 + np.bincount(seq, star, len(span)).astype(np.int64)
     order = np.argsort(seq, kind="stable")
     cuts = np.searchsorted(seq[order], split(pairs, k)).tolist()
-    return [ids[order[a:b]] for a, b in zip(cuts, cuts[1:]) if a < b]
+    return [ids[order[a:b]] for a, b in cuts if a < b]
 
 
 def build_graph_parallel(
@@ -203,9 +193,7 @@ def build_graph_parallel(
     generated. The trivial edges are not cliques of the input, so they
     neither count toward `max_pairs` nor appear in `pairs_expanded`.
     """
-    nodes = table.seq_nodes
-    if len(nodes) and (nodes.min() < 0 or nodes.max() >= 2 * n_b):
-        raise ValueError(f"clique node out of range for n_b={n_b}")
+    _check_nodes(table.seq_nodes, n_b)
     order = shuffle_order(len(table), seed)
     sizes = table.sizes()[order]
     t = sizes if max_clique_sample is None else np.minimum(sizes, max_clique_sample)

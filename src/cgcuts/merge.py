@@ -101,9 +101,8 @@ def removal_flags(
     pivots = flat[np.lexsort((counts[flat], owner))[np.cumsum(lens) - lens]]
     small = code_type(max(len(counts), m))
     flat, ids, pivots = flat.astype(small), ids.astype(small), pivots.astype(small)
-    bounds = split(np.ones(m), k).tolist()
     block_args = [(flat, lens, pivots, starts, ids, a, b, deadline)
-                  for a, b in zip(bounds, bounds[1:]) if a < b]
+                  for a, b in split(np.ones(m), k)]
     results = map_blocks(_merge_block, block_args, k)
     flags = np.concatenate([r for r, _, _ in results])
     if counters is not None:

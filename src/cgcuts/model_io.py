@@ -715,11 +715,6 @@ def _lines(count: int, *parts) -> list[str]:
     return out
 
 
-def _row_of(indptr: np.ndarray) -> np.ndarray:
-    """The row of each nonzero of a CSR."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
 def _bound_lines(names: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> list[str]:
     """BOUNDS lines of the columns whose bounds are not [0, inf), by column:
     FX, FR, or MI/LO followed by UP; joined per slice."""
@@ -745,35 +740,34 @@ def _bound_lines(names: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> list[str]
     return _lines(len(col), (heads, kind), (names, col), (text, val))
 
 
-def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
-    """Free-format MPS of `model`'s columns with the given rows, whose
-    nonzeros are (cols, vals, row_of) in row order.
+def write_mps(model: MipModel) -> str:
+    """Serialize a model as free-format MPS (round-trips through parse_mps).
 
     Each section's lines are pieces picked by index arrays from the texts
     of the names and of the distinct values, `_SLICE_LINES` lines at a
     time, so that beside the text only one slice of pieces is alive.
     """
-    n, m = model.num_cols, len(names)
+    n, m, names = model.num_cols, model.num_rows, model.row_names
     out = [f"NAME {model.name}\n"]
     if not model.minimize:
         out.append("OBJSENSE\n    MAX\n")
     out.append(f"ROWS\n N  {model.obj_name}\n")
     every = np.arange(m)
-    out += _lines(m, " ", (senses.astype(object), every), "  ",
+    out += _lines(m, " ", (model.senses.astype(object), every), "  ",
                   (np.array(names, dtype=object), every))
 
     # Per column: its objective entry (when nonzero or the column has no
     # other), then its row entries in row order. One stable sort by column
     # of [objective entries, row entries] gives that order.
-    count = np.bincount(cols, minlength=n)
+    count = np.bincount(model.cols, minlength=n)
     obj = np.asarray(model.obj, dtype=np.float64)
     obj_cols = np.flatnonzero((obj != 0.0) | (count == 0))
     count[obj_cols] += 1
-    col = np.concatenate([obj_cols, cols])
+    col = np.concatenate([obj_cols, model.cols])
     order = stable_order(col)
     col = col[order]
-    row = np.concatenate([np.full(len(obj_cols), m), row_of])[order]
-    text, val = _texts(np.concatenate([obj[obj_cols], vals])[order])
+    row = np.repeat(np.append(m, every), np.append(len(obj_cols), np.diff(model.indptr)))[order]
+    text, val = _texts(np.concatenate([obj[obj_cols], model.vals])[order])
     del order
     # Marker lines take the entry layout with names of their own: INTORG
     # before each column where integrality switches on, INTEND where it
@@ -795,7 +789,7 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     del col, row, val, cn
 
     out.append("RHS\n")
-    rhs = np.asarray(rhs, dtype=np.float64)
+    rhs = np.asarray(model.rhs, dtype=np.float64)
     nz = np.flatnonzero(rhs != 0.0)
     text, val = _texts(rhs[nz])
     out += _lines(len(nz), "    RHS  ", (rn, nz), (text, val))
@@ -808,12 +802,6 @@ def _write(model: MipModel, names, senses, rhs, cols, vals, row_of) -> str:
     return "".join(out)
 
 
-def write_mps(model: MipModel) -> str:
-    """Serialize a model as free-format MPS (round-trips through parse_mps)."""
-    return _write(model, model.row_names, model.senses, model.rhs, model.cols,
-                  model.vals, _row_of(model.indptr))
-
-
 def _check_nodes(nodes: np.ndarray, n_b: int) -> None:
     """Raise a `ValueError` if a clique node is outside [0, 2 n_b)."""
     if len(nodes) and not 0 <= nodes.min() <= nodes.max() < 2 * n_b:
@@ -822,8 +810,8 @@ def _check_nodes(nodes: np.ndarray, n_b: int) -> None:
 
 def _clique_rows(table: CliqueTable, vcols: np.ndarray, model: MipModel):
     """Every clique over the nodes of the binary columns `vcols` as the row
-    sum x+ - sum x- <= 1 - q, in one batch: (cols, coeffs, clique index) of
-    all nonzeros, each row sorted by (col, coeff), and the right-hand
+    sum x+ - sum x- <= 1 - q, in one batch: (cols, coeffs) of all nonzeros,
+    each row sorted by (col, coeff), the row lengths and the right-hand
     sides."""
     lens, nodes = table.flat()
     n_b = len(vcols)
@@ -840,14 +828,14 @@ def _clique_rows(table: CliqueTable, vcols: np.ndarray, model: MipModel):
     rec = np.repeat(np.arange(len(lens)), lens)
     order = np.lexsort((vals, cols, rec))
     rhs = 1.0 - np.bincount(rec, weights=comp, minlength=len(lens))
-    return cols[order], vals[order], rec[order], rhs
+    return cols[order], vals[order], lens, rhs
 
 
 def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
-    """Original rows plus one <= row per constraint clique of the pool, named
-    CLQ000001, CLQ000002, ... (prefixed with X while the name is taken)."""
+    """`write_mps` of the model plus one <= row per constraint clique of the
+    pool, named CLQ000001, ... (prefixed with X while the name is taken)."""
     constraints = np.count_nonzero(pool.constraint)
-    clq_cols, clq_vals, clq_rec, clq_rhs = _clique_rows(
+    clq_cols, clq_vals, clq_lens, clq_rhs = _clique_rows(
         pool.table.take(np.flatnonzero(pool.constraint)), pool.binaries, model)
     names = list(model.row_names)
     taken = set(names)
@@ -858,15 +846,11 @@ def write_augmented_mps(model: MipModel, pool: CutPool) -> str:
         taken.add(rname)
         names.append(rname)
     del taken
-    return _write(
-        model,
-        names,
-        np.concatenate([model.senses, np.full(constraints, SENSE_LE)]),
-        np.concatenate([model.rhs, clq_rhs]),
-        np.concatenate([model.cols, clq_cols]),
-        np.concatenate([model.vals, clq_vals]),
-        np.concatenate([_row_of(model.indptr), clq_rec + model.num_rows]),
-    )
+    return write_mps(replace(
+        model, row_names=names, rhs=np.concatenate([model.rhs, clq_rhs]),
+        indptr=np.concatenate([model.indptr, model.nnz + np.cumsum(clq_lens)]),
+        cols=np.concatenate([model.cols, clq_cols]), vals=np.concatenate([model.vals, clq_vals]),
+        senses=np.concatenate([model.senses, np.full(constraints, SENSE_LE)])))
 
 
 def export_cut_pool(pool: CutPool) -> str:

@@ -2,8 +2,8 @@
 
 Every seeded order is a keyed hash, `_mix`, of the items' indices, so a
 given (count, seed) always yields the same permutation, whatever k, and no
-generator stream is kept. Every parallel stage cuts its items into
-contiguous blocks by their work with `split` and maps the non-empty ones.
+generator stream is kept. Every parallel stage maps the non-empty
+contiguous blocks that `split` cuts its items into by their work.
 Workers receive immutable inputs and hand back single-owner partial
 results; each stage combines them in the calling process. The calling
 process is one of the workers: it runs a map's first block itself while
@@ -51,16 +51,18 @@ def shuffle_order(count: int, seed: int) -> np.ndarray:
     return np.argsort(_mix(np.arange(count), seed), kind="stable")
 
 
-def split(work, k: int) -> np.ndarray:
-    """The k + 1 bounds of k contiguous blocks of the items of non-negative
-    integer `work`: block b, items bounds[b]:bounds[b + 1], holds each item
-    whose work's middle falls in the b-th k-th of the total; it may be empty."""
+def split(work, k: int) -> list[tuple[int, int]]:
+    """The non-empty contiguous blocks, at most k, of the items of
+    non-negative integer `work`, as (lo, hi) item ranges in item order, or
+    [(0, 0)] when there are no items: the b-th k-th of the total holds each
+    item whose work's middle falls in it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     work = np.asarray(work, dtype=np.int64)
     cum = np.cumsum(work)
     block = np.minimum((2 * cum - work) * k // max(2 * int(work.sum()), 1), k - 1)
-    return np.searchsorted(block, np.arange(k + 1))
+    lo = np.flatnonzero(np.diff(block, prepend=-1)).tolist()
+    return list(zip(lo, lo[1:] + [len(block)])) or [(0, 0)]
 
 
 class _Worker:

@@ -66,19 +66,16 @@ def _within(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sorted_values[pos] == q
 
 
-def _segment_positions(indptr: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Positions of the entries of segments `segs` of a CSR layout, one
-    segment after the other."""
-    segs = np.asarray(segs, dtype=np.int64)
-    return _ranges(indptr[segs], indptr[segs + 1])
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-negative int array, ascending. (A plain
-    `np.unique` imports `numpy.ma` on its first call, which held 1.5 MB of
-    resident memory through the rest of a run.)"""
-    x = np.sort(x)
-    return x[np.diff(x, prepend=-1) != 0]
+def _distinct(x: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """The distinct values of the int array `x`, ascending; callers pass a
+    fresh `x`, which is sorted in place by `np.sort`'s algorithm `kind`. (A
+    plain `np.unique` imports `numpy.ma` on its first call, which held
+    1.5 MB of resident memory through the rest of a run.)"""
+    x.sort(kind=kind)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 @dataclass
@@ -117,7 +114,7 @@ class PbcTable:
     def take(self, idx) -> "PbcTable":
         """The constraints `idx`, in that order."""
         idx = np.asarray(idx, dtype=np.int64)
-        pos = _segment_positions(self.indptr, idx)
+        pos = _ranges(self.indptr[idx], self.indptr[idx + 1])
         return PbcTable(
             _indptr(self.indptr[idx + 1] - self.indptr[idx]),
             self.nodes[pos],
@@ -155,7 +152,7 @@ def _forms(indptr: np.ndarray, le: np.ndarray, ge: np.ndarray):
     row = np.repeat(np.arange(len(count)), count)
     second = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
     sign = np.where((second == 1) | ~le[row], -1.0, 1.0)
-    pos = _segment_positions(indptr, row)
+    pos = _ranges(indptr[row], indptr[row + 1])
     form = np.repeat(np.arange(len(row)), indptr[row + 1] - indptr[row])
     return row, 2 * row + second, sign, pos, form
 
@@ -243,7 +240,7 @@ def _strengthen(model: MipModel, lb: np.ndarray, ub: np.ndarray,
     waiting = np.bincount(nxt[nxt >= 0], minlength=len(f_row))
     level = np.flatnonzero(tainted & (waiting == 0))
     while len(level):
-        e = _segment_positions(f_ptr, level)
+        e = _ranges(f_ptr[level], f_ptr[level + 1])
         write(*evaluate(level, e))
         nxt = next_form[e]
         nxt = nxt[nxt >= 0]
@@ -258,7 +255,7 @@ def _downstream(start: np.ndarray, next_form: np.ndarray, f_ptr: np.ndarray):
     their entries (a form of `start` only when another reaches it)."""
     reached = np.zeros(len(f_ptr) - 1, dtype=bool)
     while len(start):
-        nxt = next_form[_segment_positions(f_ptr, start)]
+        nxt = next_form[_ranges(f_ptr[start], f_ptr[start + 1])]
         nxt = _distinct(nxt[nxt >= 0])
         start = nxt[~reached[nxt]]
         reached[start] = True

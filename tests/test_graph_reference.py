@@ -237,13 +237,13 @@ def test_builds_on_both_sides_of_the_code_boundary(monkeypatch, n_b, width):
     # gives the largest code and, re-keyed, the largest lower entry.
     assert code_type((2 * n_b) ** 2) is width
     seen = set()
-    dedup = graph._dedup
+    distinct = graph._distinct
 
     def spy(codes, kind=None):
         seen.add(codes.dtype.type)
-        return dedup(codes, kind)
+        return distinct(codes, kind)
 
-    monkeypatch.setattr(graph, "_dedup", spy)
+    monkeypatch.setattr(graph, "_distinct", spy)
     rng = np.random.default_rng(911)
     for trial in range(6):
         sequences, rows = _random_input(rng, n_b)

@@ -16,7 +16,7 @@ from cgcuts.model_io import (
     write_augmented_mps,
     write_mps,
 )
-from conftest import binaries_of, cut_pool, random_binary_model, signature
+from conftest import binaries_of, cut_pool, make_model, random_binary_model, signature
 
 BOUND_TAGS = ("LO", "UP", "FX", "FR", "MI", "PL", "BV", "LI", "UI")
 
@@ -192,6 +192,21 @@ def test_built_models_write_like_reference():
     for _ in range(30):
         model = random_binary_model(rng)
         assert_same_text(model, *random_pool(rng, model))
+
+
+def test_clique_rows_skip_taken_names_like_reference():
+    """A clique row's name is prefixed with X while a row holds it, and the
+    names given to earlier clique rows count as taken."""
+    model = make_model(3, [{0: 1.0, 1: 1.0}, {1: 1.0, 2: 1.0}, {0: 1.0, 2: 1.0}],
+                       ["L"] * 3, [1.0] * 3, binary=range(3))
+    model.row_names = ["CLQ000001", "XCLQ000001", "CLQ000002"]
+    records = [((0, 1), "org_long", True), ((1, 5), "org_other", True),
+               ((2, 3), "other_long", True)]
+    binaries = binaries_of(model)
+    text = write_augmented_mps(model, cut_pool(records, binaries))
+    assert text == ref.write_augmented_mps(model, records, binaries)
+    assert parse_mps(text).row_names == model.row_names + [
+        "XXCLQ000001", "XCLQ000002", "CLQ000003"]
 
 
 def test_later_bound_line_wins():

@@ -15,36 +15,45 @@ from cgcuts.parallel import map_blocks, shuffle_order, split
 from cgcuts.presolve import InfeasibleError
 
 
-def _blocks(bounds):
-    return [list(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+def _blocks(ranges):
+    return [list(range(lo, hi)) for lo, hi in ranges]
 
 
 @pytest.mark.parametrize("work, k", [
     ([3, 1, 4, 1, 5, 9, 2, 6], 3), ([1] * 10, 3), ([0, 0, 5, 0, 0], 2),
-    ([0] * 4, 3), ([2, 7], 5), ([], 4), ([1, 100, 1, 1], 3), ([5], 1),
+    ([0] * 4, 3), ([2, 7], 5), ([1, 100, 1, 1], 3), ([5], 1),
 ])
 def test_split_puts_each_item_in_one_block_in_order(work, k):
-    bounds = split(work, k)
-    assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == len(work)
-    assert np.all(np.diff(bounds) >= 0)  # contiguous blocks, in item order
-    assert sum(_blocks(bounds), []) == list(range(len(work)))
-    assert np.count_nonzero(np.diff(bounds)) <= k
+    ranges = split(work, k)
+    assert 1 <= len(ranges) <= k
+    assert all(lo < hi for lo, hi in ranges)  # only non-empty blocks
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(work)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))  # contiguous
+    assert sum(_blocks(ranges), []) == list(range(len(work)))
+
+
+def test_split_of_no_items_is_one_empty_block():
+    assert split([], 1) == [(0, 0)]
+    assert split([], 4) == [(0, 0)]
 
 
 def test_split_places_an_item_by_the_middle_of_its_work():
     # middles 1.5, 3.5 and 5 of 6 fall in the thirds [0, 2), [2, 4), [4, 6)
     assert _blocks(split([3, 1, 2], 3)) == [[0], [1], [2]]
     assert _blocks(split([1] * 10, 3)) == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
+    # middles 1 and 3 of 4 fall in the second and fourth fifths; the three
+    # empty fifths are dropped
+    assert _blocks(split([2, 2], 5)) == [[0], [1]]
 
 
 def test_split_zero_work_items_follow_their_neighbours():
     assert _blocks(split([0, 0, 5, 0, 0], 2)) == [[0, 1], [2, 3, 4]]
-    assert _blocks(split([0, 0, 0], 3)) == [[0, 1, 2], [], []]
+    assert _blocks(split([0, 0, 0], 3)) == [[0, 1, 2]]
 
 
 def test_split_more_blocks_than_items():
-    assert _blocks(split([1, 1], 5)) == [[], [0], [], [1], []]
-    assert _blocks(split([], 3)) == [[], [], []]
+    assert _blocks(split([1, 1], 5)) == [[0], [1]]
+    assert _blocks(split([1, 1, 1], 8)) == [[0], [1], [2]]
 
 
 def test_split_one_item_holding_most_of_the_work():
@@ -53,12 +62,15 @@ def test_split_one_item_holding_most_of_the_work():
     assert _blocks(split([1, 100, 1, 1], 3)) == [[0], [1], [2, 3]]
     assert _blocks(split([1, 100, 1, 1], 2)) == [[0, 1], [2, 3]]
     # its middle, 52 of 102, is in the second third: the third is empty
-    assert _blocks(split([1, 1, 100], 3)) == [[0, 1], [2], []]
+    # and dropped, so two blocks run
+    assert _blocks(split([1, 1, 100], 3)) == [[0, 1], [2]]
 
 
 def test_split_rejects_bad_k():
     with pytest.raises(ValueError, match="k"):
         split([1, 2], 0)
+    with pytest.raises(ValueError, match="k"):
+        split([], 0)
 
 
 def test_shuffle_order_is_a_permutation():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts.presolve import InfeasibleError, _classify, _rewrite, _strengthened, detect
+from cgcuts.presolve import (InfeasibleError, _classify, _distinct, _rewrite, _strengthened,
+                             detect)
 from conftest import (
     Literal,
     binaries_of,
@@ -15,6 +16,18 @@ from conftest import (
     random_binary_model,
     row_of,
 )
+
+
+@pytest.mark.parametrize("kind", [None, "stable"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_distinct_matches_np_unique(dtype, kind):
+    rng = np.random.default_rng(17)
+    for x in [np.zeros(0), np.array([4]), np.array([3, 3, 3]), np.array([-2, 5, -2, 0]),
+              rng.integers(0, 50, size=400), rng.integers(0, 2**30, size=300)]:
+        x = x.astype(dtype)
+        want = np.unique(x)
+        got = _distinct(x.copy(), kind=kind) if kind else _distinct(x.copy())
+        assert got.dtype == dtype and got.tolist() == want.tolist()
 
 
 def terms(table, i, binaries):
