@@ -124,20 +124,13 @@ def run_bench(cfg: BenchConfig, limits: Limits | None = None) -> BenchReport:
     """
     limits = limits or Limits()
     report = BenchReport()
-    threads = []
-    for k in cfg.threads:
-        if clamp_threads(k) != k:
-            report.capped_threads = True
-            k = clamp_threads(k)
-        if k not in threads:
-            threads.append(k)
+    threads = sorted({1, *map(clamp_threads, cfg.threads)})
+    report.capped_threads = any(clamp_threads(k) != k for k in cfg.threads)
     if report.capped_threads:
         report.notes.append(
             f"requested thread counts were capped at {max(threads)}, "
             "the blocks this host can run at once"
         )
-    if 1 not in threads:
-        threads.insert(0, 1)
 
     cliques, dropped = generate_cliques(
         cfg.n_b, cfg.num_cliques, cfg.membership_prob, cfg.seed

@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cliques", type=int, default=5000)
     bench.add_argument("--prob", type=float, default=0.01)
     bench.add_argument("--thread-counts", default="1,2,4,8",
-                       help="comma-separated thread counts to sweep")
+                       help="comma-separated thread counts to sweep; the sweep runs "
+                       "them in ascending order from k = 1")
     bench.add_argument("--reps", type=int, default=3)
     bench.add_argument("--csv", default=None, help="write the report CSV here")
     _add_common(bench)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model_io import TAGS, stable_order
 from .parallel import map_blocks, split
-from .presolve import PbcTable, _distinct, _indptr, _ranges, scaled_tol
+from .presolve import PbcTable, _distinct, _indptr, _ranges, _search, scaled_tol
 
 #: The tags (indices into `model_io.TAGS`) of the cliques of original and
 #: inferred set packing rows, of the knapsacks' original cliques and of
@@ -175,12 +175,7 @@ def _detect_block(args):
     k = np.repeat(np.arange(len(n)), phi)
     i = phi[k] - 1 - _ranges(np.zeros(len(n), np.int64), phi)
     base, size, x = indptr[k], n[k], over[k] - c[indptr[k] + i]
-    lo, hi = np.zeros(len(k), np.int64), size.copy()
-    while (active := lo < hi).any():
-        mid = (lo + hi) // 2
-        left = active & (x < c[base + np.minimum(mid, size - 1)])
-        lo, hi = np.where(active & ~left, mid + 1, lo), np.where(left, mid, hi)
-    sigma = np.maximum(lo, i + 1)
+    sigma = np.maximum(_search(c, base, base + size, x, "right") - base, i + 1)
     stop = sigma >= size
     stop[~stop] = c[(base + i)[~stop]] + c[(base + sigma)[~stop]] <= over[k[~stop]]
     # The entries of a knapsack are its queries before its first stop.

@@ -18,7 +18,7 @@ import numpy as np
 from .cliques import CliqueTable
 from .graph import ConflictGraph
 from .parallel import map_blocks, shuffle_order, split
-from .presolve import _indptr, _ranges, _within
+from .presolve import _indptr, _ranges, _search, _within
 
 #: Bases scanned at once; the budget and the deadline are checked once per chunk.
 _CHUNK = 256
@@ -54,16 +54,11 @@ def _grow(base: tuple[int, ...], cands: list[int], g: ConflictGraph):
 
 
 def _adjacent(g: ConflictGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Whether each v[i] is in the sorted row of u[i]: a lower-bound search
-    of all the rows at once, one step per bit of the longest row, which
-    needs no second copy of the graph."""
-    pos, end = g.indptr[u], g.indptr[u + 1]
-    top = len(g.indices)
-    for bit in reversed(range(int((end - pos).max(initial=0)).bit_length())):
-        step = pos + (1 << bit)
-        ok = (step <= end) & (g.indices[np.minimum(step, top) - 1] < v)
-        pos = np.where(ok, step, pos)
-    return (pos < end) & (g.indices[np.minimum(pos, top - 1)] == v)
+    """Whether each v[i] is in the sorted row of u[i]: a `_search` of all
+    the rows at once, which needs no second copy of the graph."""
+    end = g.indptr[u + 1]
+    pos = _search(g.indices, g.indptr[u], end, v)
+    return (pos < end) & (g.indices[np.minimum(pos, len(g.indices) - 1)] == v)
 
 
 def _candidates(members, lens, g: ConflictGraph):

@@ -87,8 +87,6 @@ def removal_flags(
     to and including its first dominator.
     """
     m = len(cliques)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
     lens, flat = cliques.flat()
     owner = np.repeat(np.arange(m, dtype=np.int64), lens)
     # Posting lists: the cliques holding node v are ids[starts[v]:starts[v + 1]],

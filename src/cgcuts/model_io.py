@@ -346,8 +346,7 @@ class _Reader:
         self.row_order: list[str] = []
         self.row_sense: list[str] = []
         self.row_id: dict[str, int] = {}  # name -> row id, _OBJ or _FREE
-        self.col_order: list[str] = []
-        self.col_idx: dict[str, int] = {}
+        self.col_idx: dict[str, int] = {}  # name -> column id, in id order
         self.integers = [np.empty(0, np.int64)]  # per slice, integer column ids
         self.integer = False  # between INTORG and INTEND markers
         # Keyed by row id; an objective constant lands on _OBJ, never read.
@@ -439,20 +438,8 @@ class _Reader:
     def _col_ids(self, names: np.ndarray) -> np.ndarray:
         """Each name's column id; a new name gets the next id."""
         first, length = _runs(names)
-        ids = np.fromiter(map(self.col_idx.get, first, repeat(-1)), np.int64, len(first))
-        new = ids < 0
-        if new.any():
-            added = list(compress(first, new.tolist()))
-            base = len(self.col_order)
-            self.col_idx.update(zip(added, range(base, base + len(added))))
-            if len(self.col_idx) == base + len(added):
-                ids[new] = np.arange(base, base + len(added))
-            else:  # a new name starts two runs: number the names by first run
-                added = list(dict.fromkeys(added))
-                self.col_idx.update(zip(added, range(base, base + len(added))))
-                ids[new] = np.fromiter(map(self.col_idx.__getitem__, compress(
-                    first, new.tolist())), np.int64, new.sum())
-            self.col_order += added
+        number, idx = self.col_idx.setdefault, self.col_idx
+        ids = np.fromiter((number(name, len(idx)) for name in first), np.int64, len(first))
         return np.repeat(ids, length)
 
     def rhs(self, tok, line, n, off, ranges=False):
@@ -510,7 +497,7 @@ class _Reader:
         crossed = np.flatnonzero(bounds[0] > bounds[1])
         if len(crossed):
             j = int(crossed[0])
-            raise MpsError(f"column {self.col_order[j]} has lb > ub", int(line[col == j].max()))
+            raise MpsError(f"column {list(self.col_idx)[j]} has lb > ub", int(line[col == j].max()))
         return bounds
 
     def csr(self, n: int):
@@ -626,11 +613,11 @@ def parse_mps(text: str) -> MipModel:
                     rd.minimize = first.upper().startswith("MIN")
                     pending_objsense = False
 
-    if not saw_endata and section is None and not rd.row_order and not rd.col_order:
+    if not saw_endata and section is None and not rd.row_order and not rd.col_idx:
         raise MpsError("no MPS content found")
 
     del lines  # the text's bytes are not needed while the rows are built
-    n = len(rd.col_order)
+    n = len(rd.col_idx)
     lbs, ubs = rd.bound_arrays(n)
     obj, *csr = rd.csr(n)
     names, senses, rhs, indptr, cols, vals = rd.ranged(*csr)
@@ -638,7 +625,7 @@ def parse_mps(text: str) -> MipModel:
     if len(set(names)) != len(names):
         raise MpsError("duplicate row names after RANGES expansion")
     return MipModel(
-        col_names=rd.col_order,
+        col_names=list(rd.col_idx),
         row_names=names,
         indptr=indptr,
         cols=cols,
@@ -678,11 +665,9 @@ def parse_mps_file(path) -> MipModel:
 # Writing
 
 
-#: Lines formatted per slice of the writer: each slice's pieces are joined
-#: and dropped before the next slice is made.
-_SLICE_LINES = 1 << 13
-#: Pieces formatted per slice of the cut pool, whose lines have as many
-#: pieces as their cuts have members.
+#: Pieces formatted per slice of the writers: each slice's pieces are
+#: joined and dropped before the next slice is made. A slice holds whole
+#: lines, at least one.
 _SLICE_PIECES = 1 << 15
 
 
@@ -701,12 +686,13 @@ def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _lines(count: int, *parts) -> list[str]:
     """`count` lines, each its pieces and a newline, joined once per slice
-    of `_SLICE_LINES` lines. A part is a text shared by every line, or
+    of `_SLICE_PIECES` pieces. A part is a text shared by every line, or
     (object array of texts, each line's index into it)."""
     width = len(parts) + 1
+    rows = max(_SLICE_PIECES // width, 1)
     out = []
-    for lo in range(0, count, _SLICE_LINES):
-        hi = min(lo + _SLICE_LINES, count)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
         pieces = np.empty(width * (hi - lo), dtype=object)
         for p, part in enumerate(parts):
             pieces[p::width] = part if isinstance(part, str) else part[0][part[1][lo:hi]]
@@ -744,7 +730,7 @@ def write_mps(model: MipModel) -> str:
     """Serialize a model as free-format MPS (round-trips through parse_mps).
 
     Each section's lines are pieces picked by index arrays from the texts
-    of the names and of the distinct values, `_SLICE_LINES` lines at a
+    of the names and of the distinct values, `_SLICE_PIECES` pieces at a
     time, so that beside the text only one slice of pieces is alive.
     """
     n, m, names = model.num_cols, model.num_rows, model.row_names

@@ -69,24 +69,15 @@ class RunStats:
     seed: int
     stage_seconds: dict = field(default_factory=dict)
     tag_counts: dict = field(default_factory=dict)  # tag -> total/added/user
-    flags: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=lambda: dict.fromkeys((
+        "knapsack_size_skipped", "clique_downsampled", "graph_nnz_capped",
+        "extension_budget_hit", "merge_skipped", "time_limit_hit"), False))
     fixings: int = 0
     rows_removed: int = 0
     pairs_expanded: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def _fresh_flags() -> dict:
-    return {
-        "knapsack_size_skipped": False,
-        "clique_downsampled": False,
-        "graph_nnz_capped": False,
-        "extension_budget_hit": False,
-        "merge_skipped": False,
-        "time_limit_hit": False,
-    }
 
 
 def run_pipeline_model(
@@ -105,7 +96,7 @@ def run_pipeline_model(
     """
     limits = limits or Limits()
     k = clamp_threads(k)
-    stats = RunStats(threads=k, seed=seed, flags=_fresh_flags())
+    stats = RunStats(threads=k, seed=seed)
     deadline = time.monotonic() + limits.time_limit_s  # checked between stages
 
     def timed(name: str, fn):

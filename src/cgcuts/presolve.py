@@ -66,6 +66,18 @@ def _within(sorted_values: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sorted_values[pos] == q
 
 
+def _search(values: np.ndarray, lo, hi, x, side: str = "left") -> np.ndarray:
+    """lo[i] + np.searchsorted(values[lo[i]:hi[i]], x[i], side) for each i, over
+    sorted ranges: all at once, one step per bit of the longest range."""
+    pos = lo
+    for bit in reversed(range(int((hi - lo).max(initial=0)).bit_length())):
+        step = pos + (1 << bit)
+        probe = values[np.minimum(step, len(values)) - 1]
+        ok = (step <= hi) & (probe <= x if side == "right" else probe < x)
+        pos = np.where(ok, step, pos)
+    return pos
+
+
 def _distinct(x: np.ndarray, kind: str | None = None) -> np.ndarray:
     """The distinct values of the int array `x`, ascending; callers pass a
     fresh `x`, which is sorted in place by `np.sort`'s algorithm `kind`. (A

@@ -53,6 +53,8 @@ def removal_flags(
     """
     m = len(cliques)
     if m == 0:
+        if counters is not None:
+            counters.update(subset_work=0, deadline_hit=False)
         return np.zeros(0, dtype=bool)
     sets = [frozenset(q) for q in cliques]
     lens = np.array([len(q) for q in cliques], dtype=np.int64)

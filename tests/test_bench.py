@@ -105,6 +105,16 @@ def test_run_bench_small_sweep():
     assert report.speedup(ks[0]) == pytest.approx(1.0)
 
 
+def test_run_bench_sweeps_ascending_from_k1():
+    # The speedups are against k = 1, whatever order the counts are listed in.
+    cfg = BenchConfig(n_b=40, num_cliques=60, membership_prob=0.1,
+                      threads=(2, 1), repetitions=1, seed=0)
+    report = run_bench(cfg)
+    ks = [r["k"] for r in report.rows]
+    assert ks[0] == 1 and ks == sorted(ks)
+    assert all(report.speedup(1, stage) == 1.0 for stage in bench.STAGES)
+
+
 def test_run_bench_with_a_binding_budget():
     # The budget binds, and every k must still extend the same bases.
     cfg = BenchConfig(n_b=400, num_cliques=2000, membership_prob=0.02,

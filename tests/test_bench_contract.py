@@ -27,11 +27,16 @@ import run  # noqa: E402
 SCALE = 0.2
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
-def test_traced_run_reports_every_layer_metric(tmp_path, shape, k):
+#: An LP with no binaries: no cliques, so merge runs on an empty pool.
+LP = "\n".join(["NAME", "ROWS", " N  OBJ", " L  C1", "COLUMNS", "    X1  OBJ  1  C1  1",
+                 "    X2  C1  2", "RHS", "    RHS  C1  3", "ENDATA", ""])
+
+
+def traced(tmp_path, text, k):
+    """Run the tracer on the model `text` at `--threads k`; returns its
+    side file and wall time after checking that it exited with code 0."""
     model = tmp_path / "model.mps"
-    model.write_text(gen.generate(shape, 7, SCALE).mps)
+    model.write_text(text)
     side_path = tmp_path / "side.json"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cgcuts.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -48,8 +53,22 @@ def test_traced_run_reports_every_layer_metric(tmp_path, shape, k):
     side = json.loads(side_path.read_text())
     assert side["exit_code"] == 0
     assert side["unwrapped"] == []
+    return side, wall
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("shape", sorted(gen.SHAPES))
+def test_traced_run_reports_every_layer_metric(tmp_path, shape, k):
+    side, wall = traced(tmp_path, gen.generate(shape, 7, SCALE).mps, k)
     assert [s["name"] for s in side["spans"] if "counts_error" in s] == []
     metrics = run.layer_metrics(side, wall)
     expected = (set(run.per_k_units(k)) - {"trace.overhead_s"}
                 | set(run.COUNTS) | {"graph.dedup_ratio"})
     assert sorted(expected - set(metrics)) == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_traced_run_reads_every_count_on_an_empty_pool(tmp_path, k):
+    side, _ = traced(tmp_path, LP, k)
+    assert [s["name"] for s in side["spans"] if "counts_error" in s] == []
+    assert "merge" in {s["name"] for s in side["spans"]}

@@ -46,7 +46,11 @@ def test_merge_equal_sets_keep_first():
 
 
 def test_merge_empty_pool():
-    assert len(removal_flags([], k=4)) == 0
+    # An empty pool runs the general path, which reports its counters too.
+    for k in (1, 2, 4):
+        counters = {}
+        assert len(removal_flags([], k=k, counters=counters)) == 0
+        assert counters == {"subset_work": 0, "deadline_hit": False}
 
 
 def naive_kept(cliques):

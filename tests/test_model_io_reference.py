@@ -164,10 +164,9 @@ def test_fuzzed_text_matches_reference(seed):
 
 
 def test_fuzzed_text_matches_reference_in_small_slices(monkeypatch):
-    # The writers format a few lines at a time, so every section and the
-    # integer markers cross slice boundaries; a cut-pool slice holds one
-    # line, or the whole lines that fit in 4 pieces.
-    monkeypatch.setattr(model_io, "_SLICE_LINES", 3)
+    # A slice of 4 pieces holds one line of every section, so every section
+    # and the integer markers cross slice boundaries; a cut-pool slice holds
+    # one line, or the whole lines that fit in 4 pieces.
     monkeypatch.setattr(model_io, "_SLICE_PIECES", 4)
     for seed in range(40):
         rng = np.random.default_rng(1500 + seed)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cgcuts.presolve import (InfeasibleError, _classify, _distinct, _rewrite, _strengthened,
-                             detect)
+from cgcuts.presolve import (InfeasibleError, _classify, _distinct, _rewrite, _search,
+                             _strengthened, detect)
 from conftest import (
     Literal,
     binaries_of,
@@ -28,6 +28,35 @@ def test_distinct_matches_np_unique(dtype, kind):
         want = np.unique(x)
         got = _distinct(x.copy(), kind=kind) if kind else _distinct(x.copy())
         assert got.dtype == dtype and got.tolist() == want.tolist()
+
+
+def _sorted_ranges(rng, values_dtype, n_ranges, width):
+    """Concatenated sorted runs of few distinct values (so repeats occur),
+    some of them empty, and their (lo, hi) bounds."""
+    lens = rng.integers(0, width + 1, size=n_ranges)
+    lens[rng.random(n_ranges) < 0.2] = 0
+    runs = [np.sort(rng.integers(-5, 6, size=t)).astype(values_dtype) for t in lens]
+    hi = np.cumsum(lens)
+    return np.concatenate([np.zeros(0, values_dtype)] + runs), hi - lens, hi
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_search_matches_searchsorted_on_each_range(dtype, side):
+    rng = np.random.default_rng(29)
+    cases = [_sorted_ranges(rng, dtype, n, w) for n, w in [(1, 1), (5, 3), (40, 9), (200, 40)]]
+    cases += [(np.zeros(0, dtype), np.zeros(3, np.int64), np.zeros(3, np.int64)),  # empty values
+              (np.arange(6, dtype=dtype), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    for values, lo, hi in cases:
+        # every range once per query value, and the ranges that end at the array's end
+        q_lo = np.concatenate([np.repeat(lo, 13), np.repeat(lo[hi == len(values)], 13)])
+        q_hi = np.concatenate([np.repeat(hi, 13), np.repeat(hi[hi == len(values)], 13)])
+        x = np.tile(np.arange(-6, 7), len(q_lo) // 13).astype(dtype)
+        if dtype == np.float64:
+            x += rng.choice([0.0, 0.5, -0.5], size=len(x))
+        want = [a + np.searchsorted(values[a:b], v, side)
+                for a, b, v in zip(q_lo.tolist(), q_hi.tolist(), x.tolist())]
+        assert _search(values, q_lo, q_hi, x, side).tolist() == want
 
 
 def terms(table, i, binaries):
