@@ -51,6 +51,8 @@ class BenchConfig:
             raise ValueError("n_b and num_cliques must be non-negative")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if min(self.threads, default=1) < 1:
+            raise ValueError("thread counts must be at least 1")
 
 
 @dataclass

@@ -3,13 +3,14 @@ clique table that every stage reads, from the harvest to the writers.
 
 `detect_cliques_parallel` cuts the knapsack table into at most k
 contiguous blocks by `parallel.split`, a knapsack's work being its length
-(k = 1 runs in this process); each worker binary-searches
-every coefficient-sorted knapsack for its original clique and the further
-maximal cliques. A knapsack's cliques are kept in a compact suffix form over its
-coefficient-ordered nodes, because materializing all of them can take
-quadratic memory, and `CliqueTable` keeps that form. Members are written
-out, sorted per clique, only where a stage needs them (`CliqueTable.flat`):
-graph build's samples, extension, merge, the pool order and the writers.
+(k = 1 runs in this process); each worker binary-searches every
+coefficient-sorted knapsack for its original clique and the further
+maximal cliques. `CliqueTable` keeps them in suffix form over the
+knapsack's coefficient-ordered nodes, so that graph build expands a
+family's nested suffix pairs once, not once per clique. Members are
+written out, sorted per clique, where a stage needs them
+(`CliqueTable.flat`): the pool order right after the harvest, graph
+build's samples, extension, merge and the writers.
 """
 from __future__ import annotations
 

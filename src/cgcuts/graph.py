@@ -9,19 +9,18 @@ in the rows of both its ends. Memory is O(n_b + edges).
 cliques share its coefficient-ordered node sequence S: the original clique
 is S[phi:] and each further one {S[i]} | S[sigma:]. Writing every further
 clique out pair by pair would cost the sum of their t(t-1)/2 pairs, far
-more than the edges they make. `parallel.split` cuts the sequences into
-blocks by the pairs each expands; a block holds all chosen cliques of its
-sequences, and its worker expands, per sequence, the pairs of S[min start:]
-once (the suffixes are nested, so this is the union of their suffix pairs),
-plus one star S[head] x S[start:] per clique with a head. Plain cliques are
-their own sequence with no head, so they take the same rule. The codes are
-upper-triangle edge codes u*(2*n_b)+v (u < v), below (2*n_b)**2: int32 when
-that fits (n_b up to 23,170), else int64 (`code_type`). A block writes them
-into one array `_SLICE_PAIRS` pairs at a time, so that the node arrays
-behind them stay small, then sorts it in place and deduplicates it (k = 1
-runs in this process); a worker sends back its codes at that width. The
-partial arrays and the n_b variable/complement edges are sorted runs: one
-stable sort merges them, and equal neighbours are dropped once more.
+more than the edges they make. This process derives the chosen cliques'
+stars S[h] x S[a:b] once (`_stars`), a down-sampled clique's as those of
+a plain run of its own, and `parallel.split` cuts the stars into blocks
+by their pairs, so that one wide knapsack can fill every worker. The
+codes are upper-triangle edge codes u*(2*n_b)+v (u < v), below
+(2*n_b)**2: int32 when that fits (n_b up to 23,170), else int64
+(`code_type`). A block writes them into one array `_SLICE_PAIRS` pairs
+at a time, so that the node arrays behind them stay small, then sorts it
+in place and deduplicates it (k = 1 runs in this process); a worker sends
+back its codes at that width. The partial arrays and the n_b
+variable/complement edges are sorted runs: one stable sort merges them,
+and a pair that two blocks expand is dropped once more.
 
 The CSR is built from the distinct codes alone: the row lengths are the
 per-end counts of the codes, each row's upper entries (v > u) are the
@@ -105,24 +104,9 @@ def _from_codes(n_b: int, parts: list[np.ndarray]) -> ConflictGraph:
 
 
 def _build_block(args):
-    """Distinct upper-triangle codes of one block's `CliqueTable`.
-
-    The suffixes of one sequence are nested, so the pairs of its shortest
-    start cover those of every member's suffix; each member with a head
-    adds the star head x suffix. Every pair is one of the stars
-    S[h] x S[a:b]: the suffix pairs are a star per position of the suffix,
-    with the positions after it."""
-    table, n_b = args
-    ptr, nodes = table.seq_ptr, table.seq_nodes
-    first = ptr[table.seq] + table.start
-    shortest = ptr[1:].copy()
-    np.minimum.at(shortest, table.seq, first)
-    p = _ranges(shortest, ptr[1:])
-    star = table.head >= 0
-    h = np.concatenate([p, (ptr[table.seq] + table.head)[star]])
-    a = np.concatenate([p + 1, first[star]])
-    b = np.concatenate([np.repeat(ptr[1:], ptr[1:] - shortest),
-                        ptr[table.seq + 1][star]])
+    """Distinct upper-triangle codes of one block's stars
+    nodes[h] x nodes[a:b], written `_SLICE_PAIRS` pairs at a time."""
+    nodes, h, a, b, n_b = args
     ends = np.cumsum(b - a)
     dim, i, done = 2 * n_b, 0, 0
     codes = np.empty(int(ends[-1]) if len(ends) else 0, dtype=code_type(dim * dim))
@@ -138,34 +122,22 @@ def _build_block(args):
     return _distinct(codes)
 
 
-def _with_samples(table: CliqueTable, ids: np.ndarray, lens, nodes) -> CliqueTable:
-    """`table` with clique ids[j] replaced by the plain clique of the j-th
-    run of `lens[j]` `nodes`."""
-    seq, head, start = table.seq.copy(), table.head.copy(), table.start.copy()
-    seq[ids] = len(table.seq_ptr) - 1 + np.arange(len(ids))
-    head[ids] = -1
-    start[ids] = 0
-    return CliqueTable(
-        np.concatenate([table.seq_ptr, table.seq_ptr[-1] + np.cumsum(lens)]),
-        np.concatenate([table.seq_nodes, nodes.astype(table.seq_nodes.dtype)]),
-        seq, head, start, table.tag,
-    )
-
-
-def _by_sequence(table: CliqueTable, ids: np.ndarray, k: int) -> list[np.ndarray]:
-    """The cliques `ids` in the non-empty blocks of whole sequences that
-    `split` cuts by the pairs `_build_block` expands (suffix pairs and
-    stars), so that no two blocks expand one sequence's suffix."""
+def _stars(table: CliqueTable, ids: np.ndarray) -> list[np.ndarray]:
+    """[h, a, b], positions in `table.seq_nodes`: the stars S[h] x S[a:b]
+    whose pairs are those of the cliques `ids`. A sequence's suffixes are
+    nested, so the pairs of its shortest chosen suffix cover every chosen
+    suffix's: they are a star per position of that suffix, with the
+    positions after it. Each clique with a head adds the star head x
+    suffix."""
     ptr, seq = table.seq_ptr, table.seq[ids]
     first = ptr[seq] + table.start[ids]
     shortest = ptr[1:].copy()
     np.minimum.at(shortest, seq, first)
-    span = ptr[1:] - shortest
-    star = np.where(table.head[ids] >= 0, ptr[seq + 1] - first, 0)
-    pairs = span * (span - 1) // 2 + np.bincount(seq, star, len(span)).astype(np.int64)
-    order = np.argsort(seq, kind="stable")
-    cuts = np.searchsorted(seq[order], split(pairs, k)).tolist()
-    return [ids[order[a:b]] for a, b in cuts if a < b]
+    p = _ranges(shortest, ptr[1:])
+    star = table.head[ids] >= 0
+    return [np.concatenate([p, (ptr[seq] + table.head[ids])[star]]),
+            np.concatenate([p + 1, first[star]]),
+            np.concatenate([np.repeat(ptr[1:], ptr[1:] - shortest), ptr[seq + 1][star]])]
 
 
 def build_graph_parallel(
@@ -182,16 +154,16 @@ def build_graph_parallel(
     variable/complement edges.
 
     Down-sampling and the cumulative pair cap are decided in a seeded
-    shuffle of the cliques, so the result is identical for every k; the
-    chosen cliques then go to at most k blocks of whole sequences, split by
-    their pairs (`_by_sequence`), each expanded on its own worker: a clique
-    c longer than `max_clique_sample` keeps its members of smallest hash
-    `_mix(member, _mix(c, seed))`, so that its sample depends on neither k
-    nor the other cliques, and is expanded as a plain clique; the cliques
-    are taken while the sum of their t(t-1)/2 stays within `max_pairs`.
-    That sum is the pair budget `pairs_expanded`, not the number of codes
-    generated. The trivial edges are not cliques of the input, so they
-    neither count toward `max_pairs` nor appear in `pairs_expanded`.
+    shuffle of the cliques, so the result is identical for every k: a
+    clique c longer than `max_clique_sample` keeps its members of smallest
+    hash `_mix(member, _mix(c, seed))`, so that its sample depends on
+    neither k nor the other cliques, and is expanded as a plain clique; the
+    cliques are taken while the sum of their t(t-1)/2 stays within
+    `max_pairs`. That sum is the pair budget `pairs_expanded`, not the
+    number of codes generated. The trivial edges are not cliques of the
+    input, so they neither count toward `max_pairs` nor appear in
+    `pairs_expanded`. The chosen cliques' stars (`_stars`) go to at most k
+    blocks, split by their pairs, each expanded on its own worker.
     """
     _check_nodes(table.seq_nodes, n_b)
     order = shuffle_order(len(table), seed)
@@ -200,18 +172,23 @@ def build_graph_parallel(
     budget = np.cumsum(t * (t - 1) // 2)
     chosen = len(budget) if max_pairs is None else int(
         np.searchsorted(budget, max_pairs, side="right"))
-    sampled = order[np.flatnonzero(t[:chosen] < sizes[:chosen])]
+    cut = t[:chosen] < sizes[:chosen]
+    sampled, nodes = order[:chosen][cut], table.seq_nodes
+    h, a, b = _stars(table, order[:chosen][~cut])
     if len(sampled):  # each keeps its members of smallest hash, in member order
         lens, members = table.take(sampled).flat()
         by_hash = np.lexsort((_mix(members, np.repeat(_mix(sampled, seed), lens)),
                               np.repeat(np.arange(len(lens)), lens)))
         place = np.arange(len(members)) - np.repeat(_indptr(lens)[:-1], lens)
         keep = np.sort(by_hash[place < max_clique_sample])
-        table = _with_samples(table, sampled, np.full_like(lens, max_clique_sample),
-                              members[keep])
-    block_args = [(table.take(idx), n_b) for idx in _by_sequence(table, order[:chosen], k)]
-    results = map_blocks(_build_block, block_args, k)
-    del block_args
+        runs = CliqueTable.plain(np.full_like(lens, max_clique_sample), members[keep], 0)
+        h, a, b = (np.concatenate([x, y + len(nodes)])
+                   for x, y in zip((h, a, b), _stars(runs, np.arange(len(lens)))))
+        nodes = np.concatenate([nodes, runs.seq_nodes])
+    pairs = b > a  # split gives leading stars of no pairs a block of their own
+    h, a, b = (x[pairs].astype(code_type(len(nodes))) for x in (h, a, b))
+    results = map_blocks(_build_block, [(nodes, h[i:j], a[i:j], b[i:j], n_b)
+                                        for i, j in split(b - a, k)], k)
     if stats is not None:
         stats["pairs_expanded"] = int(budget[chosen - 1]) if chosen else 0
         stats["pair_cap_hit"] = chosen < len(budget)

@@ -65,7 +65,8 @@ class MipModel:
     coefficients `vals` at the same positions (float64). `row(i)` gives
     both as views. `senses` holds each row's sense as one "<U1" array;
     any iterable of senses is normalized to it, and a sense other than
-    SENSE_LE, SENSE_GE or SENSE_EQ raises a `ValueError`, as does a field
+    SENSE_LE, SENSE_GE or SENSE_EQ raises a `ValueError`, as do an
+    `indptr` that is empty, does not start at 0 or decreases, and a field
     without one entry per row, column or nonzero. `integers` is I as one
     sorted int64 array of distinct column ids; any iterable of ids is
     normalized to it, one outside [0, num_cols) raises a `ValueError`, and
@@ -91,7 +92,10 @@ class MipModel:
         senses = self.senses
         self.senses = senses = np.asarray(senses if isinstance(senses, np.ndarray)
                                           else list(senses), dtype=str)
-        m, n, nnz = self.num_rows, self.num_cols, int(self.indptr[-1])
+        ptr = self.indptr
+        if not len(ptr) or ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
+            raise ValueError("indptr must start at 0 and not decrease")
+        m, n, nnz = self.num_rows, self.num_cols, int(ptr[-1])
         for name, want in zip(("row_names", "senses", "rhs", "obj", "lb", "ub", "cols", "vals"),
                               (m, m, m, n, n, n, nnz, nnz)):
             if len(getattr(self, name)) != want:

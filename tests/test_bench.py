@@ -55,6 +55,8 @@ def test_config_validates_probability():
     ("repetitions", 0, "repetitions must be at least 1"),
     ("n_b", -1, "n_b and num_cliques must be non-negative"),
     ("num_cliques", -3, "n_b and num_cliques must be non-negative"),
+    ("threads", (0,), "thread counts must be at least 1"),
+    ("threads", (1, -2), "thread counts must be at least 1"),
 ])
 def test_config_validates_sizes(field, value, message):
     fields = dict(n_b=10, num_cliques=5, membership_prob=0.5) | {field: value}

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgcuts.cliques import detect_cliques_parallel
 from cgcuts.graph import build_graph_parallel
-from conftest import clique_table, graph_edges, has_edge, plain_table, same_graph
+from conftest import (clique_table, graph_edges, has_edge, pbc_table, plain_table,
+                      same_graph)
 
 
 def dense_oracle(cliques, n_b, include_trivial=False):
@@ -142,10 +144,10 @@ def test_neighbors_and_degree():
     assert g.row(4).tolist() == [1]
 
 
-def test_blocks_take_whole_sequences(monkeypatch):
+def test_blocks_partition_the_stars(monkeypatch):
     # Six knapsack families of 30 nodes, each with 20 further cliques, and a
-    # few plain cliques: a split of the shuffled cliques puts every family's
-    # cliques in both blocks, which then both expand its shared suffix.
+    # few plain cliques: every star goes to exactly one block, so the
+    # blocks' pairs add up to the stars' pairs, and no block is empty.
     from cgcuts import graph
 
     rng = np.random.default_rng(5)
@@ -159,6 +161,8 @@ def test_blocks_take_whole_sequences(monkeypatch):
         rows.append((len(sequences), -1, 0))
         sequences.append(q)
     table = clique_table(sequences, rows)
+    h, a, b = graph._stars(table, np.arange(len(table)))
+    stars = sorted(star for star in zip(h.tolist(), a.tolist(), b.tolist()) if star[2] > star[1])
     blocks = []
 
     def spy(fn, args, k):
@@ -170,12 +174,29 @@ def test_blocks_take_whole_sequences(monkeypatch):
     for k in (2, 3):
         blocks.clear()
         assert same_graph(build_graph_parallel(table, n_b, k, seed=7), want)
-        owner = {}
-        for b, (block, _) in enumerate(blocks):
-            ptr = block.seq_ptr.tolist()
-            for s in np.unique(block.seq).tolist():
-                nodes = tuple(block.seq_nodes[ptr[s]:ptr[s + 1]].tolist())
-                assert owner.setdefault(nodes, b) == b, "a sequence reached two blocks"
-        assert len(owner) == len(sequences)
-        # the families' pairs are spread: no block is empty
-        assert all(len(block) for block, _ in blocks)
+        got = [star for _, h, a, b, _ in blocks for star in zip(h.tolist(), a.tolist(), b.tolist())]
+        assert sorted(got) == stars, "a star reached two blocks, or none"
+        pairs = [int(np.sum(b - a)) for _, _, a, b, _ in blocks]
+        assert sum(pairs) == sum(b - a for _, a, b in stars)
+        assert len(blocks) == k and min(pairs) > 0
+
+
+def test_one_wide_knapsack_fills_every_block(monkeypatch):
+    # Coefficients 1..60 and rhs 60: one sequence, whose stars the blocks
+    # share, at every k the same graph.
+    from cgcuts import graph
+
+    table = detect_cliques_parallel(pbc_table([(list(range(1, 61)), 60)]), 1)
+    assert len(table.seq_ptr) == 2
+    blocks = []
+
+    def spy(fn, args, k):
+        blocks.append(len(args))
+        return [fn(a) for a in args]
+
+    monkeypatch.setattr(graph, "map_blocks", spy)
+    want = build_graph_parallel(table, 60, 1, seed=3)
+    for k in (2, 3, 4):
+        blocks.clear()
+        assert same_graph(build_graph_parallel(table, 60, k, seed=3), want)
+        assert blocks == [k]

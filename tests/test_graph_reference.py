@@ -4,6 +4,7 @@
 pair cap; plus pinning cases that fail under a design that expands each
 family from its original clique, expands a sampled member's suffix, or
 writes every clique out pair by pair."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -186,24 +187,28 @@ def test_sample_depends_on_neither_k_nor_the_other_samples():
                 assert _sample_of(g, np.arange(12)) == want
 
 
-def test_samples_expanded_in_different_blocks_are_the_reference_samples(monkeypatch):
-    # Two cliques over the limit, on disjoint nodes and with equal pairs
-    # once sampled: at k >= 2 each goes to a block of its own, which must
-    # expand the reference's sample of that clique.
+def test_stars_of_sampled_cliques_expand_the_reference_samples(monkeypatch):
+    # Two cliques over the limit, on disjoint nodes: at k >= 2 their stars
+    # go to k blocks, which together expand each pair of the reference's
+    # sample of each clique once, and no other pair.
     cliques = [np.arange(10), np.arange(10, 22)]
     blocks, real = [], graph.map_blocks
 
     def spy(fn, block_args, k):
-        blocks.extend(table for table, _ in block_args)
+        blocks.extend(block_args)
         return real(fn, block_args, k)
 
     monkeypatch.setattr(graph, "map_blocks", spy)
     for seed in range(5):
         want = [ref._sample_clique(q, 4, c, seed).tolist() for c, q in enumerate(cliques)]
+        pairs = sorted(p for sample in want for p in itertools.combinations(sorted(sample), 2))
         for k in (2, 4):
             blocks.clear()
             g = build_graph_parallel(plain_table(cliques), 22, k, seed, max_clique_sample=4)
-            assert sorted(t.seq_nodes.tolist() for t in blocks) == sorted(want)
+            assert len(blocks) == k
+            assert sorted(tuple(sorted((int(nodes[u]), int(nodes[v]))))
+                          for nodes, h, a, b, _ in blocks
+                          for u, lo, hi in zip(h, a, b) for v in range(lo, hi)) == pairs
             for q, sample in zip(cliques, want):
                 assert _sample_of(g, q) == set(sample)
 

@@ -241,6 +241,15 @@ def test_model_rejects_a_field_of_the_wrong_length(field, value, want):
         dataclasses.replace(model, **{field: value})
 
 
+@pytest.mark.parametrize("indptr", [[], [1, 2, 4], [0, 3, 2]])
+def test_model_rejects_an_indptr_that_is_empty_off_zero_or_decreasing(indptr):
+    # An empty indptr raised an IndexError from its last entry, and the
+    # others would read rows from the wrong nonzeros.
+    model = make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L", "L"], [1.0, 1.0], binary=[0, 1])
+    with pytest.raises(ValueError, match="^indptr must start at 0 and not decrease$"):
+        dataclasses.replace(model, indptr=np.asarray(indptr, dtype=np.int64))
+
+
 def test_model_with_fewer_senses_than_rows_is_rejected_when_built():
     with pytest.raises(ValueError, match="^senses holds 1 entries, not 2$"):
         make_model(2, [{0: 1.0, 1: 1.0}] * 2, ["L"], [1.0, 1.0], binary=[0, 1])

@@ -385,8 +385,9 @@ def test_limits_accept_integer_counts_and_real_seconds():
 
 
 def test_a_map_of_one_item_forks_no_worker(monkeypatch):
-    # One knapsack, one base and one extended clique: every map has one
-    # non-empty block at k = 2, and only non-empty blocks are dispatched.
+    # One knapsack whose one clique has two members, so one star of one
+    # pair: every map has one non-empty block at k = 2, and only non-empty
+    # blocks are dispatched.
     monkeypatch.setattr(parallel, "available_cores", lambda: 2)
     blocks = []
 
@@ -396,7 +397,7 @@ def test_a_map_of_one_item_forks_no_worker(monkeypatch):
 
     for mod in (cliques, graph, extend, merge):
         monkeypatch.setattr(mod, "map_blocks", spy)
-    run_pipeline_model(KNAPSACK6, k=2)
+    run_pipeline_model(make_model(2, [{0: 2.0, 1: 3.0}], ["L"], [4.0], binary=[0, 1]), k=2)
     assert blocks == [1, 1, 1, 1]
 
 
